@@ -115,6 +115,7 @@ class WeightedBlowupGraph:
                     raise ValidationError(f"slot {s} out of range in cluster {v}")
             pairs.add(_normalize_pair((i, ai), (j, bj)))
         self.cross_edges: frozenset[tuple[Slot, Slot]] = frozenset(pairs)
+        self._densities: dict[Edge, Fraction | float] | None = None
 
     def cluster_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.weights)
@@ -134,7 +135,11 @@ class WeightedBlowupGraph:
         return total
 
     def densities(self) -> dict[Edge, Fraction | float]:
-        return {e: self.density(*e) for e in self.pattern.edges}
+        """Every pattern edge's density, computed on the first call (the
+        blow-up is immutable) and returned as a fresh dict."""
+        if self._densities is None:
+            self._densities = {e: self.density(*e) for e in self.pattern.edges}
+        return dict(self._densities)
 
     def complement_view(self) -> list[tuple[Slot, Slot]]:
         """All missing cross pairs, sorted; the complement of the blow-up

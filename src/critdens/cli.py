@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 affirmative verdict (Ensured / true / found), 1 negative
-verdict (NotEnsured / false / none), 2 usage or input error, 3 budget or
-size limit.
+verdict (NotEnsured / false / none), 2 usage or input error, or an
+internal error (reported with its traceback on stderr), 3 budget or size
+limit.  A crash never exits with a verdict's code.
 
 Densities on the command line accept exact rationals ("17/20") and
 decimals, which are parsed as exact rationals over powers of ten
@@ -14,8 +15,10 @@ the field schema is documented in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import traceback
 from fractions import Fraction
 from typing import Mapping, Sequence, TextIO
 
@@ -208,9 +211,10 @@ def cmd_decide_tree(args, rep: Reporter) -> int:
         updated = {f"{i}-{j}": str(v) for (i, j), v in sorted(step.updated.items())}
         rep.record("reduction-step", step=k, leaf=step.leaf,
                    neighbor=step.neighbor, updated=updated)
-        rep.text(f"step {k}: removed leaf {step.leaf} into {step.neighbor}; "
-                 + "; ".join(f"r({e}) = {_both(v)}"
-                             for e, v in sorted(updated.items())))
+        if not rep.structured:
+            rep.text(f"step {k}: removed leaf {step.leaf} into {step.neighbor}; "
+                     + "; ".join(f"r({e}) = {_both(v)}"
+                                 for e, v in sorted(updated.items())))
     fields = {}
     if decision.violating_edge is not None:
         fields["violating_edge"] = list(decision.violating_edge)
@@ -225,7 +229,8 @@ def cmd_dcrit_tree(args, rep: Reporter) -> int:
     tol = _rational(args.tol, "tolerance")
     dc = dcrit_tree(T, tol)
     rep.record("value", name="critical_density", **_density_fields(dc, tol))
-    rep.text(f"critical density: {_density_text(dc, tol)}")
+    if not rep.structured:
+        rep.text(f"critical density: {_density_text(dc, tol)}")
     return EXIT_YES
 
 
@@ -260,17 +265,18 @@ def cmd_bounds(args, rep: Reporter) -> int:
     H = _load_graph(args.graph)
     tol = _rational(args.tol, "tolerance")
     b = compute_bounds(H, tol)
-    rows = [
-        ("lower (max degree)", _both(b.lower_delta)),
-        ("lower (star decomposition)", _density_text(b.lower_star, tol)),
-        ("upper (matching root)", _density_text(b.upper_matching_root, tol)),
-        ("upper (coarse degree)", _both(b.upper_coarse)),
-        ("upper (local lemma)", f"{b.upper_lll:.10g}"),
-    ]
-    width = max(len(r[0]) for r in rows)
-    rep.text(f"bounds on the critical density of {H.to_text()!r}:")
-    for label, value in rows:
-        rep.text(f"  {label:<{width}}  {value}")
+    if not rep.structured:
+        rows = [
+            ("lower (max degree)", _both(b.lower_delta)),
+            ("lower (star decomposition)", _density_text(b.lower_star, tol)),
+            ("upper (matching root)", _density_text(b.upper_matching_root, tol)),
+            ("upper (coarse degree)", _both(b.upper_coarse)),
+            ("upper (local lemma)", f"{b.upper_lll:.10g}"),
+        ]
+        width = max(len(r[0]) for r in rows)
+        rep.text(f"bounds on the critical density of {H.to_text()!r}:")
+        for label, value in rows:
+            rep.text(f"  {label:<{width}}  {value}")
     rep.record("bound", name="lower_delta", exact=str(b.lower_delta),
                decimal=_dec(b.lower_delta))
     rep.record("bound", name="lower_star", **_density_fields(b.lower_star, tol))
@@ -285,7 +291,8 @@ def cmd_bounds(args, rep: Reporter) -> int:
 def cmd_triangle(args, rep: Reporter) -> int:
     vals = [_rational(v, "density") for v in (args.alpha, args.beta, args.gamma)]
     verdict = triangle_decide(*vals)
-    rep.text("densities: " + ", ".join(_both(v) for v in vals))
+    if not rep.structured:
+        rep.text("densities: " + ", ".join(_both(v) for v in vals))
     return rep.verdict(verdict, EXIT_YES if verdict == "Ensured" else EXIT_NO)
 
 
@@ -306,7 +313,8 @@ def cmd_glue(args, rep: Reporter) -> int:
     m2 = _rational(args.m2, "split share")
     verdict = glue_sufficiency(H1, H2, args.u1, args.u2, m1, m2, dens,
                                certify=_CERTIFIERS[args.certify])
-    rep.text(f"glued pattern: {G.to_text()!r}, split {_both(m1)} / {_both(m2)}")
+    if not rep.structured:
+        rep.text(f"glued pattern: {G.to_text()!r}, split {_both(m1)} / {_both(m2)}")
     return rep.verdict(verdict, EXIT_YES if verdict == "Sufficient" else EXIT_NO)
 
 
@@ -318,17 +326,19 @@ def cmd_star_bound(args, rep: Reporter) -> int:
                **_density_fields(bound.density, tol))
     rep.record("labeling", labeling=list(bound.best_labeling),
                examined=bound.labelings_examined, heuristic=bound.heuristic)
-    rep.text(f"star lower bound: {_density_text(bound.density, tol)}")
-    rep.text("best labeling: f = (" + ",".join(map(str, bound.best_labeling)) + ")")
-    rep.text(f"labelings examined: {bound.labelings_examined}"
-             + (" (cap reached: certified lower bound only)" if bound.heuristic else ""))
+    if not rep.structured:
+        rep.text(f"star lower bound: {_density_text(bound.density, tol)}")
+        rep.text("best labeling: f = (" + ",".join(map(str, bound.best_labeling)) + ")")
+        rep.text(f"labelings examined: {bound.labelings_examined}"
+                 + (" (cap reached: certified lower bound only)" if bound.heuristic else ""))
     if args.dedupe:
         rep.text("path-tree shapes (automorphic labelings collapsed):")
         for shape, (example, count, dc) in sorted(bound.shape_table.items()):
             rep.record("shape", shape=shape, example=list(example), count=count,
                        **_density_fields(dc, tol))
-            rep.text(f"  f = ({','.join(map(str, example))}) and {count - 1} more: "
-                     f"{_density_text(dc, tol)}")
+            if not rep.structured:
+                rep.text(f"  f = ({','.join(map(str, example))}) and {count - 1} more: "
+                         f"{_density_text(dc, tol)}")
     return EXIT_YES
 
 
@@ -363,18 +373,18 @@ def cmd_construct(args, rep: Reporter) -> int:
             rep.record("verdict", verdict="NotProducible", exit=EXIT_NO)
             rep.text("no construction: the lifted densities ensure the path tree")
             return EXIT_NO
-    payload = B.to_json()
     if args.out is not None:
         with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(B.to_json() + "\n")
         rep.text(f"construction written to {args.out}")
-    else:
-        rep.text(payload)
+    elif not rep.structured:
+        rep.text(B.to_json())
+    dens = B.densities()
     rep.record("construction", blowup=B.to_json_obj(),
-               densities={f"{i}-{j}": _show(d)
-                          for (i, j), d in B.densities().items()})
-    for (i, j), d in sorted(B.densities().items()):
-        rep.text(f"density {i}-{j}: {_show(d)}")
+               densities={f"{i}-{j}": _show(d) for (i, j), d in dens.items()})
+    if not rep.structured:
+        for (i, j), d in sorted(dens.items()):
+            rep.text(f"density {i}-{j}: {_show(d)}")
     return EXIT_YES
 
 
@@ -415,11 +425,13 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
         with open(args.out, "w") as fh:
             fh.write(B.to_json() + "\n")
         rep.text(f"construction written to {args.out}")
+    dens = B.densities()
     rep.record("construction", blowup=B.to_json_obj(),
-               densities={f"{i}-{j}": str(d) for (i, j), d in B.densities().items()})
-    rep.text(f"found: cluster sizes {list(B.cluster_sizes())}")
-    for (i, j), d in sorted(B.densities().items()):
-        rep.text(f"density {i}-{j}: {_both(d)}")
+               densities={f"{i}-{j}": str(d) for (i, j), d in dens.items()})
+    if not rep.structured:
+        rep.text(f"found: cluster sizes {list(B.cluster_sizes())}")
+        for (i, j), d in sorted(dens.items()):
+            rep.text(f"density {i}-{j}: {_both(d)}")
     return rep.verdict("Found", EXIT_YES)
 
 
@@ -431,7 +443,8 @@ def cmd_oracle_dcrit(args, rep: Reporter) -> int:
         budget=args.budget)
     rep.record("interval", name="dcrit_estimate", lo=str(lo), hi=str(hi),
                lo_decimal=float(lo), hi_decimal=float(hi))
-    rep.text(f"critical density bracket: [{_both(lo)}, {_both(hi)}]")
+    if not rep.structured:
+        rep.text(f"critical density bracket: [{_both(lo)}, {_both(hi)}]")
     return EXIT_YES
 
 
@@ -447,9 +460,10 @@ def cmd_verify_bowtie(args, rep: Reporter) -> int:
     from .bounds import bow_tie_counterexample_check
     from .stars import bow_tie_reconstruction, star_decomposition_cannot_match_bowtie
 
-    B = bow_tie_reconstruction()
-    rep.text("reconstruction densities: " + ", ".join(
-        f"{i}-{j}: {_both(d)}" for (i, j), d in sorted(B.densities().items())))
+    if not rep.structured:
+        B = bow_tie_reconstruction()
+        rep.text("reconstruction densities: " + ", ".join(
+            f"{i}-{j}: {_both(d)}" for (i, j), d in sorted(B.densities().items())))
     raises_ok = bow_tie_counterexample_check()
     rep.record("value", name="all_six_raises_sufficient", value=raises_ok)
     rep.text(f"all six +1/100 raises certified Sufficient: {'yes' if raises_ok else 'NO'}")
@@ -486,7 +500,10 @@ def cmd_self_test(args, rep: Reporter) -> int:
 # -- wiring ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later run() in the process; each parse fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="critdens",
         description="Critical edge densities for transversal copies of a "
@@ -633,7 +650,15 @@ def run(argv: Sequence[str] | None = None, out: TextIO = sys.stdout) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except Exception:
+        # Anything the commands do not map to an exit code is a bug; it
+        # must not pass for a verdict (0/1) or a limit (3).
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -28,11 +28,12 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .blowup import Transversal, WeightedBlowupGraph
-from .errors import BudgetExhausted, SizeLimit, ValidationError
+from .errors import BudgetExhausted, ParseError, SizeLimit, ValidationError
 from .graphs import Edge, PatternGraph
 from .tree_decision import edge_assignment
 
 TRANSVERSAL_GUARD = 10**6
+CHECKPOINT_FORMAT = 1
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -415,6 +416,46 @@ def _mass_ceilings(H: PatternGraph, floor: Mapping[Edge, Fraction], q: int
     return {e: math.floor((_ONE - floor[e]) * q * q) for e in H.edges}
 
 
+def _checkpoint_fingerprint(H: PatternGraph, bounds: Sequence[int], q: int,
+                            floor: Mapping[Edge, Fraction]) -> dict:
+    """What a checkpoint must match to be resumed: its format and every
+    input that fixes the configuration order and the verdicts."""
+    return {"format": CHECKPOINT_FORMAT, "pattern": H.to_text(),
+            "sizes": list(bounds), "q": q,
+            "floor": {f"{i}-{j}": str(d) for (i, j), d in sorted(floor.items())}}
+
+
+def _read_checkpoint(path: str, fingerprint: dict) -> int:
+    """Index of the last configuration an earlier run of the same search
+    completed, -1 without a checkpoint file.  A corrupt file or one from
+    another search is rejected: resuming from it could skip
+    configurations that were never examined."""
+    if not os.path.exists(path):
+        return -1
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"checkpoint {path} is corrupt: {exc}") from None
+    if not isinstance(state, dict) or state.get("search") != fingerprint:
+        raise ValidationError(
+            f"checkpoint {path} belongs to another search or format; "
+            "remove it to start over")
+    done = state.get("completed")
+    if type(done) is not int or done < -1:
+        raise ValidationError(f"checkpoint {path} has no valid completed index")
+    return done
+
+
+def _write_checkpoint(path: str, fingerprint: dict, done: int) -> None:
+    """Replace the checkpoint atomically, so an interrupted write leaves
+    the previous one intact."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump({"search": fingerprint, "completed": done}, fh)
+    os.replace(tmp, path)
+
+
 def _search_partition(
     H: PatternGraph,
     cfg: SearchConfig,
@@ -427,12 +468,12 @@ def _search_partition(
     checkpoint_path: str | None = None,
 ) -> tuple[tuple, WeightedBlowupGraph] | None:
     budget = _Budget(budget_amount)
-    done = -1
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        with open(checkpoint_path) as fh:
-            done = json.load(fh).get("completed", -1)
-    progress = open(progress_path, "a") if progress_path is not None else None
     q = cfg.weight_grid_denominator
+    done = -1
+    if checkpoint_path is not None:
+        fingerprint = _checkpoint_fingerprint(H, bounds, q, floor)
+        done = _read_checkpoint(checkpoint_path, fingerprint)
+    progress = open(progress_path, "a") if progress_path is not None else None
     ceilings = _mass_ceilings(H, floor, q)
     config_index = -1
     try:
@@ -458,8 +499,7 @@ def _search_partition(
                     _assert_oracle_emission(B, floor)
                     return (sizes, cover), B
                 if checkpoint_path is not None:
-                    with open(checkpoint_path, "w") as fh:
-                        json.dump({"completed": config_index}, fh)
+                    _write_checkpoint(checkpoint_path, fingerprint, config_index)
         return None
     finally:
         if progress is not None:

@@ -135,12 +135,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def deflate_root(self, r: Fraction) -> "RatPoly":
         """Divide by (t - r); the remainder must vanish."""
         quot, rem = self.divmod(RatPoly([-r, _ONE]))
@@ -233,11 +227,31 @@ def count_roots_in_unit_interval(p: RatPoly) -> int:
     return count
 
 
+def _unit_interval_variations(p: RatPoly) -> int:
+    """Sign variations of (1+x)^d p(1/(1+x)), d = deg p, scaled to
+    integers.  Its roots x > 0 are the roots t = 1/(1+x) of p in (0, 1),
+    so by Descartes' rule 0 variations means p has no root there."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    # Horner in (1+x): acc <- acc * (1+x) + a_k, from a_0 up to a_d.
+    acc: list[int] = []
+    for c in p.coeffs:
+        acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += c.numerator * (scale // c.denominator)
+    signs = [a > 0 for a in acc if a != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def positive_on_unit_interval(p: RatPoly) -> bool:
-    """True iff p(t) > 0 for every t in [0, 1]."""
+    """True iff p(t) > 0 for every t in [0, 1].
+
+    With p(0) > 0 and p(1) > 0, zero Descartes variations on (0, 1)
+    settle it; only otherwise is the Sturm count needed."""
     if p.is_zero():
         raise ZeroPolynomial("positivity undefined for the zero polynomial")
-    return p(_ZERO) > 0 and count_roots_in_unit_interval(p) == 0
+    if p(_ZERO) <= 0 or p(_ONE) <= 0:
+        return False
+    return (_unit_interval_variations(p) == 0
+            or count_roots_in_unit_interval(p) == 0)
 
 
 def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -298,10 +312,6 @@ class AlgebraicNumber:
         if self.exact is not None:
             return self.exact
         return (self.lo + self.hi) / 2
-
-    def as_float(self) -> float:
-        self.refine(Fraction(1, 10**15))
-        return float(self.midpoint())
 
     def refine(self, tol: Fraction | float) -> None:
         """Shrink the isolating interval to width <= tol by sign bisection,

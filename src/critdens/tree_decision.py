@@ -268,10 +268,6 @@ class CriticalDensity:
                 return (_ONE - _ONE / lo, _ONE - _ONE / hi)
             self.s_star.refine((hi - lo) / 4)
 
-    def as_float(self) -> float:
-        lo, hi = self.interval(Fraction(1, 10**12))
-        return float((lo + hi) / 2)
-
     def compare_density(self, d: Fraction | float) -> int:
         """Sign of (d_crit - d)."""
         d = Fraction(d)

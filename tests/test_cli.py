@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from critdens import cli
 from critdens.blowup import WeightedBlowupGraph
 from critdens.cli import run
 
@@ -26,10 +30,24 @@ def k3(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def star3(tmp_path):
+    p = tmp_path / "star3.g"
+    p.write_text("4; 1-2 1-3 1-4\n")
+    return str(p)
+
+
 def _run(argv):
     out = io.StringIO()
     code = run(argv, out=out)
     return code, out.getvalue()
+
+
+def _src_env():
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def _records(text):
@@ -100,6 +118,105 @@ def test_budget_exhaustion_exits_3(k3):
 def test_non_tree_to_tree_command_exits_2(k3):
     code, _ = _run(["decide-tree", k3, "--densities", "0.9,0.9,0.9"])
     assert code == 2
+
+
+def test_internal_error_exits_2_with_traceback(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "triangle_decide", broken)
+    monkeypatch.setattr(sys, "argv", ["critdens", "triangle", "0.8", "0.8", "0.8"])
+    with pytest.raises(SystemExit) as err:
+        cli.main()
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("internal error:")
+    assert "Traceback" in stderr and "RuntimeError: injected fault" in stderr
+
+
+# -- checkpoints -------------------------------------------------------------------
+
+
+def test_stale_checkpoint_is_rejected(k3, tmp_path, capsys):
+    assert _run(["oracle-search", k3, "--floor", "0.5"])[0] == 0
+    checkpoint = tmp_path / "cp.json"
+    checkpoint.write_text('{"completed": 999}')
+    code, out = _run(["oracle-search", k3, "--floor", "0.5",
+                      "--checkpoint", str(checkpoint)])
+    assert code == 2
+    assert "NoneFound" not in out
+    assert "another search" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_rejected(k3, tmp_path, capsys):
+    checkpoint = tmp_path / "cp.json"
+    checkpoint.write_text('{"search": {"format"')
+    code, _ = _run(["oracle-search", k3, "--floor", "0.5",
+                    "--checkpoint", str(checkpoint)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "corrupt" in err and "Traceback" not in err
+
+
+def test_checkpoint_resumes_only_its_own_search(k3, tmp_path):
+    checkpoint = tmp_path / "cp.json"
+    argv = ["oracle-search", k3, "--floor", "0.7", "--sizes", "2,2,2",
+            "--checkpoint", str(checkpoint)]
+    first = _run(argv)
+    assert first[0] == 1
+    assert _run(argv) == first
+    assert not (tmp_path / "cp.json.tmp").exists()
+    other_floor = ["oracle-search", k3, "--floor", "0.5", "--sizes", "2,2,2",
+                   "--checkpoint", str(checkpoint)]
+    assert _run(other_floor)[0] == 2
+
+
+# -- repeated in-process runs ------------------------------------------------------
+
+_FRESH_RUN = """
+import io, json, sys
+from contextlib import redirect_stderr
+from critdens.cli import run
+out, err = io.StringIO(), io.StringIO()
+with redirect_stderr(err):
+    try:
+        code = run(json.loads(sys.argv[1]), out=out)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def _fresh_interpreter_run(argv):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argv)],
+                          capture_output=True, text=True, env=_src_env(), check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+def _in_process_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        try:
+            code = run(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("first, second", [
+    (["decide-tree", "{path3}", "--densities", "1/2,1/2", "--format", "structured"],
+     ["decide-tree", "{path3}", "--densities", "1/2,1/2"]),
+    (["oracle-search", "{star3}", "--floor", "0.6", "--q", "12", "--sizes", "2,2,2,2"],
+     ["oracle-search", "{star3}", "--floor", "0.6", "--q", "12"]),
+    (["decide-tree"],
+     ["decide-tree", "{path3}", "--densities", "0.51,0.51"]),
+], ids=["format", "sizes", "usage-error"])
+def test_repeated_runs_share_no_state(first, second, path3, star3):
+    first, second = ([a.format(path3=path3, star3=star3) for a in argv]
+                     for argv in (first, second))
+    got = [_in_process_run(first), _in_process_run(second)]
+    assert got == [_fresh_interpreter_run(first), _fresh_interpreter_run(second)]
+    assert got[0] != got[1]
 
 
 # -- density argument forms ------------------------------------------------------
@@ -206,14 +323,8 @@ def test_verify_commands():
 
 
 def test_console_entry_point_runs():
-    import os
-    from pathlib import Path
-
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "critdens.cli", "triangle", "0.8", "0.8", "0.8"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert "Ensured" in proc.stdout

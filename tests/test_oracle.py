@@ -158,7 +158,8 @@ def test_progress_and_checkpoint(tmp_path):
     assert all(l["verdict"] == "none" for l in lines)
     assert [l["config"] for l in lines] == list(range(len(lines)))
     state = json.loads(checkpoint.read_text())
-    assert state == {"completed": len(lines) - 1}
+    assert state["completed"] == len(lines) - 1
+    assert state["search"]["floor"] == {"1-2": "13/20", "1-3": "13/20", "2-3": "13/20"}
 
     # resuming skips every completed configuration
     again = oracle_search_construction(
