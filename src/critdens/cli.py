@@ -36,7 +36,7 @@ from .bounds import (
     sufficiency_by_positivity,
     triangle_decide,
 )
-from .errors import BudgetExhausted, CritdensError, ParseError, SizeLimit
+from .errors import BudgetExhausted, CritdensError, ParseError, SizeLimit, ValidationError
 from .graphs import Edge, PatternGraph, parse_graph
 from .oracle import (
     SearchConfig,
@@ -75,6 +75,14 @@ def _rational(text: str, what: str = "rational") -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse {what} {text.strip()!r}") from None
+
+
+def _tolerance(text: str) -> Fraction:
+    """A --tol value; commands check it before doing any work."""
+    tol = _rational(text, "tolerance")
+    if tol <= 0:
+        raise ValidationError("tolerance must be positive")
+    return tol
 
 
 def _read_file(path: str) -> str:
@@ -121,6 +129,8 @@ def _parse_densities(spec: str, H: PatternGraph):
             if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
                 raise ParseError(f"{where}: bad edge {edge_text.strip()!r}")
             i, j = sorted(int(p) for p in parts)
+            if (i, j) in out:
+                raise ParseError(f"{where}: edge {i}-{j} given twice")
             out[(i, j)] = _rational(value_text, f"density at {where}")
         return out
     values = [_rational(token, f"density at {where}") for where, token in entries]
@@ -225,8 +235,8 @@ def cmd_decide_tree(args, rep: Reporter) -> int:
 
 
 def cmd_dcrit_tree(args, rep: Reporter) -> int:
+    tol = _tolerance(args.tol)
     T = _load_graph(args.graph)
-    tol = _rational(args.tol, "tolerance")
     dc = dcrit_tree(T, tol)
     rep.record("value", name="critical_density", **_density_fields(dc, tol))
     if not rep.structured:
@@ -262,8 +272,8 @@ def cmd_matchpoly(args, rep: Reporter) -> int:
 
 
 def cmd_bounds(args, rep: Reporter) -> int:
+    tol = _tolerance(args.tol)
     H = _load_graph(args.graph)
-    tol = _rational(args.tol, "tolerance")
     b = compute_bounds(H, tol)
     if not rep.structured:
         rows = [
@@ -319,8 +329,8 @@ def cmd_glue(args, rep: Reporter) -> int:
 
 
 def cmd_star_bound(args, rep: Reporter) -> int:
+    tol = _tolerance(args.tol)
     H = _load_graph(args.graph)
-    tol = _rational(args.tol, "tolerance")
     bound = star_lower_bound(H, tol)
     rep.record("value", name="star_lower_bound",
                **_density_fields(bound.density, tol))
@@ -416,8 +426,7 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
         budget=args.budget,
     )
     B = oracle_search_construction(
-        H, cfg, threads=args.threads,
-        progress_path=args.progress, checkpoint_path=args.checkpoint)
+        H, cfg, progress_path=args.progress, checkpoint_path=args.checkpoint)
     if B is None:
         rep.text("no grid configuration meets the floor (full enumeration)")
         return rep.verdict("NoneFound", EXIT_NO)
@@ -436,9 +445,10 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
 
 
 def cmd_oracle_dcrit(args, rep: Reporter) -> int:
+    tol = _tolerance(args.tol)
     H = _load_graph(args.graph)
     lo, hi = oracle_dcrit_estimate(
-        H, q=args.q, tol=_rational(args.tol, "tolerance"),
+        H, q=args.q, tol=tol,
         cluster_size_bounds=_parse_sizes(args.sizes) if args.sizes else None,
         budget=args.budget)
     rep.record("interval", name="dcrit_estimate", lo=str(lo), hi=str(hi),
@@ -449,7 +459,8 @@ def cmd_oracle_dcrit(args, rep: Reporter) -> int:
 
 
 def cmd_verify_bt1(args, rep: Reporter) -> int:
-    ok = verify_bt1(args.n, args.m, _rational(args.tol, "tolerance"))
+    tol = _tolerance(args.tol)
+    ok = verify_bt1(args.n, args.m, tol)
     rep.text(f"checking every proper labeling of K_{{{args.n},{args.m}}} "
              f"against spectral radius squared {args.n + args.m - 1}")
     return rep.verdict("Verified" if ok else "Failed",
@@ -511,8 +522,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"),
                         default="text", help="report style")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for search commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decide-tree", parents=[common],

@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -456,18 +455,18 @@ def _write_checkpoint(path: str, fingerprint: dict, done: int) -> None:
     os.replace(tmp, path)
 
 
-def _search_partition(
+def oracle_search_construction(
     H: PatternGraph,
     cfg: SearchConfig,
-    bounds: tuple[int, ...],
-    floor: dict[Edge, Fraction],
-    budget_amount: int,
-    partition: int = 0,
-    stride: int = 1,
     progress_path: str | None = None,
     checkpoint_path: str | None = None,
-) -> tuple[tuple, WeightedBlowupGraph] | None:
-    budget = _Budget(budget_amount)
+) -> WeightedBlowupGraph | None:
+    """First transversal-free grid configuration meeting the density
+    floor, in deterministic (size vector, cover, weights) order; None
+    once the whole bounded space is enumerated."""
+    bounds = cfg.resolved_bounds(H)
+    floor = cfg.resolved_floor(H)
+    budget = _Budget(cfg.budget)
     q = cfg.weight_grid_denominator
     done = -1
     if checkpoint_path is not None:
@@ -477,9 +476,7 @@ def _search_partition(
     ceilings = _mass_ceilings(H, floor, q)
     config_index = -1
     try:
-        for sv_index, sizes in enumerate(_size_vectors(bounds)):
-            if sv_index % stride != partition:
-                continue
+        for sizes in _size_vectors(bounds):
             covers = _minimal_covers(H, sizes, budget)
             for cover in covers:
                 config_index += 1
@@ -497,63 +494,13 @@ def _search_partition(
                 if weights is not None:
                     B = _build(H, sizes, cover, q, weights)
                     _assert_oracle_emission(B, floor)
-                    return (sizes, cover), B
+                    return B
                 if checkpoint_path is not None:
                     _write_checkpoint(checkpoint_path, fingerprint, config_index)
         return None
     finally:
         if progress is not None:
             progress.close()
-
-
-def oracle_search_construction(
-    H: PatternGraph,
-    cfg: SearchConfig,
-    threads: int = 1,
-    progress_path: str | None = None,
-    checkpoint_path: str | None = None,
-) -> WeightedBlowupGraph | None:
-    """First transversal-free grid configuration meeting the density
-    floor, in deterministic (size vector, cover, weights) order; None
-    once the whole bounded space is enumerated.
-
-    With threads > 1 the size vectors are partitioned round-robin, each
-    partition gets an equal budget share, and the lexicographically
-    least find wins, so results stay reproducible.
-    """
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    bounds = cfg.resolved_bounds(H)
-    floor = cfg.resolved_floor(H)
-    if threads == 1:
-        hit = _search_partition(
-            H, cfg, bounds, floor, cfg.budget,
-            progress_path=progress_path, checkpoint_path=checkpoint_path)
-        return hit[1] if hit is not None else None
-    if progress_path is not None or checkpoint_path is not None:
-        raise ValidationError("progress/checkpoint files need threads=1")
-    share = max(1, cfg.budget // threads)
-    hits: list[tuple[tuple, WeightedBlowupGraph]] = []
-    exhausted = False
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_search_partition, H, cfg, bounds, floor, share,
-                        partition=r, stride=threads)
-            for r in range(threads)
-        ]
-        for fut in futures:
-            try:
-                hit = fut.result()
-            except BudgetExhausted:
-                exhausted = True
-                continue
-            if hit is not None:
-                hits.append(hit)
-    if hits:
-        return min(hits, key=lambda h: h[0])[1]
-    if exhausted:
-        raise BudgetExhausted("search budget exhausted")
-    return None
 
 
 def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,

@@ -1,9 +1,14 @@
 """Exact polynomial arithmetic, real-root isolation, and matching polynomials.
 
 Everything here runs over fractions.Fraction.  Polynomials are coefficient
-tuples in increasing powers of t.  Real roots are located with Sturm chains
-on the square-free part, so root counts are counts of distinct real roots
-and never depend on floating point.
+tuples in increasing powers of t.  Real roots of a general polynomial are
+located with Sturm chains on the square-free part, so root counts are
+counts of distinct real roots.  Matching polynomials have only real roots,
+so for them Descartes' rule counts the roots above a point exactly from
+one integer Taylor shift; largest_matching_root_squared lets float
+estimates choose the isolating cell and certifies it with such counts,
+returning exactly what the Sturm bisection would, and runs that bisection
+only when a certificate fails.  No answer ever depends on floating point.
 
 An AlgebraicNumber is a real root pinned down by a square-free defining
 polynomial and an open isolating interval with rational endpoints; when the
@@ -227,18 +232,28 @@ def count_roots_in_unit_interval(p: RatPoly) -> int:
     return count
 
 
+def _integer_coeffs(p: RatPoly) -> list[int]:
+    """p times a positive integer, with integer coefficients."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs]
+
+
+def _variations(coeffs: Iterable[int]) -> int:
+    """Sign variations of a coefficient sequence, zeros skipped."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def _unit_interval_variations(p: RatPoly) -> int:
     """Sign variations of (1+x)^d p(1/(1+x)), d = deg p, scaled to
     integers.  Its roots x > 0 are the roots t = 1/(1+x) of p in (0, 1),
     so by Descartes' rule 0 variations means p has no root there."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
     # Horner in (1+x): acc <- acc * (1+x) + a_k, from a_0 up to a_d.
     acc: list[int] = []
-    for c in p.coeffs:
+    for c in _integer_coeffs(p):
         acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
-        acc[0] += c.numerator * (scale // c.denominator)
-    signs = [a > 0 for a in acc if a != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        acc[0] += c
+    return _variations(acc)
 
 
 def positive_on_unit_interval(p: RatPoly) -> bool:
@@ -359,6 +374,10 @@ class AlgebraicNumber:
             return self.compare_fraction(other.exact)
         if self.exact is not None:
             return -other.compare_fraction(self.exact)
+        if self.hi <= other.lo:
+            return -1
+        if other.hi <= self.lo:
+            return 1
         # Equality test: if the two values are equal, their common value is
         # a root of gcd(p1, p2) lying strictly inside the intervals'
         # overlap; conversely, a gcd root in the overlap is a root of both
@@ -389,7 +408,13 @@ def largest_real_root(p: RatPoly, tol: Fraction | float = Fraction(1, 10**9)) ->
         raise ZeroPolynomial("roots undefined for the zero polynomial")
     if p.degree == 0:
         raise NoRealRoot("nonzero constant polynomial has no root")
-    sf = square_free_part(p)
+    return _sturm_largest_root(square_free_part(p), tol)
+
+
+def _sturm_largest_root(sf: RatPoly, tol: Fraction | float) -> AlgebraicNumber:
+    """Largest real root of the square-free sf: Sturm bisection of
+    (-B, B) down to the first dyadic cell holding only that root, then
+    refine to tol."""
     bound = cauchy_root_bound(sf)
     lo, hi = -bound, bound
     # The Cauchy bound is strict, so the endpoints are never roots.
@@ -418,6 +443,283 @@ def largest_real_root(p: RatPoly, tol: Fraction | float = Fraction(1, 10**9)) ->
 def _refined(x: AlgebraicNumber, tol: Fraction | float) -> AlgebraicNumber:
     x.refine(Fraction(tol))
     return x
+
+
+# -- real-rooted polynomials ----------------------------------------------
+#
+# Matching polynomials and their even parts have only real roots
+# (Heilmann-Lieb 1972).  For such a polynomial Descartes' rule of signs is
+# exact: the sign variations of p(a + y) count the roots above a
+# (Collins-Akritas 1976).  So the cell that _sturm_largest_root reaches is
+# located with floats and certified with a few integer Taylor shifts.
+
+# Float estimates locate a root only to within 2^-40 of its size; finer
+# cells are reached by exact sign bisection.
+_FLOAT_REACH = 40
+# Halvings of [0, max degree] that place a tree eigenvalue to float
+# precision, and a cap on Newton steps, which start far above the root.
+_BISECTION_STEPS = 52
+_NEWTON_STEPS = 500
+
+
+def _scaled_value(c: Sequence[int], x: Fraction) -> int:
+    """D^d p(N/D) for x = N/D: p(x) times a positive integer."""
+    num, den = x.numerator, x.denominator
+    acc, power = c[-1], 1
+    for a in reversed(c[:-1]):
+        power *= den
+        acc = acc * num + a * power
+    return acc
+
+
+def _roots_above(c: Sequence[int], x: Fraction) -> int:
+    """Roots strictly above x, with multiplicity, of the real-rooted
+    polynomial with integer coefficients c.
+
+    D^d p((N + y)/D) is an integer polynomial in y whose positive roots
+    are the roots of p above x = N/D, and all its roots are real, so its
+    sign variations count them exactly (a root at x only adds low zero
+    coefficients)."""
+    num, den = x.numerator, x.denominator
+    deg = len(c) - 1
+    b = [0] * (deg + 1)
+    power = 1
+    for i in range(deg, -1, -1):
+        b[i] = c[i] * power
+        power *= den
+    for i in range(deg):  # Taylor shift y -> y + N
+        acc = b[deg]
+        for j in range(deg - 1, i - 1, -1):
+            acc = b[j] + num * acc
+            b[j] = acc
+    return _variations(b)
+
+
+def _is_root(c: Sequence[int], x: Fraction) -> bool:
+    """x is a root of the integer polynomial c.  By the rational root
+    theorem a root N/D has D dividing the leading coefficient and N
+    dividing the lowest nonzero one, which rules out most x unevaluated."""
+    low = next(a for a in c if a)
+    if x == 0:
+        return c[0] == 0
+    if c[-1] % x.denominator or low % x.numerator:
+        return False
+    return _scaled_value(c, x) == 0
+
+
+def _float_guided_root(
+    sf: RatPoly, tol: Fraction, s1: float, s2: float | None
+) -> AlgebraicNumber | None:
+    """What _sturm_largest_root(sf, tol) returns, for a real-rooted
+    square-free sf given float estimates s1 > s2 of its two largest roots
+    (s2 None when sf has one root); None when a certificate fails.
+
+    That function bisects (-B, B) to level K, the first whose cell around
+    the largest root r holds no other root, deflating any midpoint that is
+    a root, then refines to level L, the first at least K whose cells are
+    no wider than tol, stopping early when a simplest-fraction probe is r.
+    Here the floats give K and the level-L cell, and exact arithmetic
+    certifies them: one root above the level-K cell's left end, at least
+    two above its parent's, a sign change across the level-L cell, and
+    one probe on the last cell the refinement would probe."""
+    if not (math.isfinite(s1) and (s2 is None or math.isfinite(s2))):
+        return None
+    c = _integer_coeffs(sf)
+    up = c[-1] > 0  # the sign of sf above r
+    bound = cauchy_root_bound(sf)
+    width = 2 * bound
+
+    def grid(level: int, index: int) -> Fraction:
+        """Left end of cell `index` at `level`: -B + index * 2B / 2^level."""
+        return Fraction(bound.numerator * (2 * index - (1 << level)),
+                        bound.denominator << level)
+
+    ratio = width / tol
+    last = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    reach = width * (1 << _FLOAT_REACH) / max(_ONE, abs(Fraction(s1)))
+    fine = max(0, (reach.numerator // reach.denominator).bit_length() - 1)
+
+    def index(x: float) -> int:
+        u = (Fraction(x) + bound) * (1 << fine) / width
+        return min(max(u.numerator // u.denominator, 0), (1 << fine) - 1)
+
+    top = index(s1)
+    iso = 0
+    if s2 is not None:
+        diff = top ^ index(s2)
+        if not diff:
+            return None
+        iso = fine - diff.bit_length() + 1
+    # Isolation: exactly one root above the level-K cell's left end, at
+    # least two above its parent's.  A root on a cell end can mislead the
+    # floats by a level.
+    for _ in range(3):
+        cell = top >> (fine - iso)
+        above = _roots_above(c, grid(iso, cell))
+        if above != 1:
+            if iso == (0 if above == 0 else fine):
+                return None
+            iso += 1 if above else -1
+            continue
+        if iso:
+            x = grid(iso - 1, cell >> 1)
+            v = _scaled_value(c, x)
+            # sf(x) has the sign of sf above r iff an even number of
+            # roots lies above x, and r is one of them.
+            if (v == 0 or (v > 0) != up) and _roots_above(c, x) < 2:
+                iso -= 1
+                continue
+        break
+    else:
+        return None
+    final = max(iso, last)
+    klo, khi = grid(iso, cell), grid(iso, cell + 1)
+
+    # Midpoints that became left ends on the way down to level K: each
+    # root among them is deflated, as the bisection does.  Above klo,
+    # poly has the roots and the sign of sf, and no root at klo.
+    poly = sf
+    left = -bound
+    for level in range(1, iso + 1):
+        x = grid(level, top >> (fine - level))
+        if x != left and _is_root(c, x):
+            poly = poly.deflate_root(x)
+        left = x
+    cp = c if poly is sf else _integer_coeffs(poly)
+
+    def exact_root(r: Fraction) -> AlgebraicNumber | None:
+        """Refinement from the level-K cell, given that its root is r."""
+        return _refined(AlgebraicNumber(poly, klo, khi), tol) if klo < r < khi else None
+
+    # Jump to the level-L cell, or to the finest cell the floats can
+    # place; above the level-K cell's left end, poly has the sign `up`
+    # exactly above r, and vanishes only at r.
+    level = min(final, fine)
+    first = cell << (level - iso)
+    i = top >> (fine - level)
+    for _ in range(3):
+        if not first <= i < first + (1 << (level - iso)):
+            return None
+        lo, hi = grid(level, i), grid(level, i + 1)
+        vlo, vhi = _scaled_value(cp, lo), _scaled_value(cp, hi)
+        if vlo == 0:
+            return exact_root(lo)
+        if vhi == 0:
+            return exact_root(hi)
+        if (vlo > 0) == up:
+            i -= 1
+        elif (vhi > 0) != up:
+            i += 1
+        else:
+            break
+    else:
+        return None
+    for _ in range(level, final):
+        mid = (lo + hi) / 2
+        v = _scaled_value(cp, mid)
+        if v == 0:
+            return exact_root(mid)
+        if (v > 0) == up:
+            hi, i = mid, 2 * i
+        else:
+            lo, i = mid, 2 * i + 1
+
+    # A probe that hits r stays the simplest fraction of every smaller
+    # cell around r, so the last probe refine would make tells whether any
+    # probe hits.
+    if final > iso:
+        parent = i >> 1
+        probe = simplest_fraction_between(grid(final - 1, parent),
+                                          grid(final - 1, parent + 1))
+        if _is_root(cp, probe):
+            return exact_root(probe)
+    return AlgebraicNumber(poly, lo, hi)
+
+
+def _newton_from_right(f: Sequence[float], x: float) -> float:
+    """Newton's method from x above every root of the real-rooted f:
+    the iterates fall monotonically to the largest root."""
+    for _ in range(_NEWTON_STEPS):
+        v = dv = 0.0
+        for a in reversed(f):
+            dv = dv * x + v
+            v = v * x + a
+        if dv == 0:
+            break
+        nxt = x - v / dv
+        if not nxt < x:
+            break
+        x = nxt
+    return x
+
+
+def _newton_top_roots(sf: RatPoly) -> tuple[float, float | None]:
+    """Float estimates of the two largest roots of the real-rooted sf:
+    Newton from the Cauchy bound, then from the first root on sf divided
+    by (t - first root)."""
+    f = [float(c) for c in sf.coeffs]
+    s1 = _newton_from_right(f, float(cauchy_root_bound(sf)))
+    if len(f) <= 2:
+        return s1, None
+    g = [0.0] * (len(f) - 1)
+    acc = 0.0
+    for k in range(len(f) - 1, 0, -1):
+        acc = acc * s1 + f[k]
+        g[k - 1] = acc
+    return s1, _newton_from_right(g, s1)
+
+
+def _tree_top_roots_squared(T: PatternGraph) -> tuple[float, float]:
+    """Float estimates of lambda_1^2 and lambda_2^2 for the two largest
+    adjacency eigenvalues of the tree T: the two largest roots of its
+    matching even part.
+
+    Eigenvalues above x are counted in O(n) by diagonalising A - xI from
+    the leaves up (Jacobs-Trevisan 2011), and bisection finds the top two.
+    Unlike Newton on the coefficients, this stays accurate on large trees,
+    where the power basis cancels."""
+    order = T.bfs_order()
+    parent = {order[0]: 0}
+    for v in order:
+        for u in T.adjacency[v]:
+            if u not in parent:
+                parent[u] = v
+    leaves_up = [(v, parent[v]) for v in reversed(order)]
+    n = T.n
+
+    def above(x: float) -> int:
+        diag = [-x] * (n + 1)
+        zero_child = [False] * (n + 1)
+        count = 0
+        for v, p in leaves_up:
+            if zero_child[v]:
+                # A child at 0 becomes 2 and v becomes -1/2, cut off
+                # from its parent.
+                count += 1
+                continue
+            a = diag[v]
+            if a > 0:
+                count += 1
+            if p:
+                if a == 0:
+                    zero_child[p] = True
+                else:
+                    diag[p] -= 1 / a
+        return count
+
+    def sup(k: int, lo: float, hi: float) -> float:
+        """The k-th largest eigenvalue, in [lo, hi]."""
+        for _ in range(_BISECTION_STEPS):
+            mid = (lo + hi) / 2
+            if above(mid) >= k:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    lam1 = sup(1, 0.0, float(T.max_degree()))
+    lam2 = sup(2, 0.0, lam1)
+    return lam1 * lam1, lam2 * lam2
 
 
 # -- polynomial (de)serialization -----------------------------------------
@@ -603,8 +905,16 @@ def largest_matching_root_squared(
     as the largest root of its even part.  Exact 0 for edgeless graphs."""
     if not H.edges:
         return AlgebraicNumber.from_rational(0)
-    q = matching_even_part(H)
-    return largest_real_root(q, tol)
+    # Equal to largest_real_root(matching_even_part(H), tol); the Sturm
+    # bisection runs only when a certificate fails.
+    sf = square_free_part(matching_even_part(H))
+    tol = Fraction(tol)
+    if tol > 0:
+        s1, s2 = _tree_top_roots_squared(H) if H.is_tree() else _newton_top_roots(sf)
+        root = _float_guided_root(sf, tol, s1, s2 if sf.degree > 1 else None)
+        if root is not None:
+            return root
+    return _sturm_largest_root(sf, tol)
 
 
 def tree_spectral_radius(

@@ -110,6 +110,13 @@ def test_corrupt_density_file_exits_2_with_line(path3, tmp_path, capsys):
     assert f"{dens}:2" in capsys.readouterr().err
 
 
+def test_threads_flag_is_gone(k3):
+    # the thread pool changed verdicts and gained nothing; it was removed
+    with pytest.raises(SystemExit) as err:
+        run(["oracle-search", k3, "--floor", "0.6", "--threads", "1"])
+    assert err.value.code == 2
+
+
 def test_budget_exhaustion_exits_3(k3):
     code, _ = _run(["oracle-search", k3, "--floor", "0.6", "--budget", "1"])
     assert code == 3
@@ -239,6 +246,34 @@ def test_single_density_broadcasts(k3):
 def test_mixed_density_forms_rejected(path3):
     code, _ = _run(["decide-tree", path3, "--densities", "1-2=1/2,1/2"])
     assert code == 2
+
+
+def test_keyed_density_given_twice_rejected(path3, capsys):
+    # the second entry names edge 1-2 again; keeping either value would
+    # silently drop the other
+    for flag, command in (("--densities", ["star-check", path3, "--labeling", "1,2,3"]),
+                          ("--floor", ["oracle-search", path3])):
+        code, _ = _run(command + [flag, "1-2=0.9,2-1=0.1,2-3=0.9"])
+        assert code == 2
+        assert "entry 2: edge 1-2 given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["star-bound", "{path3}", "--tol", "-5"], "star_lower_bound"),
+    (["bounds", "{path3}", "--tol", "0"], "compute_bounds"),
+    (["dcrit-tree", "{path3}", "--tol", "0"], "dcrit_tree"),
+    (["oracle-dcrit", "{path3}", "--tol=-1/64"], "oracle_dcrit_estimate"),
+    (["verify-bt1", "--n", "2", "--m", "2", "--tol", "0"], "verify_bt1"),
+])
+def test_nonpositive_tolerance_exits_2_before_any_work(argv, work, path3,
+                                                        monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran with a nonpositive tolerance")
+
+    monkeypatch.setattr(cli, work, must_not_run)
+    code, out = _run([a.format(path3=path3) for a in argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
 
 # -- reports ---------------------------------------------------------------------

@@ -108,13 +108,11 @@ def test_triangle_floor_61_at_q50_known_result():
         (1, 2): F(31, 50), (1, 3): F(31, 50), (2, 3): F(1539, 2500)}
 
 
-def test_search_is_deterministic_and_thread_count_invariant():
+def test_search_is_deterministic():
     cfg = SearchConfig(weight_grid_denominator=10, density_floor=[F(3, 5)] * 3)
     a = oracle_search_construction(complete_graph(3), cfg)
     b = oracle_search_construction(complete_graph(3), cfg)
-    c = oracle_search_construction(complete_graph(3), cfg, threads=2)
-    d = oracle_search_construction(complete_graph(3), cfg, threads=3)
-    assert a.to_json() == b.to_json() == c.to_json() == d.to_json()
+    assert a.to_json() == b.to_json()
 
 
 def test_search_recovers_bow_tie_reconstruction():
@@ -167,14 +165,6 @@ def test_progress_and_checkpoint(tmp_path):
         progress_path=str(progress), checkpoint_path=str(checkpoint))
     assert again is None
     assert len(progress.read_text().splitlines()) == len(lines)
-
-
-def test_progress_requires_single_thread(tmp_path):
-    cfg = SearchConfig(weight_grid_denominator=10, density_floor=[F(3, 5)] * 3)
-    with pytest.raises(ValidationError):
-        oracle_search_construction(
-            complete_graph(3), cfg, threads=2,
-            progress_path=str(tmp_path / "p.jsonl"))
 
 
 # -- critical density bracketing ----------------------------------------------

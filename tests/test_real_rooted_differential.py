@@ -1,0 +1,163 @@
+"""The float-guided root kernel behind largest_matching_root_squared,
+checked against sympy's exact real-root isolation and against the Sturm
+path it replaces: same interval, same exact value, same defining
+polynomial, also when the float estimates are wrong and the Sturm path has
+to run."""
+
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st
+
+from critdens import polynomials
+from critdens.graphs import PatternGraph, path_graph, star_graph
+from critdens.polynomials import (
+    largest_matching_root_squared,
+    largest_real_root,
+    matching_even_part,
+)
+from critdens.tree_decision import dcrit_tree
+
+_S = sympy.Symbol("s")
+TOLERANCES = [F(1, 10**9), F(1, 64), F(1, 10**24), F(3), 1e-9]
+
+
+@st.composite
+def trees(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
+    parents = [draw(st.integers(1, v - 1)) for v in range(2, n + 1)]
+    labels = draw(st.permutations(range(1, n + 1)))
+    edges = {tuple(sorted((labels[p - 1], labels[v - 1])))
+             for v, p in zip(range(2, n + 1), parents)}
+    return PatternGraph(n, tuple(sorted(edges)))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus extra edges, at most 12 edges."""
+    T = draw(trees(max_n=7))
+    pairs = [(i, j) for i in range(1, T.n + 1) for j in range(i + 1, T.n + 1)
+             if (i, j) not in T.edge_index]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=min(len(pairs), 12 - len(T.edges)))
+                 if pairs else st.just([]))
+    return PatternGraph(T.n, tuple(sorted(T.edges + tuple(extra))))
+
+
+def _sympy_largest_root(H: PatternGraph):
+    q = matching_even_part(H)
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(q.coeffs)], _S)
+    return poly.real_roots()[-1]
+
+
+def _fields(x):
+    return x.lo, x.hi, x.exact, x.poly
+
+
+def _assert_brackets(root, x):
+    if x.exact is not None:
+        assert root == sympy.Rational(x.exact.numerator, x.exact.denominator)
+    else:
+        lo = sympy.Rational(x.lo.numerator, x.lo.denominator)
+        hi = sympy.Rational(x.hi.numerator, x.hi.denominator)
+        assert bool(lo < root) and bool(root < hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(trees(), connected_graphs()))
+def test_root_brackets_sympy_largest_root(H):
+    x = largest_matching_root_squared(H)
+    _assert_brackets(_sympy_largest_root(H), x)
+    assert x.width() <= F(1, 10**9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trees())
+def test_dcrit_tree_brackets_sympy_critical_density(T):
+    tol = F(1, 10**9)
+    lo, hi = dcrit_tree(T, tol).interval(tol)
+    d = 1 - 1 / _sympy_largest_root(T)
+    assert bool(sympy.Rational(lo.numerator, lo.denominator) <= d)
+    assert bool(d <= sympy.Rational(hi.numerator, hi.denominator))
+    assert hi - lo <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(trees(max_n=25), connected_graphs()), st.sampled_from(TOLERANCES))
+def test_kernel_matches_sturm_path(H, tol):
+    sturm = largest_real_root(matching_even_part(H), tol)
+    assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
+
+
+def _wrong_estimates(H, factor1, factor2):
+    """Patch the float estimates s1 > s2 for H: s1 scaled by factor1, s2
+    moved to s1 + factor2 * (s2 - s1), so a small factor2 puts the two
+    close together (the isolation level guessed too deep) and a large one
+    apart (too shallow)."""
+    if H.is_tree():
+        name, real = "_tree_top_roots_squared", polynomials._tree_top_roots_squared
+    else:
+        name, real = "_newton_top_roots", polynomials._newton_top_roots
+
+    def skewed(arg):
+        s1, s2 = real(arg)
+        return s1 * factor1, None if s2 is None else s1 + factor2 * (s2 - s1)
+
+    return mock.patch.object(polynomials, name, skewed)
+
+
+def _counting_sturm_path():
+    calls = []
+    real = polynomials._sturm_largest_root
+
+    def counted(sf, tol):
+        calls.append(sf)
+        return real(sf, tol)
+
+    return calls, mock.patch.object(polynomials, "_sturm_largest_root", counted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(trees(max_n=25), connected_graphs()),
+       st.sampled_from(TOLERANCES),
+       st.floats(0.5, 1.5), st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e-3)))
+@example(path_graph(5), F(3), 1.0, 1e-6)       # isolation level guessed too deep
+@example(path_graph(5), F(1, 64), 1.0, 1e-6)   # ... and a rational root missed
+@example(path_graph(9), F(1, 10**9), 1.0, 2.5)  # guessed too shallow
+@example(star_graph(7), F(1, 10**24), 1.001, 1.0)  # wrong cell, exact descent
+def test_wrong_estimates_never_change_the_result(H, tol, factor1, factor2):
+    sturm = largest_real_root(matching_even_part(H), tol)
+    with _wrong_estimates(H, factor1, factor2):
+        assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
+
+
+@pytest.mark.parametrize("H", [path_graph(12), star_graph(6),
+                               PatternGraph(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))])
+def test_failed_certificate_falls_back_to_sturm(H):
+    tol = F(1, 10**9)
+    sturm = largest_real_root(matching_even_part(H), tol)
+    calls, patch = _counting_sturm_path()
+    with patch:
+        assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
+    assert calls == []
+    with patch, _wrong_estimates(H, 1.3, 1.0):
+        assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
+    assert len(calls) == 1
+
+
+def test_rational_roots_and_deflated_midpoints_stay_on_the_fast_path():
+    # S_4: s^2 - 3s, whose root 0 is the first bisection midpoint and is
+    # deflated; S_5: exact 4; a single edge: exact 1, a dyadic grid point.
+    calls, patch = _counting_sturm_path()
+    with patch:
+        for H, exact in [(star_graph(4), 3), (star_graph(5), 4),
+                         (path_graph(2), 1)]:
+            x = largest_matching_root_squared(H)
+            assert _fields(x) == _fields(largest_real_root(matching_even_part(H)))
+            assert x.exact == exact
+    assert len(calls) == 3  # the three direct Sturm calls only
