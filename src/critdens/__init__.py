@@ -53,6 +53,7 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    edge_assignment,
     is_proper_labeling,
     is_subgraph,
     parse_graph,
@@ -105,9 +106,9 @@ from .tree_decision import (
     dcrit_tree,
     decide_tree,
     decide_tree_equivalence,
-    edge_assignment,
     leaf_reduction_step,
 )
+from .verdict import Verdict
 
 __version__ = "0.1.0"
 

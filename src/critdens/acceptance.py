@@ -19,7 +19,6 @@ import networkx as nx
 
 from .blowup import gacs_tree_construction
 from .bounds import (
-    ENSURED,
     compute_bounds,
     bow_tie_counterexample_check,
     triangle_decide,
@@ -35,6 +34,7 @@ from .stars import (
 )
 from .blowup import WeightedBlowupGraph
 from .tree_decision import CriticalDensity, dcrit_tree, decide_tree, decide_tree_equivalence
+from .verdict import Verdict
 
 SEED = 20260815
 
@@ -140,7 +140,7 @@ def check_triangle_threshold() -> tuple[bool, str]:
     lo, hi = _ZERO, _ONE
     while hi - lo > Fraction(1, 10**12):
         mid = (lo + hi) / 2
-        if triangle_decide(mid, mid, mid) == ENSURED:
+        if triangle_decide(mid, mid, mid) is Verdict.ENSURED:
             hi = mid
         else:
             lo = mid

@@ -42,9 +42,8 @@ from .errors import (
     SizeLimit,
     ValidationError,
 )
-from .graphs import Edge, PatternGraph, is_proper_labeling, parse_graph
+from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 from .polynomials import AlgebraicNumber, largest_matching_root_squared
-from .tree_decision import edge_assignment
 
 FLOAT_TOL = 1e-9
 TRANSVERSAL_GUARD = 10**6
@@ -485,16 +484,9 @@ def star_decomposition_construct(
     from .stars import monotone_path_tree  # local import to avoid a cycle
     from .tree_decision import decide_tree
 
-    raw_values = gamma.values() if isinstance(gamma, Mapping) else gamma
-    exact = not any(isinstance(v, float) for v in raw_values)
-    dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density") \
-        if exact else _float_assignment(H, gamma)
-    one = _ONE if exact else 1.0
-    zero = _ZERO if exact else 0.0
-
+    dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
     path_tree = monotone_path_tree(H, f)  # validates the labeling
-    lifted = {te: Fraction(dens[he])
-              for te, he in path_tree.edge_origin.items()}
+    lifted = {te: dens[he] for te, he in path_tree.edge_origin.items()}
     if decide_tree(path_tree.tree, lifted).ensured:
         if strict:
             raise PreconditionViolated(
@@ -504,47 +496,45 @@ def star_decomposition_construct(
     n = H.n
     labels = list(f)
     # Down pass: gamma targets per level k (graph induced on labels[:k]).
-    level_gamma: list[dict[Edge, Fraction | float]] = [dict() for _ in range(n + 1)]
+    level_gamma: list[dict[Edge, Fraction]] = [dict() for _ in range(n + 1)]
     level_gamma[n] = dict(dens)
     for k in range(n, 1, -1):
         u = labels[k - 1]
         placed = set(labels[: k - 1])
-        prev: dict[Edge, Fraction | float] = {}
+        prev: dict[Edge, Fraction] = {}
         for (i, j), g in level_gamma[k].items():
             if u in (i, j):
                 continue
-            divisor = one
+            divisor = _ONE
             for endpoint in (i, j):
                 if H.has_edge(u, endpoint):
-                    key = (u, endpoint) if u < endpoint else (endpoint, u)
-                    divisor = divisor * level_gamma[k][key]
-            r = one - g
-            if divisor == zero:
-                r_new = one
+                    divisor = divisor * level_gamma[k][canonical_edge(u, endpoint)]
+            r = _ONE - g
+            if divisor == 0:
+                r_new = _ONE
             else:
                 r_new = r / divisor
-                if r_new > one:
-                    r_new = one
-            prev[(i, j)] = one - r_new
+                if r_new > 1:
+                    r_new = _ONE
+            prev[(i, j)] = _ONE - r_new
         assert set(prev) == {
             e for e in H.edges if e[0] in placed and e[1] in placed}
         level_gamma[k - 1] = prev
 
     # Up pass.
-    weights: dict[int, list] = {labels[0]: [one]}
+    weights: dict[int, list] = {labels[0]: [_ONE]}
     cross: set[tuple[Slot, Slot]] = set()
     for k in range(2, n + 1):
         u = labels[k - 1]
         placed = set(labels[: k - 1])
-        weights[u] = [one]
+        weights[u] = [_ONE]
         w_k: Slot = (u, 0)
         neighbors = sorted(v for v in H.adjacency[u] if v in placed)
         old_counts = {v: len(weights[v]) for v in neighbors}
         for v in neighbors:
-            key = (u, v) if u < v else (v, u)
-            g = level_gamma[k][key]
+            g = level_gamma[k][canonical_edge(u, v)]
             weights[v] = [w * g for w in weights[v]]
-            weights[v].append(one - g)
+            weights[v].append(_ONE - g)
         for v in neighbors:
             for a in range(old_counts[v]):
                 cross.add(_normalize_pair(w_k, (v, a)))
@@ -558,29 +548,9 @@ def star_decomposition_construct(
                     cross.add(_normalize_pair(fresh, (c, b)))
 
     cluster_list = [weights[i] for i in H.vertices()]
-    B = WeightedBlowupGraph(
-        H, cluster_list, cross, "exact" if exact else "float")
-    B = B.prune_zero_weights()
+    B = WeightedBlowupGraph(H, cluster_list, cross).prune_zero_weights()
     _assert_emission(B, dens)
     if B.find_transversal() is not None:
         raise ValidationError("construction unexpectedly has a transversal")
     return B
 
-
-def _float_assignment(
-    H: PatternGraph, gamma: Mapping[Edge, float] | Sequence[float]
-) -> dict[Edge, float]:
-    if isinstance(gamma, Mapping):
-        vals = {tuple(sorted(e)): float(v) for e, v in gamma.items()}
-        if set(vals) != set(H.edges):
-            raise ValidationError("assignment does not match the edge set")
-    else:
-        items = list(gamma)
-        if len(items) != len(H.edges):
-            raise ValidationError(
-                f"expected {len(H.edges)} densities, got {len(items)}")
-        vals = {e: float(v) for e, v in zip(H.edges, items)}
-    for e, v in vals.items():
-        if not (0.0 <= v <= 1.0):
-            raise ValidationError(f"density {v} on edge {e} out of [0, 1]")
-    return vals

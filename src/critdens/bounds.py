@@ -15,17 +15,15 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import BadSplit, DegenerateGraph, ValidationError
-from .graphs import Edge, PatternGraph
+from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 from .polynomials import (
     largest_matching_root_squared,
     multivariate_matching_eval,
     positive_on_unit_interval,
 )
 from .stars import StarBound, bow_tie_densities, bow_tie_reconstruction, star_lower_bound
-from .tree_decision import CriticalDensity, decide_tree, edge_assignment
-
-SUFFICIENT = "Sufficient"
-UNKNOWN = "Unknown"
+from .tree_decision import CriticalDensity, decide_tree
+from .verdict import Verdict
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,25 +67,23 @@ def compute_bounds(
 
 def sufficiency_by_positivity(
     H: PatternGraph, gamma: Mapping[Edge, Fraction] | Sequence[Fraction]
-) -> str:
+) -> Verdict:
     """Sufficient iff the matching generating polynomial at r_e = 1 - g_e
     stays strictly positive on [0, 1].  Exact for trees; for other
     patterns a vanish in [0, 1] proves nothing, hence Unknown."""
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
     ratios = {e: _ONE - d for e, d in dens.items()}
     poly = multivariate_matching_eval(H, ratios)
-    return SUFFICIENT if positive_on_unit_interval(poly) else UNKNOWN
-
-
-ENSURED = "Ensured"
-NOT_ENSURED = "NotEnsured"
+    if positive_on_unit_interval(poly):
+        return Verdict.SUFFICIENT
+    return Verdict.UNKNOWN
 
 
 def triangle_decide(
     alpha: Fraction | float,
     beta: Fraction | float,
     gamma: Fraction | float,
-) -> str:
+) -> Verdict:
     """Ensured iff ab+c > 1 for every rotation (a, b, c) of the three
     densities, strictly; equality anywhere leaves room for a
     transversal-free blow-up."""
@@ -99,13 +95,13 @@ def triangle_decide(
         vals.append(x)
     a, b, c = vals
     if a * b + c > 1 and b * c + a > 1 and c * a + b > 1:
-        return ENSURED
-    return NOT_ENSURED
+        return Verdict.ENSURED
+    return Verdict.NOT_ENSURED
 
 
 def certify_triangle(
     H: PatternGraph, gamma: Mapping[Edge, Fraction] | Sequence[Fraction]
-) -> str:
+) -> Verdict:
     if H.n != 3 or len(H.edges) != 3:
         raise ValidationError("triangle certifier needs a 3-cycle pattern")
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
@@ -114,7 +110,7 @@ def certify_triangle(
 
 def default_certifier(
     H: PatternGraph, gamma: Mapping[Edge, Fraction] | Sequence[Fraction]
-) -> str:
+) -> Verdict:
     """Tree reduction when the part is a tree, the triangle criterion for
     a 3-cycle, matching-polynomial positivity otherwise."""
     if H.is_tree():
@@ -124,16 +120,14 @@ def default_certifier(
     return sufficiency_by_positivity(H, gamma)
 
 
-_POSITIVE = {SUFFICIENT, ENSURED, True}
-_NEGATIVE = {UNKNOWN, NOT_ENSURED, False, None}
-
-
 def _certified(result: object) -> bool:
-    if result in _POSITIVE:
-        return True
-    if result in _NEGATIVE:
-        return False
-    raise ValidationError(f"certifier returned {result!r}")
+    """Whether a certifier's answer certifies its part: Ensured and
+    Sufficient do, NotEnsured and Unknown do not."""
+    if not isinstance(result, Verdict) or result not in (
+            Verdict.ENSURED, Verdict.SUFFICIENT,
+            Verdict.NOT_ENSURED, Verdict.UNKNOWN):
+        raise ValidationError(f"certifier returned {result!r}")
+    return result.exit_code == 0
 
 
 def glue(H1: PatternGraph, H2: PatternGraph, u1: int, u2: int
@@ -151,12 +145,11 @@ def glue(H1: PatternGraph, H2: PatternGraph, u1: int, u2: int
             nxt += 1
     edges = set(H1.edges)
     for i, j in H2.edges:
-        a, b = relabel[i], relabel[j]
-        edges.add((a, b) if a < b else (b, a))
+        edges.add(canonical_edge(relabel[i], relabel[j]))
     return PatternGraph(H1.n + H2.n - 1, tuple(sorted(edges))), relabel
 
 
-Certifier = Callable[[PatternGraph, Mapping[Edge, Fraction]], object]
+Certifier = Callable[[PatternGraph, Mapping[Edge, Fraction]], Verdict]
 
 
 def glue_sufficiency(
@@ -168,7 +161,7 @@ def glue_sufficiency(
     m2: Fraction | float,
     gamma: Mapping[Edge, Fraction] | Sequence[Fraction],
     certify: Certifier = default_certifier,
-) -> str:
+) -> Verdict:
     """Densities on the glued pattern ensure a transversal if, after
     scaling the glue-vertex edges of part k by r'_e = r_e / m_k, both
     parts are certified by the supplied procedure.
@@ -187,9 +180,7 @@ def glue_sufficiency(
                        to_glued: Mapping[int, int]) -> dict[Edge, Fraction] | None:
         out: dict[Edge, Fraction] = {}
         for i, j in Hk.edges:
-            a, b = to_glued[i], to_glued[j]
-            e = (a, b) if a < b else (b, a)
-            r = _ONE - dens[e]
+            r = _ONE - dens[canonical_edge(to_glued[i], to_glued[j])]
             if i == uk or j == uk:
                 r = r / mk
                 if r > 1:
@@ -201,8 +192,8 @@ def glue_sufficiency(
     for Hk, uk, mk, mapping in ((H1, u1, m1, ident), (H2, u2, m2, relabel)):
         part = part_densities(Hk, uk, mk, mapping)
         if part is None or not _certified(certify(Hk, part)):
-            return UNKNOWN
-    return SUFFICIENT
+            return Verdict.UNKNOWN
+    return Verdict.SUFFICIENT
 
 
 def bow_tie_counterexample_check(eps: Fraction = Fraction(1, 1000)) -> bool:
@@ -231,6 +222,6 @@ def bow_tie_counterexample_check(eps: Fraction = Fraction(1, 1000)) -> bool:
             m1, m2 = half + eps, half - eps
         verdict = glue_sufficiency(
             K3, K3, 1, 1, m1, m2, dens, certify=certify_triangle)
-        if verdict != SUFFICIENT:
+        if verdict is not Verdict.SUFFICIENT:
             return False
     return True

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 affirmative verdict (Ensured / true / found), 1 negative
-verdict (NotEnsured / false / none), 2 usage or input error, or an
-internal error (reported with its traceback on stderr), 3 budget or size
-limit.  A crash never exits with a verdict's code.
+Exit codes: 0 affirmative verdict, 1 negative verdict (each Verdict
+carries its code), 2 usage or input error, or an internal error
+(reported with its traceback on stderr), 3 budget or size limit.  A
+crash never exits with a verdict's code.
 
 Densities on the command line accept exact rationals ("17/20") and
 decimals, which are parsed as exact rationals over powers of ten
@@ -37,7 +37,7 @@ from .bounds import (
     triangle_decide,
 )
 from .errors import BudgetExhausted, CritdensError, ParseError, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph, parse_graph
+from .graphs import Edge, PatternGraph, edge_assignment, parse_graph
 from .oracle import (
     SearchConfig,
     oracle_dcrit_estimate,
@@ -51,13 +51,13 @@ from .polynomials import (
     positive_on_unit_interval,
 )
 from .stars import (
-    PASSES,
     monotone_path_tree,
     star_lower_bound,
     star_necessary_condition,
     verify_bt1,
 )
 from .tree_decision import CriticalDensity, dcrit_tree, decide_tree
+from .verdict import Verdict
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -204,10 +204,12 @@ class Reporter:
             obj.update(fields)
             print(json.dumps(obj), file=self.out)
 
-    def verdict(self, verdict: str, exit_code: int, **fields) -> int:
-        self.record("verdict", verdict=verdict, exit=exit_code, **fields)
-        self.text(f"verdict: {verdict}")
-        return exit_code
+    def verdict(self, verdict: Verdict, line: str | None = None, **fields) -> int:
+        """Report the verdict (in text, as line when given) and return
+        its exit code."""
+        self.record("verdict", verdict=verdict, exit=verdict.exit_code, **fields)
+        self.text(line or f"verdict: {verdict}")
+        return verdict.exit_code
 
 
 # -- commands -------------------------------------------------------------
@@ -230,8 +232,7 @@ def cmd_decide_tree(args, rep: Reporter) -> int:
         fields["violating_edge"] = list(decision.violating_edge)
         rep.text(f"violating edge: {decision.violating_edge[0]}-"
                  f"{decision.violating_edge[1]} (scaled ratio reached 1)")
-    return rep.verdict(decision.verdict,
-                       EXIT_YES if decision.ensured else EXIT_NO, **fields)
+    return rep.verdict(decision.verdict, **fields)
 
 
 def cmd_dcrit_tree(args, rep: Reporter) -> int:
@@ -252,8 +253,6 @@ def cmd_matchpoly(args, rep: Reporter) -> int:
         rep.text("matching polynomial M(G, t), coefficients lowest degree first:")
     else:
         dens = _parse_densities(args.densities, H)
-        from .tree_decision import edge_assignment
-
         resolved = edge_assignment(H, dens, low=Fraction(0), high=_ONE,
                                    what="density")
         ratios = {e: _ONE - d for e, d in resolved.items()}
@@ -303,7 +302,7 @@ def cmd_triangle(args, rep: Reporter) -> int:
     verdict = triangle_decide(*vals)
     if not rep.structured:
         rep.text("densities: " + ", ".join(_both(v) for v in vals))
-    return rep.verdict(verdict, EXIT_YES if verdict == "Ensured" else EXIT_NO)
+    return rep.verdict(verdict)
 
 
 _CERTIFIERS = {
@@ -325,7 +324,7 @@ def cmd_glue(args, rep: Reporter) -> int:
                                certify=_CERTIFIERS[args.certify])
     if not rep.structured:
         rep.text(f"glued pattern: {G.to_text()!r}, split {_both(m1)} / {_both(m2)}")
-    return rep.verdict(verdict, EXIT_YES if verdict == "Sufficient" else EXIT_NO)
+    return rep.verdict(verdict)
 
 
 def cmd_star_bound(args, rep: Reporter) -> int:
@@ -366,7 +365,7 @@ def cmd_star_check(args, rep: Reporter) -> int:
             rep.record("legend", node=node, path=list(path))
             rep.text(f"node {node} = path " + ">".join(map(str, path)))
         rep.text(f"monotone-path tree written to {args.export_tree}")
-    return rep.verdict(verdict, EXIT_YES if verdict == PASSES else EXIT_NO)
+    return rep.verdict(verdict)
 
 
 def cmd_construct(args, rep: Reporter) -> int:
@@ -380,9 +379,9 @@ def cmd_construct(args, rep: Reporter) -> int:
         dens = _parse_densities(args.densities, H)
         B = star_decomposition_construct(H, f, dens)
         if B is None:
-            rep.record("verdict", verdict="NotProducible", exit=EXIT_NO)
-            rep.text("no construction: the lifted densities ensure the path tree")
-            return EXIT_NO
+            return rep.verdict(
+                Verdict.NOT_PRODUCIBLE,
+                "no construction: the lifted densities ensure the path tree")
     if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(B.to_json() + "\n")
@@ -409,11 +408,11 @@ def cmd_check_transversal(args, rep: Reporter) -> int:
         if not agree:
             raise CritdensError("transversal searchers disagree")
     if found is None:
-        return rep.verdict("NoTransversal", EXIT_NO)
+        return rep.verdict(Verdict.NO_TRANSVERSAL)
     rep.record("transversal", choice={str(v): s for v, s in found.choice.items()})
     rep.text("transversal: " + ", ".join(
         f"cluster {v} -> slot {s}" for v, s in sorted(found.choice.items())))
-    return rep.verdict("TransversalFound", EXIT_YES)
+    return rep.verdict(Verdict.TRANSVERSAL_FOUND)
 
 
 def cmd_oracle_search(args, rep: Reporter) -> int:
@@ -429,7 +428,7 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
         H, cfg, progress_path=args.progress, checkpoint_path=args.checkpoint)
     if B is None:
         rep.text("no grid configuration meets the floor (full enumeration)")
-        return rep.verdict("NoneFound", EXIT_NO)
+        return rep.verdict(Verdict.NONE_FOUND)
     if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(B.to_json() + "\n")
@@ -441,7 +440,7 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
         rep.text(f"found: cluster sizes {list(B.cluster_sizes())}")
         for (i, j), d in sorted(dens.items()):
             rep.text(f"density {i}-{j}: {_both(d)}")
-    return rep.verdict("Found", EXIT_YES)
+    return rep.verdict(Verdict.FOUND)
 
 
 def cmd_oracle_dcrit(args, rep: Reporter) -> int:
@@ -463,8 +462,7 @@ def cmd_verify_bt1(args, rep: Reporter) -> int:
     ok = verify_bt1(args.n, args.m, tol)
     rep.text(f"checking every proper labeling of K_{{{args.n},{args.m}}} "
              f"against spectral radius squared {args.n + args.m - 1}")
-    return rep.verdict("Verified" if ok else "Failed",
-                       EXIT_YES if ok else EXIT_NO)
+    return rep.verdict(Verdict.VERIFIED if ok else Verdict.FAILED)
 
 
 def cmd_verify_bowtie(args, rep: Reporter) -> int:
@@ -482,8 +480,7 @@ def cmd_verify_bowtie(args, rep: Reporter) -> int:
     rep.record("value", name="no_star_decomposition_matches", value=unmatched)
     rep.text(f"no star decomposition reaches these densities: {'yes' if unmatched else 'NO'}")
     ok = raises_ok and unmatched
-    return rep.verdict("Verified" if ok else "Failed",
-                       EXIT_YES if ok else EXIT_NO)
+    return rep.verdict(Verdict.VERIFIED if ok else Verdict.FAILED)
 
 
 def cmd_self_test(args, rep: Reporter) -> int:

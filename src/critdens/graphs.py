@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -25,6 +26,11 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+
+def canonical_edge(i: int, j: int) -> Edge:
+    """The edge {i, j} as the sorted pair used everywhere in the API."""
+    return (i, j) if i < j else (j, i)
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class PatternGraph:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValidationError(
                     f"edge ({i},{j}) outside vertex range 1..{self.n}")
-            a, b = (i, j) if i < j else (j, i)
+            a, b = canonical_edge(i, j)
             if (a, b) in seen:
                 raise ValidationError(f"duplicate edge ({a},{b})")
             seen.add((a, b))
@@ -86,8 +92,7 @@ class PatternGraph:
     def has_edge(self, i: int, j: int) -> bool:
         self._check_vertex(i)
         self._check_vertex(j)
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self.edge_index
+        return canonical_edge(i, j) in self.edge_index
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -172,11 +177,48 @@ def parse_graph(text: str) -> PatternGraph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValidationError(
                     f"edge {tok!r} outside vertex range 1..{n} (line {lineno})")
-            a, b = (i, j) if i < j else (j, i)
+            a, b = canonical_edge(i, j)
             if (a, b) in set(edges):
                 raise ValidationError(f"duplicate edge {tok!r} (line {lineno})")
             edges.append((a, b))
     return PatternGraph(n, tuple(edges))
+
+
+def edge_assignment(
+    H: PatternGraph,
+    values: Mapping[Edge, Fraction] | Sequence[Fraction],
+    low: Fraction | None = None,
+    high: Fraction | None = None,
+    what: str = "value",
+) -> dict[Edge, Fraction]:
+    """Resolve one value per edge of H, given positionally in H's
+    canonical edge order or keyed by edge (either orientation, each edge
+    exactly once), as exact rationals checked against [low, high]."""
+    if isinstance(values, Mapping):
+        out = {}
+        for e, v in values.items():
+            key = canonical_edge(*e)
+            if key not in H.edge_index:
+                raise ValidationError(f"{key} is not an edge of the graph")
+            if key in out:
+                raise ValidationError(f"{what} for edge {key} given twice")
+            out[key] = Fraction(v)
+        missing = set(H.edges) - set(out)
+        if missing:
+            raise ValidationError(f"missing {what} for edges {sorted(missing)}")
+    else:
+        vals = list(values)
+        if len(vals) != len(H.edges):
+            raise ValidationError(
+                f"expected {len(H.edges)} {what} values in edge order "
+                f"{list(H.edges)}, got {len(vals)}")
+        out = {e: Fraction(v) for e, v in zip(H.edges, vals)}
+    for e, v in out.items():
+        if low is not None and v < low:
+            raise ValidationError(f"{what} {v} on edge {e} below {low}")
+        if high is not None and v > high:
+            raise ValidationError(f"{what} {v} on edge {e} above {high}")
+    return out
 
 
 def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:

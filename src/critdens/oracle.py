@@ -26,12 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .blowup import Transversal, WeightedBlowupGraph
+from .blowup import TRANSVERSAL_GUARD, Transversal, WeightedBlowupGraph
 from .errors import BudgetExhausted, ParseError, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph
-from .tree_decision import edge_assignment
+from .graphs import Edge, PatternGraph, edge_assignment
 
-TRANSVERSAL_GUARD = 10**6
 CHECKPOINT_FORMAT = 1
 
 _ZERO = Fraction(0)
@@ -528,15 +526,16 @@ def oracle_dcrit_estimate(
     cluster_size_bounds: Sequence[int] | None = None,
     budget: int = 10**7,
 ) -> tuple[Fraction, Fraction]:
-    """Bisect the homogeneous density: lower end is the largest probe
-    where a grid construction was found, upper end the smallest where
-    full enumeration found none.  The interval straddles the critical
+    """Bracket the critical density by the grid optimum: the largest
+    homogeneous density any transversal-free grid configuration meets,
+    rounded to the dyadic cell [lo, hi) of width 2^-k <= tol (smallest
+    such k) that holds it.  A grid construction exists at lo and full
+    enumeration finds none at hi, so the interval straddles the critical
     density up to grid discretization (the grid optimum sits below
     d_crit, within O(1/q) for the patterns exercised here).
 
-    d = 0 is found analytically (any single missing pair) and d = 1 is
-    never reachable (a cover with positive weights has positive missing
-    mass), so probing starts from the open unit interval.
+    The optimum is below 1 (a cover with positive weights has positive
+    missing mass), so [lo, hi) lies in [0, 1].
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -546,11 +545,6 @@ def oracle_dcrit_estimate(
     bounds = cfg.resolved_bounds(H)
     tracker = _Budget(budget)
     best = _best_grid_density(H, bounds, q, tracker)
-    lo, hi = _ZERO, _ONE
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if best >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    cells = 1 << (math.ceil(1 / tol) - 1).bit_length()   # 2^k >= 1/tol
+    lo = Fraction(math.floor(best * cells), cells)
+    return lo, lo + Fraction(1, cells)

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroPolynomial,
 )
-from .graphs import Edge, PatternGraph
+from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 
 MAX_MATCHING_EDGES = 24
 MAX_CHARPOLY_VERTICES = 12
@@ -763,8 +763,7 @@ def _matching_weight_sums(
         for u in adj[v]:
             bit = 1 << (u - 1)
             if mask & bit:
-                e = (v, u) if v < u else (u, v)
-                w = weight(e)
+                w = weight((v, u))   # v < u: v is the lowest in the mask
                 if w == 0:
                     continue
                 sub = solve(rest & ~bit)
@@ -816,8 +815,7 @@ def _tree_matching_weight_sums(
             partial = [_ONE]
             for c2 in children:
                 partial = mul(partial, free[c2] if c2 == c else anym[c2])
-            e = (v, c) if v < c else (c, v)
-            w = weight(e)
+            w = weight(canonical_edge(v, c))
             if w == 0:
                 continue
             if len(a) < len(partial) + 1:
@@ -853,35 +851,12 @@ def matching_polynomial(H: PatternGraph) -> RatPoly:
     return RatPoly(coeffs)
 
 
-def _edge_assignment(
-    H: PatternGraph, r: Mapping[Edge, Fraction] | Sequence[Fraction]
-) -> dict[Edge, Fraction]:
-    if isinstance(r, Mapping):
-        out = {}
-        for e, val in r.items():
-            i, j = e
-            key = (i, j) if i < j else (j, i)
-            if key not in H.edge_index:
-                raise ValidationError(f"{key} is not an edge of the pattern")
-            out[key] = Fraction(val)
-        missing = set(H.edges) - set(out)
-        if missing:
-            raise ValidationError(f"assignment missing edges {sorted(missing)}")
-        return out
-    vals = list(r)
-    if len(vals) != len(H.edges):
-        raise ValidationError(
-            f"expected {len(H.edges)} values (edge order {list(H.edges)}), "
-            f"got {len(vals)}")
-    return {e: Fraction(v) for e, v in zip(H.edges, vals)}
-
-
 def multivariate_matching_eval(
     H: PatternGraph, r: Mapping[Edge, Fraction] | Sequence[Fraction]
 ) -> RatPoly:
     """F(r, t) = sum over matchings M of (prod_{e in M} r_e) (-t)^|M|,
     returned as a polynomial in t.  Constant term 1, degree <= n/2."""
-    assignment = _edge_assignment(H, r)
+    assignment = edge_assignment(H, r, what="ratio")
     counts = matching_weight_sums(H, lambda e: assignment[e])
     return RatPoly([(-1) ** k * c for k, c in enumerate(counts)])
 
@@ -944,7 +919,7 @@ def char_poly_identity_check(
         raise SizeLimit(
             f"characteristic polynomial capped at {MAX_CHARPOLY_VERTICES} "
             f"vertices, got {T.n}")
-    weights = _edge_assignment(T, w)
+    weights = edge_assignment(T, w, what="weight")
     n = T.n
     # Matrix of RatPoly entries for tI - A.
     t_poly = RatPoly([_ZERO, _ONE])

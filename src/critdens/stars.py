@@ -26,7 +26,9 @@ from .graphs import (
     Edge,
     PatternGraph,
     bow_tie_graph,
+    canonical_edge,
     complete_bipartite,
+    edge_assignment,
     is_proper_labeling,
     proper_labelings,
 )
@@ -39,13 +41,11 @@ from .polynomials import (
     sturm_chain,
     sturm_count_open,
 )
-from .tree_decision import CriticalDensity, decide_tree, edge_assignment
+from .tree_decision import CriticalDensity, decide_tree
+from .verdict import Verdict
 
 NODE_CAP = 10**5
 LABELING_CAP = 10**5
-
-PASSES = "PassesThisLabeling"
-FAILS = "FailsThisLabeling"
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -95,7 +95,7 @@ def monotone_path_tree(
             legend[child] = child_path
             e = (node, child)
             edges.append(e)
-            he = (last, w) if last < w else (w, last)
+            he = canonical_edge(last, w)
             edge_origin[e] = he
             if lifted is not None:
                 tree_weights[e] = lifted[he]
@@ -202,14 +202,14 @@ def star_necessary_condition(
     H: PatternGraph,
     gamma: Mapping[Edge, Fraction] | Sequence[Fraction],
     f: Sequence[int],
-) -> str:
+) -> Verdict:
     """One labeling's necessary condition: the lifted densities must
     ensure the monotone-path tree.  FailsThisLabeling certifies that a
     transversal-free construction with densities >= gamma exists."""
     mpt = monotone_path_tree(H, f, weights=gamma)
     assert mpt.weights is not None
     verdict = decide_tree(mpt.tree, mpt.weights)
-    return PASSES if verdict.ensured else FAILS
+    return Verdict.PASSES if verdict.ensured else Verdict.FAILS
 
 
 def bipartite_star_density(n: int, m: int) -> Fraction:
@@ -316,7 +316,7 @@ def star_decomposition_cannot_match_bowtie() -> bool:
     H = bow_tie_graph()
     gamma = bow_tie_densities()
     for f in proper_labelings(H):
-        if star_necessary_condition(H, gamma, f) != PASSES:
+        if star_necessary_condition(H, gamma, f) is not Verdict.PASSES:
             return False
         if star_decomposition_construct(H, f, gamma) is not None:
             return False

@@ -26,19 +26,17 @@ from .errors import (
     NotATree,
     ValidationError,
 )
-from .graphs import Edge, PatternGraph
+from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 from .polynomials import (
     AlgebraicNumber,
     largest_matching_root_squared,
     multivariate_matching_eval,
     positive_on_unit_interval,
 )
+from .verdict import Verdict
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
-
-ENSURED = "Ensured"
-NOT_ENSURED = "NotEnsured"
 
 
 @dataclass(frozen=True)
@@ -52,51 +50,29 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class TreeDecision:
-    verdict: str
+    verdict: Verdict
     violating_edge: Edge | None
     reduction_trace: tuple[ReductionStep, ...]
 
     @property
     def ensured(self) -> bool:
-        return self.verdict == ENSURED
+        return self.verdict is Verdict.ENSURED
 
 
-def _normalize_edge(i: int, j: int) -> Edge:
-    return (i, j) if i < j else (j, i)
-
-
-def edge_assignment(
-    T: PatternGraph,
-    values: Mapping[Edge, Fraction] | Sequence[Fraction],
-    low: Fraction | None = None,
-    high: Fraction | None = None,
-    what: str = "value",
-) -> dict[Edge, Fraction]:
-    """Resolve positional or keyed edge values against T's canonical edge
-    order, with optional range validation."""
-    if isinstance(values, Mapping):
-        out = {}
-        for e, v in values.items():
-            key = _normalize_edge(*e)
-            if key not in T.edge_index:
-                raise ValidationError(f"{key} is not an edge of the graph")
-            out[key] = Fraction(v)
-        missing = set(T.edges) - set(out)
-        if missing:
-            raise ValidationError(f"missing {what} for edges {sorted(missing)}")
-    else:
-        vals = list(values)
-        if len(vals) != len(T.edges):
-            raise ValidationError(
-                f"expected {len(T.edges)} {what} values in edge order "
-                f"{list(T.edges)}, got {len(vals)}")
-        out = {e: Fraction(v) for e, v in zip(T.edges, vals)}
-    for e, v in out.items():
-        if low is not None and v < low:
-            raise ValidationError(f"{what} {v} on edge {e} below {low}")
-        if high is not None and v > high:
-            raise ValidationError(f"{what} {v} on edge {e} above {high}")
-    return out
+def _remove_leaf(
+    adj: dict[int, set[int]], r: dict[Edge, Fraction], leaf: int
+) -> tuple[int, dict[Edge, Fraction]]:
+    """The reduction step, in place: delete the leaf and its edge's ratio
+    r_leaf, and rescale the ratio of every other edge at its neighbor u
+    by 1/(1 - r_leaf).  Returns u and the rescaled ratios."""
+    (u,) = adj.pop(leaf)
+    adj[u].discard(leaf)
+    denom = _ONE - r.pop(canonical_edge(u, leaf))
+    updated: dict[Edge, Fraction] = {}
+    for w in adj[u]:
+        e = canonical_edge(u, w)
+        r[e] = updated[e] = r[e] / denom
+    return u, updated
 
 
 def _decide_from_ratios(
@@ -106,30 +82,19 @@ def _decide_from_ratios(
 ) -> TreeDecision:
     """Core reduction loop.  Vertices keep their original labels, so the
     violating edge and the trace refer to edges of the input tree."""
-    adj: dict[int, set[int]] = {v: set(T.adjacency[v]) for v in T.vertices()}
+    adj = {v: set(T.adjacency[v]) for v in T.vertices()}
     r = dict(ratios)
-    alive = set(T.vertices())
     trace: list[ReductionStep] = []
     while True:
         violating = next(
             (e for e in sorted(r) if r[e] >= 1), None)
         if violating is not None:
-            return TreeDecision(NOT_ENSURED, violating, tuple(trace))
-        if len(alive) <= 2:
-            return TreeDecision(ENSURED, None, tuple(trace))
-        leaves = sorted(v for v in alive if len(adj[v]) == 1)
+            return TreeDecision(Verdict.NOT_ENSURED, violating, tuple(trace))
+        if len(adj) <= 2:
+            return TreeDecision(Verdict.ENSURED, None, tuple(trace))
+        leaves = sorted(v for v in adj if len(adj[v]) == 1)
         v = leaves[0] if pick_leaf is None else pick_leaf(leaves)
-        (u,) = adj[v]
-        e_leaf = _normalize_edge(u, v)
-        denom = _ONE - r.pop(e_leaf)
-        adj[u].discard(v)
-        del adj[v]
-        alive.discard(v)
-        updated: dict[Edge, Fraction] = {}
-        for w in adj[u]:
-            e = _normalize_edge(u, w)
-            r[e] = r[e] / denom
-            updated[e] = r[e]
+        u, updated = _remove_leaf(adj, r, v)
         trace.append(ReductionStep(v, u, updated))
 
 
@@ -169,25 +134,18 @@ def leaf_reduction_step(
     if T.n < 3:
         raise NotALeaf("cannot reduce a tree with fewer than 3 vertices")
     (u,) = T.neighbors(leaf)
-    r_leaf = ratios[_normalize_edge(u, leaf)]
+    r_leaf = ratios[canonical_edge(u, leaf)]
     if r_leaf >= 1:
         raise DivisionByZeroGuard(
             f"leaf edge ratio {r_leaf} >= 1; apply the stop rule instead")
+    _remove_leaf({leaf: {u}, u: set(T.adjacency[u])}, ratios, leaf)
 
     def relabel(v: int) -> int:
         return v - 1 if v > leaf else v
 
-    new_edges = []
-    new_ratios: dict[Edge, Fraction] = {}
-    for (i, j), val in ratios.items():
-        if leaf in (i, j):
-            continue
-        e = _normalize_edge(relabel(i), relabel(j))
-        if u in (i, j):
-            val = val / (_ONE - r_leaf)
-        new_edges.append(e)
-        new_ratios[e] = val
-    return PatternGraph(T.n - 1, tuple(new_edges)), new_ratios
+    new_ratios = {canonical_edge(relabel(i), relabel(j)): val
+                  for (i, j), val in ratios.items()}
+    return PatternGraph(T.n - 1, tuple(new_ratios)), new_ratios
 
 
 def decide_tree_equivalence(

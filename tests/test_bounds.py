@@ -6,10 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from critdens.bounds import (
-    ENSURED,
-    NOT_ENSURED,
-    SUFFICIENT,
-    UNKNOWN,
     bow_tie_counterexample_check,
     certify_triangle,
     compute_bounds,
@@ -27,28 +23,29 @@ from critdens.graphs import (
     cycle_graph,
     path_graph,
 )
+from critdens.verdict import Verdict
 
 
 # -- triangle criterion ------------------------------------------------------
 
 
 def test_triangle_homogeneous_flip():
-    assert triangle_decide(F(4, 5), F(4, 5), F(4, 5)) == ENSURED
-    assert triangle_decide(F(62, 100), F(62, 100), F(62, 100)) == ENSURED
-    assert triangle_decide(F(61, 100), F(61, 100), F(61, 100)) == NOT_ENSURED
+    assert triangle_decide(F(4, 5), F(4, 5), F(4, 5)) == Verdict.ENSURED
+    assert triangle_decide(F(62, 100), F(62, 100), F(62, 100)) == Verdict.ENSURED
+    assert triangle_decide(F(61, 100), F(61, 100), F(61, 100)) == Verdict.NOT_ENSURED
 
 
 def test_triangle_needs_all_three_rotations():
-    assert triangle_decide(F(9, 10), F(9, 10), F(3, 10)) == ENSURED
+    assert triangle_decide(F(9, 10), F(9, 10), F(3, 10)) == Verdict.ENSURED
     # one rotation at exactly 1 is not strict
-    assert triangle_decide(F(1, 2), F(1, 2), F(3, 4)) == NOT_ENSURED
-    assert triangle_decide(F(19, 20), F(19, 20), F(1, 20)) == NOT_ENSURED
+    assert triangle_decide(F(1, 2), F(1, 2), F(3, 4)) == Verdict.NOT_ENSURED
+    assert triangle_decide(F(19, 20), F(19, 20), F(1, 20)) == Verdict.NOT_ENSURED
 
 
 def test_triangle_extreme_values():
-    assert triangle_decide(F(1), F(1), F(1)) == ENSURED
-    assert triangle_decide(F(1), F(1), F(0)) == NOT_ENSURED
-    assert triangle_decide(F(0), F(0), F(0)) == NOT_ENSURED
+    assert triangle_decide(F(1), F(1), F(1)) == Verdict.ENSURED
+    assert triangle_decide(F(1), F(1), F(0)) == Verdict.NOT_ENSURED
+    assert triangle_decide(F(0), F(0), F(0)) == Verdict.NOT_ENSURED
     with pytest.raises(ValidationError):
         triangle_decide(F(11, 10), F(1, 2), F(1, 2))
     with pytest.raises(ValidationError):
@@ -58,7 +55,7 @@ def test_triangle_extreme_values():
 def test_certify_triangle_requires_3_cycle():
     assert certify_triangle(
         complete_graph(3),
-        {(1, 2): F(4, 5), (1, 3): F(4, 5), (2, 3): F(4, 5)}) == ENSURED
+        {(1, 2): F(4, 5), (1, 3): F(4, 5), (2, 3): F(4, 5)}) == Verdict.ENSURED
     with pytest.raises(ValidationError):
         certify_triangle(path_graph(3), {(1, 2): F(1, 2), (2, 3): F(1, 2)})
 
@@ -67,18 +64,18 @@ def test_certify_triangle_requires_3_cycle():
 
 
 def test_positivity_sufficient_for_high_densities():
-    assert sufficiency_by_positivity(complete_graph(3), [F(4, 5)] * 3) == SUFFICIENT
-    assert sufficiency_by_positivity(cycle_graph(5), [F(9, 10)] * 5) == SUFFICIENT
+    assert sufficiency_by_positivity(complete_graph(3), [F(4, 5)] * 3) == Verdict.SUFFICIENT
+    assert sufficiency_by_positivity(cycle_graph(5), [F(9, 10)] * 5) == Verdict.SUFFICIENT
 
 
 def test_positivity_unknown_when_polynomial_dips():
     gamma = {(1, 2): F(72, 100), (1, 3): F(72, 100), (2, 3): F(51, 100)}
-    assert sufficiency_by_positivity(complete_graph(3), gamma) == UNKNOWN
+    assert sufficiency_by_positivity(complete_graph(3), gamma) == Verdict.UNKNOWN
 
 
 def test_positivity_matches_tree_decision_boundary():
-    assert sufficiency_by_positivity(path_graph(3), [F(51, 100)] * 2) == SUFFICIENT
-    assert sufficiency_by_positivity(path_graph(3), [F(1, 2)] * 2) == UNKNOWN
+    assert sufficiency_by_positivity(path_graph(3), [F(51, 100)] * 2) == Verdict.SUFFICIENT
+    assert sufficiency_by_positivity(path_graph(3), [F(1, 2)] * 2) == Verdict.UNKNOWN
 
 
 # -- bound report -------------------------------------------------------------
@@ -129,11 +126,11 @@ def test_glue_sufficiency_on_bow_tie():
              (1, 4): F(86, 100), (1, 5): F(86, 100), (4, 5): F(52, 100)}
     K3 = complete_graph(3)
     assert glue_sufficiency(K3, K3, 1, 1, F(1, 2), F(1, 2), gamma,
-                            certify=certify_triangle) == SUFFICIENT
-    assert glue_sufficiency(K3, K3, 1, 1, F(1, 2), F(1, 2), gamma) == SUFFICIENT
+                            certify=certify_triangle) == Verdict.SUFFICIENT
+    assert glue_sufficiency(K3, K3, 1, 1, F(1, 2), F(1, 2), gamma) == Verdict.SUFFICIENT
     # matching positivity alone cannot certify the scaled parts
     assert glue_sufficiency(K3, K3, 1, 1, F(1, 2), F(1, 2), gamma,
-                            certify=sufficiency_by_positivity) == UNKNOWN
+                            certify=sufficiency_by_positivity) == Verdict.UNKNOWN
 
 
 def test_glue_sufficiency_tree_parts_use_reduction():
@@ -141,7 +138,7 @@ def test_glue_sufficiency_tree_parts_use_reduction():
     P2 = path_graph(2)
     verdict = glue_sufficiency(P2, P2, 2, 1, F(1, 2), F(1, 2), gamma)
     # each part is one edge with r = 0.2 / 0.5 or 0.4 / 0.5, both < 1
-    assert verdict == SUFFICIENT
+    assert verdict == Verdict.SUFFICIENT
 
 
 def test_glue_split_validation():
@@ -157,7 +154,7 @@ def test_glue_unknown_when_ratio_exceeds_share():
     # r = 0.6 on a glue edge cannot be covered by a half share
     gamma = {(1, 2): F(4, 10), (2, 3): F(9, 10)}
     P2 = path_graph(2)
-    assert glue_sufficiency(P2, P2, 2, 1, F(1, 2), F(1, 2), gamma) == UNKNOWN
+    assert glue_sufficiency(P2, P2, 2, 1, F(1, 2), F(1, 2), gamma) == Verdict.UNKNOWN
 
 
 def test_bow_tie_counterexample_check():

@@ -122,6 +122,29 @@ def test_budget_exhaustion_exits_3(k3):
     assert code == 3
 
 
+def test_glue_with_tree_certifier(path3):
+    # P3 glued at its middle vertex to an end of another P3: each part's
+    # glue edges have their ratios doubled by the 1/2 shares
+    glue = ["glue", path3, path3, "--u1", "2", "--u2", "1", "--m1", "1/2",
+            "--m2", "1/2", "--certify", "tree", "--densities"]
+    code, out = _run(glue + ["0.9,0.9,0.9,0.9"])
+    assert (code, out) == (0, "glued pattern: '5; 1-2 2-3 2-4 4-5', split "
+                              "1/2 (0.5) / 1/2 (0.5)\nverdict: Sufficient\n")
+    code, out = _run(glue + ["0.6,0.6,0.6,0.6", "--format", "structured"])
+    assert code == 1
+    assert _records(out) == [{"record": "verdict", "command": "glue",
+                              "verdict": "Unknown", "exit": 1}]
+
+
+def test_certifier_returning_a_non_verdict_exits_2(path3, monkeypatch, capsys):
+    monkeypatch.setitem(cli._CERTIFIERS, "tree", lambda H, g: True)
+    code, out = _run(["glue", path3, path3, "--u1", "2", "--u2", "1",
+                      "--m1", "1/2", "--m2", "1/2", "--certify", "tree",
+                      "--densities", "0.9"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: certifier returned True\n"
+
+
 def test_non_tree_to_tree_command_exits_2(k3):
     code, _ = _run(["decide-tree", k3, "--densities", "0.9,0.9,0.9"])
     assert code == 2

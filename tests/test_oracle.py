@@ -189,6 +189,32 @@ def test_dcrit_estimate_lower_end_is_achievable():
         assert dcrit_tree(T).compare_density(lo) >= 0
 
 
+def test_dcrit_estimate_bracket_equals_bisection(monkeypatch):
+    """The bracket is the dyadic cell the old bisection over the grid
+    optimum ended in."""
+    from critdens import oracle
+
+    def bisect(best, tol):
+        lo, hi = F(0), F(1)
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if best >= mid:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    rng = random.Random(5)
+    pairs = [(F(rng.randint(0, 10**4 - 1), 10**4),
+              F(rng.randint(1, 300), rng.randint(1, 10**5))) for _ in range(2000)]
+    pairs += [(F(1, 2), F(1, 64)), (F(0), F(1, 3)), (F(5, 8), F(1, 8)),
+              (F(99, 100), F(2)), (F(1, 3), F(1))]
+    for best, tol in pairs:
+        monkeypatch.setattr(oracle, "_best_grid_density", lambda *a, b=best: b)
+        got = oracle_dcrit_estimate(path_graph(2), q=2, tol=tol)
+        assert got == bisect(best, tol), (best, tol)
+
+
 def test_dcrit_estimate_validation():
     with pytest.raises(ValidationError):
         oracle_dcrit_estimate(path_graph(3), q=10, tol=F(0))

@@ -14,8 +14,6 @@ from critdens.graphs import (
     star_graph,
 )
 from critdens.stars import (
-    FAILS,
-    PASSES,
     bipartite_star_density,
     bow_tie_reconstruction,
     monotone_path_tree,
@@ -25,6 +23,7 @@ from critdens.stars import (
     tree_shape_key,
     verify_bt1,
 )
+from critdens.verdict import Verdict
 
 
 GOLDEN_20 = F(61803398874989484820, 10**20)
@@ -129,19 +128,19 @@ def test_star_bound_below_matching_root_on_cycles():
 
 def test_necessary_condition_direction():
     K3 = complete_graph(3)
-    assert star_necessary_condition(K3, [F(3, 5)] * 3, (1, 2, 3)) == FAILS
-    assert star_necessary_condition(K3, [F(63, 100)] * 3, (1, 2, 3)) == PASSES
+    assert star_necessary_condition(K3, [F(3, 5)] * 3, (1, 2, 3)) == Verdict.FAILS
+    assert star_necessary_condition(K3, [F(63, 100)] * 3, (1, 2, 3)) == Verdict.PASSES
 
 
 def test_necessary_condition_heterogeneous():
     # with both lifted 1-edges at 17/20, the far edge flips at 3/17
     K3 = complete_graph(3)
     g = {(1, 2): F(17, 20), (1, 3): F(17, 20), (2, 3): F(1, 4)}
-    assert star_necessary_condition(K3, g, (1, 2, 3)) == PASSES
+    assert star_necessary_condition(K3, g, (1, 2, 3)) == Verdict.PASSES
     g[(2, 3)] = F(1, 6)
-    assert star_necessary_condition(K3, g, (1, 2, 3)) == FAILS
+    assert star_necessary_condition(K3, g, (1, 2, 3)) == Verdict.FAILS
     g[(2, 3)] = F(3, 17)
-    assert star_necessary_condition(K3, g, (1, 2, 3)) == FAILS
+    assert star_necessary_condition(K3, g, (1, 2, 3)) == Verdict.FAILS
 
 
 def test_bipartite_star_density_closed_form():

@@ -55,6 +55,9 @@ def test_edge_assignment_errors():
         edge_assignment(T, [F(1, 2), F(3, 2)], low=F(0), high=F(1))
     with pytest.raises(ValidationError):
         edge_assignment(T, [F(-1, 2), F(1, 2)], low=F(0), high=F(1))
+    # one edge named twice, in either orientation, is not "last one wins"
+    with pytest.raises(ValidationError, match=r"edge \(1, 2\) given twice"):
+        edge_assignment(T, {(1, 2): F(1, 2), (2, 1): F(9, 10), (2, 3): F(1, 2)})
 
 
 # -- worked reductions -----------------------------------------------------
