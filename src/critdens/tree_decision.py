@@ -82,7 +82,7 @@ def _decide_from_ratios(
 ) -> TreeDecision:
     """Core reduction loop.  Vertices keep their original labels, so the
     violating edge and the trace refer to edges of the input tree."""
-    adj = {v: set(T.adjacency[v]) for v in T.vertices()}
+    adj: dict[int, set[int]] = {v: set(T.adjacency[v]) for v in T.vertices()}
     r = dict(ratios)
     trace: list[ReductionStep] = []
     while True:
