@@ -29,6 +29,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 INPUTS = {
     "path3.g": "3; 1-2 2-3\n",
     "path4.g": "4; 1-2 2-3 3-4\n",
+    "star5.g": "5; 1-2 1-3 1-4 1-5\n",
     "k3.g": "3; 1-2 1-3 2-3\n",
     "k4.g": "4; 1-2 1-3 1-4 2-3 2-4 3-4\n",
     # a one-slot-per-cluster blow-up of P3 with every cross pair present
@@ -80,6 +81,11 @@ CASES = [
     "construct k3.g --method star --labeling 1,2,3 --densities 1-2=0.5,2-3=0.5",
     "oracle-search k3.g --floor 1.2",
     "glue k3.g k3.g --u1 1 --u2 1 --m1 1/2 --m2 1/2 --densities 0.5,0.5",
+    # the eigenvector construction: lambda rational (star5), and float
+    # mode (path4, lambda^2 irrational) written out and checked
+    "construct star5.g --method gacs",
+    "construct path4.g --method gacs --out p4.json",
+    "check-transversal p4.json --oracle",
 ]
 
 
