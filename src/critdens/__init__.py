@@ -40,7 +40,6 @@ from .errors import (
     NotAnHEdge,
     NotATree,
     ParseError,
-    PreconditionViolated,
     SizeLimit,
     ValidationError,
     VertexNotInGraph,

@@ -16,10 +16,13 @@ Constructions:
 * gacs_tree_construction: for a tree T, clusters A_i = {v_ij : j ~ i},
   all cross pairs present except (v_ij, v_ji), weights w_ij = x_j /
   (lambda x_i) from the principal eigenvector; every density equals
-  1 - 1/lambda^2 and no transversal exists.  When lambda^2 is rational the
-  weights are provably rational and the construction is exact (the
-  eigenvector lives in Q(lambda), and ratios across an edge cancel the
-  irrational part); otherwise floats are used.
+  1 - 1/lambda^2 and no transversal exists.  A tree is bipartite, so
+  the weight toward a child, r_v = x_v/(lambda x_parent), obeys
+  r_v = (1/s) / (1 - sum of children r) in s = lambda^2 alone: when s is
+  rational the weights are rational and the construction is exact, with
+  no square root anywhere.  Otherwise the same recursion runs in floats
+  on x_v/x_parent = 1 / (lambda - sum of children), with lambda =
+  sqrt(s).
 
 * star_decomposition_construct: for any connected H, a proper labeling f,
   and densities gamma that fail the monotone-path tree condition, a
@@ -35,13 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import (
-    NotAnHEdge,
-    NotATree,
-    PreconditionViolated,
-    SizeLimit,
-    ValidationError,
-)
+from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
 from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 from .polynomials import AlgebraicNumber, largest_matching_root_squared
 
@@ -266,87 +263,30 @@ def complete_blowup(H: PatternGraph, sizes: Sequence[int]) -> WeightedBlowupGrap
     return WeightedBlowupGraph(H, weights, edges)
 
 
-# -- exact quadratic-field arithmetic for the eigenvector construction -----
-
-def _exact_sqrt(s: Fraction) -> Fraction | None:
-    """sqrt(s) when s is the square of a rational, else None."""
-    if s < 0:
-        return None
-    np_, dp = math.isqrt(s.numerator), math.isqrt(s.denominator)
-    if np_ * np_ == s.numerator and dp * dp == s.denominator:
-        return Fraction(np_, dp)
-    return None
-
-
-class _QuadExt:
-    """Numbers a + b sqrt(s) with rational a, b and fixed rational s.
-
-    Used only with either sqrt(s) irrational, or b identically 0 (when s
-    is a perfect square the caller passes lambda as a rational part), so
-    the norm a^2 - b^2 s vanishes only at 0 and inversion is safe.
-    """
-
-    __slots__ = ("a", "b", "s")
-
-    def __init__(self, a: Fraction, b: Fraction, s: Fraction) -> None:
-        self.a, self.b, self.s = Fraction(a), Fraction(b), s
-
-    def __add__(self, other: "_QuadExt") -> "_QuadExt":
-        return _QuadExt(self.a + other.a, self.b + other.b, self.s)
-
-    def __sub__(self, other: "_QuadExt") -> "_QuadExt":
-        return _QuadExt(self.a - other.a, self.b - other.b, self.s)
-
-    def __mul__(self, other: "_QuadExt") -> "_QuadExt":
-        return _QuadExt(
-            self.a * other.a + self.b * other.b * self.s,
-            self.a * other.b + self.b * other.a,
-            self.s,
-        )
-
-    def inverse(self) -> "_QuadExt":
-        norm = self.a * self.a - self.b * self.b * self.s
-        if norm == 0:
-            raise ZeroDivisionError("inverting zero in the quadratic field")
-        return _QuadExt(self.a / norm, -self.b / norm, self.s)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def as_rational(self) -> Fraction:
-        if self.b != 0:
-            raise ValidationError(f"{self} is not rational")
-        return self.a
-
-    def __repr__(self) -> str:
-        return f"({self.a} + {self.b}*sqrt({self.s}))"
-
-
-def gacs_tree_construction(
-    T: PatternGraph, mode: str = "auto"
-) -> WeightedBlowupGraph:
+def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
     """Transversal-free blow-up of a tree with every density equal to
     1 - 1/lambda^2.
 
     Cluster A_i holds one slot per neighbor j of i (in sorted neighbor
     order); the only missing cross pair per edge (i, j) is (v_ij, v_ji).
-    Weights come from the principal eigenvector x: w_ij = x_j/(lambda x_i),
-    computed by the rooted ratio recursion rho_v = 1/(lambda - sum of
-    children rho), which stays well defined because lambda exceeds every
-    proper subtree's spectral radius.
+    Weights come from the principal eigenvector x: w_ij = x_j/(lambda x_i).
+    Rooted at vertex 1, the ratios r_v follow r_v = k / (m - sum of
+    children r), which stays well defined because lambda exceeds every
+    proper subtree's spectral radius.  When s = lambda^2 is rational,
+    (k, m) = (1/s, 1) and r_v = x_v/(lambda x_parent) is a Fraction;
+    otherwise (k, m) = (1, lambda) in floats and r_v = x_v/x_parent.
+    Either way w_ij = r_j/m toward a child and k/(r_i m) toward the parent.
     """
     if not T.is_tree():
         raise NotATree("construction defined for trees")
     if T.n < 2:
         raise ValidationError("construction needs n >= 2")
-    if mode not in ("auto", "exact", "float"):
-        raise ValidationError(f"unknown mode {mode!r}")
     s_star = largest_matching_root_squared(T, Fraction(1, 10**24))
-    s_exact = s_star.exact
-    if mode == "exact" and s_exact is None:
-        raise ValidationError(
-            "lambda^2 is irrational for this tree; use float mode")
-    use_exact = s_exact is not None and mode != "float"
+    if s_star.exact is not None:
+        mode, k, m, slack = "exact", _ONE / s_star.exact, _ONE, _ZERO
+    else:
+        mode, k, slack = "float", 1.0, 1e-7
+        m = math.sqrt((s_star.lo + s_star.hi) / 2)
 
     root = 1
     order = T.bfs_order(root)
@@ -356,63 +296,21 @@ def gacs_tree_construction(
             if u not in parent:
                 parent[u] = v
 
-    if use_exact:
-        s = s_exact
-        r = _exact_sqrt(s)
-        lam = _QuadExt(r, _ZERO, s) if r is not None else _QuadExt(_ZERO, _ONE, s)
-        zero = _QuadExt(_ZERO, _ZERO, s)
-        rho: dict[int, _QuadExt] = {}
-        for v in reversed(order):
-            if v == root:
-                continue
-            acc = zero
-            for c in T.adjacency[v]:
-                if parent.get(c) == v:
-                    acc = acc + rho[c]
-            rho[v] = (lam - acc).inverse()
-        residual = lam
-        for c in T.adjacency[root]:
-            residual = residual - rho[c]
-        if not residual.is_zero():
-            raise ValidationError("eigenvector consistency check failed")
-
-        def weight(i: int, j: int) -> Fraction:
-            # w_ij = x_j / (lambda x_i)
-            if parent.get(j) == i:
-                val = rho[j] * lam.inverse()
-            else:
-                val = (rho[i] * lam).inverse()
-            return val.as_rational()
-
-        mode_out = "exact"
-    else:
-        lam_f = math.sqrt(
-            s_exact if s_exact is not None
-            else (s_star.lo + s_star.hi) / 2)
-        rho_f: dict[int, float] = {}
-        for v in reversed(order):
-            if v == root:
-                continue
-            acc = sum(rho_f[c] for c in T.adjacency[v] if parent.get(c) == v)
-            rho_f[v] = 1.0 / (lam_f - acc)
-        residual_f = lam_f - sum(rho_f[c] for c in T.adjacency[root])
-        if abs(residual_f) > 1e-7:
-            raise ValidationError("eigenvector consistency check failed")
-
-        def weight(i: int, j: int) -> float:
-            if parent.get(j) == i:
-                return rho_f[j] / lam_f
-            return 1.0 / (rho_f[i] * lam_f)
-
-        mode_out = "float"
+    r: dict[int, Fraction | float] = {}
+    for v in reversed(order):
+        if v != root:
+            acc = sum(r[c] for c in T.adjacency[v] if parent.get(c) == v)
+            r[v] = k / (m - acc)
+    if abs(m - sum(r[c] for c in T.adjacency[root])) > slack:
+        raise ValidationError("eigenvector consistency check failed")
 
     slot_of: dict[tuple[int, int], int] = {}
     weights: list[list] = []
     for i in T.vertices():
         cluster = []
-        for k, j in enumerate(T.adjacency[i]):
-            slot_of[(i, j)] = k
-            cluster.append(weight(i, j))
+        for a, j in enumerate(T.adjacency[i]):
+            slot_of[(i, j)] = a
+            cluster.append(r[j] / m if parent.get(j) == i else k / (r[i] * m))
         weights.append(cluster)
 
     cross: list[tuple[Slot, Slot]] = []
@@ -423,8 +321,8 @@ def gacs_tree_construction(
                     continue
                 cross.append(((i, a), (j, b)))
 
-    B = WeightedBlowupGraph(T, weights, cross, mode_out)
-    _assert_emission(B, _gacs_target(T, s_star, mode_out))
+    B = WeightedBlowupGraph(T, weights, cross, mode)
+    _assert_emission(B, _gacs_target(T, s_star, mode))
     if B.find_transversal() is not None:
         raise ValidationError("construction unexpectedly has a transversal")
     return B
@@ -461,14 +359,12 @@ def star_decomposition_construct(
     H: PatternGraph,
     f: Sequence[int],
     gamma: Mapping[Edge, Fraction] | Sequence[Fraction],
-    strict: bool = False,
 ) -> WeightedBlowupGraph | None:
     """Recursive transversal-free construction for densities that fail the
     monotone-path tree condition for the labeling f.
 
-    Returns None (or raises PreconditionViolated when strict=True) if the
-    lifted densities on the monotone-path tree already ensure the factor.
-    Otherwise the result has every density >= gamma and no transversal;
+    Returns None if the lifted densities on the monotone-path tree already
+    ensure the factor.  Otherwise the result has every density >= gamma and no transversal;
     both facts are asserted before returning.
 
     The recursion processes vertices in reverse labeling order.  Removing
@@ -488,9 +384,6 @@ def star_decomposition_construct(
     path_tree = monotone_path_tree(H, f)  # validates the labeling
     lifted = {te: dens[he] for te, he in path_tree.edge_origin.items()}
     if decide_tree(path_tree.tree, lifted).ensured:
-        if strict:
-            raise PreconditionViolated(
-                "monotone-path tree densities already ensure the factor")
         return None
 
     n = H.n

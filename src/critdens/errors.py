@@ -75,11 +75,6 @@ class ImproperLabeling(CritdensError):
     no earlier neighbor."""
 
 
-class PreconditionViolated(CritdensError):
-    """Construction requested where the hypothesis fails (the monotone-path
-    tree densities already ensure the factor)."""
-
-
 class BadSplit(CritdensError):
     """Glue split weights violate 0 < m1, m2 < 1, m1 + m2 <= 1."""
 
