@@ -206,7 +206,8 @@ def star_necessary_condition(
     """One labeling's necessary condition: the lifted densities must
     ensure the monotone-path tree.  FailsThisLabeling certifies that a
     transversal-free construction with densities >= gamma exists."""
-    mpt = monotone_path_tree(H, f, weights=gamma)
+    dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
+    mpt = monotone_path_tree(H, f, weights=dens)
     assert mpt.weights is not None
     verdict = decide_tree(mpt.tree, mpt.weights)
     return Verdict.PASSES if verdict.ensured else Verdict.FAILS

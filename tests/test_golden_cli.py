@@ -78,6 +78,7 @@ CASES = [
     "decide-tree path3.g --densities=-1/2,0.5",
     "matchpoly path3.g --densities 2-3=0.5",
     "star-check k3.g --labeling 1,2,3 --densities 0.5,0.5",
+    "star-check k3.g --labeling 1,2,3 --densities 1-2=0.5,1-3=1.5,2-3=0.5",
     "construct k3.g --method star --labeling 1,2,3 --densities 1-2=0.5,2-3=0.5",
     "oracle-search k3.g --floor 1.2",
     "glue k3.g k3.g --u1 1 --u2 1 --m1 1/2 --m2 1/2 --densities 0.5,0.5",

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from critdens.errors import ImproperLabeling, SizeLimit
+from critdens.errors import ImproperLabeling, SizeLimit, ValidationError
 from critdens.graphs import (
     bow_tie_graph,
     complete_bipartite,
@@ -141,6 +141,16 @@ def test_necessary_condition_heterogeneous():
     assert star_necessary_condition(K3, g, (1, 2, 3)) == Verdict.FAILS
     g[(2, 3)] = F(3, 17)
     assert star_necessary_condition(K3, g, (1, 2, 3)) == Verdict.FAILS
+
+
+def test_necessary_condition_range_checks_pattern_edges():
+    # (1, 3) lifts to the path-tree edge (1, 4); the error names the former
+    K3 = complete_graph(3)
+    g = {(1, 2): F(1, 2), (1, 3): F(3, 2), (2, 3): F(1, 2)}
+    with pytest.raises(ValidationError, match=r"density 3/2 on edge \(1, 3\) above 1"):
+        star_necessary_condition(K3, g, (1, 2, 3))
+    with pytest.raises(ValidationError, match="below 0"):
+        star_necessary_condition(K3, [F(-1, 2), F(1, 2), F(1, 2)], (1, 2, 3))
 
 
 def test_bipartite_star_density_closed_form():
