@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import networkx as nx
 
-from .blowup import gacs_tree_construction
+from .blowup import WeightedBlowupGraph, gacs_tree_construction
 from .bounds import (
     compute_bounds,
     bow_tie_counterexample_check,
@@ -25,15 +25,13 @@ from .bounds import (
 )
 from .graphs import PatternGraph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import oracle_dcrit_estimate, oracle_find_transversal
-from .polynomials import largest_matching_root_squared
 from .stars import (
     bow_tie_reconstruction,
     star_decomposition_cannot_match_bowtie,
     star_lower_bound,
     verify_bt1,
 )
-from .blowup import WeightedBlowupGraph
-from .tree_decision import CriticalDensity, dcrit_tree, decide_tree, decide_tree_equivalence
+from .tree_decision import dcrit_tree, decide_tree, decide_tree_equivalence
 from .verdict import Verdict
 
 SEED = 20260815

@@ -21,7 +21,7 @@ from .polynomials import (
     multivariate_matching_eval,
     positive_on_unit_interval,
 )
-from .stars import StarBound, bow_tie_densities, bow_tie_reconstruction, star_lower_bound
+from .stars import bow_tie_densities, bow_tie_reconstruction, star_lower_bound
 from .tree_decision import CriticalDensity, decide_tree
 from .verdict import Verdict
 

@@ -20,7 +20,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .blowup import (
     WeightedBlowupGraph,
