@@ -163,7 +163,7 @@ def parse_graph(text: str) -> PatternGraph:
     n = int(head)
     if n < 1:
         raise ValidationError(f"vertex count must be >= 1, got {n}")
-    edges: list[Edge] = []
+    edges: set[Edge] = set()
     # Track line numbers relative to the original text for error messages.
     offset = text.index(";") + 1
     for lineno, line in enumerate(text[offset:].splitlines() or [""], start=1):
@@ -177,10 +177,10 @@ def parse_graph(text: str) -> PatternGraph:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValidationError(
                     f"edge {tok!r} outside vertex range 1..{n} (line {lineno})")
-            a, b = canonical_edge(i, j)
-            if (a, b) in set(edges):
+            e = canonical_edge(i, j)
+            if e in edges:
                 raise ValidationError(f"duplicate edge {tok!r} (line {lineno})")
-            edges.append((a, b))
+            edges.add(e)
     return PatternGraph(n, tuple(edges))
 
 
