@@ -807,21 +807,20 @@ def _tree_matching_weight_sums(
 
     for v in reversed(order):
         children = [u for u in H.adjacency[v] if parent.get(u) == v]
+        # Fold the children in one at a time: f is the product of their
+        # any[c] so far, and a also counts v matched to one of them.
         f = [_ONE]
+        a = [_ONE]
         for c in children:
-            f = mul(f, anym[c])
-        a = list(f)
-        for c in children:
-            partial = [_ONE]
-            for c2 in children:
-                partial = mul(partial, free[c2] if c2 == c else anym[c2])
             w = weight(canonical_edge(v, c))
-            if w == 0:
-                continue
-            if len(a) < len(partial) + 1:
-                a.extend([_ZERO] * (len(partial) + 1 - len(a)))
-            for k, x in enumerate(partial):
-                a[k + 1] += w * x
+            a = mul(a, anym[c])
+            if w != 0:
+                paired = mul(f, free[c])
+                if len(a) < len(paired) + 1:
+                    a.extend([_ZERO] * (len(paired) + 1 - len(a)))
+                for k, x in enumerate(paired):
+                    a[k + 1] += w * x
+            f = mul(f, anym[c])
         free[v] = f
         anym[v] = a
     return anym[root]

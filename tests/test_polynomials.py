@@ -179,15 +179,19 @@ def test_matching_weight_sums_counts_matchings():
 
 
 def test_tree_fast_path_agrees_with_enumeration():
+    # The lists must agree in length too: a zero weight adds no matchings.
     from critdens.polynomials import _matching_weight_sums
 
     rng = random.Random(9001)
-    for _ in range(60):
-        T = _random_tree(rng, rng.randint(2, 9))
-        w = {e: F(rng.randint(1, 9), rng.randint(1, 9)) for e in T.edges}
-        by_tree = matching_weight_sums(T, lambda e: w[e])
-        by_subsets = _matching_weight_sums(T, lambda e: w[e])
-        assert by_tree == by_subsets
+    trees = [path_graph(1)] + [star_graph(n) for n in range(2, 15)]
+    trees += [_random_tree(rng, rng.randint(2, 14)) for _ in range(150)]
+    for T in trees:
+        for zero_share in (0.0, 0.3, 1.0):
+            w = {e: F(0) if rng.random() < zero_share
+                 else F(rng.randint(1, 9), rng.randint(1, 9)) for e in T.edges}
+            by_tree = matching_weight_sums(T, lambda e: w[e])
+            by_subsets = _matching_weight_sums(T, lambda e: w[e])
+            assert by_tree == by_subsets, T
 
 
 def test_matching_size_cap_spares_trees():
