@@ -364,8 +364,8 @@ def star_decomposition_construct(
     monotone-path tree condition for the labeling f.
 
     Returns None if the lifted densities on the monotone-path tree already
-    ensure the factor.  Otherwise the result has every density >= gamma and no transversal;
-    both facts are asserted before returning.
+    ensure the factor.  Otherwise the result has every density >= gamma
+    and no transversal; both facts are asserted before returning.
 
     The recursion processes vertices in reverse labeling order.  Removing
     u = f(k) transforms the ratio of a remaining edge e by dividing by

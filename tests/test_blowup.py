@@ -184,6 +184,35 @@ def test_gacs_path4_float_mode_hits_golden():
     assert B.find_transversal() is None
 
 
+def test_gacs_weights_are_perron_ratios_on_all_small_trees():
+    # With each cluster summing to 1, w_ij w_ji = 1/lambda^2 on every edge
+    # pins the weights to the principal eigenvector's ratios; lambda comes
+    # from sympy's characteristic polynomial, not from the code under test.
+    import networkx as nx
+    import sympy
+
+    x = sympy.Symbol("x")
+    for n in range(2, 9):
+        for G in nx.nonisomorphic_trees(n):
+            T = PatternGraph(n, tuple((a + 1, b + 1) for a, b in G.edges()))
+            A = sympy.Matrix([[int(j in T.adjacency[i]) for j in T.vertices()]
+                              for i in T.vertices()])
+            lam = max(sympy.Poly(A.charpoly(x).as_expr(), x).real_roots())
+            s = lam**2
+            rational = sympy.degree(sympy.minimal_polynomial(s, x), x) == 1
+            B = gacs_tree_construction(T)
+            assert B.mode == ("exact" if rational else "float"), T
+            target = 1 / sympy.Rational(s) if rational else float(sympy.N(1 / s, 30))
+            for i, j in T.edges:
+                w_ij = B.weights[i - 1][T.adjacency[i].index(j)]
+                w_ji = B.weights[j - 1][T.adjacency[j].index(i)]
+                assert w_ij > 0 and w_ji > 0, (T, i, j)
+                if rational:
+                    assert w_ij * w_ji == F(int(target.p), int(target.q)), (T, i, j)
+                else:
+                    assert abs(w_ij * w_ji - target) <= 1e-12 * target, (T, i, j)
+
+
 def test_star_construct_triangle_below_threshold():
     B = star_decomposition_construct(complete_graph(3), (1, 2, 3), [F(3, 5)] * 3)
     assert B is not None
