@@ -797,6 +797,8 @@ def _tree_matching_weight_sums(
                 parent[u] = v
 
     def mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        if a == [_ONE]:   # each fold below starts from 1
+            return list(b)
         out = [_ZERO] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:
