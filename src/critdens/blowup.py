@@ -41,6 +41,7 @@ from typing import Mapping, Sequence
 from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
 from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 from .polynomials import AlgebraicNumber, largest_matching_root_squared
+from .verdict import Verdict
 
 FLOAT_TOL = 1e-9
 TRANSVERSAL_GUARD = 10**6
@@ -377,13 +378,10 @@ def star_decomposition_construct(
     appends a fresh slot of weight 1 - gamma; w_k is joined to old slots
     only, the fresh slot to everything in adjacent clusters except w_k.
     """
-    from .stars import monotone_path_tree  # local import to avoid a cycle
-    from .tree_decision import decide_tree
+    from .stars import star_necessary_condition  # local import to avoid a cycle
 
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
-    path_tree = monotone_path_tree(H, f)  # validates the labeling
-    lifted = {te: dens[he] for te, he in path_tree.edge_origin.items()}
-    if decide_tree(path_tree.tree, lifted).ensured:
+    if star_necessary_condition(H, dens, f) is Verdict.PASSES:
         return None
 
     n = H.n

@@ -207,9 +207,9 @@ def star_necessary_condition(
     ensure the monotone-path tree.  FailsThisLabeling certifies that a
     transversal-free construction with densities >= gamma exists."""
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
-    mpt = monotone_path_tree(H, f, weights=dens)
-    assert mpt.weights is not None
-    verdict = decide_tree(mpt.tree, mpt.weights)
+    mpt = monotone_path_tree(H, f)
+    lifted = {te: dens[he] for te, he in mpt.edge_origin.items()}
+    verdict = decide_tree(mpt.tree, lifted)
     return Verdict.PASSES if verdict.ensured else Verdict.FAILS
 
 
