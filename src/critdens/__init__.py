@@ -69,7 +69,6 @@ from .oracle import (
 from .polynomials import (
     AlgebraicNumber,
     RatPoly,
-    char_poly_identity_check,
     count_roots_in_unit_interval,
     largest_matching_root_squared,
     largest_real_root,

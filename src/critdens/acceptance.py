@@ -23,6 +23,7 @@ from .bounds import (
     bow_tie_counterexample_check,
     triangle_decide,
 )
+from .errors import ValidationError
 from .graphs import PatternGraph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import oracle_dcrit_estimate, oracle_find_transversal
 from .stars import (
@@ -301,4 +302,8 @@ def run_criterion(index: int) -> CriterionResult:
 
 def run_all(indices: Sequence[int] | None = None) -> list[CriterionResult]:
     picked = indices if indices is not None else range(1, len(CRITERIA) + 1)
+    bad = [i for i in picked if not 1 <= i <= len(CRITERIA)]
+    if bad:
+        raise ValidationError(
+            f"no criterion {bad[0]}: criteria are numbered 1..{len(CRITERIA)}")
     return [run_criterion(i) for i in picked]

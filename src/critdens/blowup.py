@@ -90,6 +90,9 @@ class WeightedBlowupGraph:
         for i, cluster in enumerate(self.weights, start=1):
             if not cluster:
                 raise ValidationError(f"cluster {i} is empty")
+            # A NaN weight would pass the sign and sum checks below.
+            if mode == "float" and not all(map(math.isfinite, cluster)):
+                raise ValidationError(f"non-finite weight in cluster {i}")
             if any(w < 0 for w in cluster):
                 raise ValidationError(f"negative weight in cluster {i}")
             total = sum(cluster)
@@ -236,7 +239,7 @@ class WeightedBlowupGraph:
                     raise ValidationError("slot ids must be 0..k-1")
                 clusters.append([parse(s["weight"]) for s in slots])
             edges = [((i, a), (j, b)) for i, a, j, b in obj["cross_edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValidationError(f"malformed blow-up object: {exc}") from None
         return WeightedBlowupGraph(pattern, clusters, edges, mode)
 

@@ -139,18 +139,12 @@ def _parse_densities(spec: str, H: PatternGraph):
     return values
 
 
-def _parse_labeling(text: str) -> tuple[int, ...]:
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """A comma list of integers: a labeling, cluster sizes, criteria."""
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ParseError(f"cannot parse labeling {text!r}") from None
-
-
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ParseError(f"cannot parse sizes {text!r}") from None
+        raise ParseError(f"cannot parse {what} {text!r}") from None
 
 
 # -- report helpers -------------------------------------------------------
@@ -353,7 +347,7 @@ def cmd_star_bound(args, rep: Reporter) -> int:
 
 def cmd_star_check(args, rep: Reporter) -> int:
     H = _load_graph(args.graph)
-    f = _parse_labeling(args.labeling)
+    f = _int_list(args.labeling, "labeling")
     dens = _parse_densities(args.densities, H)
     verdict = star_necessary_condition(H, dens, f)
     if args.export_tree is not None:
@@ -375,7 +369,7 @@ def cmd_construct(args, rep: Reporter) -> int:
     else:
         if args.labeling is None or args.densities is None:
             raise ParseError("star construction needs --labeling and --densities")
-        f = _parse_labeling(args.labeling)
+        f = _int_list(args.labeling, "labeling")
         dens = _parse_densities(args.densities, H)
         B = star_decomposition_construct(H, f, dens)
         if B is None:
@@ -419,7 +413,7 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
     H = _load_graph(args.graph)
     floor = _parse_densities(args.floor, H)
     cfg = SearchConfig(
-        cluster_size_bounds=_parse_sizes(args.sizes) if args.sizes else None,
+        cluster_size_bounds=_int_list(args.sizes, "sizes") if args.sizes else None,
         weight_grid_denominator=args.q,
         density_floor=floor,
         budget=args.budget,
@@ -448,7 +442,7 @@ def cmd_oracle_dcrit(args, rep: Reporter) -> int:
     H = _load_graph(args.graph)
     lo, hi = oracle_dcrit_estimate(
         H, q=args.q, tol=tol,
-        cluster_size_bounds=_parse_sizes(args.sizes) if args.sizes else None,
+        cluster_size_bounds=_int_list(args.sizes, "sizes") if args.sizes else None,
         budget=args.budget)
     rep.record("interval", name="dcrit_estimate", lo=str(lo), hi=str(hi),
                lo_decimal=float(lo), hi_decimal=float(hi))
@@ -488,7 +482,7 @@ def cmd_self_test(args, rep: Reporter) -> int:
 
     indices = None
     if args.criteria:
-        indices = [int(p) for p in args.criteria.split(",")]
+        indices = _int_list(args.criteria, "criteria")
     results = acceptance.run_all(indices)
     all_passed = True
     for r in results:

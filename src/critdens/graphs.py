@@ -12,6 +12,7 @@ newlines) separates tokens, so multi-line files are fine.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,8 +79,7 @@ class PatternGraph:
         return range(1, self.n + 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.adjacency[v]
+        return self.adjacency[self._check_vertex(v)]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -90,9 +90,8 @@ class PatternGraph:
         return max(len(nb) for nb in self.adjacency.values())
 
     def has_edge(self, i: int, j: int) -> bool:
-        self._check_vertex(i)
-        self._check_vertex(j)
-        return canonical_edge(i, j) in self.edge_index
+        return canonical_edge(self._check_vertex(i),
+                              self._check_vertex(j)) in self.edge_index
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -113,7 +112,7 @@ class PatternGraph:
     def bfs_order(self, start: int = 1) -> list[int]:
         """Vertices in BFS order from start, then any unreached ones in
         label order (so the result always covers the whole graph)."""
-        self._check_vertex(start)
+        start = self._check_vertex(start)
         seen = {start}
         order = [start]
         queue = deque([start])
@@ -138,9 +137,15 @@ class PatternGraph:
                             queue.append(u)
         return order
 
-    def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 1 <= v <= self.n):
+    def _check_vertex(self, v: int) -> int:
+        """v as a plain int; sympy and numpy integers pass too."""
+        try:
+            k = operator.index(v)
+        except TypeError:
+            raise VertexNotInGraph(f"vertex {v!r} is not an integer") from None
+        if not 1 <= k <= self.n:
             raise VertexNotInGraph(f"vertex {v!r} not in 1..{self.n}")
+        return k
 
     def to_text(self) -> str:
         body = " ".join(f"{i}-{j}" for i, j in self.edges)

@@ -13,14 +13,15 @@ only when a certificate fails.  No answer ever depends on floating point.
 An AlgebraicNumber is a real root pinned down by a square-free defining
 polynomial and an open isolating interval with rational endpoints; when the
 root happens to be rational the exact value is carried instead.  This is
-the common currency for spectral radii and critical densities: comparisons
-against rationals cost one Sturm count, never a float.
+the common currency for spectral radii and critical densities: the root in
+the interval is simple, so a comparison against a rational costs two sign
+evaluations, never a float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,9 +36,7 @@ from .errors import (
 from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 
 MAX_MATCHING_EDGES = 24
-MAX_CHARPOLY_VERTICES = 12
 
-Q = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -187,12 +186,9 @@ def sturm_chain(p: RatPoly) -> list[RatPoly]:
     return chain
 
 
-def _sign_variations(chain: Sequence[RatPoly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(v > 0)
+def _variations(values: Iterable[Fraction | int]) -> int:
+    """Sign variations of a sequence, zeros skipped."""
+    signs = [c > 0 for c in values if c]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -204,7 +200,8 @@ def sturm_count_open(chain: Sequence[RatPoly], lo: Fraction, hi: Fraction) -> in
     p = chain[0]
     if p(lo) == 0 or p(hi) == 0:
         raise ValidationError("Sturm count endpoints must not be roots")
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return (_variations(q(lo) for q in chain)
+            - _variations(q(hi) for q in chain))
 
 
 def cauchy_root_bound(p: RatPoly) -> Fraction:
@@ -236,12 +233,6 @@ def _integer_coeffs(p: RatPoly) -> list[int]:
     """p times a positive integer, with integer coefficients."""
     scale = math.lcm(*(c.denominator for c in p.coeffs))
     return [c.numerator * (scale // c.denominator) for c in p.coeffs]
-
-
-def _variations(coeffs: Iterable[int]) -> int:
-    """Sign variations of a coefficient sequence, zeros skipped."""
-    signs = [c > 0 for c in coeffs if c]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _unit_interval_variations(p: RatPoly) -> int:
@@ -301,17 +292,11 @@ class AlgebraicNumber:
     lo: Fraction
     hi: Fraction
     exact: Fraction | None = None
-    _chain: list[RatPoly] | None = field(default=None, repr=False)
 
     @staticmethod
     def from_rational(x: Fraction | int) -> "AlgebraicNumber":
         x = Fraction(x)
         return AlgebraicNumber(RatPoly([-x, _ONE]), x - 1, x + 1, exact=x)
-
-    def chain(self) -> list[RatPoly]:
-        if self._chain is None:
-            self._chain = sturm_chain(self.poly)
-        return self._chain
 
     def interval(self) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
@@ -363,11 +348,12 @@ class AlgebraicNumber:
             return 1
         if x >= self.hi:
             return -1
-        if self.poly(x) == 0:
+        v = self.poly(x)
+        if v == 0:
             return 0
-        below = _sign_variations(self.chain(), self.lo) \
-            - _sign_variations(self.chain(), x)
-        return -1 if below == 1 else 1
+        # poly changes sign only at its one root in (lo, hi), a simple
+        # root: x lies below it iff poly(x) has the sign of poly(lo).
+        return 1 if (v > 0) == (self.poly(self.lo) > 0) else -1
 
     def compare(self, other: "AlgebraicNumber") -> int:
         if other.exact is not None:
@@ -386,12 +372,9 @@ class AlgebraicNumber:
         g = poly_gcd(self.poly, other.poly)
         if g.degree >= 1:
             olo, ohi = max(self.lo, other.lo), min(self.hi, other.hi)
-            if olo < ohi:
-                for endpoint in (olo, ohi):
-                    if g.degree >= 1 and g(endpoint) == 0:
-                        g = g.deflate_root(endpoint)
-                if g.degree >= 1 and sturm_count_open(sturm_chain(g), olo, ohi) >= 1:
-                    return 0
+            # Interval ends are never roots of their polynomial, so of g.
+            if olo < ohi and sturm_count_open(sturm_chain(g), olo, ohi) >= 1:
+                return 0
         # Distinct values: refine until the intervals separate.
         while not (self.hi <= other.lo or other.hi <= self.lo):
             width = max(self.width(), other.width())
@@ -493,6 +476,12 @@ def _roots_above(c: Sequence[int], x: Fraction) -> int:
             acc = b[j] + num * acc
             b[j] = acc
     return _variations(b)
+
+
+def roots_above(p: RatPoly, x: Fraction) -> int:
+    """Roots strictly above x, with multiplicity, of the real-rooted p
+    (a matching polynomial or its even part, say)."""
+    return _roots_above(_integer_coeffs(p), x)
 
 
 def _is_root(c: Sequence[int], x: Fraction) -> bool:
@@ -903,57 +892,3 @@ def tree_spectral_radius(
     if T.n == 1:
         return AlgebraicNumber.from_rational(0)
     return largest_real_root(matching_polynomial(T), tol)
-
-
-def char_poly_identity_check(
-    T: PatternGraph, w: Mapping[Edge, Fraction] | Sequence[Fraction]
-) -> bool:
-    """Check det(tI - A_w) == t^n F(w^2, 1/t^2) t^n for a weighted tree,
-    where A_w is the weighted adjacency matrix.
-
-    The determinant is expanded independently (permutation expansion with
-    sparse pruning), so this cross-checks the matching recursion.
-    """
-    if not T.is_tree():
-        raise NotATree("identity check defined for trees")
-    if T.n > MAX_CHARPOLY_VERTICES:
-        raise SizeLimit(
-            f"characteristic polynomial capped at {MAX_CHARPOLY_VERTICES} "
-            f"vertices, got {T.n}")
-    weights = edge_assignment(T, w, what="weight")
-    n = T.n
-    # Matrix of RatPoly entries for tI - A.
-    t_poly = RatPoly([_ZERO, _ONE])
-    entries: dict[tuple[int, int], RatPoly] = {}
-    for i in range(1, n + 1):
-        entries[(i, i)] = t_poly
-    for (i, j), val in weights.items():
-        entries[(i, j)] = RatPoly([-val])
-        entries[(j, i)] = RatPoly([-val])
-
-    det = RatPoly([])
-    cols_of_row = {
-        i: [j for j in range(1, n + 1) if (i, j) in entries]
-        for i in range(1, n + 1)
-    }
-
-    def expand(row: int, used: int, acc: RatPoly, parity: int) -> None:
-        nonlocal det
-        if row > n:
-            det = det + (acc if parity % 2 == 0 else -acc)
-            return
-        for col in cols_of_row[row]:
-            bit = 1 << col
-            if used & bit:
-                continue
-            inversions = bin(used >> (col + 1)).count("1")
-            expand(row + 1, used | bit, acc * entries[(row, col)],
-                   parity + inversions)
-
-    expand(1, 0, RatPoly([_ONE]), 0)
-
-    counts = matching_weight_sums(T, lambda e: weights[e] ** 2)
-    rhs_coeffs = [_ZERO] * (n + 1)
-    for k, c in enumerate(counts):
-        rhs_coeffs[n - 2 * k] = (-1) ** k * c
-    return det == RatPoly(rhs_coeffs)

@@ -34,14 +34,11 @@ from .graphs import (
 )
 from .polynomials import (
     AlgebraicNumber,
-    cauchy_root_bound,
     largest_matching_root_squared,
     matching_even_part,
-    square_free_part,
-    sturm_chain,
-    sturm_count_open,
+    roots_above,
 )
-from .tree_decision import CriticalDensity, decide_tree
+from .tree_decision import CriticalDensity, _decide_from_ratios
 from .verdict import Verdict
 
 NODE_CAP = 10**5
@@ -208,9 +205,10 @@ def star_necessary_condition(
     transversal-free construction with densities >= gamma exists."""
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
     mpt = monotone_path_tree(H, f)
-    lifted = {te: dens[he] for te, he in mpt.edge_origin.items()}
-    verdict = decide_tree(mpt.tree, lifted)
-    return Verdict.PASSES if verdict.ensured else Verdict.FAILS
+    # gamma is range-checked on H, so skip decide_tree's check per tree edge.
+    ratios = {te: _ONE - dens[he] for te, he in mpt.edge_origin.items()}
+    decision = _decide_from_ratios(mpt.tree, ratios)
+    return Verdict.PASSES if decision.ensured else Verdict.FAILS
 
 
 def bipartite_star_density(n: int, m: int) -> Fraction:
@@ -233,7 +231,8 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9),
     monotone-path tree's spectral radius squared is exactly n + m - 1.
 
     The check is exact (the even part of the matching polynomial vanishes
-    at n+m-1 and has no larger root), which implies any positive tol."""
+    at n+m-1, and Descartes counts no larger root: matching polynomials
+    are real-rooted), which implies any positive tol."""
     if Fraction(tol) <= 0:
         raise ValidationError("tolerance must be positive")
     if n + m > cap:
@@ -247,15 +246,9 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9),
         if shape in seen:
             continue
         seen.add(shape)
-        q = square_free_part(matching_even_part(mpt.tree))
-        if q(target) != 0:
+        q = matching_even_part(mpt.tree)
+        if q(target) != 0 or roots_above(q, target) != 0:
             return False
-        deflated = q.deflate_root(target)
-        if deflated.degree >= 1:
-            bound = cauchy_root_bound(deflated)
-            if bound > target and sturm_count_open(
-                    sturm_chain(deflated), target, bound) > 0:
-                return False
     return True
 
 

@@ -128,7 +128,7 @@ def leaf_reduction_step(
     if not T.is_tree():
         raise NotATree("leaf reduction requires a tree")
     ratios = edge_assignment(T, r, low=_ZERO, what="ratio")
-    T._check_vertex(leaf)
+    leaf = T._check_vertex(leaf)
     if T.degree(leaf) != 1:
         raise NotALeaf(f"vertex {leaf} has degree {T.degree(leaf)}, not 1")
     if T.n < 3:

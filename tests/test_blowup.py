@@ -39,6 +39,18 @@ def test_weights_must_sum_to_one_per_cluster():
         _blowup(path_graph(2), [[], [F(1)]], [])
 
 
+@pytest.mark.parametrize("mode, weight", [
+    ("exact", "1/0"), ("exact", float("inf")),
+    ("float", "nan"), ("float", "inf"), ("float", float("nan")),
+])
+def test_bad_weights_in_a_blowup_file_are_rejected(mode, weight):
+    obj = _blowup(path_graph(2), [[F(1)], [F(1)]], [((1, 0), (2, 0))]).to_json_obj()
+    obj["mode"] = mode
+    obj["clusters"][0][0]["weight"] = weight
+    with pytest.raises(ValidationError):
+        WeightedBlowupGraph.from_json_obj(obj)
+
+
 def test_cross_edges_must_lie_on_pattern_edges():
     with pytest.raises(ValidationError):
         _blowup(path_graph(3), [[F(1)], [F(1)], [F(1)]],

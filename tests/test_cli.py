@@ -375,6 +375,18 @@ def test_star_check_exports_tree(k3, tmp_path):
     assert "node 3 = path 1>2>3" in out
 
 
+@pytest.mark.parametrize("criteria, message", [
+    ("0", "no criterion 0: criteria are numbered 1..11"),
+    ("12", "no criterion 12: criteria are numbered 1..11"),
+    ("1,12", "no criterion 12: criteria are numbered 1..11"),
+    ("x", "cannot parse criteria 'x'"),
+])
+def test_self_test_rejects_unknown_criteria(criteria, message, capsys):
+    code, out = _run(["self-test", "--criteria", criteria])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_commands():
     assert _run(["verify-bt1", "--n", "2", "--m", "3", "--tol", "1e-9"])[0] == 0
     assert _run(["verify-bowtie"])[0] == 0

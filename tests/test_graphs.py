@@ -95,6 +95,22 @@ def test_degrees_and_neighbors():
         H.degree(6)
 
 
+def test_integer_like_vertex_labels():
+    sympy = pytest.importorskip("sympy")
+    H = path_graph(3)
+    one, two = sympy.Integer(1), sympy.Integer(2)
+    assert H.has_edge(one, two) and not H.has_edge(one, sympy.Integer(3))
+    assert H.neighbors(two) == (1, 3)
+    assert H.bfs_order(two) == [2, 1, 3]
+    assert all(type(v) is int for v in H.bfs_order(two))
+    with pytest.raises(VertexNotInGraph, match="not in 1..3"):
+        H.has_edge(one, sympy.Integer(4))
+    with pytest.raises(VertexNotInGraph, match="is not an integer"):
+        H.has_edge(1.5, 2)
+    with pytest.raises(VertexNotInGraph, match="is not an integer"):
+        H.degree("1")
+
+
 def test_tree_and_connectivity_predicates():
     assert path_graph(5).is_tree()
     assert star_graph(6).is_tree()

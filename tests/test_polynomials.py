@@ -18,7 +18,6 @@ from critdens.polynomials import (
     AlgebraicNumber,
     RatPoly,
     cauchy_root_bound,
-    char_poly_identity_check,
     count_roots_in_unit_interval,
     largest_matching_root_squared,
     largest_real_root,
@@ -30,6 +29,7 @@ from critdens.polynomials import (
     poly_gcd,
     poly_to_strings,
     positive_on_unit_interval,
+    roots_above,
     simplest_fraction_between,
     square_free_part,
     sturm_chain,
@@ -91,6 +91,14 @@ def test_sturm_counting():
     assert sturm_count_open(chain, F(-2), F(2)) == 2
     assert sturm_count_open(chain, F(2), F(3)) == 0
     assert cauchy_root_bound(p) >= F(2)
+
+
+def test_roots_above_counts_multiplicity_for_real_rooted_polynomials():
+    p = RatPoly([F(-1, 2), 1]) * RatPoly([-2, 1]) * RatPoly([-2, 1])  # 1/2, 2, 2
+    assert [roots_above(p, x) for x in (F(-1), F(1, 2), F(1), F(2), F(3))] \
+        == [3, 2, 2, 0, 0]
+    assert roots_above(matching_even_part(star_graph(5)), F(4)) == 0
+    assert roots_above(matching_even_part(star_graph(5)), F(399, 100)) == 1
 
 
 def test_unit_interval_root_count_includes_endpoints():
@@ -248,8 +256,20 @@ def test_tree_spectral_radius_matches_known_values():
 
 
 def test_char_poly_identity_on_trees():
+    """det(tI - A_w) = sum_k (-1)^k c_k t^(n-2k) for a weighted tree, with
+    c_k the k-matching sums of the squared weights; sympy expands the
+    determinant independently of the matching recursion."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
     rng = random.Random(5150)
     for _ in range(40):
         T = _random_tree(rng, rng.randint(2, 8))
         w = {e: F(rng.randint(1, 9), rng.randint(1, 9)) for e in T.edges}
-        assert char_poly_identity_check(T, w)
+        A = sympy.zeros(T.n, T.n)
+        for (i, j), x in w.items():
+            A[i - 1, j - 1] = A[j - 1, i - 1] = sympy.Rational(x.numerator, x.denominator)
+        sums = matching_weight_sums(T, lambda e: w[e] ** 2)
+        want = [0] * (T.n + 1)          # highest power first
+        for k, c in enumerate(sums):
+            want[2 * k] = (-1) ** k * c
+        assert A.charpoly(t).all_coeffs() == want

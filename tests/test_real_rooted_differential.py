@@ -2,7 +2,8 @@
 checked against sympy's exact real-root isolation and against the Sturm
 path it replaces: same interval, same exact value, same defining
 polynomial, also when the float estimates are wrong and the Sturm path has
-to run."""
+to run.  Also AlgebraicNumber.compare_fraction, which decides the side of
+a rational by signs alone, against sympy on every real root."""
 
 from fractions import Fraction as F
 from unittest import mock
@@ -11,11 +12,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from critdens import polynomials
 from critdens.graphs import PatternGraph, path_graph, star_graph
 from critdens.polynomials import (
+    AlgebraicNumber,
+    RatPoly,
     largest_matching_root_squared,
     largest_real_root,
     matching_even_part,
@@ -161,3 +164,56 @@ def test_rational_roots_and_deflated_midpoints_stay_on_the_fast_path():
             assert _fields(x) == _fields(largest_real_root(matching_even_part(H)))
             assert x.exact == exact
     assert len(calls) == 3  # the three direct Sturm calls only
+
+
+@st.composite
+def square_free_polys(draw):
+    """A square-free integer polynomial with at least one real root: a
+    random integer factor times up to three distinct rational roots."""
+    roots = draw(st.lists(st.fractions(-5, 5, max_denominator=6),
+                          max_size=3, unique=True))
+    P = sympy.Poly(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6)), _S)
+    for r in roots:
+        P *= sympy.Poly(r.denominator * _S - r.numerator, _S)
+    assume(not P.is_zero and P.degree() >= 1)
+    P = P.sqf_part()
+    assume(P.real_roots())
+    return P
+
+
+def _rational(x):
+    """A rational within 10^-40 of the sympy real number x."""
+    q = sympy.Rational(str(sympy.N(x, 40)))
+    return F(q.p, q.q)
+
+
+def _sign(x):
+    return int(bool(x > 0)) - int(bool(x < 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_free_polys(), st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+       st.floats(0.01, 0.99))
+@example(sympy.Poly(_S**3 - 2 * _S, _S), 0.5, 0.5, 0.5)   # -sqrt 2, 0, sqrt 2
+@example(sympy.Poly(6 * _S**2 - 5 * _S + 1, _S), 0.9, 0.1, 0.9)  # 1/3, 1/2
+def test_compare_fraction_matches_sympy_on_every_root(P, a, b, c):
+    """Every real root r of P, pinned by an interval (lo, hi) that reaches
+    a random share of the way to its neighbours, compared against points
+    on both sides of r, the endpoints and r itself when rational; with
+    P and -P, so the sign of P at lo takes both values."""
+    coeffs = [F(int(k)) for k in reversed(P.all_coeffs())]
+    roots = P.real_roots()
+    a, b, c = (sympy.Rational(u) for u in (a, b, c))   # exact shares
+    for i, r in enumerate(roots):
+        left = roots[i - 1] if i else r - 1
+        right = roots[i + 1] if i + 1 < len(roots) else r + 1
+        lo, hi = _rational(r - (r - left) * a), _rational(r + (right - r) * b)
+        below, above = _rational(r - (r - lo) * c), _rational(r + (hi - r) * c)
+        points = [lo, below, above, hi]
+        if r.is_Rational:
+            points.append(F(r.p, r.q))
+        for poly in (RatPoly(coeffs), -RatPoly(coeffs)):
+            x = AlgebraicNumber(poly, lo, hi)
+            for q in points:
+                want = _sign(r - sympy.Rational(q.numerator, q.denominator))
+                assert x.compare_fraction(q) == want, (poly, lo, hi, q)
