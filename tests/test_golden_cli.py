@@ -81,6 +81,8 @@ CASES = [
     "star-check k3.g --labeling 1,2,3 --densities 1-2=0.5,1-3=1.5,2-3=0.5",
     "construct k3.g --method star --labeling 1,2,3 --densities 1-2=0.5,2-3=0.5",
     "oracle-search k3.g --floor 1.2",
+    # a search stopped by its budget (exit 3)
+    "oracle-search k3.g --floor 0.6 --budget 1",
     "glue k3.g k3.g --u1 1 --u2 1 --m1 1/2 --m2 1/2 --densities 0.5,0.5",
     # the eigenvector construction: lambda rational (star5), and float
     # mode (path4, lambda^2 irrational) written out and checked
