@@ -289,8 +289,15 @@ CRITERIA: Sequence[tuple[str, Callable[[], tuple[bool, str]]]] = (
 )
 
 
+def _criterion(index: int) -> tuple[str, Callable[[], tuple[bool, str]]]:
+    if not 1 <= index <= len(CRITERIA):
+        raise ValidationError(
+            f"no criterion {index}: criteria are numbered 1..{len(CRITERIA)}")
+    return CRITERIA[index - 1]
+
+
 def run_criterion(index: int) -> CriterionResult:
-    name, fn = CRITERIA[index - 1]
+    name, fn = _criterion(index)
     start = time.perf_counter()
     try:
         passed, detail = fn()
@@ -302,8 +309,6 @@ def run_criterion(index: int) -> CriterionResult:
 
 def run_all(indices: Sequence[int] | None = None) -> list[CriterionResult]:
     picked = indices if indices is not None else range(1, len(CRITERIA) + 1)
-    bad = [i for i in picked if not 1 <= i <= len(CRITERIA)]
-    if bad:
-        raise ValidationError(
-            f"no criterion {bad[0]}: criteria are numbered 1..{len(CRITERIA)}")
+    for i in picked:   # reject a bad index before running any criterion
+        _criterion(i)
     return [run_criterion(i) for i in picked]

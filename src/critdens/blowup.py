@@ -63,6 +63,16 @@ def _normalize_pair(a: Slot, b: Slot) -> tuple[Slot, Slot]:
     return (a, b) if a <= b else (b, a)
 
 
+def _exact_weight(w: Fraction | float, cluster: int) -> Fraction:
+    """w as a Fraction.  Fraction() rejects NaN, infinities and malformed
+    text with bare ValueError or ArithmeticError subclasses."""
+    try:
+        return Fraction(w)
+    except (ValueError, ArithmeticError):
+        raise ValidationError(
+            f"weight {w!r} in cluster {cluster} is not a finite rational") from None
+
+
 class WeightedBlowupGraph:
     """Immutable weighted blow-up of a pattern graph."""
 
@@ -83,7 +93,8 @@ class WeightedBlowupGraph:
         self.mode = mode
         if mode == "exact":
             self.weights: tuple[tuple, ...] = tuple(
-                tuple(Fraction(w) for w in cluster) for cluster in weights)
+                tuple(_exact_weight(w, i) for w in cluster)
+                for i, cluster in enumerate(weights, start=1))
         else:
             self.weights = tuple(
                 tuple(float(w) for w in cluster) for cluster in weights)

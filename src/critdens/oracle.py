@@ -14,6 +14,27 @@ proof about real weights.
 Weights are multiples of 1/q, so the search runs on integer numerators:
 the missing mass of an edge is an integer out of q*q, and density floors
 become integer mass ceilings.
+
+Three rules keep the floor search off subtrees that hold no result, so
+the configurations, their order, the weights found and every verdict
+are those of the plain enumeration:
+
+* Banned siblings.  Covers are built by adding, for the first transversal
+  not yet blocked, each slot pair that blocks it; once a pair has been
+  tried, the subtrees of the later siblings exclude it.  Every set of
+  pairs is then reached once instead of once per order of its pairs.
+* Feasible intervals.  A size-2 cluster has one degree of freedom x, its
+  first slot weight, and each closed edge's mass is linear in x; the
+  search loops only over the interval of x that keeps every closed edge
+  within its ceiling.
+* Look-ahead.  Once a cluster is placed, an edge to a cluster not yet
+  placed is bounded below by its mass at that cluster's cheapest
+  composition; a prefix whose bound already exceeds a ceiling is cut.
+
+The budget counts nodes actually expanded (cover-tree nodes and weight
+assignments tried), so the pruning spends less of it than the plain
+enumeration would.  An exhausted budget names the cluster-size vector
+and the configuration index (the one --checkpoint counts) it stopped at.
 """
 
 from __future__ import annotations
@@ -24,7 +45,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blowup import TRANSVERSAL_GUARD, Transversal, WeightedBlowupGraph
 from .errors import BudgetExhausted, ParseError, SizeLimit, ValidationError
@@ -97,15 +118,29 @@ def oracle_find_transversal(B: WeightedBlowupGraph) -> Transversal | None:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Node expansions left.  The searches keep sizes, config and phase
+    at their position, so an exhausted budget says where it stopped:
+    config is the index --checkpoint counts, and while a size vector's
+    covers are listed it is the index of the first of them."""
+
+    __slots__ = ("left", "sizes", "config", "phase")
 
     def __init__(self, amount: int) -> None:
         self.left = amount
+        self.listing((), 0)
 
-    def spend(self, n: int = 1) -> None:
-        self.left -= n
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
-            raise BudgetExhausted("search budget exhausted")
+            raise BudgetExhausted(
+                f"search budget exhausted at configuration {self.config}, "
+                f"cluster sizes {list(self.sizes)}, {self.phase}")
+
+    def listing(self, sizes: tuple[int, ...], config: int) -> None:
+        self.sizes, self.config, self.phase = sizes, config, "listing minimal covers"
+
+    def searching(self, config: int) -> None:
+        self.config, self.phase = config, "searching weights"
 
 
 def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
@@ -139,12 +174,9 @@ def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
 
     found: set[frozenset[int]] = set()
 
-    def branch(chosen: tuple[int, ...], covered: int) -> None:
+    def branch(chosen: tuple[int, ...], covered: int, banned: int) -> None:
         budget.spend()
         if covered == full:
-            key = frozenset(chosen)
-            if key in found:
-                return
             # keep only inclusion-minimal covers
             for p in chosen:
                 rest = 0
@@ -153,15 +185,19 @@ def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
                         rest |= masks[r]
                 if rest == full:
                     return
-            found.add(key)
+            found.add(frozenset(chosen))
             return
         first = (~covered & full)
         first = (first & -first).bit_length() - 1
+        # A pair tried here is banned from its later siblings' subtrees:
+        # those subtrees hold exactly the covers without it, so every set
+        # of pairs is reached once.
         for p in by_transversal[first]:
-            if p not in chosen:
-                branch(chosen + (p,), covered | masks[p])
+            if not banned >> p & 1:
+                branch(chosen + (p,), covered | masks[p], banned)
+                banned |= 1 << p
 
-    branch((), 0)
+    branch((), 0, 0)
 
     perm_spaces = [list(itertools.permutations(range(k))) for k in sizes]
 
@@ -198,11 +234,13 @@ class _WeightSearch:
     Clusters are assigned in vertex order; an edge's integer missing
     mass (out of q*q) is checked as soon as both endpoints are set.
     Floor mode finds the lexicographically first weight matrix whose
-    masses stay within the per-edge ceilings; maxmin mode minimizes the
-    maximum mass (i.e. maximizes the minimum density), strictly beating
-    a known bound.  A last cluster of size <= 2 has one degree of
-    freedom, closed edges linear in it, so it is solved directly
-    instead of enumerated.
+    masses stay within the per-edge ceilings, trying a size-2 cluster
+    only on its feasible interval and cutting a prefix as soon as an
+    edge to a later cluster cannot meet its ceiling.  Maxmin mode
+    minimizes the maximum mass (i.e. maximizes the minimum density),
+    strictly beating a known bound; a last cluster of size <= 2 has one
+    degree of freedom, closed edges linear in it, so it is solved
+    directly instead of enumerated.
     """
 
     def __init__(self, H: PatternGraph, sizes: Sequence[int], cover: Cover,
@@ -229,10 +267,9 @@ class _WeightSearch:
         wi, wj = self.weights[i], self.weights[j]
         return sum(wi[a] * wj[b] for a, b in self.cover_on.get(e, ()))
 
-    def _last_lines(self) -> list[tuple[Edge, int, int]]:
-        """Closed-edge masses at the last cluster as linear functions
-        A*x + B*(q-x) of its first slot weight x (size-2 clusters)."""
-        v = self.n
+    def _lines(self, v: int) -> list[tuple[Edge, int, int]]:
+        """Closed-edge masses at a size-2 cluster v as linear functions
+        A*x + B*(q-x) of its first slot weight x."""
         lines = []
         for e in self.closing[v]:
             i, j = e
@@ -253,52 +290,66 @@ class _WeightSearch:
     def first_meeting_floor(self, ceilings: Mapping[Edge, int]
                             ) -> tuple[tuple[int, ...], ...] | None:
         self.ceilings = ceilings
+        # per cluster v, its covered edges to later clusters j: (edge, k_j, pairs)
+        self.ahead: list[list[tuple[Edge, int, list[tuple[int, int]]]]] = [
+            [] for _ in range(self.n + 1)]
+        for e, pairs in self.cover_on.items():
+            self.ahead[e[0]].append((e, self.sizes[e[1] - 1], pairs))
         return self._floor_dfs(1)
 
     def _floor_dfs(self, v: int) -> tuple[tuple[int, ...], ...] | None:
-        if v == self.n and self.sizes[v - 1] <= 2:
-            self.budget.spend()
-            x = self._floor_last()
-            if x is None:
-                return None
-            self.weights[v] = x
-            return tuple(self.weights[1:])
         if v > self.n:
             return tuple(self.weights[1:])
-        for comp in self.comps[v]:
+        q = self.q
+        if self.sizes[v - 1] == 2:
+            lo, hi = self._floor_interval(v)
+            comps: Iterable[tuple[int, ...]] = ((x, q - x) for x in range(lo, hi + 1))
+            closed: list[Edge] = []   # the interval already keeps them
+        else:
+            comps, closed = self.comps[v], self.closing[v]
+        for comp in comps:
             self.budget.spend()
             self.weights[v] = comp
-            if all(self._mass(e) <= self.ceilings[e] for e in self.closing[v]):
+            if (all(self._mass(e) <= self.ceilings[e] for e in closed)
+                    and self._floor_ahead(v)):
                 out = self._floor_dfs(v + 1)
                 if out is not None:
                     return out
         self.weights[v] = None
         return None
 
-    def _floor_last(self) -> tuple[int, ...] | None:
-        """Smallest feasible composition for the last cluster: every
-        constraint A*x + B*(q-x) <= C is linear, so the feasible x form
-        an interval of the grid."""
+    def _floor_interval(self, v: int) -> tuple[int, int]:
+        """The first slot weights x in [lo, hi] of a size-2 cluster v that
+        keep its closed edges within their ceilings: every constraint
+        A*x + B*(q-x) <= C is linear, so the feasible x form an interval
+        of the grid (empty when lo > hi)."""
         q = self.q
-        if self.sizes[-1] == 1:
-            self.weights[self.n] = (q,)
-            ok = all(self._mass(e) <= self.ceilings[e]
-                     for e in self.closing[self.n])
-            self.weights[self.n] = None
-            return (q,) if ok else None
         lo, hi = 1, q - 1
-        for e, A, B in self._last_lines():
+        for e, A, B in self._lines(v):
             # A*x + B*(q-x) <= C  <=>  (A-B)*x <= C - B*q
             d = A - B
             rhs = self.ceilings[e] - B * q
-            if d == 0:
-                if rhs < 0:
-                    return None
-            elif d > 0:
-                hi = min(hi, math.floor(Fraction(rhs, d)))
-            else:
-                lo = max(lo, math.ceil(Fraction(rhs, d)))
-        return (lo, q - lo) if lo <= hi else None
+            if d > 0:
+                hi = min(hi, rhs // d)
+            elif d < 0:
+                lo = max(lo, -(-rhs // d))
+            elif rhs < 0:
+                return 1, 0
+        return lo, hi
+
+    def _floor_ahead(self, v: int) -> bool:
+        """Whether each edge from cluster v to a later cluster j can still
+        meet its ceiling.  With v placed the edge's mass is sum c_b w_b over
+        j's slots; every w_b >= 1 and they sum to q, so its least value is
+        sum c_b + (q - k_j) * min c_b."""
+        wv = self.weights[v]
+        for e, k, pairs in self.ahead[v]:
+            c = [0] * k
+            for a, b in pairs:
+                c[b] += wv[a]
+            if sum(c) + (self.q - k) * min(c) > self.ceilings[e]:
+                return False
+        return True
 
     # -- maxmin mode -----------------------------------------------------
 
@@ -349,7 +400,7 @@ class _WeightSearch:
                 m = max(m, self._mass(e))
             self.weights[self.n] = None
             return (m, (q,)) if m < self.best else None
-        lines = self._last_lines()
+        lines = self._lines(self.n)
 
         def value(x: int) -> int:
             m = cur
@@ -475,11 +526,13 @@ def oracle_search_construction(
     config_index = -1
     try:
         for sizes in _size_vectors(bounds):
+            budget.listing(sizes, config_index + 1)
             covers = _minimal_covers(H, sizes, budget)
             for cover in covers:
                 config_index += 1
                 if config_index <= done:
                     continue
+                budget.searching(config_index)
                 search = _WeightSearch(H, sizes, cover, q, budget)
                 weights = (search.first_meeting_floor(ceilings)
                            if search.feasible() else None)
@@ -506,8 +559,12 @@ def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,
     """Max over grid configurations of the min realized density: the
     highest homogeneous floor any transversal-free grid blow-up meets."""
     best_mass = q * q + 1
+    config_index = -1
     for sizes in _size_vectors(bounds):
+        budget.listing(sizes, config_index + 1)
         for cover in _minimal_covers(H, sizes, budget):
+            config_index += 1
+            budget.searching(config_index)
             search = _WeightSearch(H, sizes, cover, q, budget)
             if not search.feasible():
                 continue

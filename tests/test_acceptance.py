@@ -3,6 +3,7 @@
 import pytest
 
 from critdens import acceptance
+from critdens.errors import ValidationError
 
 
 @pytest.mark.parametrize(
@@ -15,3 +16,9 @@ def test_criterion(index, capsys):
         print(f"\ncriterion {result.index:2d} [{status}] "
               f"({result.seconds:6.2f}s) {result.name}: {result.detail}")
     assert result.passed, f"criterion {index} failed: {result.detail}"
+
+
+@pytest.mark.parametrize("index", [0, len(acceptance.CRITERIA) + 1])
+def test_run_criterion_rejects_indices_outside_the_suite(index):
+    with pytest.raises(ValidationError, match=f"no criterion {index}: "):
+        acceptance.run_criterion(index)

@@ -51,6 +51,12 @@ def test_bad_weights_in_a_blowup_file_are_rejected(mode, weight):
         WeightedBlowupGraph.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_exact_weights_are_rejected(weight):
+    with pytest.raises(ValidationError, match="not a finite rational"):
+        WeightedBlowupGraph(path_graph(2), [[weight], [1]], [], "exact")
+
+
 def test_cross_edges_must_lie_on_pattern_edges():
     with pytest.raises(ValidationError):
         _blowup(path_graph(3), [[F(1)], [F(1)], [F(1)]],

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -115,13 +116,14 @@ def test_search_is_deterministic():
     assert a.to_json() == b.to_json()
 
 
-def test_search_recovers_bow_tie_reconstruction():
+def _bow_tie_recovery_floor():
     floor = {e: F(17, 20) for e in bow_tie_graph().edges}
     floor[(2, 3)] = F(51, 100)
     floor[(4, 5)] = F(51, 100)
-    cfg = SearchConfig(cluster_size_bounds=(2, 2, 2, 2, 2),
-                       weight_grid_denominator=10, density_floor=floor)
-    B = oracle_search_construction(bow_tie_graph(), cfg)
+    return floor
+
+
+def _assert_bow_tie_reconstruction(B):
     assert B is not None
     assert B.weights == (
         (F(1, 2), F(1, 2)),
@@ -136,11 +138,56 @@ def test_search_recovers_bow_tie_reconstruction():
     assert B.find_transversal() is None
 
 
+def test_search_recovers_bow_tie_reconstruction():
+    cfg = SearchConfig(cluster_size_bounds=(2, 2, 2, 2, 2),
+                       weight_grid_denominator=10,
+                       density_floor=_bow_tie_recovery_floor())
+    _assert_bow_tie_reconstruction(oracle_search_construction(bow_tie_graph(), cfg))
+
+
+def test_bow_tie_recovery_with_default_bounds_fits_a_small_budget():
+    # Every minimal cover is listed once and weight prefixes that cannot
+    # meet the floor are cut, so the default size bounds (4, 2, 2, 2, 2)
+    # reach the reconstruction in well under 200,000 node expansions.
+    cfg = SearchConfig(weight_grid_denominator=10,
+                       density_floor=_bow_tie_recovery_floor(), budget=200_000)
+    _assert_bow_tie_reconstruction(oracle_search_construction(bow_tie_graph(), cfg))
+
+
 def test_budget_exhaustion_is_distinct_from_none():
     cfg = SearchConfig(weight_grid_denominator=10,
                        density_floor=[F(3, 5)] * 3, budget=1)
     with pytest.raises(BudgetExhausted):
         oracle_search_construction(complete_graph(3), cfg)
+
+
+def test_budget_exhaustion_names_its_position(tmp_path):
+    """An exhausted search names the configuration it was working on, by
+    the index the progress records (and the checkpoint) count."""
+    phases = set()
+    for budget in range(1, 1200, 7):
+        cfg = SearchConfig(weight_grid_denominator=10,
+                           density_floor=[F(13, 20)] * 3, budget=budget)
+        progress = tmp_path / f"progress-{budget}.jsonl"
+        try:
+            oracle_search_construction(complete_graph(3), cfg,
+                                       progress_path=str(progress))
+        except BudgetExhausted as exc:
+            lines = [json.loads(l) for l in progress.read_text().splitlines()]
+            where = re.fullmatch(
+                r"search budget exhausted at configuration (\d+), cluster "
+                r"sizes (\[[\d, ]+\]), (listing minimal covers|searching weights)",
+                str(exc))
+            assert where is not None, str(exc)
+            assert int(where[1]) == len(lines)
+            assert all(l["sizes"] <= json.loads(where[2]) for l in lines)
+            phases.add(where[3])
+        else:
+            break
+    assert phases == {"listing minimal covers", "searching weights"}
+    with pytest.raises(BudgetExhausted, match=r"configuration 0, cluster sizes "
+                       r"\[1, 1, 1\], listing minimal covers"):
+        oracle_dcrit_estimate(complete_graph(3), q=10, budget=1)
 
 
 def test_progress_and_checkpoint(tmp_path):
