@@ -32,6 +32,8 @@ INPUTS = {
     "star5.g": "5; 1-2 1-3 1-4 1-5\n",
     "k3.g": "3; 1-2 1-3 2-3\n",
     "k4.g": "4; 1-2 1-3 1-4 2-3 2-4 3-4\n",
+    "star4.g": "4; 1-2 1-3 1-4\n",
+    "paw.g": "4; 1-2 1-3 2-3 3-4\n",
     # a one-slot-per-cluster blow-up of P3 with every cross pair present
     "full.json": json.dumps({
         "pattern": {"n": 3, "edges": [[1, 2], [2, 3]]},
@@ -89,6 +91,12 @@ CASES = [
     "construct star5.g --method gacs",
     "construct path4.g --method gacs --out p4.json",
     "check-transversal p4.json --oracle",
+    # the maxmin weight search: a size-3 cluster (S4), size-2 clusters
+    # only (P4), a triangle with a pendant edge, and capped sizes
+    "oracle-dcrit star4.g --q 50",
+    "oracle-dcrit path4.g --q 50",
+    "oracle-dcrit paw.g --q 10",
+    "oracle-dcrit k3.g --q 20 --sizes 1,2,2",
 ]
 
 
