@@ -15,26 +15,33 @@ Weights are multiples of 1/q, so the search runs on integer numerators:
 the missing mass of an edge is an integer out of q*q, and density floors
 become integer mass ceilings.
 
-Three rules keep the floor search off subtrees that hold no result, so
-the configurations, their order, the weights found and every verdict
-are those of the plain enumeration:
+The weight search has two modes.  Floor mode (oracle-search) holds each
+edge's mass to the ceiling its density floor sets and stops at the first
+weights within them.  Maxmin mode (oracle-dcrit) minimizes the largest
+mass: it is floor mode with every ceiling at best - 1, lowered each time
+a better configuration is found.  Three rules keep both off subtrees
+that hold no result, so the configurations, their order, the weights
+found, the optimum and every verdict are those of the plain enumeration:
 
 * Banned siblings.  Covers are built by adding, for the first transversal
   not yet blocked, each slot pair that blocks it; once a pair has been
   tried, the subtrees of the later siblings exclude it.  Every set of
   pairs is then reached once instead of once per order of its pairs.
 * Feasible intervals.  A size-2 cluster has one degree of freedom x, its
-  first slot weight, and each closed edge's mass is linear in x; the
-  search loops only over the interval of x that keeps every closed edge
-  within its ceiling.
-* Look-ahead.  Once a cluster is placed, an edge to a cluster not yet
-  placed is bounded below by its mass at that cluster's cheapest
-  composition; a prefix whose bound already exceeds a ceiling is cut.
+  first slot weight (a size-1 cluster's only weight is q), and each
+  closed edge's mass is linear in x; the search tries only the interval
+  of x that keeps every closed edge within its ceiling.
+* Look-ahead.  Once a cluster is placed, each later cluster joined to it
+  must still have room: a size <= 2 cluster a non-empty interval under
+  all its placed neighbours, a larger one the new edge's mass at its
+  cheapest composition within the ceiling; a prefix failing either is
+  cut.
 
 The budget counts nodes actually expanded (cover-tree nodes and weight
 assignments tried), so the pruning spends less of it than the plain
 enumeration would.  An exhausted budget names the cluster-size vector
-and the configuration index (the one --checkpoint counts) it stopped at.
+and the configuration index (the one --checkpoint counts) it stopped at;
+in maxmin mode also the best grid density reached so far.
 """
 
 from __future__ import annotations
@@ -58,6 +65,9 @@ _ONE = Fraction(1)
 
 Pair = tuple[tuple[int, int], tuple[int, int]]   # ((i, a), (j, b)), i < j
 Cover = tuple[Pair, ...]
+# a covered edge (i, j) into a cluster j of size <= 2: the edge, the slots
+# of i paired with j's first slot, and those paired with its second
+Into = tuple[Edge, list[int], list[int]]
 
 
 @dataclass
@@ -231,101 +241,107 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 class _WeightSearch:
     """Grid-weight DFS for one (size vector, cover) configuration.
 
-    Clusters are assigned in vertex order; an edge's integer missing
-    mass (out of q*q) is checked as soon as both endpoints are set.
-    Floor mode finds the lexicographically first weight matrix whose
-    masses stay within the per-edge ceilings, trying a size-2 cluster
-    only on its feasible interval and cutting a prefix as soon as an
-    edge to a later cluster cannot meet its ceiling.  Maxmin mode
-    minimizes the maximum mass (i.e. maximizes the minimum density),
-    strictly beating a known bound; a last cluster of size <= 2 has one
-    degree of freedom, closed edges linear in it, so it is solved
-    directly instead of enumerated.
+    Clusters are assigned in vertex order, each edge's integer missing
+    mass (out of q*q) held to a ceiling.  Floor mode finds the
+    lexicographically first weight matrix within the per-edge ceilings
+    the density floor sets.  Maxmin mode minimizes the maximum mass
+    (i.e. maximizes the minimum density): it is floor mode with every
+    ceiling at best - 1, lowered each time a leaf improves best.  Both
+    modes share the pruning, which cuts only subtrees without a leaf
+    within the current ceilings, so the leaves reached (and the order in
+    which they improve best) are those of the plain enumeration:
+
+    * a size-2 cluster has one degree of freedom x, its first slot weight
+      (a size-1 cluster's only weight is q), and each closed edge's mass
+      is linear in x; only the interval of x keeping them within their
+      ceilings is tried;
+    * once a cluster v is placed, each later cluster j sharing a covered
+      edge with it is checked: for |A_j| <= 2 the interval of j's first
+      weight under all of j's placed neighbours must be non-empty, for
+      |A_j| >= 3 the edge (v, j) must fit its ceiling at j's cheapest
+      composition.
+
+    In maxmin mode a last cluster of size <= 2 is solved directly
+    instead of enumerated.
+
+    compositions maps a cluster size >= 3 to its weight tuples; a search
+    over many configurations passes one dict so each list is built once.
     """
 
     def __init__(self, H: PatternGraph, sizes: Sequence[int], cover: Cover,
-                 q: int, budget: _Budget) -> None:
+                 q: int, budget: _Budget,
+                 compositions: dict[int, list[tuple[int, ...]]] | None = None
+                 ) -> None:
         self.n = H.n
         self.q = q
         self.budget = budget
+        self.sizes = tuple(sizes)
         self.cover_on: dict[Edge, list[tuple[int, int]]] = {}
         for (i, a), (j, b) in cover:
             self.cover_on.setdefault((i, j), []).append((a, b))
+        # covered edges only: an edge without missing pairs has mass 0,
+        # within every ceiling
         self.closing: list[list[Edge]] = [[] for _ in range(H.n + 1)]
-        for e in H.edges:
-            self.closing[max(e)].append(e)
-        self.comps: list[list[tuple[int, ...]]] = [[]] + [
-            _compositions(q, sizes[v - 1]) for v in range(1, H.n + 1)]
-        self.sizes = tuple(sizes)
+        self.into: list[list[Into]] = [[] for _ in range(H.n + 1)]
+        for e, pairs in self.cover_on.items():
+            self.closing[e[1]].append(e)
+            if self.sizes[e[1] - 1] <= 2:
+                self.into[e[1]].append((e, [a for a, b in pairs if b == 0],
+                                        [a for a, b in pairs if b == 1]))
+        # look-ahead from cluster v: later clusters j of size <= 2 with the
+        # covered edges (i, j), i <= v; edges (v, j) to larger clusters
+        self.near: list[list[tuple[int, list[Into]]]] = [[] for _ in range(H.n + 1)]
+        self.far: list[list[tuple[Edge, int, list[tuple[int, int]]]]] = [
+            [] for _ in range(H.n + 1)]
+        for (i, j), pairs in self.cover_on.items():
+            k = self.sizes[j - 1]
+            if k <= 2:
+                self.near[i].append((j, [t for t in self.into[j] if t[0][0] <= i]))
+            else:
+                self.far[i].append(((i, j), k, pairs))
+        if compositions is None:
+            compositions = {}
+        self.comps: list[list[tuple[int, ...]]] = [[] for _ in range(H.n + 1)]
+        for v, k in enumerate(self.sizes, 1):
+            if k >= 3:
+                if k not in compositions:
+                    compositions[k] = _compositions(q, k)
+                self.comps[v] = compositions[k]
         self.weights: list[tuple[int, ...] | None] = [None] * (H.n + 1)
+        self.ceilings: Mapping[Edge, int] = {}
 
     def feasible(self) -> bool:
-        return all(self.comps[v] for v in range(1, self.n + 1))
+        """Whether every cluster has a weight tuple: k positive parts of q."""
+        return self.q >= max(self.sizes)
 
     def _mass(self, e: Edge) -> int:
         i, j = e
         wi, wj = self.weights[i], self.weights[j]
-        return sum(wi[a] * wj[b] for a, b in self.cover_on.get(e, ()))
+        return sum(wi[a] * wj[b] for a, b in self.cover_on[e])
 
-    def _lines(self, v: int) -> list[tuple[Edge, int, int]]:
-        """Closed-edge masses at a size-2 cluster v as linear functions
-        A*x + B*(q-x) of its first slot weight x."""
+    def _lines(self, into: Iterable[Into]) -> list[tuple[Edge, int, int]]:
+        """Masses of edges (i, j) into a cluster j of size <= 2, i placed,
+        as linear functions A*x + B*(q-x) of j's first slot weight x."""
         lines = []
-        for e in self.closing[v]:
-            i, j = e
-            other = i if j == v else j
-            wo = self.weights[other]
+        for e, first, second in into:
+            wi = self.weights[e[0]]
             A = B = 0
-            for a, b in self.cover_on.get(e, ()):
-                oa, vb = (a, b) if i == other else (b, a)
-                if vb == 0:
-                    A += wo[oa]
-                else:
-                    B += wo[oa]
+            for a in first:
+                A += wi[a]
+            for a in second:
+                B += wi[a]
             lines.append((e, A, B))
         return lines
 
-    # -- floor mode ------------------------------------------------------
-
-    def first_meeting_floor(self, ceilings: Mapping[Edge, int]
-                            ) -> tuple[tuple[int, ...], ...] | None:
-        self.ceilings = ceilings
-        # per cluster v, its covered edges to later clusters j: (edge, k_j, pairs)
-        self.ahead: list[list[tuple[Edge, int, list[tuple[int, int]]]]] = [
-            [] for _ in range(self.n + 1)]
-        for e, pairs in self.cover_on.items():
-            self.ahead[e[0]].append((e, self.sizes[e[1] - 1], pairs))
-        return self._floor_dfs(1)
-
-    def _floor_dfs(self, v: int) -> tuple[tuple[int, ...], ...] | None:
-        if v > self.n:
-            return tuple(self.weights[1:])
-        q = self.q
-        if self.sizes[v - 1] == 2:
-            lo, hi = self._floor_interval(v)
-            comps: Iterable[tuple[int, ...]] = ((x, q - x) for x in range(lo, hi + 1))
-            closed: list[Edge] = []   # the interval already keeps them
-        else:
-            comps, closed = self.comps[v], self.closing[v]
-        for comp in comps:
-            self.budget.spend()
-            self.weights[v] = comp
-            if (all(self._mass(e) <= self.ceilings[e] for e in closed)
-                    and self._floor_ahead(v)):
-                out = self._floor_dfs(v + 1)
-                if out is not None:
-                    return out
-        self.weights[v] = None
-        return None
-
-    def _floor_interval(self, v: int) -> tuple[int, int]:
-        """The first slot weights x in [lo, hi] of a size-2 cluster v that
-        keep its closed edges within their ceilings: every constraint
+    def _interval(self, v: int, lines: Iterable[tuple[Edge, int, int]]
+                  ) -> tuple[int, int]:
+        """The first slot weights x in [lo, hi] of a cluster v of size <= 2
+        that keep the given lines within their ceilings: every constraint
         A*x + B*(q-x) <= C is linear, so the feasible x form an interval
-        of the grid (empty when lo > hi)."""
+        of the grid (empty when lo > hi).  A size-1 cluster's x is q."""
         q = self.q
-        lo, hi = 1, q - 1
-        for e, A, B in self._lines(v):
+        lo, hi = (1, q - 1) if self.sizes[v - 1] == 2 else (q, q)
+        for e, A, B in lines:
             # A*x + B*(q-x) <= C  <=>  (A-B)*x <= C - B*q
             d = A - B
             rhs = self.ceilings[e] - B * q
@@ -337,13 +353,19 @@ class _WeightSearch:
                 return 1, 0
         return lo, hi
 
-    def _floor_ahead(self, v: int) -> bool:
-        """Whether each edge from cluster v to a later cluster j can still
-        meet its ceiling.  With v placed the edge's mass is sum c_b w_b over
-        j's slots; every w_b >= 1 and they sum to q, so its least value is
+    def _ahead(self, v: int) -> bool:
+        """Whether every later cluster joined to the just-placed cluster v
+        can still be placed within the ceilings.  A cluster j of size <= 2
+        needs a non-empty interval under all its placed neighbours.  For a
+        larger j the edge's mass is sum c_b w_b over j's slots; every
+        w_b >= 1 and they sum to q, so its least value is
         sum c_b + (q - k_j) * min c_b."""
+        for j, into in self.near[v]:
+            lo, hi = self._interval(j, self._lines(into))
+            if lo > hi:
+                return False
         wv = self.weights[v]
-        for e, k, pairs in self.ahead[v]:
+        for e, k, pairs in self.far[v]:
             c = [0] * k
             for a, b in pairs:
                 c[b] += wv[a]
@@ -351,44 +373,105 @@ class _WeightSearch:
                 return False
         return True
 
+    # -- floor mode ------------------------------------------------------
+
+    def first_meeting_floor(self, ceilings: Mapping[Edge, int]
+                            ) -> tuple[tuple[int, ...], ...] | None:
+        self.ceilings = ceilings
+        return self._floor_dfs(1)
+
+    def _floor_dfs(self, v: int) -> tuple[tuple[int, ...], ...] | None:
+        if v > self.n:
+            return tuple(self.weights[1:])
+        q, k = self.q, self.sizes[v - 1]
+        if k <= 2:
+            lo, hi = self._interval(v, self._lines(self.into[v]))
+            # (q, 0)[:1] is a size-1 cluster's only weight tuple
+            comps: Iterable[tuple[int, ...]] = (
+                (x, q - x)[:k] for x in range(lo, hi + 1))
+            closed: list[Edge] = []   # the interval already keeps them
+        else:
+            comps, closed = self.comps[v], self.closing[v]
+        for comp in comps:
+            self.budget.spend()
+            self.weights[v] = comp
+            if (all(self._mass(e) <= self.ceilings[e] for e in closed)
+                    and self._ahead(v)):
+                out = self._floor_dfs(v + 1)
+                if out is not None:
+                    return out
+        self.weights[v] = None
+        return None
+
     # -- maxmin mode -----------------------------------------------------
 
     def best_maxmin(self, best_mass: int) -> tuple[int, tuple] | None:
         """Smallest achievable maximum mass strictly below best_mass,
         with a witness weight matrix; None when the bound stands."""
-        self.best = best_mass
         self.best_weights: tuple | None = None
+        self._lower(best_mass)
         self._maxmin_dfs(1, 0)
         if self.best_weights is None:
             return None
         return self.best, self.best_weights
 
+    def _lower(self, best: int) -> None:
+        """Make best the mass to beat: every ceiling becomes best - 1."""
+        self.best = best
+        self.ceilings = dict.fromkeys(self.cover_on, best - 1)
+
+    def _improve(self, mass: int) -> None:
+        self.best_weights = tuple(self.weights[1:])
+        self._lower(mass)
+
     def _maxmin_dfs(self, v: int, cur: int) -> None:
+        """Search clusters v.. given cur, the largest closed-edge mass so far."""
         if v == self.n and self.sizes[v - 1] <= 2:
             self.budget.spend()
             hit = self._maxmin_last(cur)
             if hit is not None:
                 mass, comp = hit
                 self.weights[v] = comp
-                self.best = mass
-                self.best_weights = tuple(self.weights[1:])
+                self._improve(mass)
                 self.weights[v] = None
             return
         if v > self.n:
             if cur < self.best:
-                self.best = cur
-                self.best_weights = tuple(self.weights[1:])
+                self._improve(cur)
             return
-        for comp in self.comps[v]:
-            self.budget.spend()
-            self.weights[v] = comp
-            new = cur
-            for e in self.closing[v]:
-                m = self._mass(e)
-                if m > new:
-                    new = m
-            if new < self.best:
-                self._maxmin_dfs(v + 1, new)
+        q, k = self.q, self.sizes[v - 1]
+        if k <= 2:
+            lines = self._lines(self.into[v])
+            lo, hi = self._interval(v, lines)
+            x = lo
+            while x <= hi and cur < self.best:
+                self.budget.spend()
+                self.weights[v] = (x, q - x)[:k]
+                if self._ahead(v):
+                    best = self.best
+                    new = cur
+                    for _, A, B in lines:
+                        new = max(new, A * x + B * (q - x))
+                    self._maxmin_dfs(v + 1, new)
+                    if self.best < best:
+                        # lower ceilings shrink the interval
+                        lo, hi = self._interval(v, lines)
+                        x = max(x, lo - 1)
+                x += 1
+        else:
+            closed = self.closing[v]
+            for comp in self.comps[v]:
+                if cur >= self.best:
+                    break
+                self.budget.spend()
+                self.weights[v] = comp
+                new = cur
+                for e in closed:
+                    m = self._mass(e)
+                    if m > new:
+                        new = m
+                if new < self.best and self._ahead(v):
+                    self._maxmin_dfs(v + 1, new)
         self.weights[v] = None
 
     def _maxmin_last(self, cur: int) -> tuple[int, tuple[int, ...]] | None:
@@ -400,7 +483,7 @@ class _WeightSearch:
                 m = max(m, self._mass(e))
             self.weights[self.n] = None
             return (m, (q,)) if m < self.best else None
-        lines = self._lines(self.n)
+        lines = self._lines(self.into[self.n])
 
         def value(x: int) -> int:
             m = cur
@@ -523,6 +606,7 @@ def oracle_search_construction(
         done = _read_checkpoint(checkpoint_path, fingerprint)
     progress = open(progress_path, "a") if progress_path is not None else None
     ceilings = _mass_ceilings(H, floor, q)
+    compositions: dict[int, list[tuple[int, ...]]] = {}
     config_index = -1
     try:
         for sizes in _size_vectors(bounds):
@@ -533,7 +617,7 @@ def oracle_search_construction(
                 if config_index <= done:
                     continue
                 budget.searching(config_index)
-                search = _WeightSearch(H, sizes, cover, q, budget)
+                search = _WeightSearch(H, sizes, cover, q, budget, compositions)
                 weights = (search.first_meeting_floor(ceilings)
                            if search.feasible() else None)
                 if progress is not None:
@@ -557,20 +641,32 @@ def oracle_search_construction(
 def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,
                        budget: _Budget) -> Fraction:
     """Max over grid configurations of the min realized density: the
-    highest homogeneous floor any transversal-free grid blow-up meets."""
+    highest homogeneous floor any transversal-free grid blow-up meets.
+    An exhausted budget also reports the best density reached so far,
+    which a transversal-free grid configuration meets."""
     best_mass = q * q + 1
+    compositions: dict[int, list[tuple[int, ...]]] = {}
     config_index = -1
-    for sizes in _size_vectors(bounds):
-        budget.listing(sizes, config_index + 1)
-        for cover in _minimal_covers(H, sizes, budget):
-            config_index += 1
-            budget.searching(config_index)
-            search = _WeightSearch(H, sizes, cover, q, budget)
-            if not search.feasible():
-                continue
-            out = search.best_maxmin(best_mass)
-            if out is not None:
-                best_mass = out[0]
+    search: _WeightSearch | None = None   # the search under way, once started
+    try:
+        for sizes in _size_vectors(bounds):
+            budget.listing(sizes, config_index + 1)
+            for cover in _minimal_covers(H, sizes, budget):
+                config_index += 1
+                budget.searching(config_index)
+                candidate = _WeightSearch(H, sizes, cover, q, budget, compositions)
+                if not candidate.feasible():
+                    continue
+                search = candidate
+                out = search.best_maxmin(best_mass)
+                if out is not None:
+                    best_mass = out[0]
+    except BudgetExhausted as exc:
+        if search is not None:
+            best_mass = min(best_mass, search.best)
+        reached = (f"best grid density so far {_ONE - Fraction(best_mass, q * q)}"
+                   if best_mass <= q * q else "no grid density reached yet")
+        raise BudgetExhausted(f"{exc}; {reached}") from None
     if best_mass > q * q:
         return _ZERO
     return _ONE - Fraction(best_mass, q * q)

@@ -122,6 +122,14 @@ def test_budget_exhaustion_exits_3(k3):
     assert code == 3
 
 
+def test_dcrit_budget_exhaustion_gives_best_density_so_far(k3, capsys):
+    code, out = _run(["oracle-dcrit", k3, "--q", "10", "--budget", "100"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: search budget exhausted at configuration 16, cluster sizes "
+        "[1, 2, 2], searching weights; best grid density so far 3/5\n")
+
+
 def test_glue_with_tree_certifier(path3):
     # P3 glued at its middle vertex to an end of another P3: each part's
     # glue edges have their ratios doubled by the 1/2 shares

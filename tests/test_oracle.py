@@ -226,6 +226,41 @@ def test_dcrit_estimate_brackets():
     assert (lo, hi) == (F(9, 16), F(5, 8))
 
 
+def test_dcrit_estimate_c4_fits_a_small_budget():
+    # The maxmin search shares floor mode's interval loop and look-ahead,
+    # so C4 at q = 30 brackets its critical density 2/3 well within
+    # 250,000 node expansions (the plain DFS needed 776,691).
+    assert oracle_dcrit_estimate(cycle_graph(4), q=30, budget=250_000) == (
+        F(21, 32), F(43, 64))
+
+
+def test_dcrit_budget_exhaustion_reports_best_density_so_far():
+    """An exhausted oracle-dcrit still gives the best grid density it
+    reached, a lower end some transversal-free grid configuration meets."""
+    H, q = complete_graph(3), 10
+    with pytest.raises(BudgetExhausted, match=r"listing minimal covers; "
+                       r"no grid density reached yet$"):
+        oracle_dcrit_estimate(H, q=q, budget=1)
+    reached = []
+    for budget in range(1, 5000, 5):
+        try:
+            _, hi = oracle_dcrit_estimate(H, q=q, budget=budget)
+        except BudgetExhausted as exc:
+            where = re.search(r"; (?:best grid density so far (\S+)|"
+                              r"no grid density reached yet)$", str(exc))
+            assert where is not None, str(exc)
+            reached.append(None if where[1] is None else F(where[1]))
+        else:
+            break
+    assert reached[0] is None
+    values = reached[reached.count(None):]
+    assert None not in values and values == sorted(values) and len(set(values)) > 2
+    for d in set(values):
+        assert d < hi   # the full search's grid optimum lies below hi
+        cfg = SearchConfig(weight_grid_denominator=q, density_floor=[d] * 3)
+        assert oracle_search_construction(H, cfg) is not None
+
+
 def test_dcrit_estimate_lower_end_is_achievable():
     # the bracket's left end never exceeds the true critical density
     from critdens.tree_decision import dcrit_tree

@@ -1,11 +1,13 @@
-"""The pruned cover enumeration and floor-mode weight search against
-unpruned references on hypothesis-drawn small patterns: every inclusion-
-minimal blocking cover by brute force over all sets of slot pairs, and
-the lexicographically first weights by a DFS that only checks edges
-once both ends are placed."""
+"""The pruned cover enumeration and weight searches against unpruned
+references on hypothesis-drawn small patterns: every inclusion-minimal
+blocking cover by brute force over all sets of slot pairs, the
+lexicographically first weights by a DFS that only checks edges once
+both ends are placed, and the maxmin optimum by the same plain DFS with
+a last cluster of size <= 2 solved from its lines."""
 
+import math
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -139,3 +141,107 @@ def test_first_meeting_floor_matches_unpruned_search(case):
             search = _WeightSearch(H, sizes, cover, q, _Budget(10**9))
             want = _unpruned_first_meeting_floor(H, sizes, cover, q, ceilings)
             assert search.first_meeting_floor(ceilings) == want, (cover, ceilings)
+
+
+def _unpruned_best_maxmin(H, sizes, cover, q, best_mass):
+    """The maxmin search without pruning: every composition of every
+    cluster in vertex order, a prefix kept while its closed edges stay
+    below best, and a last cluster of size <= 2 solved at the crossings
+    of its closed edges' lines.  Returns the result and the spend (one
+    unit per composition tried and per last-cluster solve)."""
+    n = H.n
+    comps = [None] + [_compositions(q, k) for k in sizes]
+    cover_on = {}
+    for (i, a), (j, b) in cover:
+        cover_on.setdefault((i, j), []).append((a, b))
+    closing = [[e for e in H.edges if e[1] == v] for v in range(n + 1)]
+    weights = [None] * (n + 1)
+    state = {"best": best_mass, "weights": None, "spent": 0}
+
+    def mass(e):
+        i, j = e
+        return sum(weights[i][a] * weights[j][b] for a, b in cover_on.get(e, ()))
+
+    def last(cur):
+        if sizes[-1] == 1:
+            weights[n] = (q,)
+            m = max([cur] + [mass(e) for e in closing[n]])
+            weights[n] = None
+            return (m, (q,)) if m < state["best"] else None
+        lines = []
+        for i, j in closing[n]:
+            pairs = cover_on.get((i, j), ())
+            lines.append((sum(weights[i][a] for a, b in pairs if b == 0),
+                          sum(weights[i][a] for a, b in pairs if b == 1)))
+        candidates = {1, q - 1}
+        for (A1, B1), (A2, B2) in combinations(lines, 2):
+            den = (A1 - B1) - (A2 - B2)
+            if den != 0:
+                x = F((B2 - B1) * q, den)
+                candidates |= {c for c in (math.floor(x), math.ceil(x))
+                               if 1 <= c <= q - 1}
+        best_here = None
+        for x in sorted(candidates):
+            m = max([cur] + [A * x + B * (q - x) for A, B in lines])
+            if m < state["best"] and (best_here is None or m < best_here[0]):
+                best_here = (m, (x, q - x))
+        return best_here
+
+    def dfs(v, cur):
+        if v == n and sizes[v - 1] <= 2:
+            state["spent"] += 1
+            hit = last(cur)
+            if hit is not None:
+                weights[v] = hit[1]
+                state["best"], state["weights"] = hit[0], tuple(weights[1:])
+                weights[v] = None
+            return
+        if v > n:
+            if cur < state["best"]:
+                state["best"], state["weights"] = cur, tuple(weights[1:])
+            return
+        for comp in comps[v]:
+            state["spent"] += 1
+            weights[v] = comp
+            new = max([cur] + [mass(e) for e in closing[v]])
+            if new < state["best"]:
+                dfs(v + 1, new)
+        weights[v] = None
+
+    dfs(1, 0)
+    out = None if state["weights"] is None else (state["best"], state["weights"])
+    return out, state["spent"]
+
+
+@st.composite
+def maxmin_searches(draw):
+    """A pattern, sizes in 1..3, q, and bounds to beat: none (q*q + 1),
+    one drawn at random, and the largest mass of a drawn weight matrix
+    on each cover (met with equality, so only strictly better leaves
+    count) and one above it."""
+    H, sizes = draw(patterns_with_sizes(max_vertices=4, max_pairs=8))
+    q = draw(st.integers(2, 10))
+    comps = [_compositions(q, k) for k in sizes]
+    assume(all(comps))
+    space = 1
+    for c in comps:
+        space *= len(c)
+    assume(space <= 5_000)
+    weights = [draw(st.sampled_from(c)) for c in comps]
+    return H, sizes, q, weights, draw(st.integers(1, q * q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maxmin_searches())
+def test_best_maxmin_matches_unpruned_search(case):
+    H, sizes, q, weights, drawn = case
+    for cover in _minimal_covers(H, sizes, _Budget(10**9)):
+        tight = max(sum(weights[i - 1][a] * weights[j - 1][b]
+                        for (ci, a), (cj, b) in cover if (ci, cj) == (i, j))
+                    for i, j in H.edges)
+        for best_mass in (q * q + 1, drawn, tight, tight + 1):
+            budget = _Budget(10**9)
+            got = _WeightSearch(H, sizes, cover, q, budget).best_maxmin(best_mass)
+            want, unpruned_spend = _unpruned_best_maxmin(H, sizes, cover, q, best_mass)
+            assert got == want, (cover, best_mass)
+            assert 10**9 - budget.left <= unpruned_spend, (cover, best_mass)
