@@ -270,8 +270,7 @@ class _WeightSearch:
 
     def __init__(self, H: PatternGraph, sizes: Sequence[int], cover: Cover,
                  q: int, budget: _Budget,
-                 compositions: dict[int, list[tuple[int, ...]]] | None = None
-                 ) -> None:
+                 compositions: dict[int, list[tuple[int, ...]]]) -> None:
         self.n = H.n
         self.q = q
         self.budget = budget
@@ -281,32 +280,33 @@ class _WeightSearch:
             self.cover_on.setdefault((i, j), []).append((a, b))
         # covered edges only: an edge without missing pairs has mass 0,
         # within every ceiling
-        self.closing: list[list[Edge]] = [[] for _ in range(H.n + 1)]
-        self.into: list[list[Into]] = [[] for _ in range(H.n + 1)]
-        for e, pairs in self.cover_on.items():
-            self.closing[e[1]].append(e)
-            if self.sizes[e[1] - 1] <= 2:
-                self.into[e[1]].append((e, [a for a, b in pairs if b == 0],
-                                        [a for a, b in pairs if b == 1]))
+        n = H.n
+        self.closing: list[list[Edge]] = [[] for _ in range(n + 1)]
+        self.into: list[list[Into]] = [[] for _ in range(n + 1)]
         # look-ahead from cluster v: later clusters j of size <= 2 with the
         # covered edges (i, j), i <= v; edges (v, j) to larger clusters
-        self.near: list[list[tuple[int, list[Into]]]] = [[] for _ in range(H.n + 1)]
+        self.near: list[list[tuple[int, list[Into]]]] = [[] for _ in range(n + 1)]
         self.far: list[list[tuple[Edge, int, list[tuple[int, int]]]]] = [
-            [] for _ in range(H.n + 1)]
-        for (i, j), pairs in self.cover_on.items():
+            [] for _ in range(n + 1)]
+        # the cover is sorted, so edges arrive in order of their lower end
+        for e, pairs in self.cover_on.items():
+            i, j = e
             k = self.sizes[j - 1]
+            self.closing[j].append(e)
             if k <= 2:
-                self.near[i].append((j, [t for t in self.into[j] if t[0][0] <= i]))
+                self.into[j].append((e, [a for a, b in pairs if b == 0],
+                                     [a for a, b in pairs if b == 1]))
+                self.near[i].append((j, self.into[j][:]))
             else:
-                self.far[i].append(((i, j), k, pairs))
-        if compositions is None:
-            compositions = {}
+                self.far[i].append((e, k, pairs))
         self.comps: list[list[tuple[int, ...]]] = [[] for _ in range(H.n + 1)]
         for v, k in enumerate(self.sizes, 1):
             if k >= 3:
                 if k not in compositions:
                     compositions[k] = _compositions(q, k)
                 self.comps[v] = compositions[k]
+        # a cluster's first slot weights before any edge narrows them
+        self.span = [(1, q - 1) if k == 2 else (q, q) for k in (0,) + self.sizes]
         self.weights: list[tuple[int, ...] | None] = [None] * (H.n + 1)
         self.ceilings: Mapping[Edge, int] = {}
 
@@ -333,22 +333,30 @@ class _WeightSearch:
             lines.append((e, A, B))
         return lines
 
-    def _interval(self, v: int, lines: Iterable[tuple[Edge, int, int]]
-                  ) -> tuple[int, int]:
+    def _interval(self, v: int, into: Iterable[Into]) -> tuple[int, int]:
         """The first slot weights x in [lo, hi] of a cluster v of size <= 2
-        that keep the given lines within their ceilings: every constraint
-        A*x + B*(q-x) <= C is linear, so the feasible x form an interval
-        of the grid (empty when lo > hi).  A size-1 cluster's x is q."""
-        q = self.q
-        lo, hi = (1, q - 1) if self.sizes[v - 1] == 2 else (q, q)
-        for e, A, B in lines:
+        that keep the given edges into it within their ceilings: every
+        constraint A*x + B*(q-x) <= C is linear, so the feasible x form an
+        interval of the grid (empty when lo > hi).  A size-1 cluster's x
+        is q."""
+        q, weights, ceilings = self.q, self.weights, self.ceilings
+        lo, hi = self.span[v]
+        for e, first, second in into:
+            wi = weights[e[0]]
+            A = B = 0
+            for a in first:
+                A += wi[a]
+            for a in second:
+                B += wi[a]
             # A*x + B*(q-x) <= C  <=>  (A-B)*x <= C - B*q
             d = A - B
-            rhs = self.ceilings[e] - B * q
+            rhs = ceilings[e] - B * q
             if d > 0:
-                hi = min(hi, rhs // d)
+                if rhs < d * hi:
+                    hi = rhs // d
             elif d < 0:
-                lo = max(lo, -(-rhs // d))
+                if rhs < d * lo:
+                    lo = -(-rhs // d)
             elif rhs < 0:
                 return 1, 0
         return lo, hi
@@ -361,7 +369,7 @@ class _WeightSearch:
         w_b >= 1 and they sum to q, so its least value is
         sum c_b + (q - k_j) * min c_b."""
         for j, into in self.near[v]:
-            lo, hi = self._interval(j, self._lines(into))
+            lo, hi = self._interval(j, into)
             if lo > hi:
                 return False
         wv = self.weights[v]
@@ -385,7 +393,7 @@ class _WeightSearch:
             return tuple(self.weights[1:])
         q, k = self.q, self.sizes[v - 1]
         if k <= 2:
-            lo, hi = self._interval(v, self._lines(self.into[v]))
+            lo, hi = self._interval(v, self.into[v])
             # (q, 0)[:1] is a size-1 cluster's only weight tuple
             comps: Iterable[tuple[int, ...]] = (
                 (x, q - x)[:k] for x in range(lo, hi + 1))
@@ -442,7 +450,7 @@ class _WeightSearch:
         q, k = self.q, self.sizes[v - 1]
         if k <= 2:
             lines = self._lines(self.into[v])
-            lo, hi = self._interval(v, lines)
+            lo, hi = self._interval(v, self.into[v])
             x = lo
             while x <= hi and cur < self.best:
                 self.budget.spend()
@@ -455,7 +463,7 @@ class _WeightSearch:
                     self._maxmin_dfs(v + 1, new)
                     if self.best < best:
                         # lower ceilings shrink the interval
-                        lo, hi = self._interval(v, lines)
+                        lo, hi = self._interval(v, self.into[v])
                         x = max(x, lo - 1)
                 x += 1
         else:

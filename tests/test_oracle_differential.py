@@ -138,7 +138,7 @@ def test_first_meeting_floor_matches_unpruned_search(case):
                   for i, j in H.edges} if None not in weights else drawn)
         below = {e: c - 1 for e, c in tight.items()}
         for ceilings in (drawn, tight, below):
-            search = _WeightSearch(H, sizes, cover, q, _Budget(10**9))
+            search = _WeightSearch(H, sizes, cover, q, _Budget(10**9), {})
             want = _unpruned_first_meeting_floor(H, sizes, cover, q, ceilings)
             assert search.first_meeting_floor(ceilings) == want, (cover, ceilings)
 
@@ -241,7 +241,7 @@ def test_best_maxmin_matches_unpruned_search(case):
                     for i, j in H.edges)
         for best_mass in (q * q + 1, drawn, tight, tight + 1):
             budget = _Budget(10**9)
-            got = _WeightSearch(H, sizes, cover, q, budget).best_maxmin(best_mass)
+            got = _WeightSearch(H, sizes, cover, q, budget, {}).best_maxmin(best_mass)
             want, unpruned_spend = _unpruned_best_maxmin(H, sizes, cover, q, best_mass)
             assert got == want, (cover, best_mass)
             assert 10**9 - budget.left <= unpruned_spend, (cover, best_mass)
