@@ -271,7 +271,7 @@ class _WeightSearch:
     def __init__(self, H: PatternGraph, sizes: Sequence[int], cover: Cover,
                  q: int, budget: _Budget,
                  compositions: dict[int, list[tuple[int, ...]]]) -> None:
-        self.n = H.n
+        self.n = n = H.n
         self.q = q
         self.budget = budget
         self.sizes = tuple(sizes)
@@ -280,7 +280,6 @@ class _WeightSearch:
             self.cover_on.setdefault((i, j), []).append((a, b))
         # covered edges only: an edge without missing pairs has mass 0,
         # within every ceiling
-        n = H.n
         self.closing: list[list[Edge]] = [[] for _ in range(n + 1)]
         self.into: list[list[Into]] = [[] for _ in range(n + 1)]
         # look-ahead from cluster v: later clusters j of size <= 2 with the
@@ -299,7 +298,7 @@ class _WeightSearch:
                 self.near[i].append((j, self.into[j][:]))
             else:
                 self.far[i].append((e, k, pairs))
-        self.comps: list[list[tuple[int, ...]]] = [[] for _ in range(H.n + 1)]
+        self.comps: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
         for v, k in enumerate(self.sizes, 1):
             if k >= 3:
                 if k not in compositions:
@@ -307,7 +306,7 @@ class _WeightSearch:
                 self.comps[v] = compositions[k]
         # a cluster's first slot weights before any edge narrows them
         self.span = [(1, q - 1) if k == 2 else (q, q) for k in (0,) + self.sizes]
-        self.weights: list[tuple[int, ...] | None] = [None] * (H.n + 1)
+        self.weights: list[tuple[int, ...] | None] = [None] * (n + 1)
         self.ceilings: Mapping[Edge, int] = {}
 
     def feasible(self) -> bool:
