@@ -161,6 +161,44 @@ def test_budget_exhaustion_is_distinct_from_none():
         oracle_search_construction(complete_graph(3), cfg)
 
 
+def _c4_floor_search(budget):
+    cfg = SearchConfig(weight_grid_denominator=20,
+                       density_floor=[F(19, 25)] * 4, budget=budget)
+    return oracle_search_construction(cycle_graph(4), cfg)
+
+
+def _k3_floor_search(budget):
+    cfg = SearchConfig(weight_grid_denominator=10,
+                       density_floor=[F(13, 20)] * 3, budget=budget)
+    return oracle_search_construction(complete_graph(3), cfg)
+
+
+def _bow_tie_search(budget):
+    cfg = SearchConfig(weight_grid_denominator=10,
+                       density_floor=_bow_tie_recovery_floor(), budget=budget)
+    return oracle_search_construction(bow_tie_graph(), cfg)
+
+
+@pytest.mark.parametrize("search, spend", [
+    (_bow_tie_search, 86_685),
+    (_c4_floor_search, 44_836),
+    (_k3_floor_search, 1_101),
+    (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 166_238),
+    (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 214_938),
+    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 31_942),
+    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 49_365),
+], ids=["floor-bow-tie", "floor-c4", "floor-k3",
+        "maxmin-c4", "maxmin-p5", "maxmin-k3", "maxmin-s4"])
+def test_budget_spend_is_pinned(search, spend):
+    """Each search finishes on exactly its pinned budget and exhausts one
+    unit short of it, so any change to the pruning shows as a spend
+    change.  The cases cover a found witness, two full enumerations, a
+    last size-2 cluster solved (C4, P5) and a size-3 cluster (S4)."""
+    search(spend)
+    with pytest.raises(BudgetExhausted):
+        search(spend - 1)
+
+
 def test_budget_exhaustion_names_its_position(tmp_path):
     """An exhausted search names the configuration it was working on, by
     the index the progress records (and the checkpoint) count."""
