@@ -1,6 +1,7 @@
 """Independent brute-force cross-checks: an unpruned transversal search,
-a construction search over degree-bounded weighted configurations, and an
-empirical bisection estimate of the critical density.
+a construction search over degree-bounded weighted configurations, and
+the best homogeneous density on the weight grid, a lower bound on the
+critical density.
 
 The construction search rests on one reduction: a configuration is
 transversal-free iff its missing cross pairs contain a minimal blocking
@@ -49,6 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,9 +67,10 @@ _ONE = Fraction(1)
 
 Pair = tuple[tuple[int, int], tuple[int, int]]   # ((i, a), (j, b)), i < j
 Cover = tuple[Pair, ...]
-# a covered edge (i, j) into a cluster j of size <= 2: the edge, the slots
-# of i paired with j's first slot, and those paired with its second
-Into = tuple[Edge, list[int], list[int]]
+# a covered edge (i, j) and, for each slot b of j, the slots a of i missing
+# with it; a size-1 cluster's second list stays empty, so every cluster of
+# size <= 2 has two
+EdgeSlots = tuple[Edge, list[list[int]]]
 
 
 @dataclass
@@ -239,33 +242,19 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 
 class _WeightSearch:
-    """Grid-weight DFS for one (size vector, cover) configuration.
+    """Grid-weight DFS for one (size vector, cover) configuration, under
+    the pruning rules of the module docstring.
 
     Clusters are assigned in vertex order, each edge's integer missing
-    mass (out of q*q) held to a ceiling.  Floor mode finds the
-    lexicographically first weight matrix within the per-edge ceilings
-    the density floor sets.  Maxmin mode minimizes the maximum mass
-    (i.e. maximizes the minimum density): it is floor mode with every
-    ceiling at best - 1, lowered each time a leaf improves best.  Both
-    modes share the pruning, which cuts only subtrees without a leaf
-    within the current ceilings, so the leaves reached (and the order in
-    which they improve best) are those of the plain enumeration:
+    mass (out of q*q) held to a ceiling.  One DFS serves both modes; they
+    differ only in the ceiling policy.  Floor mode keeps the ceilings the
+    density floor sets and stops at the first leaf, which is the
+    lexicographically first weight matrix within them.  Maxmin mode sets
+    every ceiling to best - 1 and lowers them at each leaf; a last
+    cluster of size <= 2 is solved directly instead of enumerated.
 
-    * a size-2 cluster has one degree of freedom x, its first slot weight
-      (a size-1 cluster's only weight is q), and each closed edge's mass
-      is linear in x; only the interval of x keeping them within their
-      ceilings is tried;
-    * once a cluster v is placed, each later cluster j sharing a covered
-      edge with it is checked: for |A_j| <= 2 the interval of j's first
-      weight under all of j's placed neighbours must be non-empty, for
-      |A_j| >= 3 the edge (v, j) must fit its ceiling at j's cheapest
-      composition.
-
-    In maxmin mode a last cluster of size <= 2 is solved directly
-    instead of enumerated.
-
-    compositions maps a cluster size >= 3 to its weight tuples; a search
-    over many configurations passes one dict so each list is built once.
+    compositions maps a cluster size to its weight tuples; a search over
+    many configurations passes one dict so each list is built once.
     """
 
     def __init__(self, H: PatternGraph, sizes: Sequence[int], cover: Cover,
@@ -275,64 +264,51 @@ class _WeightSearch:
         self.q = q
         self.budget = budget
         self.sizes = tuple(sizes)
-        self.cover_on: dict[Edge, list[tuple[int, int]]] = {}
-        for (i, a), (j, b) in cover:
-            self.cover_on.setdefault((i, j), []).append((a, b))
+        self.cover = cover
         # covered edges only: an edge without missing pairs has mass 0,
         # within every ceiling
-        self.closing: list[list[Edge]] = [[] for _ in range(n + 1)]
-        self.into: list[list[Into]] = [[] for _ in range(n + 1)]
-        # look-ahead from cluster v: later clusters j of size <= 2 with the
-        # covered edges (i, j), i <= v; edges (v, j) to larger clusters
-        self.near: list[list[tuple[int, list[Into]]]] = [[] for _ in range(n + 1)]
-        self.far: list[list[tuple[Edge, int, list[tuple[int, int]]]]] = [
-            [] for _ in range(n + 1)]
+        self.missing: dict[Edge, list[list[int]]] = {}
+        for (i, a), (j, b) in cover:
+            if (i, j) not in self.missing:
+                self.missing[i, j] = [[] for _ in range(max(2, sizes[j - 1]))]
+            self.missing[i, j][b].append(a)
+        self.closing: list[list[EdgeSlots]] = [[] for _ in range(n + 1)]
+        # look-ahead from cluster v: each later cluster j joined to it, its
+        # size k and the edges to check, all covered edges (i, j), i <= v,
+        # for k <= 2 and (v, j) alone for a larger k
+        self.ahead: list[list[tuple[int, int, list[EdgeSlots]]]] = [[] for _ in range(n + 1)]
         # the cover is sorted, so edges arrive in order of their lower end
-        for e, pairs in self.cover_on.items():
+        for e, slots in self.missing.items():
             i, j = e
-            k = self.sizes[j - 1]
-            self.closing[j].append(e)
-            if k <= 2:
-                self.into[j].append((e, [a for a, b in pairs if b == 0],
-                                     [a for a, b in pairs if b == 1]))
-                self.near[i].append((j, self.into[j][:]))
-            else:
-                self.far[i].append((e, k, pairs))
-        self.comps: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-        for v, k in enumerate(self.sizes, 1):
-            if k >= 3:
-                if k not in compositions:
-                    compositions[k] = _compositions(q, k)
-                self.comps[v] = compositions[k]
+            self.closing[j].append((e, slots))
+            k = sizes[j - 1]
+            self.ahead[i].append((j, k, self.closing[j][:] if k <= 2 else [(e, slots)]))
+        # weight tuples: a size <= 2 cluster's indexed by its first weight,
+        # a larger one's the compositions in lexicographic order
+        for k in self.sizes:
+            if k not in compositions:
+                compositions[k] = ([(x, q - x)[:k] for x in range(q + 1)] if k <= 2
+                                   else _compositions(q, k))
+        self.comps = [[]] + [compositions[k] for k in self.sizes]
         # a cluster's first slot weights before any edge narrows them
         self.span = [(1, q - 1) if k == 2 else (q, q) for k in (0,) + self.sizes]
         self.weights: list[tuple[int, ...] | None] = [None] * (n + 1)
         self.ceilings: Mapping[Edge, int] = {}
+        self.best = q * q + 1
+        self.best_weights: tuple | None = None
+        self.lowering = False   # maxmin mode: lower the ceilings at each leaf
 
     def feasible(self) -> bool:
         """Whether every cluster has a weight tuple: k positive parts of q."""
         return self.q >= max(self.sizes)
 
-    def _mass(self, e: Edge) -> int:
-        i, j = e
-        wi, wj = self.weights[i], self.weights[j]
-        return sum(wi[a] * wj[b] for a, b in self.cover_on[e])
+    def _coeffs(self, e: Edge, slots: list[list[int]]) -> list[int]:
+        """The mass of e = (i, j) as sum c_b w_b over j's slot weights:
+        c_b sums i's placed weights w_a over the slots a missing with b."""
+        wi = self.weights[e[0]]
+        return [sum([wi[a] for a in s]) for s in slots]
 
-    def _lines(self, into: Iterable[Into]) -> list[tuple[Edge, int, int]]:
-        """Masses of edges (i, j) into a cluster j of size <= 2, i placed,
-        as linear functions A*x + B*(q-x) of j's first slot weight x."""
-        lines = []
-        for e, first, second in into:
-            wi = self.weights[e[0]]
-            A = B = 0
-            for a in first:
-                A += wi[a]
-            for a in second:
-                B += wi[a]
-            lines.append((e, A, B))
-        return lines
-
-    def _interval(self, v: int, into: Iterable[Into]) -> tuple[int, int]:
+    def _interval(self, v: int, edges: Iterable[EdgeSlots]) -> tuple[int, int]:
         """The first slot weights x in [lo, hi] of a cluster v of size <= 2
         that keep the given edges into it within their ceilings: every
         constraint A*x + B*(q-x) <= C is linear, so the feasible x form an
@@ -340,7 +316,9 @@ class _WeightSearch:
         is q."""
         q, weights, ceilings = self.q, self.weights, self.ceilings
         lo, hi = self.span[v]
-        for e, first, second in into:
+        for e, (first, second) in edges:
+            # _coeffs inlined: the look-ahead calls this on every placement,
+            # and a helper call per edge would cost more than the search
             wi = weights[e[0]]
             A = B = 0
             for a in first:
@@ -367,57 +345,30 @@ class _WeightSearch:
         larger j the edge's mass is sum c_b w_b over j's slots; every
         w_b >= 1 and they sum to q, so its least value is
         sum c_b + (q - k_j) * min c_b."""
-        for j, into in self.near[v]:
-            lo, hi = self._interval(j, into)
-            if lo > hi:
-                return False
-        wv = self.weights[v]
-        for e, k, pairs in self.far[v]:
-            c = [0] * k
-            for a, b in pairs:
-                c[b] += wv[a]
-            if sum(c) + (self.q - k) * min(c) > self.ceilings[e]:
-                return False
+        for j, k, edges in self.ahead[v]:
+            if k <= 2:
+                lo, hi = self._interval(j, edges)
+                if lo > hi:
+                    return False
+            else:
+                e, slots = edges[0]
+                c = self._coeffs(e, slots)
+                if sum(c) + (self.q - k) * min(c) > self.ceilings[e]:
+                    return False
         return True
-
-    # -- floor mode ------------------------------------------------------
 
     def first_meeting_floor(self, ceilings: Mapping[Edge, int]
                             ) -> tuple[tuple[int, ...], ...] | None:
         self.ceilings = ceilings
-        return self._floor_dfs(1)
-
-    def _floor_dfs(self, v: int) -> tuple[tuple[int, ...], ...] | None:
-        if v > self.n:
-            return tuple(self.weights[1:])
-        q, k = self.q, self.sizes[v - 1]
-        if k <= 2:
-            lo, hi = self._interval(v, self.into[v])
-            # (q, 0)[:1] is a size-1 cluster's only weight tuple
-            comps: Iterable[tuple[int, ...]] = (
-                (x, q - x)[:k] for x in range(lo, hi + 1))
-            closed: list[Edge] = []   # the interval already keeps them
-        else:
-            comps, closed = self.comps[v], self.closing[v]
-        for comp in comps:
-            self.budget.spend()
-            self.weights[v] = comp
-            if (all(self._mass(e) <= self.ceilings[e] for e in closed)
-                    and self._ahead(v)):
-                out = self._floor_dfs(v + 1)
-                if out is not None:
-                    return out
-        self.weights[v] = None
-        return None
-
-    # -- maxmin mode -----------------------------------------------------
+        self._dfs(1, 0)
+        return self.best_weights
 
     def best_maxmin(self, best_mass: int) -> tuple[int, tuple] | None:
         """Smallest achievable maximum mass strictly below best_mass,
         with a witness weight matrix; None when the bound stands."""
-        self.best_weights: tuple | None = None
+        self.lowering = True
         self._lower(best_mass)
-        self._maxmin_dfs(1, 0)
+        self._dfs(1, 0)
         if self.best_weights is None:
             return None
         return self.best, self.best_weights
@@ -425,99 +376,97 @@ class _WeightSearch:
     def _lower(self, best: int) -> None:
         """Make best the mass to beat: every ceiling becomes best - 1."""
         self.best = best
-        self.ceilings = dict.fromkeys(self.cover_on, best - 1)
+        self.ceilings = dict.fromkeys(self.missing, best - 1)
 
-    def _improve(self, mass: int) -> None:
+    def _leaf(self, mass: int) -> None:
+        """Keep the placed weights, whose largest mass is mass."""
         self.best_weights = tuple(self.weights[1:])
-        self._lower(mass)
-
-    def _maxmin_dfs(self, v: int, cur: int) -> None:
-        """Search clusters v.. given cur, the largest closed-edge mass so far."""
-        if v == self.n and self.sizes[v - 1] <= 2:
-            self.budget.spend()
-            hit = self._maxmin_last(cur)
-            if hit is not None:
-                mass, comp = hit
-                self.weights[v] = comp
-                self._improve(mass)
-                self.weights[v] = None
-            return
-        if v > self.n:
-            if cur < self.best:
-                self._improve(cur)
-            return
-        q, k = self.q, self.sizes[v - 1]
-        if k <= 2:
-            lines = self._lines(self.into[v])
-            lo, hi = self._interval(v, self.into[v])
-            x = lo
-            while x <= hi and cur < self.best:
-                self.budget.spend()
-                self.weights[v] = (x, q - x)[:k]
-                if self._ahead(v):
-                    best = self.best
-                    new = cur
-                    for _, A, B in lines:
-                        new = max(new, A * x + B * (q - x))
-                    self._maxmin_dfs(v + 1, new)
-                    if self.best < best:
-                        # lower ceilings shrink the interval
-                        lo, hi = self._interval(v, self.into[v])
-                        x = max(x, lo - 1)
-                x += 1
+        if self.lowering:
+            self._lower(mass)
         else:
-            closed = self.closing[v]
-            for comp in self.comps[v]:
-                if cur >= self.best:
-                    break
-                self.budget.spend()
-                self.weights[v] = comp
-                new = cur
-                for e in closed:
-                    m = self._mass(e)
+            self.best = 0   # floor mode stops: no mass is below 0
+
+    def _dfs(self, v: int, cur: int) -> None:
+        """Search clusters v.. given cur, the largest closed-edge mass so far."""
+        if v > self.n:
+            self._leaf(cur)
+            return
+        k = self.sizes[v - 1]
+        lines = [(e, self._coeffs(e, slots)) for e, slots in self.closing[v]]
+        if k <= 2 and v == self.n and self.lowering:
+            self.budget.spend()
+            self._solve_last(lines, cur)
+            return
+        # a size <= 2 cluster runs over its first-weight interval, narrowed
+        # again whenever best improves; a larger one over its compositions
+        comps = self.comps[v]
+        lo, hi = self._interval(v, self.closing[v]) if k <= 2 else (0, len(comps) - 1)
+        x = lo
+        while x <= hi and cur < self.best:
+            self.budget.spend()
+            self.weights[v] = comp = comps[x]
+            if self._ahead(v):
+                ceilings, new = self.ceilings, cur
+                for e, c in lines:
+                    m = sum(map(operator.mul, c, comp))
+                    if m > ceilings[e]:
+                        break
                     if m > new:
                         new = m
-                if new < self.best and self._ahead(v):
-                    self._maxmin_dfs(v + 1, new)
+                else:
+                    best = self.best
+                    self._dfs(v + 1, new)
+                    if k <= 2 and self.best < best:
+                        lo, hi = self._interval(v, self.closing[v])
+                        x = max(x, lo - 1)
+            x += 1
         self.weights[v] = None
 
-    def _maxmin_last(self, cur: int) -> tuple[int, tuple[int, ...]] | None:
-        q = self.q
-        if self.sizes[-1] == 1:
-            self.weights[self.n] = (q,)
-            m = cur
-            for e in self.closing[self.n]:
-                m = max(m, self._mass(e))
-            self.weights[self.n] = None
-            return (m, (q,)) if m < self.best else None
-        lines = self._lines(self.into[self.n])
-
-        def value(x: int) -> int:
-            m = cur
-            for _, A, B in lines:
-                m = max(m, A * x + B * (q - x))
-            return m
-
-        candidates = {1, q - 1}
-        for (_, A1, B1), (_, A2, B2) in itertools.combinations(lines, 2):
-            # crossing of A1*x + B1*(q-x) and A2*x + B2*(q-x)
+    def _solve_last(self, lines: list[tuple[Edge, list[int]]], cur: int) -> None:
+        """Place a last cluster of size <= 2 at its best first weight x.
+        Its largest mass is the maximum of cur and the lines
+        A*x + B*(q-x), so it is least at an end of the span or next to
+        where two lines cross; the span of a size-1 cluster is {q}."""
+        q, v = self.q, self.n
+        lo, hi = self.span[v]
+        candidates = {lo, hi}
+        for (_, (A1, B1)), (_, (A2, B2)) in itertools.combinations(lines, 2):
             num = (B2 - B1) * q
             den = (A1 - B1) - (A2 - B2)
             if den != 0:
                 x = Fraction(num, den)
                 for c in (math.floor(x), math.ceil(x)):
-                    if 1 <= c <= q - 1:
+                    if lo <= c <= hi:
                         candidates.add(c)
-        best_here: tuple[int, tuple[int, ...]] | None = None
+        best_x = None
         for x in sorted(candidates):
-            m = value(x)
-            if m < self.best and (best_here is None or m < best_here[0]):
-                best_here = (m, (x, q - x))
-        return best_here
+            m = cur
+            for _, (A, B) in lines:
+                m = max(m, A * x + B * (q - x))
+            if m < self.best:
+                best_x, self.best = x, m
+        if best_x is not None:
+            self.weights[v] = self.comps[v][best_x]
+            self._leaf(self.best)
+            self.weights[v] = None
 
 
-def _size_vectors(bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(*(range(1, b + 1) for b in bounds))
+def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,
+                    budget: _Budget, done: int = -1
+                    ) -> Iterator[tuple[int, _WeightSearch]]:
+    """Every configuration after index done (the one --checkpoint
+    counts) with its weight search, in (size vector, cover) order; the
+    budget keeps the position for an exhausted-budget message."""
+    compositions: dict[int, list[tuple[int, ...]]] = {}
+    config_index = -1
+    for sizes in itertools.product(*(range(1, b + 1) for b in bounds)):
+        budget.listing(sizes, config_index + 1)
+        for cover in _minimal_covers(H, sizes, budget):
+            config_index += 1
+            if config_index <= done:
+                continue
+            budget.searching(config_index)
+            yield config_index, _WeightSearch(H, sizes, cover, q, budget, compositions)
 
 
 def _build(H: PatternGraph, sizes: Sequence[int], cover: Cover, q: int,
@@ -613,32 +562,23 @@ def oracle_search_construction(
         done = _read_checkpoint(checkpoint_path, fingerprint)
     progress = open(progress_path, "a") if progress_path is not None else None
     ceilings = _mass_ceilings(H, floor, q)
-    compositions: dict[int, list[tuple[int, ...]]] = {}
-    config_index = -1
     try:
-        for sizes in _size_vectors(bounds):
-            budget.listing(sizes, config_index + 1)
-            covers = _minimal_covers(H, sizes, budget)
-            for cover in covers:
-                config_index += 1
-                if config_index <= done:
-                    continue
-                budget.searching(config_index)
-                search = _WeightSearch(H, sizes, cover, q, budget, compositions)
-                weights = (search.first_meeting_floor(ceilings)
-                           if search.feasible() else None)
-                if progress is not None:
-                    rec = {"record": "oracle-progress", "config": config_index,
-                           "sizes": list(sizes), "cover": _cover_record(cover),
-                           "verdict": "found" if weights else "none"}
-                    progress.write(json.dumps(rec) + "\n")
-                    progress.flush()
-                if weights is not None:
-                    B = _build(H, sizes, cover, q, weights)
-                    _assert_oracle_emission(B, floor)
-                    return B
-                if checkpoint_path is not None:
-                    _write_checkpoint(checkpoint_path, fingerprint, config_index)
+        for config_index, search in _configurations(H, bounds, q, budget, done):
+            weights = (search.first_meeting_floor(ceilings)
+                       if search.feasible() else None)
+            if progress is not None:
+                rec = {"record": "oracle-progress", "config": config_index,
+                       "sizes": list(search.sizes),
+                       "cover": _cover_record(search.cover),
+                       "verdict": "found" if weights else "none"}
+                progress.write(json.dumps(rec) + "\n")
+                progress.flush()
+            if weights is not None:
+                B = _build(H, search.sizes, search.cover, q, weights)
+                _assert_oracle_emission(B, floor)
+                return B
+            if checkpoint_path is not None:
+                _write_checkpoint(checkpoint_path, fingerprint, config_index)
         return None
     finally:
         if progress is not None:
@@ -652,19 +592,10 @@ def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,
     An exhausted budget also reports the best density reached so far,
     which a transversal-free grid configuration meets."""
     best_mass = q * q + 1
-    compositions: dict[int, list[tuple[int, ...]]] = {}
-    config_index = -1
     search: _WeightSearch | None = None   # the search under way, once started
     try:
-        for sizes in _size_vectors(bounds):
-            budget.listing(sizes, config_index + 1)
-            for cover in _minimal_covers(H, sizes, budget):
-                config_index += 1
-                budget.searching(config_index)
-                candidate = _WeightSearch(H, sizes, cover, q, budget, compositions)
-                if not candidate.feasible():
-                    continue
-                search = candidate
+        for _, search in _configurations(H, bounds, q, budget):
+            if search.feasible():
                 out = search.best_maxmin(best_mass)
                 if out is not None:
                     best_mass = out[0]
@@ -686,13 +617,15 @@ def oracle_dcrit_estimate(
     cluster_size_bounds: Sequence[int] | None = None,
     budget: int = 10**7,
 ) -> tuple[Fraction, Fraction]:
-    """Bracket the critical density by the grid optimum: the largest
-    homogeneous density any transversal-free grid configuration meets,
-    rounded to the dyadic cell [lo, hi) of width 2^-k <= tol (smallest
-    such k) that holds it.  A grid construction exists at lo and full
-    enumeration finds none at hi, so the interval straddles the critical
-    density up to grid discretization (the grid optimum sits below
-    d_crit, within O(1/q) for the patterns exercised here).
+    """The grid optimum, the largest homogeneous density any
+    transversal-free grid configuration meets, rounded to the dyadic
+    cell [lo, hi) of width 2^-k <= tol (smallest such k) that holds it.
+
+    A grid construction meets lo, so lo is a lower bound on the critical
+    density.  Full enumeration finds none at hi, so hi bounds the grid
+    optimum only, not the critical density: real weights can do better
+    than the grid (for C5 at q = 50 the cell is [43/64, 11/16), yet the
+    star lower bound is about 0.6920).
 
     The optimum is below 1 (a cover with positive weights has positive
     missing mass), so [lo, hi) lies in [0, 1].
