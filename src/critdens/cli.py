@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -186,17 +187,27 @@ class Reporter:
     def __init__(self, command: str, structured: bool, out: TextIO) -> None:
         self.command = command
         self.structured = structured
-        self.out = out
+        self.out: TextIO | None = out
+
+    def _write(self, line: str) -> None:
+        """Write one line.  Once the reader has closed the pipe the rest
+        is dropped: the exit code still carries the verdict."""
+        if self.out is None:
+            return
+        try:
+            print(line, file=self.out)
+        except BrokenPipeError:
+            self.out = None
 
     def text(self, line: str) -> None:
         if not self.structured:
-            print(line, file=self.out)
+            self._write(line)
 
     def record(self, kind: str, **fields) -> None:
         if self.structured:
             obj = {"record": kind, "command": self.command}
             obj.update(fields)
-            print(json.dumps(obj), file=self.out)
+            self._write(json.dumps(obj))
 
     def verdict(self, verdict: Verdict, line: str | None = None, **fields) -> int:
         """Report the verdict (in text, as line when given) and return
@@ -490,11 +501,8 @@ def cmd_self_test(args, rep: Reporter) -> int:
         all_passed = all_passed and r.passed
         rep.record("criterion", index=r.index, name=r.name, passed=r.passed,
                    seconds=round(r.seconds, 3), detail=r.detail)
-        line = (f"criterion {r.index:2d} [{status}] ({r.seconds:6.2f}s) "
-                f"{r.name}: {r.detail}")
-        if rep.structured:
-            continue
-        print(line, file=rep.out)
+        rep.text(f"criterion {r.index:2d} [{status}] ({r.seconds:6.2f}s) "
+                 f"{r.name}: {r.detail}")
     rep.text(f"{'all criteria passed' if all_passed else 'FAILURES present'}")
     return EXIT_YES if all_passed else EXIT_NO
 
@@ -605,7 +613,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle_search)
 
     p = sub.add_parser("oracle-dcrit", parents=[common],
-                       help="empirical bracket for the critical density")
+                       help="grid optimum bracket: lo is a lower bound on "
+                            "the critical density, hi bounds the grid optimum only")
     p.add_argument("graph")
     p.add_argument("--q", type=int, default=50)
     p.add_argument("--tol", default="1/64")
@@ -658,6 +667,13 @@ def main() -> None:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         code = EXIT_USAGE
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe before the buffered output was
+        # written.  Point stdout at os.devnull, so the flush at shutdown
+        # cannot fail again and the exit code stays the verdict's.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -172,6 +172,48 @@ def test_internal_error_exits_2_with_traceback(monkeypatch, capsys):
     assert "Traceback" in stderr and "RuntimeError: injected fault" in stderr
 
 
+class _ClosedPipe(io.StringIO):
+    """An output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_output_keeps_the_verdict(path3, tmp_path, capsys):
+    assert run(["decide-tree", path3, "--densities", "0.9"], out=_ClosedPipe()) == 0
+    assert run(["decide-tree", path3, "--densities", "0.1", "--format", "structured"],
+               out=_ClosedPipe()) == 1
+    assert capsys.readouterr().err == ""
+    missing = str(tmp_path / "missing.g")
+    assert run(["decide-tree", missing, "--densities", "0.9"], out=_ClosedPipe()) == 2
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_stdout_pipe_closed_early_keeps_the_verdict(path3, tmp_path, unbuffered):
+    """The reader closes the pipe before critdens writes: an unbuffered
+    write fails inside the command, a buffered one at the final flush."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def critdens(*argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, "-m", "critdens.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env=env)
+        finally:
+            os.close(write)
+
+    proc = critdens("decide-tree", path3, "--densities", "0.9")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = critdens("decide-tree", str(tmp_path / "missing.g"), "--densities", "0.9")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read")
+
+
 # -- checkpoints -------------------------------------------------------------------
 
 
