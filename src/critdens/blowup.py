@@ -152,17 +152,6 @@ class WeightedBlowupGraph:
             self._densities = {e: self.density(*e) for e in self.pattern.edges}
         return dict(self._densities)
 
-    def complement_view(self) -> list[tuple[Slot, Slot]]:
-        """All missing cross pairs, sorted; the complement of the blow-up
-        inside the complete blow-up."""
-        missing = []
-        for i, j in self.pattern.edges:
-            for a in range(len(self.weights[i - 1])):
-                for b in range(len(self.weights[j - 1])):
-                    if not self.has_cross_edge((i, a), (j, b)):
-                        missing.append(((i, a), (j, b)))
-        return sorted(missing)
-
     def find_transversal(self) -> Transversal | None:
         """Backtracking search over clusters in BFS order of the pattern,
         pruning against already-chosen neighbors.  Exhaustive: None is a

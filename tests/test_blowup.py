@@ -77,19 +77,11 @@ def test_density_is_weight_mass_on_cross_pairs():
     assert B.has_cross_edge((1, 0), (2, 0))
     assert B.has_cross_edge((2, 0), (1, 0))
     assert not B.has_cross_edge((1, 0), (2, 1))
-
-
-def test_complement_view_lists_missing_pairs():
-    B = _blowup(
-        path_graph(2),
-        [[F(1, 2), F(1, 2)], [F(1)]],
-        [((1, 0), (2, 0))],
-    )
-    missing = B.complement_view()
-    assert missing == [((1, 1), (2, 0))]
+    # density and the weight mass of the missing pairs sum to 1
     missing_mass = sum(
-        B.weights[i - 1][a] * B.weights[j - 1][b]
-        for (i, a), (j, b) in missing)
+        B.weights[0][a] * B.weights[1][b]
+        for a in range(2) for b in range(2) if not B.has_cross_edge((1, a), (2, b)))
+    assert missing_mass == F(1, 2) * F(2, 3) + F(1, 2) * F(1, 3)
     assert B.density(1, 2) + missing_mass == 1
 
 
