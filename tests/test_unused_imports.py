@@ -1,5 +1,7 @@
 """Every name a module under src/critdens imports is used in that module,
-and every name it assigns at module level is read there.
+every name it assigns at module level is read there, and every private
+(_-prefixed) function, method or class it defines is referenced somewhere
+in the package outside its own body.
 
 No linter ships with the toolchain, so this scan is the guard.  The
 package's __init__ is left out: it imports names to re-export them.
@@ -11,6 +13,7 @@ read when it appears that way other than as an assignment target.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,42 @@ def test_no_unread_module_assignments(path):
     unread = [f"{name} (line {line})"
               for name, line in _assigned(tree).items() if name not in read]
     assert not unread, f"{path.name} assigns unread names: {', '.join(unread)}"
+
+
+def _private_definitions(tree: ast.Module) -> list[ast.AST]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names, attribute names and identifiers inside string constants in
+    tree, leaving out the subtree skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    orphans = []
+    for name, tree in trees.items():
+        for node in _private_definitions(tree):
+            if not any(node.name in _references(other, skip=node)
+                       for other in trees.values()):
+                orphans.append(f"{name}:{node.lineno} {node.name}")
+    assert not orphans, f"private definitions without a reference: {', '.join(orphans)}"
 
 
 def test_scan_sees_every_module():
