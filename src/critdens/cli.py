@@ -667,13 +667,15 @@ def main() -> None:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         code = EXIT_USAGE
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe before the buffered output was
-        # written.  Point stdout at os.devnull, so the flush at shutdown
-        # cannot fail again and the exit code stays the verdict's.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        # also after --help, whose SystemExit passes through here
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe before the buffered output was
+            # written.  Point stdout at os.devnull, so the flush at
+            # shutdown cannot fail again and the exit code stays.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -209,6 +209,8 @@ def test_stdout_pipe_closed_early_keeps_the_verdict(path3, tmp_path, unbuffered)
 
     proc = critdens("decide-tree", path3, "--densities", "0.9")
     assert (proc.returncode, proc.stderr) == (0, "")
+    proc = critdens("--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
     proc = critdens("decide-tree", str(tmp_path / "missing.g"), "--densities", "0.9")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot read")
