@@ -276,7 +276,8 @@ class _WeightSearch:
         # look-ahead from cluster v: each later cluster j joined to it, its
         # size k and the edges to check, all covered edges (i, j), i <= v,
         # for k <= 2 and (v, j) alone for a larger k
-        self.ahead: list[list[tuple[int, int, list[EdgeSlots]]]] = [[] for _ in range(n + 1)]
+        self.ahead: list[list[tuple[int, int, list[EdgeSlots]]]] = [
+            [] for _ in range(n + 1)]
         # the cover is sorted, so edges arrive in order of their lower end
         for e, slots in self.missing.items():
             i, j = e
@@ -317,8 +318,9 @@ class _WeightSearch:
         q, weights, ceilings = self.q, self.weights, self.ceilings
         lo, hi = self.span[v]
         for e, (first, second) in edges:
-            # _coeffs inlined: the look-ahead calls this on every placement,
-            # and a helper call per edge would cost more than the search
+            # the sums of _coeffs, inline: the look-ahead runs this on every
+            # placement, and a call per edge here made maxmin searches
+            # (oracle-dcrit on C4, P5, K3) about 2.5x slower
             wi = weights[e[0]]
             A = B = 0
             for a in first:
@@ -438,16 +440,14 @@ class _WeightSearch:
                 for c in (math.floor(x), math.ceil(x)):
                     if lo <= c <= hi:
                         candidates.add(c)
-        best_x = None
+        best_x, best = None, self.best
         for x in sorted(candidates):
-            m = cur
-            for _, (A, B) in lines:
-                m = max(m, A * x + B * (q - x))
-            if m < self.best:
-                best_x, self.best = x, m
+            m = max([cur] + [A * x + B * (q - x) for _, (A, B) in lines])
+            if m < best:
+                best_x, best = x, m
         if best_x is not None:
             self.weights[v] = self.comps[v][best_x]
-            self._leaf(self.best)
+            self._leaf(best)
             self.weights[v] = None
 
 
