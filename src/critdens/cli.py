@@ -674,7 +674,7 @@ def main() -> None:
         except BrokenPipeError:
             # The reader closed the pipe before the buffered output was
             # written.  Point stdout at os.devnull, so the flush at
-            # shutdown cannot fail again and the exit code stays.
+            # shutdown cannot fail again and change the exit code.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

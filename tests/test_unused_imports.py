@@ -110,11 +110,13 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 def test_no_unreferenced_private_definitions():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    refs = {name: _references(tree) for name, tree in trees.items()}
     orphans = []
     for name, tree in trees.items():
+        elsewhere = set().union(*(r for other, r in refs.items() if other != name))
         for node in _private_definitions(tree):
-            if not any(node.name in _references(other, skip=node)
-                       for other in trees.values()):
+            if (node.name not in elsewhere
+                    and node.name not in _references(tree, skip=node)):
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert not orphans, f"private definitions without a reference: {', '.join(orphans)}"
 
