@@ -36,11 +36,19 @@ found, the optimum and every verdict are those of the plain enumeration:
   must still have room: a size <= 2 cluster a non-empty interval under
   all its placed neighbours, a larger one the new edge's mass at its
   cheapest composition within the ceiling; a prefix failing either is
-  cut.
+  cut.  For a placed cluster of size <= 2 this is solved in closed form
+  over its first weight x: the new edge's mass is bilinear in x and a
+  later size <= 2 cluster's first weight y, so that cluster has room iff
+  the mass at one end of its interval in y is within the ceiling, and a
+  larger one iff one of its slot terms is.  Each condition is linear in
+  x, so each later cluster rules out one gap a < x < b, and only the x
+  outside every gap are tried; a larger placed cluster checks each
+  composition.
 
 The budget counts nodes actually expanded (cover-tree nodes and weight
 assignments tried), so the pruning spends less of it than the plain
-enumeration would.  An exhausted budget names the cluster-size vector
+enumeration would; a first weight in a look-ahead gap is never tried
+and costs nothing.  An exhausted budget names the cluster-size vector
 and the configuration index (the one --checkpoint counts) it stopped at;
 in maxmin mode also the best grid density reached so far.
 """
@@ -274,16 +282,22 @@ class _WeightSearch:
             self.missing[i, j][b].append(a)
         self.closing: list[list[EdgeSlots]] = [[] for _ in range(n + 1)]
         # look-ahead from cluster v: each later cluster j joined to it, its
-        # size k and the edges to check, all covered edges (i, j), i <= v,
-        # for k <= 2 and (v, j) alone for a larger k
-        self.ahead: list[list[tuple[int, int, list[EdgeSlots]]]] = [
+        # size k, the edges to check, all covered edges (i, j), i <= v, for
+        # k <= 2 and (v, j) alone for a larger k, the last being (v, j);
+        # for v of size <= 2 also (s_b, t_b) per slot b of j, with
+        # c_b = s_b*x + t_b in v's first weight x
+        self.ahead: list[list[tuple[int, int, list[EdgeSlots],
+                                    list[tuple[int, int]]]]] = [
             [] for _ in range(n + 1)]
         # the cover is sorted, so edges arrive in order of their lower end
         for e, slots in self.missing.items():
             i, j = e
             self.closing[j].append((e, slots))
             k = sizes[j - 1]
-            self.ahead[i].append((j, k, self.closing[j][:] if k <= 2 else [(e, slots)]))
+            terms = ([((0 in s) - (1 in s), (1 in s) * q) for s in slots]
+                     if sizes[i - 1] <= 2 else [])
+            self.ahead[i].append(
+                (j, k, self.closing[j][:] if k <= 2 else [(e, slots)], terms))
         # weight tuples: a size <= 2 cluster's indexed by its first weight,
         # a larger one's the compositions in lexicographic order
         for k in self.sizes:
@@ -318,8 +332,8 @@ class _WeightSearch:
         q, weights, ceilings = self.q, self.weights, self.ceilings
         lo, hi = self.span[v]
         for e, (first, second) in edges:
-            # the sums of _coeffs, inline: the look-ahead runs this on every
-            # placement, and a call per edge here made maxmin searches
+            # the sums of _coeffs, inline: this runs for every later cluster
+            # at each node, and a call per edge here made maxmin searches
             # (oracle-dcrit on C4, P5, K3) about 2.5x slower
             wi = weights[e[0]]
             A = B = 0
@@ -347,7 +361,7 @@ class _WeightSearch:
         larger j the edge's mass is sum c_b w_b over j's slots; every
         w_b >= 1 and they sum to q, so its least value is
         sum c_b + (q - k_j) * min c_b."""
-        for j, k, edges in self.ahead[v]:
+        for j, k, edges, _ in self.ahead[v]:
             if k <= 2:
                 lo, hi = self._interval(j, edges)
                 if lo > hi:
@@ -358,6 +372,48 @@ class _WeightSearch:
                 if sum(c) + (self.q - k) * min(c) > self.ceilings[e]:
                     return False
         return True
+
+    def _gaps(self, v: int) -> list[tuple[int, int]]:
+        """_ahead in closed form for a cluster v of size <= 2: the first
+        weights x it rejects, as gaps a < x < b sorted by a.
+
+        Each c_b of an edge (v, j) is linear in x.  A later j of size
+        <= 2 with interval [L, H] under its other placed neighbours has
+        room iff L <= H and the edge's mass, bilinear in x and j's first
+        weight y, is within the ceiling at y = L or y = H.  A larger j has
+        room iff sum c + (q - k_j) * c_b is within it for some b.  Either
+        way j has room iff one of a few linear constraints on x holds,
+        which is x <= a or x >= b."""
+        q, ceilings = self.q, self.ceilings
+        gaps = []
+        for j, k, edges, terms in self.ahead[v]:
+            e = edges[-1][0]
+            if k <= 2:
+                L, H = self._interval(j, edges[:-1])
+                if L > H:
+                    return [(-1, q + 1)]
+                (s0, t0), (s1, t1) = terms
+                lines = ((s0 * L + s1 * (q - L), t0 * L + t1 * (q - L)),
+                         (s0 * H + s1 * (q - H), t0 * H + t1 * (q - H)))
+            else:
+                S = sum(s for s, _ in terms)
+                T = sum(t for _, t in terms)
+                lines = [(S + (q - k) * s, T + (q - k) * t) for s, t in terms]
+            # room for x <= a or x >= b; -1 and q + 1 lie off the grid
+            a, b = -1, q + 1
+            for slope, const in lines:
+                rhs = ceilings[e] - const
+                if slope > 0:
+                    a = max(a, rhs // slope)
+                elif slope < 0:
+                    b = min(b, -(-rhs // slope))
+                elif rhs >= 0:
+                    break
+            else:
+                if b - a > 1:
+                    gaps.append((a, b))
+        gaps.sort()
+        return gaps
 
     def first_meeting_floor(self, ceilings: Mapping[Edge, int]
                             ) -> tuple[tuple[int, ...], ...] | None:
@@ -399,15 +455,25 @@ class _WeightSearch:
             self.budget.spend()
             self._solve_last(lines, cur)
             return
-        # a size <= 2 cluster runs over its first-weight interval, narrowed
-        # again whenever best improves; a larger one over its compositions
+        # a size <= 2 cluster runs over its first-weight interval less the
+        # look-ahead's gaps, both narrowed again whenever best improves; a
+        # larger one over its compositions, each checked by _ahead
         comps = self.comps[v]
-        lo, hi = self._interval(v, self.closing[v]) if k <= 2 else (0, len(comps) - 1)
+        if k <= 2:
+            lo, hi = self._interval(v, self.closing[v])
+            gaps = self._gaps(v)
+        else:
+            lo, hi, gaps = 0, len(comps) - 1, []
         x = lo
-        while x <= hi and cur < self.best:
+        while cur < self.best:
+            for a, b in gaps:
+                if a < x < b:
+                    x = b
+            if x > hi:
+                break
             self.budget.spend()
             self.weights[v] = comp = comps[x]
-            if self._ahead(v):
+            if k <= 2 or self._ahead(v):
                 ceilings, new = self.ceilings, cur
                 for e, c in lines:
                     m = sum(map(operator.mul, c, comp))
@@ -418,8 +484,11 @@ class _WeightSearch:
                 else:
                     best = self.best
                     self._dfs(v + 1, new)
-                    if k <= 2 and self.best < best:
+                    # floor mode's first leaf sets best to 0 and ends
+                    # every loop: nothing left to narrow
+                    if k <= 2 and cur < self.best < best:
                         lo, hi = self._interval(v, self.closing[v])
+                        gaps = self._gaps(v)
                         x = max(x, lo - 1)
             x += 1
         self.weights[v] = None
@@ -436,8 +505,7 @@ class _WeightSearch:
             num = (B2 - B1) * q
             den = (A1 - B1) - (A2 - B2)
             if den != 0:
-                x = Fraction(num, den)
-                for c in (math.floor(x), math.ceil(x)):
+                for c in (num // den, -(-num // den)):
                     if lo <= c <= hi:
                         candidates.add(c)
         best_x, best = None, self.best

@@ -19,6 +19,8 @@ from critdens.graphs import (
 )
 from critdens.oracle import (
     SearchConfig,
+    _Budget,
+    _best_grid_density,
     oracle_dcrit_estimate,
     oracle_find_transversal,
     oracle_search_construction,
@@ -180,20 +182,22 @@ def _bow_tie_search(budget):
 
 
 @pytest.mark.parametrize("search, spend", [
-    (_bow_tie_search, 86_685),
-    (_c4_floor_search, 44_836),
-    (_k3_floor_search, 1_101),
-    (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 166_238),
-    (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 214_938),
-    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 31_942),
-    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 49_365),
+    (_bow_tie_search, 41_212),
+    (_c4_floor_search, 6_832),
+    (_k3_floor_search, 419),
+    (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 13_976),
+    (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 9_758),
+    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 1_258),
+    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 48_819),
+    (lambda b: _best_grid_density(cycle_graph(5), (2,) * 5, 10, _Budget(b)), 25_247),
 ], ids=["floor-bow-tie", "floor-c4", "floor-k3",
-        "maxmin-c4", "maxmin-p5", "maxmin-k3", "maxmin-s4"])
+        "maxmin-c4", "maxmin-p5", "maxmin-k3", "maxmin-s4", "maxmin-c5"])
 def test_budget_spend_is_pinned(search, spend):
     """Each search finishes on exactly its pinned budget and exhausts one
     unit short of it, so any change to the pruning shows as a spend
     change.  The cases cover a found witness, two full enumerations, a
-    last size-2 cluster solved (C4, P5) and a size-3 cluster (S4)."""
+    last size-2 cluster solved (C4, P5), a size-3 cluster (S4) and
+    clusters all of size 2 (C5)."""
     search(spend)
     with pytest.raises(BudgetExhausted):
         search(spend - 1)
@@ -201,28 +205,31 @@ def test_budget_spend_is_pinned(search, spend):
 
 def test_budget_exhaustion_names_its_position(tmp_path):
     """An exhausted search names the configuration it was working on, by
-    the index the progress records (and the checkpoint) count."""
-    phases = set()
-    for budget in range(1, 1200, 7):
-        cfg = SearchConfig(weight_grid_denominator=10,
-                           density_floor=[F(13, 20)] * 3, budget=budget)
-        progress = tmp_path / f"progress-{budget}.jsonl"
-        try:
-            oracle_search_construction(complete_graph(3), cfg,
-                                       progress_path=str(progress))
-        except BudgetExhausted as exc:
-            lines = [json.loads(l) for l in progress.read_text().splitlines()]
-            where = re.fullmatch(
-                r"search budget exhausted at configuration (\d+), cluster "
-                r"sizes (\[[\d, ]+\]), (listing minimal covers|searching weights)",
-                str(exc))
-            assert where is not None, str(exc)
-            assert int(where[1]) == len(lines)
-            assert all(l["sizes"] <= json.loads(where[2]) for l in lines)
-            phases.add(where[3])
-        else:
-            break
-    assert phases == {"listing minimal covers", "searching weights"}
+    the index the progress records (and the checkpoint) count.  C4's
+    clusters have size <= 2, so there the look-ahead skips weights."""
+    for H, floor, budgets in [(complete_graph(3), F(13, 20), range(1, 1200, 7)),
+                              (cycle_graph(4), F(7, 10), range(1, 3300, 17))]:
+        phases = set()
+        for budget in budgets:
+            cfg = SearchConfig(weight_grid_denominator=10,
+                               density_floor=[floor] * len(H.edges), budget=budget)
+            progress = tmp_path / f"progress-{H.n}-{budget}.jsonl"
+            try:
+                oracle_search_construction(H, cfg, progress_path=str(progress))
+            except BudgetExhausted as exc:
+                lines = [json.loads(l) for l in progress.read_text().splitlines()]
+                where = re.fullmatch(
+                    r"search budget exhausted at configuration (\d+), cluster "
+                    r"sizes (\[[\d, ]+\]), (listing minimal covers|searching weights)",
+                    str(exc))
+                assert where is not None, str(exc)
+                assert int(where[1]) == len(lines)
+                assert all(l["sizes"] <= json.loads(where[2]) for l in lines)
+                phases.add(where[3])
+            else:
+                break
+        assert budget < budgets[-1], "the sweep must reach a finished search"
+        assert phases == {"listing minimal covers", "searching weights"}
     with pytest.raises(BudgetExhausted, match=r"configuration 0, cluster sizes "
                        r"\[1, 1, 1\], listing minimal covers"):
         oracle_dcrit_estimate(complete_graph(3), q=10, budget=1)
