@@ -2,8 +2,9 @@
 references on hypothesis-drawn small patterns: every inclusion-minimal
 blocking cover by brute force over all sets of slot pairs, the
 lexicographically first weights by a DFS that only checks edges once
-both ends are placed, and the maxmin optimum by the same plain DFS with
-a last cluster of size <= 2 solved from its lines."""
+both ends are placed, the maxmin optimum by the same plain DFS with
+a last cluster of size <= 2 solved from its lines, and the first weights
+a cluster of size <= 2 tries by the look-ahead rule applied per weight."""
 
 import math
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from critdens.graphs import PatternGraph
 from critdens.oracle import _Budget, _mass_ceilings, _minimal_covers, _WeightSearch
@@ -245,3 +246,128 @@ def test_best_maxmin_matches_unpruned_search(case):
             want, unpruned_spend = _unpruned_best_maxmin(H, sizes, cover, q, best_mass)
             assert got == want, (cover, best_mass)
             assert 10**9 - budget.left <= unpruned_spend, (cover, best_mass)
+
+
+class _Tries(_WeightSearch):
+    """A weight search that records the first weights it tries at one
+    cluster: each try that passes on to the next cluster stops there."""
+
+    def _dfs(self, v, cur):
+        if v == self.stop:
+            self.tried.append(self.weights[v - 1][0])
+        else:
+            super()._dfs(v, cur)
+
+
+@st.composite
+def look_aheads(draw):
+    """A pattern on 2..5 vertices with sizes in 1..3 and at most
+    MAX_PAIRS slot pairs, a cluster v of size <= 2 joined to a later one,
+    a minimal cover or any sorted set of slot pairs (zero slopes come
+    from a slot of a later cluster missing with both or neither slot of
+    v), q, weights for the clusters before v, and per-edge ceilings that
+    are drawn, within one of a drawn weight matrix's mass, or q*q, so
+    intervals are often empty or tight."""
+    n = draw(st.integers(2, 5))
+    v = draw(st.integers(1, n - 1))
+    sizes = [draw(st.sampled_from((2, 1) if u == v else (2, 3, 1)))
+             for u in range(1, n + 1)]
+    first = (v, draw(st.integers(v + 1, n)))
+    edges, slot_pairs = [first], sizes[v - 1] * sizes[first[1] - 1]
+    for i, j in draw(st.permutations(
+            [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])):
+        k = sizes[i - 1] * sizes[j - 1]
+        if (i, j) != first and slot_pairs + k <= MAX_PAIRS and draw(st.booleans()):
+            edges.append((i, j))
+            slot_pairs += k
+    H = PatternGraph(n, tuple(sorted(edges)))
+    if draw(st.booleans()):
+        cover = draw(st.sampled_from(_minimal_covers(H, sizes, _Budget(10**9))))
+    else:
+        # per edge (i, j) and slot b of j, the slots of i missing with b
+        cover = tuple(sorted(
+            ((i, a), (j, b)) for i, j in H.edges for b in range(sizes[j - 1])
+            for a in draw(st.sets(st.integers(0, sizes[i - 1] - 1)))))
+        assume(cover)
+    q = draw(st.integers(3, 12))
+    weights = [draw(st.sampled_from(_compositions(q, k))) for k in sizes]
+    ceilings = {}
+    for i, j in H.edges:
+        mass = sum(weights[i - 1][a] * weights[j - 1][b]
+                   for (ci, a), (cj, b) in cover if (ci, cj) == (i, j))
+        ceilings[i, j] = draw(st.one_of(st.integers(0, q * q),
+                                        st.integers(mass - 1, mass + 1),
+                                        st.just(q * q)))
+    return H, tuple(sizes), cover, q, v, weights[:v - 1], ceilings
+
+
+def _old_ahead_tries(H, sizes, cover, q, v, placed, ceilings):
+    """The x in v's interval that pass the look-ahead rule tried per x:
+    every later cluster j joined to v by a missing pair still has room,
+    for k_j <= 2 some first weight y under all its missing edges from
+    clusters up to v, for a larger k_j the least mass of (v, j) over
+    j's compositions, sum c_b + (q - k_j) * min c_b, within the
+    ceiling."""
+    def mass(e, wi, wj):
+        i, j = e
+        return sum(wi[a] * wj[b] for (ci, a), (cj, b) in cover if (ci, cj) == e)
+
+    def span(k):
+        return range(1, q) if k == 2 else [q]
+
+    def comp(k, x):
+        return (x, q - x)[:k]
+
+    missing = {(i, j) for (i, _), (j, _) in cover}
+    weights = list(placed) + [None]
+    closing = [(i, v) for i in range(1, v) if (i, v) in missing]
+    later = sorted(j for i, j in missing if i == v)
+    tries = []
+    for x in span(sizes[v - 1]):
+        weights[v - 1] = comp(sizes[v - 1], x)
+        if any(mass(e, weights[e[0] - 1], weights[v - 1]) > ceilings[e]
+               for e in closing):
+            continue
+        room = True
+        for j in later:
+            k = sizes[j - 1]
+            if k <= 2:
+                into = [(i, j) for i in range(1, v + 1) if (i, j) in missing]
+                room = any(all(mass(e, weights[e[0] - 1], comp(k, y)) <= ceilings[e]
+                               for e in into)
+                           for y in span(k))
+            else:
+                c = [sum(weights[v - 1][a] for (ci, a), (cj, b) in cover
+                         if (ci, cj) == (v, j) and b == slot)
+                     for slot in range(k)]
+                room = sum(c) + (q - k) * min(c) <= ceilings[v, j]
+            if not room:
+                break
+        if room:
+            tries.append(x)
+    return tries
+
+
+_C4 = PatternGraph(4, ((1, 2), (1, 4), (2, 3), (3, 4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(look_aheads())
+# a gap inside v's interval: with slot b of cluster 4 missing with slot b
+# of cluster 3, the mass of (3, 4) is x*y + (10-x)*(10-y), so cluster 4
+# has room for x <= 2 (at y = 9) or x >= 8 (at y = 1) ...
+@example((_C4, (2, 2, 2, 2), (((3, 0), (4, 0)), ((3, 1), (4, 1))), 10, 3,
+          [(5, 5), (5, 5)], dict.fromkeys(_C4.edges, 30)))
+# ... and, with the slots crossed, ceilings 40 and so y <= 8 under
+# (1, 4), x <= 3 (at y = 1) or x >= 7 (at y = 8)
+@example((_C4, (2, 2, 2, 2),
+          (((1, 0), (4, 0)), ((3, 0), (4, 1)), ((3, 1), (4, 0))), 10, 3,
+          [(5, 5), (5, 5)], dict.fromkeys(_C4.edges, 40)))
+def test_look_ahead_gaps_skip_exactly_the_rejected_weights(case):
+    H, sizes, cover, q, v, placed, ceilings = case
+    search = _Tries(H, sizes, cover, q, _Budget(10**9), {})
+    search.stop, search.tried = v + 1, []
+    search.weights[1:v] = placed
+    search.ceilings = ceilings
+    search._dfs(v, 0)
+    assert search.tried == _old_ahead_tries(H, sizes, cover, q, v, placed, ceilings)
