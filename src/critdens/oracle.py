@@ -51,6 +51,16 @@ enumeration would; a first weight in a look-ahead gap is never tried
 and costs nothing.  An exhausted budget names the cluster-size vector
 and the configuration index (the one --checkpoint counts) it stopped at;
 in maxmin mode also the best grid density reached so far.
+
+A size vector's finished cover listing is kept for the process, and a
+reuse charges the units the listing spent, so a search spends the same,
+and stops at the same point, whether or not its covers were listed
+before.  The kept listings hold at most 50,000 covers in all, the least
+recently used dropped first; a listing stopped by the budget is not
+kept.  Canonicalising the covers under within-cluster slot permutations
+is outside the budget.  It maps each orbit of raw covers, not each raw
+cover, under the prod k! permutations, so K4 oracle-dcrit at q = 8
+reaches its exit-3 point in 26 s instead of 232 s (one run each).
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ import json
 import math
 import operator
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -157,6 +168,14 @@ class _Budget:
                 f"search budget exhausted at configuration {self.config}, "
                 f"cluster sizes {list(self.sizes)}, {self.phase}")
 
+    def charge(self, amount: int) -> None:
+        """Spend amount units at once, failing where amount single spends
+        would and with the same budget left."""
+        if amount > self.left:
+            self.left = 0
+            self.spend()
+        self.left -= amount
+
     def listing(self, sizes: tuple[int, ...], config: int) -> None:
         self.sizes, self.config, self.phase = sizes, config, "listing minimal covers"
 
@@ -164,8 +183,56 @@ class _Budget:
         self.config, self.phase = config, "searching weights"
 
 
+class _KeptListings:
+    """Finished cover listings kept for the process, least recently used
+    first: (H.n, H.edges, sizes) -> (covers, units the listing spent),
+    at most max_covers covers in all."""
+
+    def __init__(self, max_covers: int) -> None:
+        self.max_covers = max_covers
+        self.entries: OrderedDict[tuple, tuple[tuple[Cover, ...], int]] = OrderedDict()
+        self.covers = 0
+
+    def get(self, key: tuple) -> tuple[tuple[Cover, ...], int] | None:
+        kept = self.entries.get(key)
+        if kept is not None:
+            self.entries.move_to_end(key)
+        return kept
+
+    def keep(self, key: tuple, covers: tuple[Cover, ...], spent: int) -> None:
+        if len(covers) > self.max_covers:
+            return
+        self.entries[key] = covers, spent
+        self.covers += len(covers)
+        while self.covers > self.max_covers:
+            self.covers -= len(self.entries.popitem(last=False)[1][0])
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.covers = 0
+
+
+_LISTINGS = _KeptListings(max_covers=50_000)
+
+
 def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
-                    ) -> list[Cover]:
+                    ) -> tuple[Cover, ...]:
+    """_list_minimal_covers, kept once a listing finishes: a repeated
+    call returns the kept covers and charges the budget what the listing
+    spent, failing where the listing itself would."""
+    key = (H.n, H.edges, tuple(sizes))
+    kept = _LISTINGS.get(key)
+    if kept is not None:
+        budget.charge(kept[1])
+        return kept[0]
+    left = budget.left
+    covers = _list_minimal_covers(H, sizes, budget)
+    _LISTINGS.keep(key, covers, left - budget.left)
+    return covers
+
+
+def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
+                         ) -> tuple[Cover, ...]:
     """All minimal blocking covers, canonicalized under within-cluster
     slot permutations and sorted by (size, lexicographic order)."""
     ranges = [range(k) for k in sizes]
@@ -193,7 +260,12 @@ def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
             by_transversal[low.bit_length() - 1].append(p)
             m ^= low
 
-    found: set[frozenset[int]] = set()
+    # A pair's rank is its place in sorted order, so covers as sorted
+    # tuples of ranks compare as the sorted tuples of their pairs.
+    ranked = sorted(pairs)
+    rank = {pair: r for r, pair in enumerate(ranked)}
+    ranks = [rank[pair] for pair in pairs]
+    found: set[frozenset[int]] = set()   # as sets of ranks
 
     def branch(chosen: tuple[int, ...], covered: int, banned: int) -> None:
         budget.spend()
@@ -206,7 +278,7 @@ def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
                         rest |= masks[r]
                 if rest == full:
                     return
-            found.add(frozenset(chosen))
+            found.add(frozenset([ranks[p] for p in chosen]))
             return
         first = (~covered & full)
         first = (first & -first).bit_length() - 1
@@ -220,22 +292,35 @@ def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
 
     branch((), 0, 0)
 
-    perm_spaces = [list(itertools.permutations(range(k))) for k in sizes]
+    # moves[v][r] is (row, s): pair r has slot s in cluster v, and row[t]
+    # is the rank of the pair with slot t there instead; a pair off v has
+    # row (r,) * k.
+    moves: list[list[tuple[tuple[int, ...], int]]] = []
+    for v, k in enumerate(sizes, 1):
+        moves.append([])
+        for r, ((i, a), (j, b)) in enumerate(ranked):
+            if i == v:
+                moves[-1].append((tuple(rank[(i, t), (j, b)] for t in range(k)), a))
+            elif j == v:
+                moves[-1].append((tuple(rank[(i, a), (j, t)] for t in range(k)), b))
+            else:
+                moves[-1].append(((r,) * k, 0))
 
-    def canonical(cover: frozenset[int]) -> Cover:
-        raw = [pairs[p] for p in cover]
-        best: Cover | None = None
-        for perms in itertools.product(*perm_spaces):
-            mapped = tuple(sorted(
-                ((i, perms[i - 1][a]), (j, perms[j - 1][b]))
-                for (i, a), (j, b) in raw))
-            if best is None or mapped < best:
-                best = mapped
-        assert best is not None
-        return best
-
-    canon = {canonical(c) for c in found}
-    return sorted(canon, key=lambda c: (len(c), c))
+    # One orbit at a time: a raw cover not yet reached is mapped under the
+    # slot permutations of one cluster after another (they commute), its
+    # least image kept and its whole orbit taken out of found.
+    canon = []
+    while found:
+        orbit = {found.pop()}
+        for v, k in enumerate(sizes):
+            if k > 1:
+                at = moves[v]
+                orbit = {frozenset([row[perm[s]] for row, s in [at[r] for r in member]])
+                         for member in orbit
+                         for perm in itertools.permutations(range(k))}
+        found -= orbit
+        canon.append(tuple(ranked[r] for r in min(tuple(sorted(m)) for m in orbit)))
+    return tuple(sorted(canon, key=lambda c: (len(c), c)))
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from critdens import oracle
 from critdens.blowup import WeightedBlowupGraph, gacs_tree_construction
 from critdens.errors import BudgetExhausted, ValidationError
 from critdens.graphs import (
@@ -21,6 +22,8 @@ from critdens.oracle import (
     SearchConfig,
     _Budget,
     _best_grid_density,
+    _list_minimal_covers,
+    _minimal_covers,
     oracle_dcrit_estimate,
     oracle_find_transversal,
     oracle_search_construction,
@@ -233,6 +236,87 @@ def test_budget_exhaustion_names_its_position(tmp_path):
     with pytest.raises(BudgetExhausted, match=r"configuration 0, cluster sizes "
                        r"\[1, 1, 1\], listing minimal covers"):
         oracle_dcrit_estimate(complete_graph(3), q=10, budget=1)
+
+
+def _floor_search(H, floor, q=10, bounds=None):
+    def search(budget):
+        cfg = SearchConfig(cluster_size_bounds=bounds, weight_grid_denominator=q,
+                           density_floor=[floor] * len(H.edges), budget=budget)
+        B = oracle_search_construction(H, cfg)
+        return None if B is None else B.to_json()
+    return search
+
+
+def _outcomes(monkeypatch, search, budgets, cold):
+    """For each budget, what search returns or the message it raises,
+    and the units its budget has left; with cold, every listing kept
+    from earlier searches is dropped first."""
+    made = []
+    monkeypatch.setattr(oracle, "_Budget",
+                        lambda amount: made.append(_Budget(amount)) or made[-1])
+    out = []
+    for budget in budgets:
+        if cold:
+            oracle._LISTINGS.clear()
+        try:
+            result = search(budget)
+        except BudgetExhausted as exc:
+            result = str(exc)
+        out.append((result, made[-1].left))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("search, budgets", [
+    (_floor_search(complete_graph(3), F(13, 20)), range(1, 1200, 7)),
+    (_floor_search(cycle_graph(4), F(7, 10)), range(1, 3300, 17)),
+    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=10, budget=b),
+     range(1, 1500, 5)),
+], ids=["floor-k3", "floor-c4", "maxmin-k3"])
+def test_kept_listings_spend_as_fresh_ones(monkeypatch, search, budgets):
+    """The budget sweeps of the exit-3 tests give the same results,
+    messages and budget left whether every listing is made afresh or
+    every one is reused: a reuse charges what the listing spent."""
+    cold = _outcomes(monkeypatch, search, budgets, cold=True)
+    assert any(isinstance(r, str) and "listing" in r for r, _ in cold)
+    assert any(isinstance(r, str) and "searching" in r for r, _ in cold)
+    assert not isinstance(cold[-1][0], str), "the sweep must reach a finished search"
+    listings = []
+    monkeypatch.setattr(oracle, "_list_minimal_covers",
+                        lambda *a: listings.append(a) or _list_minimal_covers(*a))
+    warm = _outcomes(monkeypatch, search, budgets, cold=False)
+    assert listings == []
+    assert warm == cold
+
+
+def test_exhausted_listing_is_not_kept():
+    """A search stopped inside a listing keeps no part of it: the rerun
+    lists those covers in full, as a cold listing does, at the same
+    spend."""
+    H, sizes = complete_graph(4), (1, 2, 3, 3)
+    search = _floor_search(H, F(3, 4), q=6, bounds=sizes)
+    oracle._LISTINGS.clear()
+    with pytest.raises(BudgetExhausted, match=r"cluster sizes \[1, 2, 3, 3\], "
+                       r"listing minimal covers"):
+        search(20_000)
+    assert (H.n, H.edges, sizes) not in oracle._LISTINGS.entries
+    assert search(30_000) is None
+    warm, cold = _Budget(10**6), _Budget(10**6)
+    assert _minimal_covers(H, sizes, warm) == _list_minimal_covers(H, sizes, cold)
+    assert warm.left == cold.left == 10**6 - 11_988
+
+
+def test_kept_listings_are_bounded(monkeypatch):
+    """Listings are kept least recently used first, up to a fixed count
+    of covers; one larger than that is not kept at all."""
+    kept = oracle._KeptListings(max_covers=60)
+    monkeypatch.setattr(oracle, "_LISTINGS", kept)
+    H = complete_graph(4)
+    # 16, 37, 16 again, 9 and 160 covers
+    for sizes in [(1, 1, 2, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2), (2, 2, 2, 2)]:
+        _minimal_covers(H, sizes, _Budget(10**6))
+        assert kept.covers == sum(len(c) for c, _ in kept.entries.values()) <= 60
+    assert [k[2] for k in kept.entries] == [(1, 1, 2, 2), (1, 1, 1, 2)]
 
 
 def test_progress_and_checkpoint(tmp_path):

@@ -15,8 +15,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from critdens.graphs import PatternGraph
-from critdens.oracle import _Budget, _mass_ceilings, _minimal_covers, _WeightSearch
+from critdens.graphs import PatternGraph, complete_graph
+from critdens.oracle import (
+    _Budget,
+    _list_minimal_covers,
+    _mass_ceilings,
+    _minimal_covers,
+    _WeightSearch,
+)
 
 MAX_PAIRS = 14
 
@@ -79,7 +85,61 @@ def _brute_minimal_covers(H, sizes):
 @given(patterns_with_sizes())
 def test_minimal_covers_match_brute_force(case):
     H, sizes = case
-    assert _minimal_covers(H, sizes, _Budget(10**9)) == _brute_minimal_covers(H, sizes)
+    assert list(_list_minimal_covers(H, sizes, _Budget(10**9))) == (
+        _brute_minimal_covers(H, sizes))
+
+
+def _all_permutations_minimal_covers(H, sizes, budget):
+    """The cover listing as it was before covers were canonicalised one
+    orbit at a time: the same cover tree, then every raw cover mapped
+    under all within-cluster slot permutations."""
+    transversals = list(product(*(range(k) for k in sizes)))
+    full = (1 << len(transversals)) - 1
+    pairs, masks = [], []
+    for i, j in H.edges:
+        for a in range(sizes[i - 1]):
+            for b in range(sizes[j - 1]):
+                pairs.append(((i, a), (j, b)))
+                masks.append(sum(1 << t for t, slots in enumerate(transversals)
+                                 if slots[i - 1] == a and slots[j - 1] == b))
+    by_transversal = [[p for p in range(len(pairs)) if masks[p] >> t & 1]
+                      for t in range(len(transversals))]
+    found = set()
+
+    def branch(chosen, covered, banned):
+        budget.spend()
+        if covered == full:
+            for p in chosen:
+                rest = 0
+                for r in chosen:
+                    if r != p:
+                        rest |= masks[r]
+                if rest == full:
+                    return
+            found.add(frozenset(chosen))
+            return
+        first = ((~covered & full) & -(~covered & full)).bit_length() - 1
+        for p in by_transversal[first]:
+            if not banned >> p & 1:
+                branch(chosen + (p,), covered | masks[p], banned)
+                banned |= 1 << p
+
+    branch((), 0, 0)
+    canon = {_canonical([pairs[p] for p in c], sizes) for c in found}
+    return sorted(canon, key=lambda c: (len(c), c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns_with_sizes(max_pairs=24))
+@example((complete_graph(4), (1, 2, 3, 3)))
+def test_orbit_canonicalisation_matches_all_permutations(case):
+    """Canonicalising one orbit at a time lists the covers the
+    all-permutations canonicalisation did, at the same spend."""
+    H, sizes = case
+    budget, reference = _Budget(10**9), _Budget(10**9)
+    assert list(_list_minimal_covers(H, sizes, budget)) == (
+        _all_permutations_minimal_covers(H, sizes, reference))
+    assert budget.left == reference.left
 
 
 def _unpruned_first_meeting_floor(H, sizes, cover, q, ceilings):
