@@ -15,7 +15,11 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from critdens.blowup import star_decomposition_construct
 from critdens.bounds import glue, glue_sufficiency
 from critdens.graphs import PatternGraph, complete_graph, path_graph, proper_labelings
-from critdens.oracle import SearchConfig, oracle_find_transversal, oracle_search_construction
+from critdens.oracle import (
+    SearchConfig,
+    oracle_find_transversal,
+    oracle_search_construction,
+)
 from critdens.stars import star_necessary_condition
 from critdens.verdict import Verdict
 
