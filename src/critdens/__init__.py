@@ -11,6 +11,8 @@ oracles.
 from .blowup import (
     Transversal,
     WeightedBlowupGraph,
+    assert_construction,
+    blowup_without,
     complete_blowup,
     gacs_tree_construction,
     star_decomposition_construct,

@@ -11,7 +11,10 @@ edge is realized; its existence never depends on the weights.
 Two numeric modes: "exact" (fractions end to end, equalities exact) and
 "float" (tolerance 1e-9).  The mode is recorded in the serialized object.
 
-Constructions:
+Every construction emitted anywhere in the package passes
+assert_construction: densities at least the target, no transversal.
+All but the star decomposition are built by blowup_without: every cross
+pair on a pattern edge except a missing set.
 
 * gacs_tree_construction: for a tree T, clusters A_i = {v_ij : j ~ i},
   all cross pairs present except (v_ij, v_ji), weights w_ij = x_j /
@@ -36,10 +39,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
+from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment, rational
 from .polynomials import AlgebraicNumber, largest_matching_root_squared
 from .verdict import Verdict
 
@@ -63,16 +66,6 @@ def _normalize_pair(a: Slot, b: Slot) -> tuple[Slot, Slot]:
     return (a, b) if a <= b else (b, a)
 
 
-def _exact_weight(w: Fraction | float, cluster: int) -> Fraction:
-    """w as a Fraction.  Fraction() rejects NaN, infinities and malformed
-    text with bare ValueError or ArithmeticError subclasses."""
-    try:
-        return Fraction(w)
-    except (ValueError, ArithmeticError):
-        raise ValidationError(
-            f"weight {w!r} in cluster {cluster} is not a finite rational") from None
-
-
 class WeightedBlowupGraph:
     """Immutable weighted blow-up of a pattern graph."""
 
@@ -93,7 +86,7 @@ class WeightedBlowupGraph:
         self.mode = mode
         if mode == "exact":
             self.weights: tuple[tuple, ...] = tuple(
-                tuple(_exact_weight(w, i) for w in cluster)
+                tuple(rational(w, "weight", "in cluster", i) for w in cluster)
                 for i, cluster in enumerate(weights, start=1))
         else:
             self.weights = tuple(
@@ -255,16 +248,43 @@ class WeightedBlowupGraph:
         return WeightedBlowupGraph.from_json_obj(obj)
 
 
-def complete_blowup(H: PatternGraph, sizes: Sequence[int]) -> WeightedBlowupGraph:
-    """All cross pairs present, uniform weights; handy baseline."""
-    weights = [[Fraction(1, s)] * s for s in sizes]
-    edges = [
+def blowup_without(
+    H: PatternGraph,
+    weights: Sequence[Sequence[Fraction | float]],
+    missing: Iterable[tuple[Slot, Slot]] = (),
+    mode: str = "exact",
+) -> WeightedBlowupGraph:
+    """The blow-up with every cross pair on H's edges except the missing
+    ones: the eigenvector, bow-tie and grid constructions."""
+    gone = {_normalize_pair(a, b) for a, b in missing}
+    cross = [
         ((i, a), (j, b))
         for i, j in H.edges
-        for a in range(sizes[i - 1])
-        for b in range(sizes[j - 1])
+        for a in range(len(weights[i - 1]))
+        for b in range(len(weights[j - 1]))
+        if ((i, a), (j, b)) not in gone
     ]
-    return WeightedBlowupGraph(H, weights, edges)
+    return WeightedBlowupGraph(H, weights, cross, mode)
+
+
+def assert_construction(
+    B: WeightedBlowupGraph, target: Mapping[Edge, Fraction | float]
+) -> None:
+    """The certificate every emitted construction passes: each density
+    meets its target (exact mode compares rationals, float mode allows
+    1e-9 slack) and no transversal exists."""
+    dens = B.densities()
+    for e, want in target.items():
+        if dens[e] < want and (B.mode == "exact" or dens[e] < want - FLOAT_TOL):
+            raise ValidationError(
+                f"density {dens[e]} on edge {e} below target {want}")
+    if B.find_transversal() is not None:
+        raise ValidationError("construction unexpectedly has a transversal")
+
+
+def complete_blowup(H: PatternGraph, sizes: Sequence[int]) -> WeightedBlowupGraph:
+    """All cross pairs present, uniform weights; handy baseline."""
+    return blowup_without(H, [[Fraction(1, s)] * s for s in sizes])
 
 
 def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
@@ -317,18 +337,9 @@ def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
             cluster.append(r[j] / m if parent.get(j) == i else k / (r[i] * m))
         weights.append(cluster)
 
-    cross: list[tuple[Slot, Slot]] = []
-    for i, j in T.edges:
-        for a in range(len(weights[i - 1])):
-            for b in range(len(weights[j - 1])):
-                if a == slot_of[(i, j)] and b == slot_of[(j, i)]:
-                    continue
-                cross.append(((i, a), (j, b)))
-
-    B = WeightedBlowupGraph(T, weights, cross, mode)
-    _assert_emission(B, _gacs_target(T, s_star, mode))
-    if B.find_transversal() is not None:
-        raise ValidationError("construction unexpectedly has a transversal")
+    missing = [((i, slot_of[i, j]), (j, slot_of[j, i])) for i, j in T.edges]
+    B = blowup_without(T, weights, missing, mode)
+    assert_construction(B, _gacs_target(T, s_star, mode))
     return B
 
 
@@ -341,22 +352,6 @@ def _gacs_target(
     s_star.refine(Fraction(1, 10**15))
     d = 1.0 - 1.0 / float(s_star.midpoint())
     return {e: d for e in T.edges}
-
-
-def _assert_emission(
-    B: WeightedBlowupGraph, target: Mapping[Edge, Fraction | float]
-) -> None:
-    """Every emitted construction must meet its density targets.  Exact
-    mode compares rationals; float mode allows 1e-9 slack."""
-    for e, want in target.items():
-        got = B.density(*e)
-        if B.mode == "exact":
-            if got < want:
-                raise ValidationError(
-                    f"density {got} on edge {e} below target {want}")
-        elif got < want - FLOAT_TOL:
-            raise ValidationError(
-                f"density {got} on edge {e} below target {want} - 1e-9")
 
 
 def star_decomposition_construct(
@@ -443,8 +438,6 @@ def star_decomposition_construct(
 
     cluster_list = [weights[i] for i in H.vertices()]
     B = WeightedBlowupGraph(H, cluster_list, cross).prune_zero_weights()
-    _assert_emission(B, dens)
-    if B.find_transversal() is not None:
-        raise ValidationError("construction unexpectedly has a transversal")
+    assert_construction(B, dens)
     return B
 

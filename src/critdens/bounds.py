@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import BadSplit, DegenerateGraph, ValidationError
-from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
+from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment, rational
 from .polynomials import (
     largest_matching_root_squared,
     multivariate_matching_eval,
@@ -89,7 +89,7 @@ def triangle_decide(
     transversal-free blow-up."""
     vals = []
     for x in (alpha, beta, gamma):
-        x = Fraction(x)
+        x = rational(x, "density")
         if not _ZERO <= x <= _ONE:
             raise ValidationError(f"density {x} outside [0, 1]")
         vals.append(x)
@@ -170,7 +170,7 @@ def glue_sufficiency(
     m1 + m2 <= 1.  A transformed density dropping below 0 (r_e > m_k)
     certifies nothing and yields Unknown.
     """
-    m1, m2 = Fraction(m1), Fraction(m2)
+    m1, m2 = rational(m1, "split"), rational(m2, "split")
     if not (_ZERO < m1 and _ZERO < m2 and m1 + m2 <= 1):
         raise BadSplit(f"need 0 < m1, 0 < m2, m1 + m2 <= 1; got {m1}, {m2}")
     G, relabel = glue(H1, H2, u1, u2)

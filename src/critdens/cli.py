@@ -37,8 +37,8 @@ from .bounds import (
     sufficiency_by_positivity,
     triangle_decide,
 )
-from .errors import BudgetExhausted, CritdensError, ParseError, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph, edge_assignment, parse_graph
+from .errors import BudgetExhausted, CritdensError, ParseError, SizeLimit
+from .graphs import Edge, PatternGraph, edge_assignment, parse_graph, tolerance
 from .oracle import (
     SearchConfig,
     oracle_dcrit_estimate,
@@ -80,10 +80,7 @@ def _rational(text: str, what: str = "rational") -> Fraction:
 
 def _tolerance(text: str) -> Fraction:
     """A --tol value; commands check it before doing any work."""
-    tol = _rational(text, "tolerance")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
-    return tol
+    return tolerance(_rational(text, "tolerance"))
 
 
 def _read_file(path: str) -> str:
@@ -373,6 +370,13 @@ def cmd_star_check(args, rep: Reporter) -> int:
     return rep.verdict(verdict)
 
 
+def _write_construction(B: WeightedBlowupGraph, path: str, rep: Reporter) -> None:
+    """The --out file of construct and oracle-search."""
+    with open(path, "w") as fh:
+        fh.write(B.to_json() + "\n")
+    rep.text(f"construction written to {path}")
+
+
 def cmd_construct(args, rep: Reporter) -> int:
     H = _load_graph(args.graph)
     if args.method == "gacs":
@@ -388,9 +392,7 @@ def cmd_construct(args, rep: Reporter) -> int:
                 Verdict.NOT_PRODUCIBLE,
                 "no construction: the lifted densities ensure the path tree")
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(B.to_json() + "\n")
-        rep.text(f"construction written to {args.out}")
+        _write_construction(B, args.out, rep)
     elif not rep.structured:
         rep.text(B.to_json())
     dens = B.densities()
@@ -435,9 +437,7 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
         rep.text("no grid configuration meets the floor (full enumeration)")
         return rep.verdict(Verdict.NONE_FOUND)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(B.to_json() + "\n")
-        rep.text(f"construction written to {args.out}")
+        _write_construction(B, args.out, rep)
     dens = B.densities()
     rep.record("construction", blowup=B.to_json_obj(),
                densities={f"{i}-{j}": str(d) for (i, j), d in dens.items()})

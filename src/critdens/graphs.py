@@ -42,6 +42,7 @@ class PatternGraph:
     edges: tuple[Edge, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", integer(self.n, "vertex count"))
         if self.n < 1:
             raise ValidationError(f"vertex count must be >= 1, got {self.n}")
         seen: set[Edge] = set()
@@ -189,6 +190,34 @@ def parse_graph(text: str) -> PatternGraph:
     return PatternGraph(n, tuple(edges))
 
 
+def rational(x: object, what: str = "value", *where: object) -> Fraction:
+    """x as an exact rational.  Fraction() turns NaN, infinities, malformed
+    text and non-numbers away with bare ValueError, ArithmeticError or
+    TypeError; this raises ValidationError, naming what x is and where
+    it sits ("in cluster", 2), formatted only then."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        words = [what, repr(x), *map(str, where), "is not a finite rational"]
+        raise ValidationError(" ".join(words)) from None
+
+
+def tolerance(tol: object) -> Fraction:
+    """A tolerance as a positive exact rational."""
+    tol = rational(tol, "tolerance")
+    if tol <= 0:
+        raise ValidationError("tolerance must be positive")
+    return tol
+
+
+def integer(x: object, what: str) -> int:
+    """x as a plain int; sympy and numpy integers pass, floats do not."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what} {x!r} is not an integer") from None
+
+
 def edge_assignment(
     H: PatternGraph,
     values: Mapping[Edge, Fraction] | Sequence[Fraction],
@@ -202,12 +231,15 @@ def edge_assignment(
     if isinstance(values, Mapping):
         out = {}
         for e, v in values.items():
-            key = canonical_edge(*e)
+            try:
+                key = canonical_edge(*e)
+            except TypeError:
+                raise ValidationError(f"{e!r} is not an edge of the graph") from None
             if key not in H.edge_index:
                 raise ValidationError(f"{key} is not an edge of the graph")
             if key in out:
                 raise ValidationError(f"{what} for edge {key} given twice")
-            out[key] = Fraction(v)
+            out[key] = rational(v, what, "on edge", key)
         missing = set(H.edges) - set(out)
         if missing:
             raise ValidationError(f"missing {what} for edges {sorted(missing)}")
@@ -217,7 +249,7 @@ def edge_assignment(
             raise ValidationError(
                 f"expected {len(H.edges)} {what} values in edge order "
                 f"{list(H.edges)}, got {len(vals)}")
-        out = {e: Fraction(v) for e, v in zip(H.edges, vals)}
+        out = {e: rational(v, what, "on edge", e) for e, v in zip(H.edges, vals)}
     for e, v in out.items():
         if low is not None and v < low:
             raise ValidationError(f"{what} {v} on edge {e} below {low}")
@@ -279,9 +311,7 @@ def is_subgraph(
     for v in H1.vertices():
         if v not in phi:
             raise VertexNotInGraph(f"embedding missing vertex {v}")
-        img = phi[v]
-        if not (isinstance(img, int) and 1 <= img <= H2.n):
-            raise VertexNotInGraph(f"image {img!r} of vertex {v} not in 1..{H2.n}")
+        phi[v] = H2._check_vertex(phi[v])
     images = [phi[v] for v in H1.vertices()]
     if len(set(images)) != len(images):
         return False

@@ -75,9 +75,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .blowup import TRANSVERSAL_GUARD, Transversal, WeightedBlowupGraph
+from .blowup import (
+    TRANSVERSAL_GUARD,
+    Transversal,
+    WeightedBlowupGraph,
+    assert_construction,
+    blowup_without,
+)
 from .errors import BudgetExhausted, ParseError, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph, edge_assignment
+from .graphs import Edge, PatternGraph, edge_assignment, integer, tolerance
 
 CHECKPOINT_FORMAT = 1
 
@@ -108,6 +114,9 @@ class SearchConfig:
     budget: int = 10**7
 
     def __post_init__(self) -> None:
+        self.weight_grid_denominator = integer(
+            self.weight_grid_denominator, "weight grid denominator")
+        self.budget = integer(self.budget, "budget")
         if self.weight_grid_denominator < 1:
             raise ValidationError("weight grid denominator must be >= 1")
         if self.budget <= 0:
@@ -622,30 +631,6 @@ def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,
             yield config_index, _WeightSearch(H, sizes, cover, q, budget, compositions)
 
 
-def _build(H: PatternGraph, sizes: Sequence[int], cover: Cover, q: int,
-           weights: Sequence[Sequence[int]]) -> WeightedBlowupGraph:
-    missing = set(cover)
-    cross = []
-    for i, j in H.edges:
-        for a in range(sizes[i - 1]):
-            for b in range(sizes[j - 1]):
-                if ((i, a), (j, b)) not in missing:
-                    cross.append(((i, a), (j, b)))
-    cluster_weights = [[Fraction(c, q) for c in w] for w in weights]
-    return WeightedBlowupGraph(H, cluster_weights, cross, "exact")
-
-
-def _assert_oracle_emission(B: WeightedBlowupGraph,
-                            floor: Mapping[Edge, Fraction]) -> None:
-    dens = B.densities()
-    for e, want in floor.items():
-        if dens[e] < want:
-            raise ValidationError(
-                f"search emitted density {dens[e]} < floor {want} on {e}")
-    if B.find_transversal() is not None:
-        raise ValidationError("search emitted a configuration with a transversal")
-
-
 def _cover_record(cover: Cover) -> list[list[int]]:
     return [[i, a, j, b] for (i, a), (j, b) in cover]
 
@@ -727,8 +712,9 @@ def oracle_search_construction(
                 progress.write(json.dumps(rec) + "\n")
                 progress.flush()
             if weights is not None:
-                B = _build(H, search.sizes, search.cover, q, weights)
-                _assert_oracle_emission(B, floor)
+                B = blowup_without(
+                    H, [[Fraction(c, q) for c in w] for w in weights], search.cover)
+                assert_construction(B, floor)
                 return B
             if checkpoint_path is not None:
                 _write_checkpoint(checkpoint_path, fingerprint, config_index)
@@ -783,9 +769,7 @@ def oracle_dcrit_estimate(
     The optimum is below 1 (a cover with positive weights has positive
     missing mass), so [lo, hi) lies in [0, 1].
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    tol = tolerance(tol)
     cfg = SearchConfig(cluster_size_bounds=cluster_size_bounds,
                        weight_grid_denominator=q, budget=budget)
     bounds = cfg.resolved_bounds(H)

@@ -33,7 +33,14 @@ from .errors import (
     ValidationError,
     ZeroPolynomial,
 )
-from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
+from .graphs import (
+    Edge,
+    PatternGraph,
+    canonical_edge,
+    edge_assignment,
+    rational,
+    tolerance,
+)
 
 MAX_MATCHING_EDGES = 24
 
@@ -235,28 +242,18 @@ def _integer_coeffs(p: RatPoly) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
-def _unit_interval_variations(p: RatPoly) -> int:
-    """Sign variations of (1+x)^d p(1/(1+x)), d = deg p, scaled to
-    integers.  Its roots x > 0 are the roots t = 1/(1+x) of p in (0, 1),
-    so by Descartes' rule 0 variations means p has no root there."""
-    # Horner in (1+x): acc <- acc * (1+x) + a_k, from a_0 up to a_d.
-    acc: list[int] = []
-    for c in _integer_coeffs(p):
-        acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
-        acc[0] += c
-    return _variations(acc)
-
-
 def positive_on_unit_interval(p: RatPoly) -> bool:
     """True iff p(t) > 0 for every t in [0, 1].
 
     With p(0) > 0 and p(1) > 0, zero Descartes variations on (0, 1)
-    settle it; only otherwise is the Sturm count needed."""
+    settle it; only otherwise is the Sturm count needed.  The reversed
+    polynomial shifted to 1 + x is (1+x)^d p(1/(1+x)), whose roots x > 0
+    are the roots t = 1/(1+x) of p in (0, 1)."""
     if p.is_zero():
         raise ZeroPolynomial("positivity undefined for the zero polynomial")
     if p(_ZERO) <= 0 or p(_ONE) <= 0:
         return False
-    return (_unit_interval_variations(p) == 0
+    return (_roots_above(_integer_coeffs(p)[::-1], _ONE) == 0
             or count_roots_in_unit_interval(p) == 0)
 
 
@@ -318,9 +315,7 @@ class AlgebraicNumber:
         detecting rational roots exactly along the way."""
         if self.exact is not None:
             return
-        tol = Fraction(tol)
-        if tol <= 0:
-            raise ValidationError("tolerance must be positive")
+        tol = tolerance(tol)
         sign_lo = self.poly(self.lo) > 0
         while self.hi - self.lo > tol:
             # A rational root eventually becomes the simplest rational in
@@ -424,7 +419,7 @@ def _sturm_largest_root(sf: RatPoly, tol: Fraction | float) -> AlgebraicNumber:
 
 
 def _refined(x: AlgebraicNumber, tol: Fraction | float) -> AlgebraicNumber:
-    x.refine(Fraction(tol))
+    x.refine(tol)
     return x
 
 
@@ -456,12 +451,12 @@ def _scaled_value(c: Sequence[int], x: Fraction) -> int:
 
 
 def _roots_above(c: Sequence[int], x: Fraction) -> int:
-    """Roots strictly above x, with multiplicity, of the real-rooted
-    polynomial with integer coefficients c.
+    """Sign variations of D^d p((N + y)/D) for the polynomial p with
+    integer coefficients c and x = N/D.
 
-    D^d p((N + y)/D) is an integer polynomial in y whose positive roots
-    are the roots of p above x = N/D, and all its roots are real, so its
-    sign variations count them exactly (a root at x only adds low zero
+    Its positive roots are the roots of p above x.  By Descartes' rule
+    the variations bound their number, with multiplicity, and equal it
+    when p is real-rooted (a root at x only adds low zero
     coefficients)."""
     num, den = x.numerator, x.denominator
     deg = len(c) - 1
@@ -873,7 +868,7 @@ def largest_matching_root_squared(
     # Equal to largest_real_root(matching_even_part(H), tol); the Sturm
     # bisection runs only when a certificate fails.
     sf = square_free_part(matching_even_part(H))
-    tol = Fraction(tol)
+    tol = rational(tol, "tolerance")
     if tol > 0:
         s1, s2 = _tree_top_roots_squared(H) if H.is_tree() else _newton_top_roots(sf)
         root = _float_guided_root(sf, tol, s1, s2 if sf.degree > 1 else None)

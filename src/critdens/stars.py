@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .blowup import WeightedBlowupGraph
+from .blowup import WeightedBlowupGraph, assert_construction, blowup_without
 from .errors import ImproperLabeling, SizeLimit, ValidationError
 from .graphs import (
     Edge,
@@ -31,6 +31,7 @@ from .graphs import (
     edge_assignment,
     is_proper_labeling,
     proper_labelings,
+    tolerance,
 )
 from .polynomials import (
     AlgebraicNumber,
@@ -233,8 +234,7 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9),
     The check is exact (the even part of the matching polynomial vanishes
     at n+m-1, and Descartes counts no larger root: matching polynomials
     are real-rooted), which implies any positive tol."""
-    if Fraction(tol) <= 0:
-        raise ValidationError("tolerance must be positive")
+    tolerance(tol)
     if n + m > cap:
         raise SizeLimit(f"n + m capped at {cap}")
     K = complete_bipartite(n, m)
@@ -282,21 +282,13 @@ def bow_tie_reconstruction() -> WeightedBlowupGraph:
         ((1, 1), (4, 0)), ((1, 1), (5, 0)),
         ((2, 1), (3, 1)), ((4, 1), (5, 1)),
     }
-    cross = []
-    for i, j in H.edges:
-        for a in range(2):
-            for b in range(2):
-                if ((i, a), (j, b)) in missing:
-                    continue
-                cross.append(((i, a), (j, b)))
-    B = WeightedBlowupGraph(H, weights, cross, "exact")
-    dens = B.densities()
-    for e, want in bow_tie_densities().items():
-        if dens[e] != want:
-            raise ValidationError(
-                f"bow-tie density on {e} is {dens[e]}, expected {want}")
-    if B.find_transversal() is not None:
-        raise ValidationError("bow-tie reconstruction has a transversal")
+    want = bow_tie_densities()
+    B = blowup_without(H, weights, missing)
+    assert_construction(B, want)
+    # the certificate checks >=; the extremal densities are exact
+    for e, d in B.densities().items():
+        if d != want[e]:
+            raise ValidationError(f"bow-tie density on {e} is {d}, expected {want[e]}")
     return B
 
 

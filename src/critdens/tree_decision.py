@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import (
-    AlreadyEnsured,
-    DivisionByZeroGuard,
-    NotALeaf,
-    NotATree,
-    ValidationError,
+from .errors import AlreadyEnsured, DivisionByZeroGuard, NotALeaf, NotATree
+from .graphs import (
+    Edge,
+    PatternGraph,
+    canonical_edge,
+    edge_assignment,
+    rational,
+    tolerance,
 )
-from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment
 from .polynomials import (
     AlgebraicNumber,
     largest_matching_root_squared,
@@ -176,9 +177,7 @@ def critical_scaling(
     if not T.is_tree():
         raise NotATree("critical scaling requires a tree")
     ratios = edge_assignment(T, r, low=_ZERO, what="ratio")
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    tol = tolerance(tol)
     if _decide_from_ratios(T, ratios).ensured:
         raise AlreadyEnsured("densities 1 - r_e already ensure the tree")
     lo, hi = _ZERO, _ONE
@@ -216,7 +215,7 @@ class CriticalDensity:
     def interval(self, tol: Fraction | float = Fraction(1, 10**9)) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
             return (self.exact, self.exact)
-        tol = Fraction(tol)
+        tol = rational(tol, "tolerance")
         self.s_star.refine(tol)
         while True:
             if self.s_star.exact is not None:
@@ -228,7 +227,7 @@ class CriticalDensity:
 
     def compare_density(self, d: Fraction | float) -> int:
         """Sign of (d_crit - d)."""
-        d = Fraction(d)
+        d = rational(d, "density")
         if d >= 1:
             return -1
         return self.s_star.compare_fraction(_ONE / (_ONE - d))

@@ -7,7 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from critdens.blowup import (
+    Transversal,
     WeightedBlowupGraph,
+    assert_construction,
+    blowup_without,
     complete_blowup,
     gacs_tree_construction,
     star_decomposition_construct,
@@ -95,6 +98,55 @@ def test_prune_zero_weights():
     assert P.weights == ((F(1, 2), F(1, 2)), (F(1),))
     assert sorted(P.cross_edges) == [((1, 0), (2, 0))]
     assert P.density(1, 2) == B.density(1, 2)
+
+
+def test_blowup_without_drops_only_the_missing_pairs():
+    H = complete_graph(3)
+    weights = [[F(1, 2), F(1, 2)], [F(1)], [F(1, 3), F(2, 3)]]
+    missing = {((2, 0), (1, 1)), ((1, 0), (3, 1))}   # either orientation
+    B = blowup_without(H, weights, missing)
+    full = blowup_without(H, weights)
+    assert full.cross_edges == complete_blowup(H, (2, 1, 2)).cross_edges
+    assert B.cross_edges == full.cross_edges - {((1, 1), (2, 0)), ((1, 0), (3, 1))}
+    assert B.densities() == {(1, 2): F(1, 2), (1, 3): F(2, 3), (2, 3): F(1)}
+    assert B.mode == "exact" and blowup_without(H, weights, mode="float").mode == "float"
+
+
+def test_certificate_checks_densities_with_float_slack():
+    # P3's eigenvector construction: density 1/2 on both edges
+    weights = [[F(1)], [F(1, 2), F(1, 2)], [F(1)]]
+    missing = [((1, 0), (2, 0)), ((2, 1), (3, 0))]
+    for mode, ok, short in (("exact", F(1, 2), F(1, 2) + F(1, 10**12)),
+                            ("float", 0.5 + 5e-10, 0.5 + 2e-9)):
+        B = blowup_without(path_graph(3), weights, missing, mode)
+        assert_construction(B, {})
+        assert_construction(B, {(1, 2): ok, (2, 3): ok})
+        with pytest.raises(ValidationError, match="below target"):
+            assert_construction(B, {(1, 2): ok, (2, 3): short})
+    with pytest.raises(ValidationError, match="has a transversal"):
+        assert_construction(complete_blowup(path_graph(2), (1, 2)), {})
+
+
+def test_every_emitted_construction_passes_the_certificate(monkeypatch):
+    from critdens.oracle import SearchConfig, oracle_search_construction
+    from critdens.stars import bow_tie_reconstruction
+
+    emitters = {
+        "gacs": lambda: gacs_tree_construction(path_graph(3)),
+        "star": lambda: star_decomposition_construct(
+            complete_graph(3), (1, 2, 3), [F(3, 5)] * 3),
+        "oracle": lambda: oracle_search_construction(
+            complete_graph(3),
+            SearchConfig(weight_grid_denominator=10, density_floor=[F(3, 5)] * 3)),
+        "bow-tie": bow_tie_reconstruction,
+    }
+    for build in emitters.values():
+        assert build() is not None
+    monkeypatch.setattr(WeightedBlowupGraph, "find_transversal",
+                        lambda B: Transversal({v: 0 for v in B.pattern.vertices()}))
+    for build in emitters.values():
+        with pytest.raises(ValidationError, match="has a transversal"):
+            build()
 
 
 # -- transversal search -----------------------------------------------------

@@ -130,6 +130,24 @@ def test_is_subgraph():
         is_subgraph(path_graph(3), complete_graph(3), {1: 1, 2: 2})
 
 
+def test_integer_like_images_and_vertex_counts():
+    sympy = pytest.importorskip("sympy")
+    one, two, four = sympy.Integer(1), sympy.Integer(2), sympy.Integer(4)
+    assert is_subgraph(path_graph(2), path_graph(3), [one, two])
+    assert not is_subgraph(path_graph(2), path_graph(3), {1: one, 2: sympy.Integer(3)})
+    with pytest.raises(VertexNotInGraph, match="not in 1..3"):
+        is_subgraph(path_graph(2), path_graph(3), [one, four])
+    with pytest.raises(VertexNotInGraph, match="is not an integer"):
+        is_subgraph(path_graph(2), path_graph(3), [1, 2.0])
+    with pytest.raises(VertexNotInGraph, match="not in 1..3"):   # no edge reaches it
+        is_subgraph(PatternGraph(2, ()), path_graph(3), [1, four])
+    H = PatternGraph(sympy.Integer(3), ((1, 2),))
+    assert type(H.n) is int and H == PatternGraph(3, ((1, 2),))
+    for n in (2.5, 2.0, "2"):
+        with pytest.raises(ValidationError, match="vertex count .* is not an integer"):
+            PatternGraph(n, ((1, 2),))
+
+
 def test_proper_labelings_triangle():
     assert sorted(proper_labelings(complete_graph(3))) == [
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]

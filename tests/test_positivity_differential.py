@@ -12,7 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from critdens import polynomials
 from critdens.graphs import PatternGraph
-from critdens.polynomials import RatPoly, multivariate_matching_eval, positive_on_unit_interval
+from critdens.polynomials import (
+    RatPoly,
+    _integer_coeffs,
+    _roots_above,
+    multivariate_matching_eval,
+    positive_on_unit_interval,
+)
 
 _T = sympy.Symbol("t")
 
@@ -90,3 +96,23 @@ def test_hand_made_polynomials(p, sturm, monkeypatch):
     monkeypatch.setattr(polynomials, "count_roots_in_unit_interval", counted)
     assert positive_on_unit_interval(p) == _sympy_positive(p)
     assert bool(calls) == sturm
+
+
+def _horner_unit_variations(p: RatPoly) -> int:
+    """Sign variations of (1+x)^d p(1/(1+x)), built by Horner's rule in
+    (1+x): the unit-interval Descartes count the positivity test used
+    before it shared the Taylor shift of _roots_above."""
+    acc: list[int] = []
+    for c in _integer_coeffs(p):
+        acc = [a + b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += c
+    signs = [a > 0 for a in acc if a]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.fractions(-20, 20, max_denominator=6), min_size=1, max_size=10))
+def test_reversed_taylor_shift_counts_unit_interval_variations(coeffs):
+    assume(coeffs[0] != 0 and coeffs[-1] != 0)
+    p = RatPoly(coeffs)
+    assert _roots_above(_integer_coeffs(p)[::-1], F(1)) == _horner_unit_variations(p)
