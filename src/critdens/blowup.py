@@ -11,10 +11,10 @@ edge is realized; its existence never depends on the weights.
 Two numeric modes: "exact" (fractions end to end, equalities exact) and
 "float" (tolerance 1e-9).  The mode is recorded in the serialized object.
 
-Every construction emitted anywhere in the package passes
-assert_construction: densities at least the target, no transversal.
-All but the star decomposition are built by blowup_without: every cross
-pair on a pattern edge except a missing set.
+Every construction emitted anywhere in the package is built by
+blowup_without (every cross pair on a pattern edge except a missing set)
+and passes assert_construction: densities at least the target, no
+transversal.
 
 * gacs_tree_construction: for a tree T, clusters A_i = {v_ij : j ~ i},
   all cross pairs present except (v_ij, v_ji), weights w_ij = x_j /
@@ -30,7 +30,8 @@ pair on a pattern edge except a missing set.
 * star_decomposition_construct: for any connected H, a proper labeling f,
   and densities gamma that fail the monotone-path tree condition, a
   recursive construction whose densities meet or exceed gamma with no
-  transversal.  Cluster sizes stay within the vertex degrees.
+  transversal.  Each step k adds one missing pair per earlier neighbour
+  of f(k).  Cluster sizes stay within the vertex degrees.
 """
 
 from __future__ import annotations
@@ -255,7 +256,8 @@ def blowup_without(
     mode: str = "exact",
 ) -> WeightedBlowupGraph:
     """The blow-up with every cross pair on H's edges except the missing
-    ones: the eigenvector, bow-tie and grid constructions."""
+    ones: the eigenvector, star-decomposition, bow-tie and grid
+    constructions."""
     gone = {_normalize_pair(a, b) for a, b in missing}
     cross = [
         ((i, a), (j, b))
@@ -366,15 +368,16 @@ def star_decomposition_construct(
     ensure the factor.  Otherwise the result has every density >= gamma
     and no transversal; both facts are asserted before returning.
 
-    The recursion processes vertices in reverse labeling order.  Removing
-    u = f(k) transforms the ratio of a remaining edge e by dividing by
-    gamma_{u a} for each endpoint a of e adjacent to u; ratios cap at 1
-    (density floor 0), and a zero divisor caps the ratio at 1 outright
-    (the rescale-by-zero step makes the higher-level density 1, so any
-    target is met).  Building back up: each step adds a singleton cluster
-    {w_k}, rescales each neighbor cluster's old weights by gamma and
-    appends a fresh slot of weight 1 - gamma; w_k is joined to old slots
-    only, the fresh slot to everything in adjacent clusters except w_k.
+    Down pass, u = f(n), ..., f(2): the edges at u keep their current
+    densities as targets, and every edge left behind has its ratio divided
+    by the target gamma_{u a} of each endpoint a adjacent to u; ratios cap
+    at 1 (density 0), and a zero divisor caps the ratio at 1 outright (the
+    rescale-by-zero step makes the higher-level density 1, so any target
+    is met).  Up pass, u = f(2), ..., f(n): u gets a singleton cluster
+    {w_k}, and each earlier neighbour v has its weights scaled by its
+    target gamma_{uv} and gains a fresh slot of weight 1 - gamma_{uv}.
+    The pairs (w_k, fresh slot) are the only missing cross pairs; slots of
+    weight 0 are pruned.
     """
     from .stars import star_necessary_condition  # local import to avoid a cycle
 
@@ -382,62 +385,30 @@ def star_decomposition_construct(
     if star_necessary_condition(H, dens, f) is Verdict.PASSES:
         return None
 
-    n = H.n
     labels = list(f)
-    # Down pass: gamma targets per level k (graph induced on labels[:k]).
-    level_gamma: list[dict[Edge, Fraction]] = [dict() for _ in range(n + 1)]
-    level_gamma[n] = dict(dens)
-    for k in range(n, 1, -1):
-        u = labels[k - 1]
-        placed = set(labels[: k - 1])
-        prev: dict[Edge, Fraction] = {}
-        for (i, j), g in level_gamma[k].items():
-            if u in (i, j):
-                continue
+    level = dict(dens)
+    target: dict[Edge, Fraction] = {}
+    for u in reversed(labels[1:]):
+        at_u = {e: level.pop(e) for e in list(level) if u in e}
+        target.update(at_u)
+        for (i, j), g in level.items():
             divisor = _ONE
-            for endpoint in (i, j):
-                if H.has_edge(u, endpoint):
-                    divisor = divisor * level_gamma[k][canonical_edge(u, endpoint)]
-            r = _ONE - g
-            if divisor == 0:
-                r_new = _ONE
-            else:
-                r_new = r / divisor
-                if r_new > 1:
-                    r_new = _ONE
-            prev[(i, j)] = _ONE - r_new
-        assert set(prev) == {
-            e for e in H.edges if e[0] in placed and e[1] in placed}
-        level_gamma[k - 1] = prev
+            for a in (i, j):
+                if H.has_edge(u, a):
+                    divisor *= at_u[canonical_edge(u, a)]
+            r = (_ONE - g) / divisor if divisor else _ONE
+            level[(i, j)] = _ONE - min(_ONE, r)
 
-    # Up pass.
     weights: dict[int, list] = {labels[0]: [_ONE]}
-    cross: set[tuple[Slot, Slot]] = set()
-    for k in range(2, n + 1):
-        u = labels[k - 1]
-        placed = set(labels[: k - 1])
+    missing: list[tuple[Slot, Slot]] = []
+    for u in labels[1:]:
         weights[u] = [_ONE]
-        w_k: Slot = (u, 0)
-        neighbors = sorted(v for v in H.adjacency[u] if v in placed)
-        old_counts = {v: len(weights[v]) for v in neighbors}
-        for v in neighbors:
-            g = level_gamma[k][canonical_edge(u, v)]
-            weights[v] = [w * g for w in weights[v]]
-            weights[v].append(_ONE - g)
-        for v in neighbors:
-            for a in range(old_counts[v]):
-                cross.add(_normalize_pair(w_k, (v, a)))
-            fresh: Slot = (v, old_counts[v])
-            for c in H.adjacency[v]:
-                if c not in placed and c != u:
-                    continue
-                for b in range(len(weights[c])):
-                    if (c, b) == w_k:
-                        continue
-                    cross.add(_normalize_pair(fresh, (c, b)))
-
-    cluster_list = [weights[i] for i in H.vertices()]
-    B = WeightedBlowupGraph(H, cluster_list, cross).prune_zero_weights()
+        for v in H.adjacency[u]:
+            if v in weights:
+                g = target[canonical_edge(u, v)]
+                weights[v] = [w * g for w in weights[v]] + [_ONE - g]
+                missing.append(((u, 0), (v, len(weights[v]) - 1)))
+    B = blowup_without(H, [weights[i] for i in H.vertices()], missing)
+    B = B.prune_zero_weights()
     assert_construction(B, dens)
     return B
-

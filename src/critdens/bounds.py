@@ -15,7 +15,14 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import BadSplit, DegenerateGraph, ValidationError
-from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment, rational
+from .graphs import (
+    Edge,
+    PatternGraph,
+    canonical_edge,
+    edge_assignment,
+    rational,
+    tolerance,
+)
 from .polynomials import (
     largest_matching_root_squared,
     multivariate_matching_eval,
@@ -48,6 +55,7 @@ class BoundsReport:
 def compute_bounds(
     H: PatternGraph, tol: Fraction | float = Fraction(1, 10**9)
 ) -> BoundsReport:
+    tol = tolerance(tol)
     delta = H.max_degree()
     if delta < 2:
         raise DegenerateGraph(

@@ -111,31 +111,22 @@ class PatternGraph:
         return len(self.edges) == self.n - 1 and self.is_connected()
 
     def bfs_order(self, start: int = 1) -> list[int]:
-        """Vertices in BFS order from start, then any unreached ones in
-        label order (so the result always covers the whole graph)."""
-        start = self._check_vertex(start)
-        seen = {start}
-        order = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-                    queue.append(u)
-        for v in self.vertices():
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-                queue.append(v)
-                while queue:
-                    w = queue.popleft()
-                    for u in self.adjacency[w]:
-                        if u not in seen:
-                            seen.add(u)
-                            order.append(u)
-                            queue.append(u)
+        """Vertices in BFS order from start, then BFS from each unreached
+        vertex in label order (so the result always covers the whole
+        graph)."""
+        order: list[int] = []
+        seen: set[int] = set()
+        for root in (self._check_vertex(start), *self.vertices()):
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = [root]
+            for v in queue:  # also visits what the loop appends
+                for u in self.adjacency[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        queue.append(u)
+            order += queue
         return order
 
     def _check_vertex(self, v: int) -> int:

@@ -125,7 +125,8 @@ class SearchConfig:
     def resolved_bounds(self, H: PatternGraph) -> tuple[int, ...]:
         if self.cluster_size_bounds is None:
             return tuple(max(1, H.degree(v)) for v in H.vertices())
-        bounds = tuple(int(b) for b in self.cluster_size_bounds)
+        bounds = tuple(integer(b, "cluster size bound")
+                       for b in self.cluster_size_bounds)
         if len(bounds) != H.n:
             raise ValidationError(
                 f"expected {H.n} cluster size bounds, got {len(bounds)}")

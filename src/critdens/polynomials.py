@@ -38,7 +38,6 @@ from .graphs import (
     PatternGraph,
     canonical_edge,
     edge_assignment,
-    rational,
     tolerance,
 )
 
@@ -54,7 +53,11 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        try:
+            cs = [Fraction(c) for c in coeffs]
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValidationError(
+                "polynomial coefficients must be finite rationals") from None
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -863,17 +866,16 @@ def largest_matching_root_squared(
 ) -> AlgebraicNumber:
     """t(H)^2: the square of the largest root of the matching polynomial,
     as the largest root of its even part.  Exact 0 for edgeless graphs."""
+    tol = tolerance(tol)
     if not H.edges:
         return AlgebraicNumber.from_rational(0)
     # Equal to largest_real_root(matching_even_part(H), tol); the Sturm
     # bisection runs only when a certificate fails.
     sf = square_free_part(matching_even_part(H))
-    tol = rational(tol, "tolerance")
-    if tol > 0:
-        s1, s2 = _tree_top_roots_squared(H) if H.is_tree() else _newton_top_roots(sf)
-        root = _float_guided_root(sf, tol, s1, s2 if sf.degree > 1 else None)
-        if root is not None:
-            return root
+    s1, s2 = _tree_top_roots_squared(H) if H.is_tree() else _newton_top_roots(sf)
+    root = _float_guided_root(sf, tol, s1, s2 if sf.degree > 1 else None)
+    if root is not None:
+        return root
     return _sturm_largest_root(sf, tol)
 
 

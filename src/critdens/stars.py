@@ -165,6 +165,7 @@ def star_lower_bound(
     heuristic, i.e. still a valid lower bound but maybe not the max).
     Ties keep the lexicographically first labeling.
     """
+    tol = tolerance(tol)
     if H.n == 1:
         zero = CriticalDensity.zero()
         return StarBound(zero, (1,), 1, False, {"()": ((1,), 1, zero)})

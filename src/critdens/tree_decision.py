@@ -213,9 +213,9 @@ class CriticalDensity:
         return _ONE - _ONE / self.s_star.exact
 
     def interval(self, tol: Fraction | float = Fraction(1, 10**9)) -> tuple[Fraction, Fraction]:
+        tol = tolerance(tol)
         if self.exact is not None:
             return (self.exact, self.exact)
-        tol = rational(tol, "tolerance")
         self.s_star.refine(tol)
         while True:
             if self.s_star.exact is not None:
@@ -242,6 +242,7 @@ def dcrit_tree(
 ) -> CriticalDensity:
     """Critical homogeneous density of a tree, 1 - 1/lambda(T)^2, exact
     when lambda^2 is rational and an interval of width <= tol otherwise."""
+    tol = tolerance(tol)
     if not T.is_tree():
         raise NotATree("critical tree density requires a tree")
     if T.n == 1:

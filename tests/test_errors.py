@@ -8,11 +8,15 @@ from fractions import Fraction as F
 import pytest
 
 from critdens.blowup import WeightedBlowupGraph
-from critdens.bounds import glue_sufficiency, triangle_decide
+from critdens.bounds import compute_bounds, glue_sufficiency, triangle_decide
 from critdens.errors import ValidationError
-from critdens.graphs import PatternGraph, path_graph
+from critdens.graphs import PatternGraph, path_graph, star_graph
 from critdens.oracle import SearchConfig, oracle_dcrit_estimate
-from critdens.polynomials import AlgebraicNumber, RatPoly
+from critdens.polynomials import (
+    AlgebraicNumber,
+    RatPoly,
+    largest_matching_root_squared,
+)
 from critdens.stars import star_lower_bound, verify_bt1
 from critdens.tree_decision import (
     CriticalDensity,
@@ -55,6 +59,10 @@ CALLS = {
     "refine zero tol": lambda: _root_of_two().refine(0),
     "exact blow-up nan weight": lambda: WeightedBlowupGraph(P2, [[NAN], [1]], []),
     "fractional vertex count": lambda: PatternGraph(2.5, ((1, 2),)),
+    "RatPoly nan coefficient": lambda: RatPoly([1, NAN]),
+    "RatPoly inf coefficient": lambda: RatPoly([-INF]),
+    "RatPoly text coefficient": lambda: RatPoly([1, "x"]),
+    "RatPoly missing coefficient": lambda: RatPoly([None]),
 }
 
 
@@ -62,6 +70,27 @@ CALLS = {
 def test_bad_numbers_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+# P1, P3 and S5 have exact answers, so the calls return before any
+# refinement; P4's critical density is irrational and must be refined.
+TOL_CALLS = {
+    "dcrit_tree": dcrit_tree,
+    "star_lower_bound": star_lower_bound,
+    "compute_bounds": compute_bounds,
+    "largest_matching_root_squared": largest_matching_root_squared,
+    "CriticalDensity.interval": lambda H, tol: dcrit_tree(H).interval(tol),
+    "StarBound.interval": lambda H, tol: star_lower_bound(H).interval(tol),
+}
+TOL_GRAPHS = {"P1": path_graph(1), "P3": P3, "S5": star_graph(5), "P4": path_graph(4)}
+
+
+@pytest.mark.parametrize("tol", [0, -1, NAN], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("graph", TOL_GRAPHS.values(), ids=TOL_GRAPHS.keys())
+@pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
+def test_bad_tolerance_raises_on_exact_and_refined_inputs(call, graph, tol):
+    with pytest.raises(ValidationError, match="tolerance"):
+        call(graph, tol)
 
 
 def test_messages_name_the_value():

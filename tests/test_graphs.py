@@ -1,6 +1,7 @@
 """Pattern graph parsing, constructors, and labeling enumeration."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -193,3 +194,42 @@ def test_is_proper_labeling_rejects_non_bijection():
     assert not is_proper_labeling(path_graph(3), (1, 2))
     assert not is_proper_labeling(path_graph(3), (1, 3, 2))
     assert is_proper_labeling(path_graph(3), (2, 1, 3))
+
+
+def _deque_bfs_order(H, start):
+    """BFS from start, then from each unreached vertex in label order."""
+    order, seen = [], set()
+    for root in [start, *H.vertices()]:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in H.adjacency[v]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+    return order
+
+
+def test_bfs_order_matches_a_deque_bfs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graph_and_start(draw):
+        n = draw(st.integers(1, 8))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = tuple(e for e in pairs if draw(st.booleans()))
+        return PatternGraph(n, edges), draw(st.integers(1, n))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(graph_and_start())
+    @hypothesis.example((PatternGraph(5, ((1, 2), (4, 5))), 4))
+    def check(case):
+        H, start = case
+        assert H.bfs_order(start) == _deque_bfs_order(H, start)
+
+    check()

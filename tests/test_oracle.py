@@ -60,6 +60,22 @@ def test_config_validation():
             complete_graph(3))
 
 
+def test_cluster_size_bounds_must_be_integers():
+    numpy = pytest.importorskip("numpy")
+    sympy = pytest.importorskip("sympy")
+    K3 = complete_graph(3)
+    with pytest.raises(ValidationError, match="cluster size bound 1.5 is not an integer"):
+        oracle_search_construction(K3, SearchConfig(cluster_size_bounds=(1.5, 1, 1)))
+    with pytest.raises(ValidationError, match="cluster size bound 1.5 is not an integer"):
+        oracle_dcrit_estimate(K3, q=4, cluster_size_bounds=(1.5, 1, 1))
+    bounds = (numpy.int64(2), sympy.Integer(1), 2)
+    assert SearchConfig(cluster_size_bounds=bounds).resolved_bounds(K3) == (2, 1, 2)
+    assert all(type(b) is int
+               for b in SearchConfig(cluster_size_bounds=bounds).resolved_bounds(K3))
+    assert oracle_dcrit_estimate(K3, q=4, cluster_size_bounds=bounds) == \
+        oracle_dcrit_estimate(K3, q=4, cluster_size_bounds=(2, 1, 2))
+
+
 def test_default_bounds_are_vertex_degrees():
     assert SearchConfig().resolved_bounds(complete_graph(3)) == (2, 2, 2)
     assert SearchConfig().resolved_bounds(path_graph(3)) == (1, 2, 1)
