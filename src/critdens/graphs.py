@@ -209,6 +209,14 @@ def integer(x: object, what: str) -> int:
         raise ValidationError(f"{what} {x!r} is not an integer") from None
 
 
+def sequence(x: object, what: str) -> list:
+    """x as a list; a non-iterable raises ValidationError, not TypeError."""
+    try:
+        return list(x)
+    except TypeError:
+        raise ValidationError(f"{what} {x!r} is not a sequence") from None
+
+
 def edge_assignment(
     H: PatternGraph,
     values: Mapping[Edge, Fraction] | Sequence[Fraction],
@@ -235,7 +243,7 @@ def edge_assignment(
         if missing:
             raise ValidationError(f"missing {what} for edges {sorted(missing)}")
     else:
-        vals = list(values)
+        vals = sequence(values, what)
         if len(vals) != len(H.edges):
             raise ValidationError(
                 f"expected {len(H.edges)} {what} values in edge order "

@@ -28,27 +28,30 @@ found, the optimum and every verdict are those of the plain enumeration:
   not yet blocked, each slot pair that blocks it; once a pair has been
   tried, the subtrees of the later siblings exclude it.  Every set of
   pairs is then reached once instead of once per order of its pairs.
-* Feasible intervals.  A size-2 cluster has one degree of freedom x, its
-  first slot weight (a size-1 cluster's only weight is q), and each
-  closed edge's mass is linear in x; the search tries only the interval
-  of x that keeps every closed edge within its ceiling.
+* Feasible intervals.  A cluster of size k takes its first k - 2 slot
+  weights (its head, empty for k <= 2) in lexicographic order, then a
+  last pair (x, rest - x) of what the head leaves of q; a size-1
+  cluster's only weight is q.  With the head fixed, each closed edge's
+  mass is linear in x; the search tries only the interval of x that
+  keeps every closed edge within its ceiling.
 * Look-ahead.  Once a cluster is placed, each later cluster joined to it
   must still have room: a size <= 2 cluster a non-empty interval under
   all its placed neighbours, a larger one the new edge's mass at its
-  cheapest composition within the ceiling; a prefix failing either is
-  cut.  For a placed cluster of size <= 2 this is solved in closed form
-  over its first weight x: the new edge's mass is bilinear in x and a
-  later size <= 2 cluster's first weight y, so that cluster has room iff
-  the mass at one end of its interval in y is within the ceiling, and a
-  larger one iff one of its slot terms is.  Each condition is linear in
-  x, so each later cluster rules out one gap a < x < b, and only the x
-  outside every gap are tried; a larger placed cluster checks each
-  composition.
+  cheapest weights within the ceiling; a prefix failing either is cut.
+  This is solved in closed form over the placed cluster's x: the new
+  edge's mass is bilinear in x and a later size <= 2 cluster's first
+  weight y, so that cluster has room iff the mass at one end of its
+  interval in y is within the ceiling, and a larger one iff one of its
+  slot terms is.  Each condition is linear in x, so each later cluster
+  rules out one gap a < x < b, and only the x outside every gap are
+  tried.
 
 The budget counts nodes actually expanded (cover-tree nodes and weight
 assignments tried), so the pruning spends less of it than the plain
-enumeration would; a first weight in a look-ahead gap is never tried
-and costs nothing.  An exhausted budget names the cluster-size vector
+enumeration would; an x outside the interval or in a look-ahead gap is
+never tried and costs nothing.  A head with no x left to try costs one
+unit, so a cluster spends at most one unit per weight tuple, as the
+plain enumeration does.  An exhausted budget names the cluster-size vector
 and the configuration index (the one --checkpoint counts) it stopped at;
 in maxmin mode also the best grid density reached so far.
 
@@ -83,7 +86,7 @@ from .blowup import (
     blowup_without,
 )
 from .errors import BudgetExhausted, ParseError, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph, edge_assignment, integer, tolerance
+from .graphs import Edge, PatternGraph, edge_assignment, integer, sequence, tolerance
 
 CHECKPOINT_FORMAT = 1
 
@@ -125,8 +128,8 @@ class SearchConfig:
     def resolved_bounds(self, H: PatternGraph) -> tuple[int, ...]:
         if self.cluster_size_bounds is None:
             return tuple(max(1, H.degree(v)) for v in H.vertices())
-        bounds = tuple(integer(b, "cluster size bound")
-                       for b in self.cluster_size_bounds)
+        bounds = tuple(integer(b, "cluster size bound") for b in
+                       sequence(self.cluster_size_bounds, "cluster size bounds"))
         if len(bounds) != H.n:
             raise ValidationError(
                 f"expected {H.n} cluster size bounds, got {len(bounds)}")
@@ -333,36 +336,30 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
     return tuple(sorted(canon, key=lambda c: (len(c), c)))
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Positive integer compositions of total into parts, lex ascending."""
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
 class _WeightSearch:
     """Grid-weight DFS for one (size vector, cover) configuration, under
     the pruning rules of the module docstring.
 
     Clusters are assigned in vertex order, each edge's integer missing
-    mass (out of q*q) held to a ceiling.  One DFS serves both modes; they
-    differ only in the ceiling policy.  Floor mode keeps the ceilings the
-    density floor sets and stops at the first leaf, which is the
-    lexicographically first weight matrix within them.  Maxmin mode sets
-    every ceiling to best - 1 and lowers them at each leaf; a last
-    cluster of size <= 2 is solved directly instead of enumerated.
+    mass (out of q*q) held to a ceiling.  A cluster of size k is placed
+    as a head, its first k - 2 slot weights in lexicographic order (one
+    empty head for k <= 2), then a last pair (x, rest - x), rest being
+    what the head leaves of q, with x run over its feasible interval less
+    the look-ahead's gaps; so every cluster's weight tuples come in
+    lexicographic order.  Each x tried costs one budget unit, and so does
+    a head that leaves no x to try, which keeps the spend at or below one
+    unit per weight tuple.
 
-    compositions maps a cluster size to its weight tuples; a search over
-    many configurations passes one dict so each list is built once.
+    One DFS serves both modes; they differ only in the ceiling policy.
+    Floor mode keeps the ceilings the density floor sets and stops at the
+    first leaf, which is the lexicographically first weight matrix within
+    them.  Maxmin mode sets every ceiling to best - 1 and lowers them at
+    each leaf; a last cluster of size <= 2 is solved directly instead of
+    enumerated.
     """
 
     def __init__(self, H: PatternGraph, sizes: Sequence[int], cover: Cover,
-                 q: int, budget: _Budget,
-                 compositions: dict[int, list[tuple[int, ...]]]) -> None:
+                 q: int, budget: _Budget) -> None:
         self.n = n = H.n
         self.q = q
         self.budget = budget
@@ -379,28 +376,25 @@ class _WeightSearch:
         # look-ahead from cluster v: each later cluster j joined to it, its
         # size k, the edges to check, all covered edges (i, j), i <= v, for
         # k <= 2 and (v, j) alone for a larger k, the last being (v, j);
-        # for v of size <= 2 also (s_b, t_b) per slot b of j, with
-        # c_b = s_b*x + t_b in v's first weight x
-        self.ahead: list[list[tuple[int, int, list[EdgeSlots],
-                                    list[tuple[int, int]]]]] = [
+        # and per slot b of j the terms of c_b = s_b*x + t_b in v's last
+        # pair weight x: (s_b, t_b) for a size <= 2 cluster v, (s_b, u_b,
+        # head slots) for a larger one, whose t_b is u_b*rest plus the
+        # weights of those head slots
+        self.ahead: list[list[tuple[int, int, list[EdgeSlots], list[tuple]]]] = [
             [] for _ in range(n + 1)]
         # the cover is sorted, so edges arrive in order of their lower end
         for e, slots in self.missing.items():
             i, j = e
             self.closing[j].append((e, slots))
             k = sizes[j - 1]
-            terms = ([((0 in s) - (1 in s), (1 in s) * q) for s in slots]
-                     if sizes[i - 1] <= 2 else [])
+            p = max(sizes[i - 1], 2) - 2   # i's last pair is its slots p, p + 1
+            terms = [((p in s) - (p + 1 in s), p + 1 in s, [a for a in s if a < p])
+                     for s in slots]
+            if not p:
+                terms = [(s, u * q) for s, u, _ in terms]
             self.ahead[i].append(
                 (j, k, self.closing[j][:] if k <= 2 else [(e, slots)], terms))
-        # weight tuples: a size <= 2 cluster's indexed by its first weight,
-        # a larger one's the compositions in lexicographic order
-        for k in self.sizes:
-            if k not in compositions:
-                compositions[k] = ([(x, q - x)[:k] for x in range(q + 1)] if k <= 2
-                                   else _compositions(q, k))
-        self.comps = [[]] + [compositions[k] for k in self.sizes]
-        # a cluster's first slot weights before any edge narrows them
+        # a size <= 2 cluster's first slot weights before any edge narrows them
         self.span = [(1, q - 1) if k == 2 else (q, q) for k in (0,) + self.sizes]
         self.weights: list[tuple[int, ...] | None] = [None] * (n + 1)
         self.ceilings: Mapping[Edge, int] = {}
@@ -418,27 +412,38 @@ class _WeightSearch:
         wi = self.weights[e[0]]
         return [sum([wi[a] for a in s]) for s in slots]
 
-    def _interval(self, v: int, edges: Iterable[EdgeSlots]) -> tuple[int, int]:
-        """The first slot weights x in [lo, hi] of a cluster v of size <= 2
-        that keep the given edges into it within their ceilings: every
-        constraint A*x + B*(q-x) <= C is linear, so the feasible x form an
+    def _interval(self, v: int, edges: Iterable[EdgeSlots],
+                  head: tuple[int, ...] = ()) -> tuple[int, int]:
+        """The weights x in [lo, hi] of the last pair (x, rest - x) of a
+        cluster v after head that keep the given edges into it within
+        their ceilings: with the head's mass F fixed, every constraint
+        F + A*x + B*(rest-x) <= C is linear, so the feasible x form an
         interval of the grid (empty when lo > hi).  A size-1 cluster's x
         is q."""
         q, weights, ceilings = self.q, self.weights, self.ceilings
-        lo, hi = self.span[v]
-        for e, (first, second) in edges:
+        if head:
+            rest = q - sum(head)
+            lo, hi = 1, rest - 1
+        else:
+            rest = q
+            lo, hi = self.span[v]
+        for e, slots in edges:
             # the sums of _coeffs, inline: this runs for every later cluster
             # at each node, and a call per edge here made maxmin searches
             # (oracle-dcrit on C4, P5, K3) about 2.5x slower
             wi = weights[e[0]]
             A = B = 0
-            for a in first:
+            for a in slots[-2]:
                 A += wi[a]
-            for a in second:
+            for a in slots[-1]:
                 B += wi[a]
-            # A*x + B*(q-x) <= C  <=>  (A-B)*x <= C - B*q
+            # F + A*x + B*(rest-x) <= C  <=>  (A-B)*x <= C - F - B*rest
             d = A - B
-            rhs = ceilings[e] - B * q
+            rhs = ceilings[e] - B * rest
+            if head:
+                for b, w in enumerate(head):
+                    for a in slots[b]:
+                        rhs -= wi[a] * w
             if d > 0:
                 if rhs < d * hi:
                     hi = rhs // d
@@ -449,39 +454,27 @@ class _WeightSearch:
                 return 1, 0
         return lo, hi
 
-    def _ahead(self, v: int) -> bool:
-        """Whether every later cluster joined to the just-placed cluster v
-        can still be placed within the ceilings.  A cluster j of size <= 2
-        needs a non-empty interval under all its placed neighbours.  For a
-        larger j the edge's mass is sum c_b w_b over j's slots; every
-        w_b >= 1 and they sum to q, so its least value is
-        sum c_b + (q - k_j) * min c_b."""
-        for j, k, edges, _ in self.ahead[v]:
-            if k <= 2:
-                lo, hi = self._interval(j, edges)
-                if lo > hi:
-                    return False
-            else:
-                e, slots = edges[0]
-                c = self._coeffs(e, slots)
-                if sum(c) + (self.q - k) * min(c) > self.ceilings[e]:
-                    return False
-        return True
-
-    def _gaps(self, v: int) -> list[tuple[int, int]]:
-        """_ahead in closed form for a cluster v of size <= 2: the first
-        weights x it rejects, as gaps a < x < b sorted by a.
+    def _gaps(self, v: int, head: tuple[int, ...] = ()) -> list[tuple[int, int]]:
+        """The weights x of cluster v's last pair, after head, that leave
+        some later cluster no room, as gaps a < x < b sorted by a.
 
         Each c_b of an edge (v, j) is linear in x.  A later j of size
         <= 2 with interval [L, H] under its other placed neighbours has
         room iff L <= H and the edge's mass, bilinear in x and j's first
-        weight y, is within the ceiling at y = L or y = H.  A larger j has
-        room iff sum c + (q - k_j) * c_b is within it for some b.  Either
-        way j has room iff one of a few linear constraints on x holds,
-        which is x <= a or x >= b."""
+        weight y, is within the ceiling at y = L or y = H.  For a larger j
+        the edge's mass is sum c_b w_b over j's slots; every w_b >= 1 and
+        they sum to q, so its least value is sum c + (q - k_j) * min c,
+        and j has room iff sum c + (q - k_j) * c_b is within the ceiling
+        for some b.  Either way j has room iff one of a few linear
+        constraints on x holds, which is x <= a or x >= b."""
         q, ceilings = self.q, self.ceilings
+        if head:
+            rest = q - sum(head)
         gaps = []
         for j, k, edges, terms in self.ahead[v]:
+            if head:
+                terms = [(s, u * rest + sum([head[a] for a in hs]))
+                         for s, u, hs in terms]
             e = edges[-1][0]
             if k <= 2:
                 L, H = self._interval(j, edges[:-1])
@@ -533,7 +526,7 @@ class _WeightSearch:
 
     def _leaf(self, mass: int) -> None:
         """Keep the placed weights, whose largest mass is mass."""
-        self.best_weights = tuple(self.weights[1:])
+        self.best_weights = tuple([w[:k] for w, k in zip(self.weights[1:], self.sizes)])
         if self.lowering:
             self._lower(mass)
         else:
@@ -544,48 +537,52 @@ class _WeightSearch:
         if v > self.n:
             self._leaf(cur)
             return
-        k = self.sizes[v - 1]
-        lines = [(e, self._coeffs(e, slots)) for e, slots in self.closing[v]]
+        q, k, closing = self.q, self.sizes[v - 1], self.closing[v]
+        lines = [(e, self._coeffs(e, slots)) for e, slots in closing]
         if k <= 2 and v == self.n and self.lowering:
             self.budget.spend()
             self._solve_last(lines, cur)
             return
-        # a size <= 2 cluster runs over its first-weight interval less the
-        # look-ahead's gaps, both narrowed again whenever best improves; a
-        # larger one over its compositions, each checked by _ahead
-        comps = self.comps[v]
-        if k <= 2:
-            lo, hi = self._interval(v, self.closing[v])
-            gaps = self._gaps(v)
-        else:
-            lo, hi, gaps = 0, len(comps) - 1, []
-        x = lo
-        while cur < self.best:
-            for a, b in gaps:
-                if a < x < b:
-                    x = b
-            if x > hi:
-                break
-            self.budget.spend()
-            self.weights[v] = comp = comps[x]
-            if k <= 2 or self._ahead(v):
-                ceilings, new = self.ceilings, cur
-                for e, c in lines:
+        # (head, what it leaves of q); a head must leave room for the pair
+        heads = [((), q)] if k <= 2 else (
+            (h, q - sum(h)) for h in itertools.product(range(1, q - 1), repeat=k - 2)
+            if sum(h) <= q - 2)
+        for head, rest in heads:
+            # the last pair's x runs over its interval less the look-ahead's
+            # gaps, both narrowed again whenever best improves
+            lo, hi = self._interval(v, closing, head)
+            gaps = self._gaps(v, head)
+            tried = False
+            x = lo
+            while cur < self.best:
+                for a, b in gaps:
+                    if a < x < b:
+                        x = b
+                if x > hi:
+                    break
+                self.budget.spend()
+                tried = True
+                # a size-1 cluster is held as (q, 0) until a leaf trims it;
+                # the interval keeps every closed edge within its ceiling
+                self.weights[v] = comp = head + (x, rest - x)
+                new = cur
+                for _, c in lines:
                     m = sum(map(operator.mul, c, comp))
-                    if m > ceilings[e]:
-                        break
                     if m > new:
                         new = m
-                else:
-                    best = self.best
-                    self._dfs(v + 1, new)
-                    # floor mode's first leaf sets best to 0 and ends
-                    # every loop: nothing left to narrow
-                    if k <= 2 and cur < self.best < best:
-                        lo, hi = self._interval(v, self.closing[v])
-                        gaps = self._gaps(v)
-                        x = max(x, lo - 1)
-            x += 1
+                best = self.best
+                self._dfs(v + 1, new)
+                # floor mode's first leaf sets best to 0 and ends every
+                # loop: nothing left to narrow
+                if cur < self.best < best:
+                    lo, hi = self._interval(v, closing, head)
+                    gaps = self._gaps(v, head)
+                    x = max(x, lo - 1)
+                x += 1
+            else:
+                break   # best is down to cur: no later head can beat it
+            if head and not tried:
+                self.budget.spend()
         self.weights[v] = None
 
     def _solve_last(self, lines: list[tuple[Edge, list[int]]], cur: int) -> None:
@@ -609,7 +606,7 @@ class _WeightSearch:
             if m < best:
                 best_x, best = x, m
         if best_x is not None:
-            self.weights[v] = self.comps[v][best_x]
+            self.weights[v] = best_x, q - best_x
             self._leaf(best)
             self.weights[v] = None
 
@@ -620,7 +617,6 @@ def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,
     """Every configuration after index done (the one --checkpoint
     counts) with its weight search, in (size vector, cover) order; the
     budget keeps the position for an exhausted-budget message."""
-    compositions: dict[int, list[tuple[int, ...]]] = {}
     config_index = -1
     for sizes in itertools.product(*(range(1, b + 1) for b in bounds)):
         budget.listing(sizes, config_index + 1)
@@ -629,7 +625,7 @@ def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,
             if config_index <= done:
                 continue
             budget.searching(config_index)
-            yield config_index, _WeightSearch(H, sizes, cover, q, budget, compositions)
+            yield config_index, _WeightSearch(H, sizes, cover, q, budget)
 
 
 def _cover_record(cover: Cover) -> list[list[int]]:

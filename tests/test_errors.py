@@ -1,7 +1,7 @@
 """The public API raises only CritdensError subclasses: numbers that
 Fraction() or operator.index() refuse (NaN, infinities, non-numbers,
-non-integers) surface as ValidationError, never as a bare ValueError,
-OverflowError or TypeError."""
+non-integers) and non-iterables where a sequence is expected surface as
+ValidationError, never as a bare ValueError, OverflowError or TypeError."""
 
 from fractions import Fraction as F
 
@@ -10,7 +10,7 @@ import pytest
 from critdens.blowup import WeightedBlowupGraph
 from critdens.bounds import compute_bounds, glue_sufficiency, triangle_decide
 from critdens.errors import ValidationError
-from critdens.graphs import PatternGraph, path_graph, star_graph
+from critdens.graphs import PatternGraph, complete_graph, path_graph, star_graph
 from critdens.oracle import SearchConfig, oracle_dcrit_estimate
 from critdens.polynomials import (
     AlgebraicNumber,
@@ -26,7 +26,7 @@ from critdens.tree_decision import (
 )
 
 NAN, INF = float("nan"), float("inf")
-P2, P3 = path_graph(2), path_graph(3)
+P2, P3, K3 = path_graph(2), path_graph(3), complete_graph(3)
 
 
 def _root_of_two():
@@ -39,6 +39,7 @@ CALLS = {
     "decide_tree non-edge key": lambda: decide_tree(P3, {1: 0.5}),
     "decide_tree text density": lambda: decide_tree(P3, {(1, 2): "x", (2, 3): 0.5}),
     "decide_tree missing density": lambda: decide_tree(P3, [None, 0.5]),
+    "decide_tree non-iterable densities": lambda: decide_tree(P3, 5),
     "dcrit_tree nan tol": lambda: dcrit_tree(path_graph(4), NAN),
     "dcrit_tree inf tol": lambda: dcrit_tree(path_graph(4), INF),
     "star_lower_bound nan tol": lambda: star_lower_bound(path_graph(4), NAN),
@@ -48,6 +49,10 @@ CALLS = {
     "oracle_dcrit_estimate nan tol": lambda: oracle_dcrit_estimate(P3, tol=NAN),
     "oracle_dcrit_estimate fractional q": lambda: oracle_dcrit_estimate(P3, q=2.5),
     "SearchConfig fractional budget": lambda: SearchConfig(budget=1.5),
+    "SearchConfig non-iterable floor": lambda: SearchConfig(
+        density_floor=5).resolved_floor(K3),
+    "SearchConfig non-iterable bounds": lambda: SearchConfig(
+        cluster_size_bounds=5).resolved_bounds(K3),
     "triangle_decide nan density": lambda: triangle_decide(NAN, 0.5, 0.5),
     "glue_sufficiency nan split": lambda: glue_sufficiency(
         P2, P2, 1, 1, NAN, 0.5, [0.5, 0.5]),

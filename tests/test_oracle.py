@@ -207,16 +207,19 @@ def _bow_tie_search(budget):
     (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 13_976),
     (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 9_758),
     (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 1_258),
-    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 48_819),
+    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 1_289),
+    (lambda b: oracle_dcrit_estimate(star_graph(5), q=20, budget=b), 6_242),
     (lambda b: _best_grid_density(cycle_graph(5), (2,) * 5, 10, _Budget(b)), 25_247),
-], ids=["floor-bow-tie", "floor-c4", "floor-k3",
-        "maxmin-c4", "maxmin-p5", "maxmin-k3", "maxmin-s4", "maxmin-c5"])
+], ids=["floor-bow-tie", "floor-c4", "floor-k3", "maxmin-c4", "maxmin-p5",
+        "maxmin-k3", "maxmin-s4", "maxmin-s5", "maxmin-c5"])
 def test_budget_spend_is_pinned(search, spend):
     """Each search finishes on exactly its pinned budget and exhausts one
     unit short of it, so any change to the pruning shows as a spend
     change.  The cases cover a found witness, two full enumerations, a
-    last size-2 cluster solved (C4, P5), a size-3 cluster (S4) and
-    clusters all of size 2 (C5)."""
+    last size-2 cluster solved (C4, P5), a size-3 cluster (S4, a head of
+    one slot), a size-4 cluster (S5, a head of two slots) and clusters
+    all of size 2 (C5).  A cluster of size >= 3 spends one unit per
+    last-pair weight tried and one per head with none to try."""
     search(spend)
     with pytest.raises(BudgetExhausted):
         search(spend - 1)

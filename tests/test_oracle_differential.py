@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from critdens.graphs import PatternGraph, complete_graph
+from critdens.graphs import PatternGraph, complete_graph, star_graph
 from critdens.oracle import (
     _Budget,
     _list_minimal_covers,
@@ -188,8 +188,17 @@ def floor_searches(draw):
     return H, sizes, q, floor, weights
 
 
+# The drawn sizes stop at 3; a size-4 cluster is placed as a head of two
+# slots before its last pair, at the centre of S5 or inside a triangle.
+_S5, _K3 = star_graph(5), complete_graph(3)
+
+
 @settings(max_examples=150, deadline=None)
 @given(floor_searches())
+@example((_S5, (4, 1, 1, 1, 1), 7, dict.fromkeys(_S5.edges, F(1, 2)),
+          [(1, 2, 3, 1), (7,), (7,), (7,), (7,)]))
+@example((_K3, (1, 4, 2), 7, dict.fromkeys(_K3.edges, F(3, 5)),
+          [(7,), (2, 1, 3, 1), (3, 4)]))
 def test_first_meeting_floor_matches_unpruned_search(case):
     H, sizes, q, floor, weights = case
     drawn = _mass_ceilings(H, floor, q)
@@ -199,7 +208,7 @@ def test_first_meeting_floor_matches_unpruned_search(case):
                   for i, j in H.edges} if None not in weights else drawn)
         below = {e: c - 1 for e, c in tight.items()}
         for ceilings in (drawn, tight, below):
-            search = _WeightSearch(H, sizes, cover, q, _Budget(10**9), {})
+            search = _WeightSearch(H, sizes, cover, q, _Budget(10**9))
             want = _unpruned_first_meeting_floor(H, sizes, cover, q, ceilings)
             assert search.first_meeting_floor(ceilings) == want, (cover, ceilings)
 
@@ -294,6 +303,8 @@ def maxmin_searches(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(maxmin_searches())
+@example((_S5, (4, 1, 1, 1, 1), 7, [(1, 2, 3, 1), (7,), (7,), (7,), (7,)], 30))
+@example((_K3, (1, 4, 2), 6, [(6,), (1, 1, 2, 2), (5, 1)], 20))
 def test_best_maxmin_matches_unpruned_search(case):
     H, sizes, q, weights, drawn = case
     for cover in _minimal_covers(H, sizes, _Budget(10**9)):
@@ -302,7 +313,7 @@ def test_best_maxmin_matches_unpruned_search(case):
                     for i, j in H.edges)
         for best_mass in (q * q + 1, drawn, tight, tight + 1):
             budget = _Budget(10**9)
-            got = _WeightSearch(H, sizes, cover, q, budget, {}).best_maxmin(best_mass)
+            got = _WeightSearch(H, sizes, cover, q, budget).best_maxmin(best_mass)
             want, unpruned_spend = _unpruned_best_maxmin(H, sizes, cover, q, best_mass)
             assert got == want, (cover, best_mass)
             assert 10**9 - budget.left <= unpruned_spend, (cover, best_mass)
@@ -425,7 +436,7 @@ _C4 = PatternGraph(4, ((1, 2), (1, 4), (2, 3), (3, 4)))
           [(5, 5), (5, 5)], dict.fromkeys(_C4.edges, 40)))
 def test_look_ahead_gaps_skip_exactly_the_rejected_weights(case):
     H, sizes, cover, q, v, placed, ceilings = case
-    search = _Tries(H, sizes, cover, q, _Budget(10**9), {})
+    search = _Tries(H, sizes, cover, q, _Budget(10**9))
     search.stop, search.tried = v + 1, []
     search.weights[1:v] = placed
     search.ceilings = ceilings

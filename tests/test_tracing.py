@@ -1,10 +1,14 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer and output checks still find every function
+they use.
 
-perfbench/tracing.py names functions by their module bindings, so a
-refactor that moves or renames one would silently drop it from
-``--trace 1`` runs.  The module is loaded from its file, read-only.
+perfbench/tracing.py names functions by their module bindings, and
+perfbench/checks.py imports from critdens modules, so a refactor that
+moves or renames one would silently drop it from ``--trace 1`` runs or
+break the checks.  Both files are only read: tracing.py is loaded from
+its file, checks.py only parsed.
 """
 
+import ast
 import importlib.util
 import io
 from pathlib import Path
@@ -12,7 +16,8 @@ from pathlib import Path
 import critdens
 import critdens.cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -29,6 +34,17 @@ def test_every_traced_name_resolves():
             for part in name.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), f"{module}.{name}"
+
+
+def test_every_name_the_checks_import_resolves():
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "critdens"
+               for alias in node.names]
+    assert imports, "checks.py imports from critdens"
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_tracer_records_an_in_process_query(tmp_path):
