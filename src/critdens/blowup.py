@@ -43,7 +43,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph, canonical_edge, edge_assignment, rational
+from .graphs import (
+    Edge, PatternGraph, canonical_edge, edge_assignment, integer, rational)
 from .polynomials import AlgebraicNumber, largest_matching_root_squared
 from .verdict import Verdict
 
@@ -116,7 +117,7 @@ class WeightedBlowupGraph:
                 raise ValidationError(
                     f"cross edge between clusters {i}, {j}: not a pattern edge")
             for v, s in ((i, ai), (j, bj)):
-                if not (0 <= s < len(self.weights[v - 1])):
+                if not (0 <= integer(s, "slot") < len(self.weights[v - 1])):
                     raise ValidationError(f"slot {s} out of range in cluster {v}")
             pairs.add(_normalize_pair((i, ai), (j, bj)))
         self.cross_edges: frozenset[tuple[Slot, Slot]] = frozenset(pairs)
@@ -158,25 +159,27 @@ class WeightedBlowupGraph:
                     f"choice space exceeds {TRANSVERSAL_GUARD}")
         order = self.pattern.bfs_order(1)
         pos_of = {v: k for k, v in enumerate(order)}
+        earlier = [[u for u in self.pattern.adjacency[v] if pos_of[u] < k]
+                   for k, v in enumerate(order)]
         chosen: dict[int, int] = {}
-
-        def backtrack(k: int) -> bool:
-            if k == len(order):
-                return True
+        # the cluster at position k tries its slots from start[k] on
+        start = [0] * len(order)
+        k = 0
+        while k < len(order):
             v = order[k]
-            earlier = [u for u in self.pattern.adjacency[v] if pos_of[u] < k]
-            for s in range(len(self.weights[v - 1])):
+            for s in range(start[k], len(self.weights[v - 1])):
                 if all(self.has_cross_edge((v, s), (u, chosen[u]))
-                       for u in earlier):
-                    chosen[v] = s
-                    if backtrack(k + 1):
-                        return True
-                    del chosen[v]
-            return False
-
-        if backtrack(0):
-            return Transversal(dict(chosen))
-        return None
+                       for u in earlier[k]):
+                    chosen[v], start[k] = s, s + 1
+                    k += 1
+                    break
+            else:
+                if k == 0:
+                    return None
+                chosen.pop(v, None)
+                start[k] = 0
+                k -= 1
+        return Transversal(dict(chosen))
 
     def prune_zero_weights(self) -> "WeightedBlowupGraph":
         """Drop slots of zero weight (below 1e-12 in float mode); slot

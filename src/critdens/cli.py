@@ -38,7 +38,7 @@ from .bounds import (
     triangle_decide,
 )
 from .errors import BudgetExhausted, CritdensError, ParseError, SizeLimit
-from .graphs import Edge, PatternGraph, edge_assignment, parse_graph, tolerance
+from .graphs import Edge, PatternGraph, edge_assignment, natural, parse_graph, tolerance
 from .oracle import (
     SearchConfig,
     oracle_dcrit_estimate,
@@ -123,10 +123,10 @@ def _parse_densities(spec: str, H: PatternGraph):
         out: dict[Edge, Fraction] = {}
         for where, token in entries:
             edge_text, _, value_text = token.partition("=")
-            parts = edge_text.split("-")
-            if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+            parts = [natural(p.strip()) for p in edge_text.split("-")]
+            if len(parts) != 2 or None in parts:
                 raise ParseError(f"{where}: bad edge {edge_text.strip()!r}")
-            i, j = sorted(int(p) for p in parts)
+            i, j = sorted(parts)
             if (i, j) in out:
                 raise ParseError(f"{where}: edge {i}-{j} given twice")
             out[(i, j)] = _rational(value_text, f"density at {where}")

@@ -155,9 +155,9 @@ def parse_graph(text: str) -> PatternGraph:
         raise ParseError("missing ';' after the vertex count (line 1)")
     head, _, tail = stripped.partition(";")
     head = head.strip()
-    if not head.isdigit():
+    n = natural(head)
+    if n is None:
         raise ParseError(f"vertex count {head!r} is not a positive integer (line 1)")
-    n = int(head)
     if n < 1:
         raise ValidationError(f"vertex count must be >= 1, got {n}")
     edges: set[Edge] = set()
@@ -166,9 +166,9 @@ def parse_graph(text: str) -> PatternGraph:
     for lineno, line in enumerate(text[offset:].splitlines() or [""], start=1):
         for tok in line.split():
             i_str, sep, j_str = tok.partition("-")
-            if not sep or not i_str.isdigit() or not j_str.isdigit():
+            i, j = natural(i_str), natural(j_str)
+            if not sep or i is None or j is None:
                 raise ParseError(f"bad edge token {tok!r} (line {lineno})")
-            i, j = int(i_str), int(j_str)
             if i == j:
                 raise ValidationError(f"loop {tok!r} (line {lineno})")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -199,6 +199,16 @@ def tolerance(tol: object) -> Fraction:
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     return tol
+
+
+def natural(text: str) -> int | None:
+    """text as an int when it is all decimal digits and within int()'s
+    digit limit; None otherwise.  int() takes every str.isdecimal()
+    string, but not every str.isdigit() one, such as '\u00b2'."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:   # past int()'s limit on digits
+        return None
 
 
 def integer(x: object, what: str) -> int:
@@ -268,23 +278,29 @@ def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:
     if not H.is_connected():
         raise DisconnectedGraph("proper labelings exist only for connected graphs")
 
-    def extend(prefix: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == H.n:
-            yield tuple(prefix)
-            return
-        if prefix:
-            frontier = sorted(
-                {u for v in prefix for u in H.adjacency[v]} - used)
-        else:
-            frontier = list(H.vertices())
-        for v in frontier:
+    def extend() -> Iterator[tuple[int, ...]]:
+        prefix: list[int] = []
+        used: set[int] = set()
+        # the candidates left for each position of prefix, the last for
+        # the next one
+        frontiers = [iter(H.vertices())]
+        while frontiers:
+            v = next(frontiers[-1], None)
+            if v is None:
+                frontiers.pop()
+                if prefix:
+                    used.discard(prefix.pop())
+                continue
             prefix.append(v)
+            if len(prefix) == H.n:
+                yield tuple(prefix)
+                prefix.pop()
+                continue
             used.add(v)
-            yield from extend(prefix, used)
-            used.discard(v)
-            prefix.pop()
+            frontiers.append(iter(sorted(
+                {u for w in prefix for u in H.adjacency[w]} - used)))
 
-    return extend([], set())
+    return extend()
 
 
 def is_proper_labeling(H: PatternGraph, f: Sequence[int]) -> bool:

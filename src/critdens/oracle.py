@@ -16,13 +16,13 @@ Weights are multiples of 1/q, so the search runs on integer numerators:
 the missing mass of an edge is an integer out of q*q, and density floors
 become integer mass ceilings.
 
-The weight search has two modes.  Floor mode (oracle-search) holds each
-edge's mass to the ceiling its density floor sets and stops at the first
-weights within them.  Maxmin mode (oracle-dcrit) minimizes the largest
-mass: it is floor mode with every ceiling at best - 1, lowered each time
-a better configuration is found.  Three rules keep both off subtrees
-that hold no result, so the configurations, their order, the weights
-found, the optimum and every verdict are those of the plain enumeration:
+The weight search holds each edge's mass to a ceiling and stops at the
+first weights within them.  oracle-search sets the ceilings from its
+density floor; oracle-dcrit descends, each search with every ceiling at
+one below the largest mass of the weights the last one found, until a
+search finds none.  Three rules keep the search off subtrees that hold no
+result, so the configurations, their order, the weights found, the
+optimum and every verdict are those of the plain enumeration:
 
 * Banned siblings.  Covers are built by adding, for the first transversal
   not yet blocked, each slot pair that blocks it; once a pair has been
@@ -53,7 +53,8 @@ never tried and costs nothing.  A head with no x left to try costs one
 unit, so a cluster spends at most one unit per weight tuple, as the
 plain enumeration does.  An exhausted budget names the cluster-size vector
 and the configuration index (the one --checkpoint counts) it stopped at;
-in maxmin mode also the best grid density reached so far.
+oracle-dcrit also the best grid density reached so far.  Its descent
+walks the weights before each improvement again, once per search.
 
 A size vector's finished cover listing is kept for the process, and a
 reuse charges the units the listing spent, so a search spends the same,
@@ -348,14 +349,8 @@ class _WeightSearch:
     the look-ahead's gaps; so every cluster's weight tuples come in
     lexicographic order.  Each x tried costs one budget unit, and so does
     a head that leaves no x to try, which keeps the spend at or below one
-    unit per weight tuple.
-
-    One DFS serves both modes; they differ only in the ceiling policy.
-    Floor mode keeps the ceilings the density floor sets and stops at the
-    first leaf, which is the lexicographically first weight matrix within
-    them.  Maxmin mode sets every ceiling to best - 1 and lowers them at
-    each leaf; a last cluster of size <= 2 is solved directly instead of
-    enumerated.
+    unit per weight tuple.  The first leaf is the lexicographically
+    first weight matrix within the ceilings.
     """
 
     def __init__(self, H: PatternGraph, sizes: Sequence[int], cover: Cover,
@@ -398,9 +393,8 @@ class _WeightSearch:
         self.span = [(1, q - 1) if k == 2 else (q, q) for k in (0,) + self.sizes]
         self.weights: list[tuple[int, ...] | None] = [None] * (n + 1)
         self.ceilings: Mapping[Edge, int] = {}
-        self.best = q * q + 1
+        self.best = q * q + 1   # the largest mass of the last leaf reached
         self.best_weights: tuple | None = None
-        self.lowering = False   # maxmin mode: lower the ceilings at each leaf
 
     def feasible(self) -> bool:
         """Whether every cluster has a weight tuple: k positive parts of q."""
@@ -429,8 +423,8 @@ class _WeightSearch:
             lo, hi = self.span[v]
         for e, slots in edges:
             # the sums of _coeffs, inline: this runs for every later cluster
-            # at each node, and a call per edge here made maxmin searches
-            # (oracle-dcrit on C4, P5, K3) about 2.5x slower
+            # at each node, and a call per edge here made oracle-dcrit
+            # searches (C4, P5, K3) about 2.5x slower
             wi = weights[e[0]]
             A = B = 0
             for a in slots[-2]:
@@ -505,56 +499,45 @@ class _WeightSearch:
 
     def first_meeting_floor(self, ceilings: Mapping[Edge, int]
                             ) -> tuple[tuple[int, ...], ...] | None:
+        """The lexicographically first weight matrix within the ceilings;
+        None when there is none."""
         self.ceilings = ceilings
-        self._dfs(1, 0)
+        self.best_weights = None
+        self._dfs(1)
         return self.best_weights
 
     def best_maxmin(self, best_mass: int) -> tuple[int, tuple] | None:
         """Smallest achievable maximum mass strictly below best_mass,
-        with a witness weight matrix; None when the bound stands."""
-        self.lowering = True
-        self._lower(best_mass)
-        self._dfs(1, 0)
-        if self.best_weights is None:
-            return None
-        return self.best, self.best_weights
+        with the lexicographically first weight matrix reaching it; None
+        when the bound stands.  Each floor search with every ceiling at
+        best - 1 that finds a matrix lowers best to its largest mass, so
+        the last one to find a matrix found the optimum."""
+        self.best, found = best_mass, None
+        while self.first_meeting_floor(dict.fromkeys(self.missing, self.best - 1)):
+            found = self.best_weights
+        return None if found is None else (self.best, found)
 
-    def _lower(self, best: int) -> None:
-        """Make best the mass to beat: every ceiling becomes best - 1."""
-        self.best = best
-        self.ceilings = dict.fromkeys(self.missing, best - 1)
-
-    def _leaf(self, mass: int) -> None:
-        """Keep the placed weights, whose largest mass is mass."""
-        self.best_weights = tuple([w[:k] for w, k in zip(self.weights[1:], self.sizes)])
-        if self.lowering:
-            self._lower(mass)
-        else:
-            self.best = 0   # floor mode stops: no mass is below 0
-
-    def _dfs(self, v: int, cur: int) -> None:
-        """Search clusters v.. given cur, the largest closed-edge mass so far."""
+    def _dfs(self, v: int) -> bool:
+        """Place clusters v.. within the ceilings; True at the first leaf,
+        which keeps its weights and makes its largest mass best."""
         if v > self.n:
-            self._leaf(cur)
-            return
+            weights = self.weights
+            self.best_weights = tuple([w[:k] for w, k in zip(weights[1:], self.sizes)])
+            self.best = max(sum(map(operator.mul, self._coeffs(e, slots), weights[e[1]]))
+                            for e, slots in self.missing.items())
+            return True
         q, k, closing = self.q, self.sizes[v - 1], self.closing[v]
-        lines = [(e, self._coeffs(e, slots)) for e, slots in closing]
-        if k <= 2 and v == self.n and self.lowering:
-            self.budget.spend()
-            self._solve_last(lines, cur)
-            return
         # (head, what it leaves of q); a head must leave room for the pair
         heads = [((), q)] if k <= 2 else (
             (h, q - sum(h)) for h in itertools.product(range(1, q - 1), repeat=k - 2)
             if sum(h) <= q - 2)
         for head, rest in heads:
-            # the last pair's x runs over its interval less the look-ahead's
-            # gaps, both narrowed again whenever best improves
+            # the last pair's x runs over its interval less the look-ahead's gaps
             lo, hi = self._interval(v, closing, head)
             gaps = self._gaps(v, head)
             tried = False
             x = lo
-            while cur < self.best:
+            while True:
                 for a, b in gaps:
                     if a < x < b:
                         x = b
@@ -564,51 +547,13 @@ class _WeightSearch:
                 tried = True
                 # a size-1 cluster is held as (q, 0) until a leaf trims it;
                 # the interval keeps every closed edge within its ceiling
-                self.weights[v] = comp = head + (x, rest - x)
-                new = cur
-                for _, c in lines:
-                    m = sum(map(operator.mul, c, comp))
-                    if m > new:
-                        new = m
-                best = self.best
-                self._dfs(v + 1, new)
-                # floor mode's first leaf sets best to 0 and ends every
-                # loop: nothing left to narrow
-                if cur < self.best < best:
-                    lo, hi = self._interval(v, closing, head)
-                    gaps = self._gaps(v, head)
-                    x = max(x, lo - 1)
+                self.weights[v] = head + (x, rest - x)
+                if self._dfs(v + 1):
+                    return True
                 x += 1
-            else:
-                break   # best is down to cur: no later head can beat it
             if head and not tried:
                 self.budget.spend()
-        self.weights[v] = None
-
-    def _solve_last(self, lines: list[tuple[Edge, list[int]]], cur: int) -> None:
-        """Place a last cluster of size <= 2 at its best first weight x.
-        Its largest mass is the maximum of cur and the lines
-        A*x + B*(q-x), so it is least at an end of the span or next to
-        where two lines cross; the span of a size-1 cluster is {q}."""
-        q, v = self.q, self.n
-        lo, hi = self.span[v]
-        candidates = {lo, hi}
-        for (_, (A1, B1)), (_, (A2, B2)) in itertools.combinations(lines, 2):
-            num = (B2 - B1) * q
-            den = (A1 - B1) - (A2 - B2)
-            if den != 0:
-                for c in (num // den, -(-num // den)):
-                    if lo <= c <= hi:
-                        candidates.add(c)
-        best_x, best = None, self.best
-        for x in sorted(candidates):
-            m = max([cur] + [A * x + B * (q - x) for _, (A, B) in lines])
-            if m < best:
-                best_x, best = x, m
-        if best_x is not None:
-            self.weights[v] = best_x, q - best_x
-            self._leaf(best)
-            self.weights[v] = None
+        return False
 
 
 def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,

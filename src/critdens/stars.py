@@ -80,37 +80,48 @@ def monotone_path_tree(
     edge_origin: dict[Edge, Edge] = {}
     tree_weights: dict[Edge, Fraction] = {}
 
-    def expand(path: tuple[int, ...], node: int, counter: list[int]) -> None:
+    # (parent node, path) pairs, each pushed after its later siblings so
+    # that nodes are numbered in depth-first preorder; the root's parent is 0
+    stack = [(0, (f[0],))]
+    node = 0
+    while stack:
+        parent, path = stack.pop()
+        node += 1
+        if node > NODE_CAP:
+            raise SizeLimit(f"monotone-path tree exceeds {NODE_CAP} nodes")
+        legend[node] = path
         last = path[-1]
-        for w in sorted(H.adjacency[last], key=pos.__getitem__):
-            if pos[w] <= pos[last]:
-                continue
-            counter[0] += 1
-            if counter[0] > NODE_CAP:
-                raise SizeLimit(f"monotone-path tree exceeds {NODE_CAP} nodes")
-            child = counter[0]
-            child_path = path + (w,)
-            legend[child] = child_path
-            e = (node, child)
+        if parent:
+            e = (parent, node)
             edges.append(e)
-            he = canonical_edge(last, w)
+            he = canonical_edge(path[-2], last)
             edge_origin[e] = he
             if lifted is not None:
                 tree_weights[e] = lifted[he]
-            expand(child_path, child, counter)
-
-    legend[1] = (f[0],)
-    counter = [1]
-    expand((f[0],), 1, counter)
-    tree = PatternGraph(counter[0], tuple(edges))
+        for w in sorted(H.adjacency[last], key=pos.__getitem__, reverse=True):
+            if pos[w] > pos[last]:
+                stack.append((node, path + (w,)))
+    tree = PatternGraph(node, tuple(edges))
     return MonotonePathTree(
         tree, legend, edge_origin, tree_weights if lifted is not None else None)
 
 
-def _rooted_shape(adj: Mapping[int, Sequence[int]], root: int, parent: int) -> str:
-    subs = sorted(
-        _rooted_shape(adj, c, root) for c in adj[root] if c != parent)
-    return "(" + "".join(subs) + ")"
+def _rooted_shape(adj: Mapping[int, Sequence[int]], root: int) -> str:
+    """The tree rooted at root as nested parentheses, each node's
+    children's strings sorted; built from the leaves up, in reverse
+    breadth-first order."""
+    order, parent = [root], {root: 0}
+    for v in order:
+        for c in adj[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    subs: dict[int, list[str]] = {v: [] for v in order}
+    for v in reversed(order):
+        shape = "(" + "".join(sorted(subs[v])) + ")"
+        if v == root:
+            return shape
+        subs[parent[v]].append(shape)
 
 
 def tree_shape_key(T: PatternGraph) -> str:
@@ -133,7 +144,7 @@ def tree_shape_key(T: PatternGraph) -> str:
         remaining -= len(layer)
         layer = nxt
     centers = layer if remaining else list(T.vertices())[:1]
-    return min(_rooted_shape(adj, c, 0) for c in centers)
+    return min(_rooted_shape(adj, c) for c in centers)
 
 
 @dataclass

@@ -1,16 +1,26 @@
 """The public API raises only CritdensError subclasses: numbers that
 Fraction() or operator.index() refuse (NaN, infinities, non-numbers,
 non-integers) and non-iterables where a sequence is expected surface as
-ValidationError, never as a bare ValueError, OverflowError or TypeError."""
+ValidationError, never as a bare ValueError, OverflowError or TypeError;
+text that the parsers refuse, arbitrary or mutated, surfaces as a
+CritdensError too."""
 
+import io
 from fractions import Fraction as F
 
 import pytest
 
-from critdens.blowup import WeightedBlowupGraph
+from critdens.blowup import WeightedBlowupGraph, complete_blowup, gacs_tree_construction
 from critdens.bounds import compute_bounds, glue_sufficiency, triangle_decide
-from critdens.errors import ValidationError
-from critdens.graphs import PatternGraph, complete_graph, path_graph, star_graph
+from critdens.cli import _parse_densities, run
+from critdens.errors import CritdensError, ValidationError
+from critdens.graphs import (
+    PatternGraph,
+    complete_graph,
+    parse_graph,
+    path_graph,
+    star_graph,
+)
 from critdens.oracle import SearchConfig, oracle_dcrit_estimate
 from critdens.polynomials import (
     AlgebraicNumber,
@@ -105,3 +115,85 @@ def test_messages_name_the_value():
         WeightedBlowupGraph(P2, [[NAN], [1]], [])
     with pytest.raises(ValidationError, match="^tolerance must be positive$"):
         verify_bt1(2, 2, 0)
+
+
+# str.isdigit() takes superscript digits, which int() refuses; int() also
+# refuses more than 4,300 digits
+DIGIT_INPUTS = {
+    "superscript vertex count": ("\u00b2; 1-2", "0.5"),
+    "superscript edge end": ("3; 1-\u00b2", "0.5"),
+    "superscript keyed density": ("3; 1-2 2-3", "1-\u00b2=0.5,2-3=0.5"),
+    "overlong vertex count": ("9" * 5000 + "; 1-2", "0.5"),
+    "overlong keyed density": ("3; 1-2 2-3", "1-" + "9" * 5000 + "=0.5,2-3=0.5"),
+}
+
+
+@pytest.mark.parametrize("graph, densities", DIGIT_INPUTS.values(),
+                         ids=DIGIT_INPUTS.keys())
+def test_digits_int_refuses_are_parse_errors(tmp_path, capsys, graph, densities):
+    path = tmp_path / "g.g"
+    path.write_text(graph, encoding="utf-8")
+    code = run(["decide-tree", str(path), "--densities", densities], out=io.StringIO())
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _fuzzed(valid):
+    """Arbitrary text, or a valid input with a few characters inserted,
+    deleted or replaced (often digits and separators)."""
+    st = pytest.importorskip("hypothesis").strategies
+    pieces = st.one_of(st.text(min_size=1, max_size=3),
+                       st.text(alphabet="0123456789\u00b2\u0663-=;,/. []{}\"\n",
+                               min_size=1, max_size=3))
+
+    @st.composite
+    def mutated(draw):
+        text = draw(st.sampled_from(valid))
+        for _ in range(draw(st.integers(1, 4))):
+            k = draw(st.integers(0, len(text)))
+            cut = draw(st.integers(0, 3))
+            text = text[:k] + draw(st.one_of(st.just(""), pieces)) + text[k + cut:]
+        return text
+
+    return st.one_of(st.text(), mutated())
+
+
+def _densities_on_p3(text):
+    # an @FILE spec reads a file, then parses its lines as these are parsed
+    if not text.startswith("@"):
+        _parse_densities(text, P3)
+
+
+FUZZED = {
+    "parse_graph": (parse_graph, ["3; 1-2 2-3", "4; 1-2\n2-3 3-4\n1-4", "1;"]),
+    "_parse_densities": (_densities_on_p3, ["1-2=0.5,2-3=1/3", "2-3 = 0.25, 1-2 = 1",
+                                            "0.5,1/2", "0.5"]),
+    "WeightedBlowupGraph.from_json": (WeightedBlowupGraph.from_json, [
+        complete_blowup(P3, [1, 2, 1]).to_json(),
+        gacs_tree_construction(path_graph(4)).to_json()]),
+}
+
+
+@pytest.mark.parametrize("parse, valid", FUZZED.values(), ids=FUZZED.keys())
+def test_parsers_raise_only_critdens_errors(parse, valid):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.given(_fuzzed(valid))
+    @hypothesis.example("\u00b2; 1-2")
+    @hypothesis.example("3; 1-\u00b2")
+    @hypothesis.example("1-\u00b2=0.5,2-3=0.5")
+    @hypothesis.example("1-2=0.5,2-\u0663=0.5")
+    @hypothesis.example("1-2=0.5,2-3=")
+    @hypothesis.example("1-2=0.5,=0.5")
+    @hypothesis.example("1-2=1/0,2-3=0.5")
+    @hypothesis.example('{"pattern": {"n": 2, "edges": [[1, 2]]}, "mode": "exact", '
+                        '"clusters": [[{"id": 0, "weight": "1"}], '
+                        '[{"id": 0, "weight": "1"}]], "cross_edges": [[1, 0, 2, null]]}')
+    def check(text):
+        try:
+            parse(text)
+        except CritdensError:
+            pass
+
+    check()

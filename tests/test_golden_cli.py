@@ -91,8 +91,8 @@ CASES = [
     "construct star5.g --method gacs",
     "construct path4.g --method gacs --out p4.json",
     "check-transversal p4.json --oracle",
-    # the maxmin weight search: a size-3 cluster (S4), size-2 clusters
-    # only (P4), a triangle with a pendant edge, and capped sizes
+    # the descent through floor searches: a size-3 cluster (S4), size-2
+    # clusters only (P4), a triangle with a pendant edge, and capped sizes
     "oracle-dcrit star4.g --q 50",
     "oracle-dcrit path4.g --q 50",
     "oracle-dcrit paw.g --q 10",

@@ -204,22 +204,23 @@ def _bow_tie_search(budget):
     (_bow_tie_search, 41_212),
     (_c4_floor_search, 6_832),
     (_k3_floor_search, 419),
-    (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 13_976),
-    (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 9_758),
-    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 1_258),
-    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 1_289),
-    (lambda b: oracle_dcrit_estimate(star_graph(5), q=20, budget=b), 6_242),
-    (lambda b: _best_grid_density(cycle_graph(5), (2,) * 5, 10, _Budget(b)), 25_247),
+    (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 14_110),
+    (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 12_627),
+    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 1_385),
+    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 1_561),
+    (lambda b: oracle_dcrit_estimate(star_graph(5), q=20, budget=b), 6_344),
+    (lambda b: _best_grid_density(cycle_graph(5), (2,) * 5, 10, _Budget(b)), 25_284),
 ], ids=["floor-bow-tie", "floor-c4", "floor-k3", "maxmin-c4", "maxmin-p5",
         "maxmin-k3", "maxmin-s4", "maxmin-s5", "maxmin-c5"])
 def test_budget_spend_is_pinned(search, spend):
     """Each search finishes on exactly its pinned budget and exhausts one
     unit short of it, so any change to the pruning shows as a spend
     change.  The cases cover a found witness, two full enumerations, a
-    last size-2 cluster solved (C4, P5), a size-3 cluster (S4, a head of
-    one slot), a size-4 cluster (S5, a head of two slots) and clusters
-    all of size 2 (C5).  A cluster of size >= 3 spends one unit per
-    last-pair weight tried and one per head with none to try."""
+    last size-2 cluster (C4, P5), a size-3 cluster (S4, a head of one
+    slot), a size-4 cluster (S5, a head of two slots) and clusters all
+    of size 2 (C5).  A cluster spends one unit per last-pair weight tried
+    and, if it has a head, one per head with none to try; an oracle-dcrit
+    case spends the sum over the floor searches of its descent."""
     search(spend)
     with pytest.raises(BudgetExhausted):
         search(spend - 1)
@@ -375,9 +376,10 @@ def test_dcrit_estimate_brackets():
 
 
 def test_dcrit_estimate_c4_fits_a_small_budget():
-    # The maxmin search shares floor mode's interval loop and look-ahead,
-    # so C4 at q = 30 brackets its critical density 2/3 well within
-    # 250,000 node expansions (the plain DFS needed 776,691).
+    # oracle-dcrit descends through floor searches, each with their
+    # interval loop and look-ahead, so C4 at q = 30 brackets its critical
+    # density 2/3 well within 250,000 node expansions (an unpruned maxmin
+    # DFS needed 776,691).
     assert oracle_dcrit_estimate(cycle_graph(4), q=30, budget=250_000) == (
         F(21, 32), F(43, 64))
 

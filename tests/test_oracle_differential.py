@@ -2,9 +2,11 @@
 references on hypothesis-drawn small patterns: every inclusion-minimal
 blocking cover by brute force over all sets of slot pairs, the
 lexicographically first weights by a DFS that only checks edges once
-both ends are placed, the maxmin optimum by the same plain DFS with
-a last cluster of size <= 2 solved from its lines, and the first weights
-a cluster of size <= 2 tries by the look-ahead rule applied per weight."""
+both ends are placed, the maxmin optimum and its witness by a one-pass
+plain DFS that solves a last cluster of size <= 2 from its lines, the
+spend of both against that first-weights DFS run over the same ceilings,
+and the weight tuples a placed cluster tries by the look-ahead rule
+applied per tuple."""
 
 import math
 from fractions import Fraction as F
@@ -142,29 +144,36 @@ def test_orbit_canonicalisation_matches_all_permutations(case):
     assert budget.left == reference.left
 
 
+def _mass(cover, weights, e):
+    """The missing mass of edge e under a weight matrix."""
+    return sum(weights[e[0] - 1][a] * weights[e[1] - 1][b]
+               for (i, a), (j, b) in cover if (i, j) == e)
+
+
 def _unpruned_first_meeting_floor(H, sizes, cover, q, ceilings):
     """The lexicographically first weight matrix within the ceilings,
     clusters placed in vertex order and each edge checked once both of
-    its clusters are placed."""
+    its clusters are placed, and the spend: one unit per composition
+    tried."""
     comps = [_compositions(q, k) for k in sizes]
     weights = [None] * H.n
-
-    def mass(i, j):
-        return sum(weights[i - 1][a] * weights[j - 1][b]
-                   for (ci, a), (cj, b) in cover if (ci, cj) == (i, j))
+    spent = 0
 
     def dfs(v):
+        nonlocal spent
         if v > H.n:
             return tuple(weights)
         for comp in comps[v - 1]:
+            spent += 1
             weights[v - 1] = comp
-            if all(mass(i, j) <= ceilings[(i, j)] for i, j in H.edges if j == v):
+            if all(_mass(cover, weights, (i, j)) <= ceilings[(i, j)]
+                   for i, j in H.edges if j == v):
                 out = dfs(v + 1)
                 if out is not None:
                     return out
         return None
 
-    return dfs(1)
+    return dfs(1), spent
 
 
 def _compositions(q, k):
@@ -203,22 +212,27 @@ def test_first_meeting_floor_matches_unpruned_search(case):
     H, sizes, q, floor, weights = case
     drawn = _mass_ceilings(H, floor, q)
     for cover in _minimal_covers(H, sizes, _Budget(10**9)):
-        tight = ({(i, j): sum(weights[i - 1][a] * weights[j - 1][b]
-                              for (ci, a), (cj, b) in cover if (ci, cj) == (i, j))
-                  for i, j in H.edges} if None not in weights else drawn)
+        tight = ({e: _mass(cover, weights, e) for e in H.edges}
+                 if None not in weights else drawn)
         below = {e: c - 1 for e, c in tight.items()}
         for ceilings in (drawn, tight, below):
-            search = _WeightSearch(H, sizes, cover, q, _Budget(10**9))
-            want = _unpruned_first_meeting_floor(H, sizes, cover, q, ceilings)
+            budget = _Budget(10**9)
+            search = _WeightSearch(H, sizes, cover, q, budget)
+            want, unpruned_spend = _unpruned_first_meeting_floor(
+                H, sizes, cover, q, ceilings)
             assert search.first_meeting_floor(ceilings) == want, (cover, ceilings)
+            # the search skips edges without missing pairs, whose mass 0
+            # is within any ceiling it is given (all >= 0); the reference
+            # stops at them when below puts a ceiling at -1
+            if min(ceilings.values()) >= 0:
+                assert 10**9 - budget.left <= unpruned_spend, (cover, ceilings)
 
 
 def _unpruned_best_maxmin(H, sizes, cover, q, best_mass):
     """The maxmin search without pruning: every composition of every
     cluster in vertex order, a prefix kept while its closed edges stay
     below best, and a last cluster of size <= 2 solved at the crossings
-    of its closed edges' lines.  Returns the result and the spend (one
-    unit per composition tried and per last-cluster solve)."""
+    of its closed edges' lines."""
     n = H.n
     comps = [None] + [_compositions(q, k) for k in sizes]
     cover_on = {}
@@ -226,7 +240,7 @@ def _unpruned_best_maxmin(H, sizes, cover, q, best_mass):
         cover_on.setdefault((i, j), []).append((a, b))
     closing = [[e for e in H.edges if e[1] == v] for v in range(n + 1)]
     weights = [None] * (n + 1)
-    state = {"best": best_mass, "weights": None, "spent": 0}
+    state = {"best": best_mass, "weights": None}
 
     def mass(e):
         i, j = e
@@ -259,7 +273,6 @@ def _unpruned_best_maxmin(H, sizes, cover, q, best_mass):
 
     def dfs(v, cur):
         if v == n and sizes[v - 1] <= 2:
-            state["spent"] += 1
             hit = last(cur)
             if hit is not None:
                 weights[v] = hit[1]
@@ -271,7 +284,6 @@ def _unpruned_best_maxmin(H, sizes, cover, q, best_mass):
                 state["best"], state["weights"] = cur, tuple(weights[1:])
             return
         for comp in comps[v]:
-            state["spent"] += 1
             weights[v] = comp
             new = max([cur] + [mass(e) for e in closing[v]])
             if new < state["best"]:
@@ -279,8 +291,21 @@ def _unpruned_best_maxmin(H, sizes, cover, q, best_mass):
         weights[v] = None
 
     dfs(1, 0)
-    out = None if state["weights"] is None else (state["best"], state["weights"])
-    return out, state["spent"]
+    return None if state["weights"] is None else (state["best"], state["weights"])
+
+
+def _unpruned_descent_spend(H, sizes, cover, q, best_mass):
+    """The spend of the unpruned first-weights search over the ceilings
+    of the maxmin descent: every edge at best - 1, best lowered to the
+    largest mass of each matrix found, until a search finds none."""
+    total = 0
+    while True:
+        found, spent = _unpruned_first_meeting_floor(
+            H, sizes, cover, q, dict.fromkeys(H.edges, best_mass - 1))
+        total += spent
+        if found is None:
+            return total
+        best_mass = max(_mass(cover, found, e) for e in H.edges)
 
 
 @st.composite
@@ -308,32 +333,31 @@ def maxmin_searches(draw):
 def test_best_maxmin_matches_unpruned_search(case):
     H, sizes, q, weights, drawn = case
     for cover in _minimal_covers(H, sizes, _Budget(10**9)):
-        tight = max(sum(weights[i - 1][a] * weights[j - 1][b]
-                        for (ci, a), (cj, b) in cover if (ci, cj) == (i, j))
-                    for i, j in H.edges)
+        tight = max(_mass(cover, weights, e) for e in H.edges)
         for best_mass in (q * q + 1, drawn, tight, tight + 1):
             budget = _Budget(10**9)
             got = _WeightSearch(H, sizes, cover, q, budget).best_maxmin(best_mass)
-            want, unpruned_spend = _unpruned_best_maxmin(H, sizes, cover, q, best_mass)
+            want = _unpruned_best_maxmin(H, sizes, cover, q, best_mass)
             assert got == want, (cover, best_mass)
+            unpruned_spend = _unpruned_descent_spend(H, sizes, cover, q, best_mass)
             assert 10**9 - budget.left <= unpruned_spend, (cover, best_mass)
 
 
 class _Tries(_WeightSearch):
-    """A weight search that records the first weights it tries at one
+    """A weight search that records the weight tuples it tries at one
     cluster: each try that passes on to the next cluster stops there."""
 
-    def _dfs(self, v, cur):
-        if v == self.stop:
-            self.tried.append(self.weights[v - 1][0])
-        else:
-            super()._dfs(v, cur)
+    def _dfs(self, v):
+        if v != self.stop:
+            return super()._dfs(v)
+        self.tried.append(self.weights[v - 1][:self.sizes[v - 2]])
+        return False
 
 
 @st.composite
 def look_aheads(draw):
     """A pattern on 2..5 vertices with sizes in 1..3 and at most
-    MAX_PAIRS slot pairs, a cluster v of size <= 2 joined to a later one,
+    MAX_PAIRS slot pairs, a cluster v joined to a later one,
     a minimal cover or any sorted set of slot pairs (zero slopes come
     from a slot of a later cluster missing with both or neither slot of
     v), q, weights for the clusters before v, and per-edge ceilings that
@@ -341,7 +365,7 @@ def look_aheads(draw):
     intervals are often empty or tight."""
     n = draw(st.integers(2, 5))
     v = draw(st.integers(1, n - 1))
-    sizes = [draw(st.sampled_from((2, 1) if u == v else (2, 3, 1)))
+    sizes = [draw(st.sampled_from((2, 1, 3) if u == v else (2, 3, 1)))
              for u in range(1, n + 1)]
     first = (v, draw(st.integers(v + 1, n)))
     edges, slot_pairs = [first], sizes[v - 1] * sizes[first[1] - 1]
@@ -364,8 +388,7 @@ def look_aheads(draw):
     weights = [draw(st.sampled_from(_compositions(q, k))) for k in sizes]
     ceilings = {}
     for i, j in H.edges:
-        mass = sum(weights[i - 1][a] * weights[j - 1][b]
-                   for (ci, a), (cj, b) in cover if (ci, cj) == (i, j))
+        mass = _mass(cover, weights, (i, j))
         ceilings[i, j] = draw(st.one_of(st.integers(0, q * q),
                                         st.integers(mass - 1, mass + 1),
                                         st.just(q * q)))
@@ -373,29 +396,24 @@ def look_aheads(draw):
 
 
 def _old_ahead_tries(H, sizes, cover, q, v, placed, ceilings):
-    """The x in v's interval that pass the look-ahead rule tried per x:
-    every later cluster j joined to v by a missing pair still has room,
-    for k_j <= 2 some first weight y under all its missing edges from
-    clusters up to v, for a larger k_j the least mass of (v, j) over
-    j's compositions, sum c_b + (q - k_j) * min c_b, within the
-    ceiling."""
+    """The weight tuples of v, in lexicographic order (head first, then
+    x), that keep v's closed edges within their ceilings and pass the
+    look-ahead rule tried per tuple: every later cluster j joined to v
+    by a missing pair still has room, for k_j <= 2 some weights under
+    all its missing edges from clusters up to v, for a larger k_j the
+    least mass of (v, j) over j's compositions, sum c_b + (q - k_j) *
+    min c_b, within the ceiling."""
     def mass(e, wi, wj):
         i, j = e
         return sum(wi[a] * wj[b] for (ci, a), (cj, b) in cover if (ci, cj) == e)
-
-    def span(k):
-        return range(1, q) if k == 2 else [q]
-
-    def comp(k, x):
-        return (x, q - x)[:k]
 
     missing = {(i, j) for (i, _), (j, _) in cover}
     weights = list(placed) + [None]
     closing = [(i, v) for i in range(1, v) if (i, v) in missing]
     later = sorted(j for i, j in missing if i == v)
     tries = []
-    for x in span(sizes[v - 1]):
-        weights[v - 1] = comp(sizes[v - 1], x)
+    for wv in _compositions(q, sizes[v - 1]):
+        weights[v - 1] = wv
         if any(mass(e, weights[e[0] - 1], weights[v - 1]) > ceilings[e]
                for e in closing):
             continue
@@ -404,9 +422,9 @@ def _old_ahead_tries(H, sizes, cover, q, v, placed, ceilings):
             k = sizes[j - 1]
             if k <= 2:
                 into = [(i, j) for i in range(1, v + 1) if (i, j) in missing]
-                room = any(all(mass(e, weights[e[0] - 1], comp(k, y)) <= ceilings[e]
+                room = any(all(mass(e, weights[e[0] - 1], wj) <= ceilings[e]
                                for e in into)
-                           for y in span(k))
+                           for wj in _compositions(q, k))
             else:
                 c = [sum(weights[v - 1][a] for (ci, a), (cj, b) in cover
                          if (ci, cj) == (v, j) and b == slot)
@@ -415,7 +433,7 @@ def _old_ahead_tries(H, sizes, cover, q, v, placed, ceilings):
             if not room:
                 break
         if room:
-            tries.append(x)
+            tries.append(wv)
     return tries
 
 
@@ -434,11 +452,15 @@ _C4 = PatternGraph(4, ((1, 2), (1, 4), (2, 3), (3, 4)))
 @example((_C4, (2, 2, 2, 2),
           (((1, 0), (4, 0)), ((3, 0), (4, 1)), ((3, 1), (4, 0))), 10, 3,
           [(5, 5), (5, 5)], dict.fromkeys(_C4.edges, 40)))
+# a head slot in t_b: slot 2 of cluster 2 is missing with the head slot
+# of cluster 1, so at ceiling 0 no weight tuple of cluster 1 leaves room
+@example((PatternGraph(2, ((1, 2),)), (3, 3), (((1, 0), (2, 2)),), 3, 1, [],
+          {(1, 2): 0}))
 def test_look_ahead_gaps_skip_exactly_the_rejected_weights(case):
     H, sizes, cover, q, v, placed, ceilings = case
     search = _Tries(H, sizes, cover, q, _Budget(10**9))
     search.stop, search.tried = v + 1, []
     search.weights[1:v] = placed
     search.ceilings = ceilings
-    search._dfs(v, 0)
+    search._dfs(v)
     assert search.tried == _old_ahead_tries(H, sizes, cover, q, v, placed, ceilings)
