@@ -44,7 +44,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
 from .graphs import (
-    Edge, PatternGraph, canonical_edge, edge_assignment, integer, rational)
+    Edge, PatternGraph, canonical_edge, edge_assignment, integer, parse_rational,
+    rational, rational_text)
 from .polynomials import AlgebraicNumber, largest_matching_root_squared
 from .verdict import Verdict
 
@@ -206,9 +207,7 @@ class WeightedBlowupGraph:
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        def encode(w) -> str | float:
-            return str(w) if self.mode == "exact" else float(w)
-
+        encode = rational_text if self.mode == "exact" else float
         return {
             "pattern": {"n": self.pattern.n,
                         "edges": [list(e) for e in self.pattern.edges]},
@@ -228,7 +227,7 @@ class WeightedBlowupGraph:
                 obj["pattern"]["n"],
                 tuple(tuple(e) for e in obj["pattern"]["edges"]))
             mode = obj["mode"]
-            parse = Fraction if mode == "exact" else float
+            parse = parse_rational if mode == "exact" else float
             clusters = []
             for cluster in obj["clusters"]:
                 slots = sorted(cluster, key=lambda s: s["id"])
@@ -247,7 +246,7 @@ class WeightedBlowupGraph:
     def from_json(text: str) -> "WeightedBlowupGraph":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, or int()'s digit limit
             raise ValidationError(f"not valid JSON: {exc}") from None
         return WeightedBlowupGraph.from_json_obj(obj)
 
@@ -318,17 +317,12 @@ def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
         m = math.sqrt((s_star.lo + s_star.hi) / 2)
 
     root = 1
-    order = T.bfs_order(root)
-    parent: dict[int, int] = {root: 0}
-    for v in order:
-        for u in T.adjacency[v]:
-            if u not in parent:
-                parent[u] = v
+    order, parent = T.bfs_tree(root)
 
     r: dict[int, Fraction | float] = {}
     for v in reversed(order):
         if v != root:
-            acc = sum(r[c] for c in T.adjacency[v] if parent.get(c) == v)
+            acc = sum(r[c] for c in T.adjacency[v] if parent[c] == v)
             r[v] = k / (m - acc)
     if abs(m - sum(r[c] for c in T.adjacency[root])) > slack:
         raise ValidationError("eigenvector consistency check failed")
@@ -339,7 +333,7 @@ def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
         cluster = []
         for a, j in enumerate(T.adjacency[i]):
             slot_of[(i, j)] = a
-            cluster.append(r[j] / m if parent.get(j) == i else k / (r[i] * m))
+            cluster.append(r[j] / m if parent[j] == i else k / (r[i] * m))
         weights.append(cluster)
 
     missing = [((i, slot_of[i, j]), (j, slot_of[j, i])) for i, j in T.edges]

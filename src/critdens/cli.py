@@ -38,7 +38,8 @@ from .bounds import (
     triangle_decide,
 )
 from .errors import BudgetExhausted, CritdensError, ParseError, SizeLimit
-from .graphs import Edge, PatternGraph, edge_assignment, natural, parse_graph, tolerance
+from .graphs import (Edge, PatternGraph, edge_assignment, natural, parse_graph,
+                     parse_rational, rational_text, tolerance)
 from .oracle import (
     SearchConfig,
     oracle_dcrit_estimate,
@@ -73,7 +74,7 @@ _ONE = Fraction(1)
 
 def _rational(text: str, what: str = "rational") -> Fraction:
     try:
-        return Fraction(text.strip())
+        return parse_rational(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse {what} {text.strip()!r}") from None
 
@@ -148,14 +149,9 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 # -- report helpers -------------------------------------------------------
 
 
-def _dec(x) -> float:
-    return float(x)
-
-
 def _both(x) -> str:
     """Exact rational and decimal display."""
-    f = Fraction(x)
-    return f"{f} ({float(f):.10g})"
+    return f"{rational_text(x)} ({float(x):.10g})"
 
 
 def _show(value) -> str:
@@ -167,8 +163,8 @@ def _show(value) -> str:
 def _density_fields(dc: CriticalDensity, tol: Fraction) -> dict:
     lo, hi = dc.interval(tol)
     return {
-        "exact": str(dc.exact) if dc.exact is not None else None,
-        "lo": str(lo), "hi": str(hi),
+        "exact": rational_text(dc.exact) if dc.exact is not None else None,
+        "lo": rational_text(lo), "hi": rational_text(hi),
         "decimal": float((lo + hi) / 2),
     }
 
@@ -177,7 +173,7 @@ def _density_text(dc: CriticalDensity, tol: Fraction) -> str:
     if dc.exact is not None:
         return f"{_both(dc.exact)} exactly"
     lo, hi = dc.interval(tol)
-    return f"in [{lo}, {hi}] ~ {float((lo + hi) / 2):.12g}"
+    return f"in [{rational_text(lo)}, {rational_text(hi)}] ~ {float((lo + hi) / 2):.12g}"
 
 
 class Reporter:
@@ -222,9 +218,9 @@ def cmd_decide_tree(args, rep: Reporter) -> int:
     dens = _parse_densities(args.densities, T)
     decision = decide_tree(T, dens)
     for k, step in enumerate(decision.reduction_trace, start=1):
-        updated = {f"{i}-{j}": str(v) for (i, j), v in sorted(step.updated.items())}
-        rep.record("reduction-step", step=k, leaf=step.leaf,
-                   neighbor=step.neighbor, updated=updated)
+        updated = {f"{i}-{j}": v for (i, j), v in sorted(step.updated.items())}
+        rep.record("reduction-step", step=k, leaf=step.leaf, neighbor=step.neighbor,
+                   updated={e: rational_text(v) for e, v in updated.items()})
         if not rep.structured:
             rep.text(f"step {k}: removed leaf {step.leaf} into {step.neighbor}; "
                      + "; ".join(f"r({e}) = {_both(v)}"
@@ -288,13 +284,13 @@ def cmd_bounds(args, rep: Reporter) -> int:
         rep.text(f"bounds on the critical density of {H.to_text()!r}:")
         for label, value in rows:
             rep.text(f"  {label:<{width}}  {value}")
-    rep.record("bound", name="lower_delta", exact=str(b.lower_delta),
-               decimal=_dec(b.lower_delta))
+    rep.record("bound", name="lower_delta", exact=rational_text(b.lower_delta),
+               decimal=float(b.lower_delta))
     rep.record("bound", name="lower_star", **_density_fields(b.lower_star, tol))
     rep.record("bound", name="upper_matching_root",
                **_density_fields(b.upper_matching_root, tol))
-    rep.record("bound", name="upper_coarse", exact=str(b.upper_coarse),
-               decimal=_dec(b.upper_coarse))
+    rep.record("bound", name="upper_coarse", exact=rational_text(b.upper_coarse),
+               decimal=float(b.upper_coarse))
     rep.record("bound", name="upper_lll", decimal=b.upper_lll)
     return EXIT_YES
 
@@ -440,7 +436,7 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
         _write_construction(B, args.out, rep)
     dens = B.densities()
     rep.record("construction", blowup=B.to_json_obj(),
-               densities={f"{i}-{j}": str(d) for (i, j), d in dens.items()})
+               densities={f"{i}-{j}": rational_text(d) for (i, j), d in dens.items()})
     if not rep.structured:
         rep.text(f"found: cluster sizes {list(B.cluster_sizes())}")
         for (i, j), d in sorted(dens.items()):
@@ -455,7 +451,7 @@ def cmd_oracle_dcrit(args, rep: Reporter) -> int:
         H, q=args.q, tol=tol,
         cluster_size_bounds=_int_list(args.sizes, "sizes") if args.sizes else None,
         budget=args.budget)
-    rep.record("interval", name="dcrit_estimate", lo=str(lo), hi=str(hi),
+    rep.record("interval", name="dcrit_estimate", lo=rational_text(lo), hi=rational_text(hi),
                lo_decimal=float(lo), hi_decimal=float(hi))
     if not rep.structured:
         rep.text(f"critical density bracket: [{_both(lo)}, {_both(hi)}]")
@@ -495,14 +491,13 @@ def cmd_self_test(args, rep: Reporter) -> int:
     if args.criteria:
         indices = _int_list(args.criteria, "criteria")
     results = acceptance.run_all(indices)
-    all_passed = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        all_passed = all_passed and r.passed
         rep.record("criterion", index=r.index, name=r.name, passed=r.passed,
                    seconds=round(r.seconds, 3), detail=r.detail)
         rep.text(f"criterion {r.index:2d} [{status}] ({r.seconds:6.2f}s) "
                  f"{r.name}: {r.detail}")
+    all_passed = all(r.passed for r in results)
     rep.text(f"{'all criteria passed' if all_passed else 'FAILURES present'}")
     return EXIT_YES if all_passed else EXIT_NO
 
@@ -650,10 +645,7 @@ def run(argv: Sequence[str] | None = None, out: TextIO = sys.stdout) -> int:
     except (SizeLimit, BudgetExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except CritdensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CritdensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,8 +13,10 @@ newlines) separates tokens, so multi-line files are fine.
 from __future__ import annotations
 
 import operator
-from collections import deque
+import re
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -86,8 +88,6 @@ class PatternGraph:
         return len(self.neighbors(v))
 
     def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
         return max(len(nb) for nb in self.adjacency.values())
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -95,38 +95,36 @@ class PatternGraph:
                               self._check_vertex(j)) in self.edge_index
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            v = queue.popleft()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n
+        return len(self.bfs_tree(1)[0]) == self.n
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
+
+    def bfs_tree(self, root: int = 1) -> tuple[list[int], dict[int, int]]:
+        """root's component in breadth-first order, neighbours in label
+        order, and each reached vertex's parent: the neighbour that first
+        reached it (0 for the root).  Every tree fold runs over it, from
+        the leaves up in reversed order."""
+        root = self._check_vertex(root)
+        order, parent = [root], {root: 0}
+        for v in order:  # also visits what the loop appends
+            for u in self.adjacency[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        return order, parent
 
     def bfs_order(self, start: int = 1) -> list[int]:
         """Vertices in BFS order from start, then BFS from each unreached
         vertex in label order (so the result always covers the whole
         graph)."""
         order: list[int] = []
-        seen: set[int] = set()
+        reached: set[int] = set()
         for root in (self._check_vertex(start), *self.vertices()):
-            if root in seen:
-                continue
-            seen.add(root)
-            queue = [root]
-            for v in queue:  # also visits what the loop appends
-                for u in self.adjacency[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        queue.append(u)
-            order += queue
+            if root not in reached:
+                component = self.bfs_tree(root)[0]
+                order += component
+                reached.update(component)
         return order
 
     def _check_vertex(self, v: int) -> int:
@@ -187,10 +185,40 @@ def rational(x: object, what: str = "value", *where: object) -> Fraction:
     TypeError; this raises ValidationError, naming what x is and where
     it sits ("in cluster", 2), formatted only then."""
     try:
-        return Fraction(x)
+        return parse_rational(x)
     except (TypeError, ValueError, ArithmeticError):
         words = [what, repr(x), *map(str, where), "is not a finite rational"]
         raise ValidationError(" ".join(words)) from None
+
+
+_DECIMAL_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                           r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+
+
+def parse_rational(x: object) -> Fraction:
+    """Fraction(x), the one reader of rational text.  Text in Fraction's
+    decimal form (_DECIMAL_FORM) that spells a numerator or denominator
+    past int()'s digit limit, which needs an exponent or as many characters,
+    is refused with ValueError before Fraction builds it; else as Fraction."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10.7+
+    m = (isinstance(x, str) and ("e" in x.lower() or len(x) > limit)
+         and _DECIMAL_FORM.fullmatch(x))
+    if m and limit:
+        head, tail, exp = (g.replace("_", "") for g in m.groups(""))
+        int(head or 0), int(tail or 0)  # int() refuses a long part as in Fraction
+        e = int(exp or 0)
+        if max(len(head + tail) + max(e, 0), len(tail) + max(-e, 0) + 1) > limit:
+            raise ValueError(f"{x.strip()!r} has more than {limit} digits")
+    return Fraction(x)
+
+
+def rational_text(x: Fraction) -> str:
+    """str(x), also past int()'s digit limit, which decimal does not have."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def tolerance(tol: object) -> Fraction:

@@ -38,6 +38,8 @@ from .graphs import (
     PatternGraph,
     canonical_edge,
     edge_assignment,
+    parse_rational,
+    rational_text,
     tolerance,
 )
 
@@ -665,18 +667,12 @@ def _tree_top_roots_squared(T: PatternGraph) -> tuple[float, float]:
     the leaves up (Jacobs-Trevisan 2011), and bisection finds the top two.
     Unlike Newton on the coefficients, this stays accurate on large trees,
     where the power basis cancels."""
-    order = T.bfs_order()
-    parent = {order[0]: 0}
-    for v in order:
-        for u in T.adjacency[v]:
-            if u not in parent:
-                parent[u] = v
+    order, parent = T.bfs_tree()
     leaves_up = [(v, parent[v]) for v in reversed(order)]
-    n = T.n
 
     def above(x: float) -> int:
-        diag = [-x] * (n + 1)
-        zero_child = [False] * (n + 1)
+        diag = [-x] * (T.n + 1)
+        zero_child = [False] * (T.n + 1)
         count = 0
         for v, p in leaves_up:
             if zero_child[v]:
@@ -713,14 +709,14 @@ def _tree_top_roots_squared(T: PatternGraph) -> tuple[float, float]:
 
 def poly_to_strings(p: RatPoly) -> list[str]:
     """Coefficients lowest power first, as exact 'p/q' strings."""
-    return [str(c) for c in p.coeffs]
+    return [rational_text(c) for c in p.coeffs]
 
 
 def poly_from_strings(items: Sequence[str]) -> RatPoly:
     coeffs = []
     for s in items:
         try:
-            coeffs.append(Fraction(s))
+            coeffs.append(parse_rational(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient {s!r}: {exc}") from None
     return RatPoly(coeffs)
@@ -769,19 +765,11 @@ def _tree_matching_weight_sums(
 ) -> list[Fraction]:
     """Same as _matching_weight_sums for trees, by a rooted two-state DP
     (vertex matched into its subtree or not), linear in n."""
-    if H.n == 1:
-        return [_ONE]
-    root = 1
-    parent = {root: 0}
-    order = H.bfs_order(root)
+    order, parent = H.bfs_tree()
     # free[v]: weight sums by matching size in v's subtree with v unmatched;
     # any[v]: same with v free to be matched inside the subtree.
     free: dict[int, list[Fraction]] = {}
     anym: dict[int, list[Fraction]] = {}
-    for v in order:
-        for u in H.adjacency[v]:
-            if u not in parent:
-                parent[u] = v
 
     def mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         if a == [_ONE]:   # each fold below starts from 1
@@ -795,7 +783,7 @@ def _tree_matching_weight_sums(
         return out
 
     for v in reversed(order):
-        children = [u for u in H.adjacency[v] if parent.get(u) == v]
+        children = [u for u in H.adjacency[v] if parent[u] == v]
         # Fold the children in one at a time: f is the product of their
         # any[c] so far, and a also counts v matched to one of them.
         f = [_ONE]
@@ -812,7 +800,7 @@ def _tree_matching_weight_sums(
             f = mul(f, anym[c])
         free[v] = f
         anym[v] = a
-    return anym[root]
+    return anym[order[0]]
 
 
 def matching_weight_sums(

@@ -106,16 +106,11 @@ def monotone_path_tree(
         tree, legend, edge_origin, tree_weights if lifted is not None else None)
 
 
-def _rooted_shape(adj: Mapping[int, Sequence[int]], root: int) -> str:
+def _rooted_shape(T: PatternGraph, root: int) -> str:
     """The tree rooted at root as nested parentheses, each node's
     children's strings sorted; built from the leaves up, in reverse
     breadth-first order."""
-    order, parent = [root], {root: 0}
-    for v in order:
-        for c in adj[v]:
-            if c != parent[v]:
-                parent[c] = v
-                order.append(c)
+    order, parent = T.bfs_tree(root)
     subs: dict[int, list[str]] = {v: [] for v in order}
     for v in reversed(order):
         shape = "(" + "".join(sorted(subs[v])) + ")"
@@ -127,24 +122,15 @@ def _rooted_shape(adj: Mapping[int, Sequence[int]], root: int) -> str:
 def tree_shape_key(T: PatternGraph) -> str:
     """Canonical encoding of the unlabeled shape (AHU from the centers),
     so spectral data can be memoized across isomorphic trees."""
-    adj = T.adjacency
-    # Peel leaves to find the 1- or 2-vertex center.
-    degree = {v: len(adj[v]) for v in T.vertices()}
-    layer = [v for v in T.vertices() if degree[v] <= 1]
-    remaining = T.n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            degree[v] = 0
-            for u in adj[v]:
-                if degree[u] > 1:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        remaining -= len(layer)
-        layer = nxt
-    centers = layer if remaining else list(T.vertices())[:1]
-    return min(_rooted_shape(adj, c) for c in centers)
+    # The vertex last reached from 1 ends a longest path, and the vertex
+    # last reached from it the other end; the centers are its middle.
+    end = T.bfs_tree(1)[0][-1]
+    order, parent = T.bfs_tree(end)
+    path = [order[-1]]
+    while path[-1] != end:
+        path.append(parent[path[-1]])
+    centers = {path[(len(path) - 1) // 2], path[len(path) // 2]}
+    return min(_rooted_shape(T, c) for c in centers)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from critdens.blowup import Transversal, blowup_without, complete_blowup
 from critdens.cli import run
@@ -137,6 +137,25 @@ def test_walks_match_their_recursive_forms(H, data):
     missing = data.draw(st.sets(st.sampled_from(pairs))) if pairs else ()
     B = blowup_without(H, [[F(1, k)] * k for k in sizes], missing)
     assert B.find_transversal() == _recursive_transversal(B)
+
+
+@st.composite
+def labelled_trees(draw, max_vertices=40):
+    """A random tree (each vertex joined to an earlier one) under a
+    shuffled labelling, so neither vertex 1 nor label order is special."""
+    n = draw(st.integers(1, max_vertices))
+    label = draw(st.permutations(range(1, n + 1)))
+    return PatternGraph(n, tuple((label[draw(st.integers(0, v - 1))], label[v])
+                                 for v in range(1, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_trees())
+@example(PatternGraph(1, ()))
+@example(PatternGraph(2, ((1, 2),)))
+@example(PatternGraph(4, ((1, 3), (2, 3), (2, 4))))   # P4 relabelled: two centres
+def test_shape_key_matches_leaf_peeling(T):
+    assert tree_shape_key(T) == _recursive_shape_key(T)
 
 
 _P1200, _F1200 = path_graph(1200), tuple(range(1, 1201))

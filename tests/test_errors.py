@@ -3,7 +3,7 @@ Fraction() or operator.index() refuse (NaN, infinities, non-numbers,
 non-integers) and non-iterables where a sequence is expected surface as
 ValidationError, never as a bare ValueError, OverflowError or TypeError;
 text that the parsers refuse, arbitrary or mutated, surfaces as a
-CritdensError too."""
+CritdensError too, and promptly even when its exponents are huge."""
 
 import io
 from fractions import Fraction as F
@@ -26,6 +26,8 @@ from critdens.polynomials import (
     AlgebraicNumber,
     RatPoly,
     largest_matching_root_squared,
+    poly_from_strings,
+    poly_to_strings,
 )
 from critdens.stars import star_lower_bound, verify_bt1
 from critdens.tree_decision import (
@@ -140,17 +142,20 @@ def test_digits_int_refuses_are_parse_errors(tmp_path, capsys, graph, densities)
 
 def _fuzzed(valid):
     """Arbitrary text, or a valid input with a few characters inserted,
-    deleted or replaced (often digits and separators)."""
+    deleted or replaced (often digits and separators, or a decimal
+    exponent up to 10**9 in size, half the time right after a digit)."""
     st = pytest.importorskip("hypothesis").strategies
     pieces = st.one_of(st.text(min_size=1, max_size=3),
                        st.text(alphabet="0123456789\u00b2\u0663-=;,/. []{}\"\n",
-                               min_size=1, max_size=3))
+                               min_size=1, max_size=3),
+                       st.integers(-10**9, 10**9).map("e{}".format))
 
     @st.composite
     def mutated(draw):
         text = draw(st.sampled_from(valid))
         for _ in range(draw(st.integers(1, 4))):
-            k = draw(st.integers(0, len(text)))
+            after_digit = [i + 1 for i, c in enumerate(text) if c.isdigit()] or [0]
+            k = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(after_digit)))
             cut = draw(st.integers(0, 3))
             text = text[:k] + draw(st.one_of(st.just(""), pieces)) + text[k + cut:]
         return text
@@ -161,25 +166,39 @@ def _fuzzed(valid):
 def _densities_on_p3(text):
     # an @FILE spec reads a file, then parses its lines as these are parsed
     if not text.startswith("@"):
-        _parse_densities(text, P3)
+        return repr(_parse_densities(text, P3))
 
 
+# Each parser returns its input written back as text, so an accepted value
+# must print too.
 FUZZED = {
     "parse_graph": (parse_graph, ["3; 1-2 2-3", "4; 1-2\n2-3 3-4\n1-4", "1;"]),
     "_parse_densities": (_densities_on_p3, ["1-2=0.5,2-3=1/3", "2-3 = 0.25, 1-2 = 1",
                                             "0.5,1/2", "0.5"]),
-    "WeightedBlowupGraph.from_json": (WeightedBlowupGraph.from_json, [
-        complete_blowup(P3, [1, 2, 1]).to_json(),
-        gacs_tree_construction(path_graph(4)).to_json()]),
+    "WeightedBlowupGraph.from_json": (
+        lambda text: WeightedBlowupGraph.from_json(text).to_json(), [
+            complete_blowup(P3, [1, 2, 1]).to_json(),
+            gacs_tree_construction(path_graph(4)).to_json()]),
+    "poly_from_strings": (lambda text: poly_to_strings(poly_from_strings(text.split(","))),
+                          ["1/2,0,-3", "0.25,1e3,7"]),
 }
+
+_OVERLONG_JSON_INT = '{"pattern": {"n": ' + "9" * 5000 + ', "edges": []}}'
+_HUGE_EXPONENT_WEIGHT = ('{"pattern": {"n": 2, "edges": [[1, 2]]}, "mode": "exact", '
+                         '"clusters": [[{"id": 0, "weight": "1e-99999999"}], '
+                         '[{"id": 0, "weight": "1"}]], "cross_edges": []}')
 
 
 @pytest.mark.parametrize("parse, valid", FUZZED.values(), ids=FUZZED.keys())
 def test_parsers_raise_only_critdens_errors(parse, valid):
     hypothesis = pytest.importorskip("hypothesis")
 
-    @hypothesis.settings(max_examples=1500, deadline=None)
+    @hypothesis.settings(max_examples=1500, deadline=1000)
     @hypothesis.given(_fuzzed(valid))
+    @hypothesis.example("1e-99999999")
+    @hypothesis.example("1e-9999")
+    @hypothesis.example(_OVERLONG_JSON_INT)
+    @hypothesis.example(_HUGE_EXPONENT_WEIGHT)
     @hypothesis.example("\u00b2; 1-2")
     @hypothesis.example("3; 1-\u00b2")
     @hypothesis.example("1-\u00b2=0.5,2-3=0.5")

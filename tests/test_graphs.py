@@ -196,21 +196,27 @@ def test_is_proper_labeling_rejects_non_bijection():
     assert is_proper_labeling(path_graph(3), (2, 1, 3))
 
 
+def _deque_bfs(H, root):
+    """root's component in deque BFS order, and each vertex's parent: the
+    neighbour that first reached it (0 for the root)."""
+    order, parent = [], {root: 0}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for u in H.adjacency[v]:
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    return order, parent
+
+
 def _deque_bfs_order(H, start):
     """BFS from start, then from each unreached vertex in label order."""
-    order, seen = [], set()
+    order = []
     for root in [start, *H.vertices()]:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in H.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+        if root not in order:
+            order += _deque_bfs(H, root)[0]
     return order
 
 
@@ -231,5 +237,6 @@ def test_bfs_order_matches_a_deque_bfs():
     def check(case):
         H, start = case
         assert H.bfs_order(start) == _deque_bfs_order(H, start)
+        assert H.bfs_tree(start) == _deque_bfs(H, start)
 
     check()
