@@ -13,7 +13,6 @@ from .blowup import (
     WeightedBlowupGraph,
     assert_construction,
     blowup_without,
-    complete_blowup,
     gacs_tree_construction,
     star_decomposition_construct,
 )
@@ -35,10 +34,8 @@ from .errors import (
     CritdensError,
     DegenerateGraph,
     DisconnectedGraph,
-    DivisionByZeroGuard,
     ImproperLabeling,
     NoRealRoot,
-    NotALeaf,
     NotAnHEdge,
     NotATree,
     ParseError,
@@ -56,7 +53,6 @@ from .graphs import (
     cycle_graph,
     edge_assignment,
     is_proper_labeling,
-    is_subgraph,
     parse_graph,
     path_graph,
     proper_labelings,
@@ -71,7 +67,6 @@ from .oracle import (
 from .polynomials import (
     AlgebraicNumber,
     RatPoly,
-    count_roots_in_unit_interval,
     largest_matching_root_squared,
     largest_real_root,
     matching_even_part,
@@ -83,12 +78,10 @@ from .polynomials import (
     positive_on_unit_interval,
     square_free_part,
     sturm_chain,
-    tree_spectral_radius,
 )
 from .stars import (
     MonotonePathTree,
     StarBound,
-    bipartite_star_density,
     bow_tie_densities,
     bow_tie_reconstruction,
     monotone_path_tree,
@@ -106,7 +99,6 @@ from .tree_decision import (
     dcrit_tree,
     decide_tree,
     decide_tree_equivalence,
-    leaf_reduction_step,
 )
 from .verdict import Verdict
 

@@ -286,11 +286,6 @@ def assert_construction(
         raise ValidationError("construction unexpectedly has a transversal")
 
 
-def complete_blowup(H: PatternGraph, sizes: Sequence[int]) -> WeightedBlowupGraph:
-    """All cross pairs present, uniform weights; handy baseline."""
-    return blowup_without(H, [[Fraction(1, s)] * s for s in sizes])
-
-
 def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
     """Transversal-free blow-up of a tree with every density equal to
     1 - 1/lambda^2.
@@ -319,23 +314,33 @@ def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
     root = 1
     order, parent = T.bfs_tree(root)
 
-    r: dict[int, Fraction | float] = {}
-    for v in reversed(order):
-        if v != root:
-            acc = sum(r[c] for c in T.adjacency[v] if parent[c] == v)
-            r[v] = k / (m - acc)
-    if abs(m - sum(r[c] for c in T.adjacency[root])) > slack:
+    def cluster_weights(k, m) -> list[list] | None:
+        """Each cluster's weights in neighbor order; None when the ratios
+        fail the root's consistency check."""
+        r: dict[int, Fraction | float] = {}
+        for v in reversed(order):
+            if v != root:
+                acc = sum(r[c] for c in T.adjacency[v] if parent[c] == v)
+                r[v] = k / (m - acc)
+        if abs(m - sum(r[c] for c in T.adjacency[root])) > slack:
+            return None
+        return [[r[j] / m if parent[j] == i else k / (r[i] * m) for j in T.adjacency[i]]
+                for i in T.vertices()]
+
+    weights = cluster_weights(k, m)
+    if mode == "float" and (weights is None
+                            or any(abs(sum(c) - 1) > FLOAT_TOL for c in weights)):
+        # The float recursion loses precision on some trees: rerun it in
+        # rationals, with m the square root of s*'s midpoint rounded down
+        # to 24 decimals, then round each weight to float.
+        mid = s_star.midpoint()
+        m = Fraction(math.isqrt(mid.numerator * 10**48 // mid.denominator), 10**24)
+        exact = cluster_weights(_ONE, m)
+        weights = None if exact is None else [[float(w) for w in c] for c in exact]
+    if weights is None:
         raise ValidationError("eigenvector consistency check failed")
 
-    slot_of: dict[tuple[int, int], int] = {}
-    weights: list[list] = []
-    for i in T.vertices():
-        cluster = []
-        for a, j in enumerate(T.adjacency[i]):
-            slot_of[(i, j)] = a
-            cluster.append(r[j] / m if parent[j] == i else k / (r[i] * m))
-        weights.append(cluster)
-
+    slot_of = {(i, j): a for i in T.vertices() for a, j in enumerate(T.adjacency[i])}
     missing = [((i, slot_of[i, j]), (j, slot_of[j, i])) for i, j in T.edges]
     B = blowup_without(T, weights, missing, mode)
     assert_construction(B, _gacs_target(T, s_star, mode))

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import traceback
+from decimal import Context
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -150,8 +151,13 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _both(x) -> str:
-    """Exact rational and decimal display."""
-    return f"{rational_text(x)} ({float(x):.10g})"
+    """Exact rational and decimal display; past the float range the ten
+    significant digits come from Decimal."""
+    try:
+        approx = f"{float(x):.10g}"
+    except OverflowError:
+        approx = f"{Context(prec=10).divide(x.numerator, x.denominator).normalize():g}"
+    return f"{rational_text(x)} ({approx})"
 
 
 def _show(value) -> str:

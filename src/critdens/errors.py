@@ -27,10 +27,6 @@ class NotATree(CritdensError):
     """Operation requires the pattern graph to be a tree."""
 
 
-class NotALeaf(CritdensError):
-    """Vertex passed to a leaf-reduction step has degree != 1."""
-
-
 class VertexNotInGraph(CritdensError):
     """Vertex label outside the graph's range."""
 
@@ -62,12 +58,6 @@ class NoRealRoot(CritdensError):
 class AlreadyEnsured(CritdensError):
     """critical_scaling called with ratios whose densities already ensure
     the factor at full scale (no root in (0, 1])."""
-
-
-class DivisionByZeroGuard(CritdensError):
-    """Leaf-reduction step attempted with r >= 1 on the leaf edge; the
-    update r' = r / (1 - r_leaf) would divide by zero or flip sign.
-    Callers must apply the stop rule first."""
 
 
 class ImproperLabeling(CritdensError):

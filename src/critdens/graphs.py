@@ -340,27 +340,6 @@ def is_proper_labeling(H: PatternGraph, f: Sequence[int]) -> bool:
     return True
 
 
-def is_subgraph(
-    H1: PatternGraph,
-    H2: PatternGraph,
-    embedding: Mapping[int, int] | Sequence[int],
-) -> bool:
-    """True iff the embedding is injective and maps every H1 edge to an
-    H2 edge.  Labels outside either graph raise VertexNotInGraph."""
-    if isinstance(embedding, Mapping):
-        phi = dict(embedding)
-    else:
-        phi = {v: embedding[v - 1] for v in range(1, min(len(embedding), H1.n) + 1)}
-    for v in H1.vertices():
-        if v not in phi:
-            raise VertexNotInGraph(f"embedding missing vertex {v}")
-        phi[v] = H2._check_vertex(phi[v])
-    images = [phi[v] for v in H1.vertices()]
-    if len(set(images)) != len(images):
-        return False
-    return all(H2.has_edge(phi[i], phi[j]) for i, j in H1.edges)
-
-
 # Standard families, used throughout the tests and the CLI self-test.
 
 def path_graph(n: int) -> PatternGraph:

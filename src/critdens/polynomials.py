@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     NoRealRoot,
-    NotATree,
     ParseError,
     SizeLimit,
     ValidationError,
@@ -224,23 +223,6 @@ def cauchy_root_bound(p: RatPoly) -> Fraction:
     return _ONE + max(abs(c) for c in p.coeffs[:-1]) / lead
 
 
-def count_roots_in_unit_interval(p: RatPoly) -> int:
-    """Number of distinct real roots in the closed interval [0, 1]."""
-    if p.is_zero():
-        raise ZeroPolynomial("root count undefined for the zero polynomial")
-    if p.degree == 0:
-        return 0
-    sf = square_free_part(p)
-    count = 0
-    for endpoint in (_ZERO, _ONE):
-        if sf.degree >= 1 and sf(endpoint) == 0:
-            count += 1
-            sf = sf.deflate_root(endpoint)
-    if sf.degree >= 1:
-        count += sturm_count_open(sturm_chain(sf), _ZERO, _ONE)
-    return count
-
-
 def _integer_coeffs(p: RatPoly) -> list[int]:
     """p times a positive integer, with integer coefficients."""
     scale = math.lcm(*(c.denominator for c in p.coeffs))
@@ -259,7 +241,7 @@ def positive_on_unit_interval(p: RatPoly) -> bool:
     if p(_ZERO) <= 0 or p(_ONE) <= 0:
         return False
     return (_roots_above(_integer_coeffs(p)[::-1], _ONE) == 0
-            or count_roots_in_unit_interval(p) == 0)
+            or sturm_count_open(sturm_chain(square_free_part(p)), _ZERO, _ONE) == 0)
 
 
 def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -865,15 +847,3 @@ def largest_matching_root_squared(
     if root is not None:
         return root
     return _sturm_largest_root(sf, tol)
-
-
-def tree_spectral_radius(
-    T: PatternGraph, tol: Fraction | float = Fraction(1, 10**9)
-) -> AlgebraicNumber:
-    """lambda(T): for trees the matching polynomial is the characteristic
-    polynomial, so this is the adjacency spectral radius."""
-    if not T.is_tree():
-        raise NotATree("spectral radius via matching polynomial needs a tree")
-    if T.n == 1:
-        return AlgebraicNumber.from_rational(0)
-    return largest_real_root(matching_polynomial(T), tol)

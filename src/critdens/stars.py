@@ -1,5 +1,5 @@
-"""Monotone-path trees, star-decomposition lower bounds, the bipartite
-closed form, and the reconstructed bow-tie extremal construction.
+"""Monotone-path trees, star-decomposition lower bounds, the K_{n,m}
+spectral check, and the reconstructed bow-tie extremal construction.
 
 For a proper labeling f of a connected pattern H, the monotone-path tree
 T_f(H) has one node per path f(i_1) f(i_2) ... f(i_k) with i_1 = 1 and
@@ -56,29 +56,20 @@ class MonotonePathTree:
     tree: PatternGraph
     legend: dict[int, tuple[int, ...]]       # tree node -> path of H-vertices
     edge_origin: dict[Edge, Edge]            # tree edge -> underlying H-edge
-    weights: dict[Edge, Fraction] | None     # lifted densities when supplied
 
 
-def monotone_path_tree(
-    H: PatternGraph,
-    f: Sequence[int],
-    weights: Mapping[Edge, Fraction] | Sequence[Fraction] | None = None,
-) -> MonotonePathTree:
+def monotone_path_tree(H: PatternGraph, f: Sequence[int]) -> MonotonePathTree:
     """Enumerate monotone paths by depth-first extension (children in
     increasing position of the added vertex).  Node 1 is the root path
     (f(1),); parents precede children in the numbering."""
     f = tuple(f)
     if not is_proper_labeling(H, f):
         raise ImproperLabeling(f"{f} is not a proper labeling")
-    lifted = None
-    if weights is not None:
-        lifted = edge_assignment(H, weights, what="weight")
     pos = {v: k for k, v in enumerate(f, start=1)}
 
     legend: dict[int, tuple[int, ...]] = {}
     edges: list[Edge] = []
     edge_origin: dict[Edge, Edge] = {}
-    tree_weights: dict[Edge, Fraction] = {}
 
     # (parent node, path) pairs, each pushed after its later siblings so
     # that nodes are numbered in depth-first preorder; the root's parent is 0
@@ -94,16 +85,12 @@ def monotone_path_tree(
         if parent:
             e = (parent, node)
             edges.append(e)
-            he = canonical_edge(path[-2], last)
-            edge_origin[e] = he
-            if lifted is not None:
-                tree_weights[e] = lifted[he]
+            edge_origin[e] = canonical_edge(path[-2], last)
         for w in sorted(H.adjacency[last], key=pos.__getitem__, reverse=True):
             if pos[w] > pos[last]:
                 stack.append((node, path + (w,)))
     tree = PatternGraph(node, tuple(edges))
-    return MonotonePathTree(
-        tree, legend, edge_origin, tree_weights if lifted is not None else None)
+    return MonotonePathTree(tree, legend, edge_origin)
 
 
 def _rooted_shape(T: PatternGraph, root: int) -> str:
@@ -208,20 +195,6 @@ def star_necessary_condition(
     ratios = {te: _ONE - dens[he] for te, he in mpt.edge_origin.items()}
     decision = _decide_from_ratios(mpt.tree, ratios)
     return Verdict.PASSES if decision.ensured else Verdict.FAILS
-
-
-def bipartite_star_density(n: int, m: int) -> Fraction:
-    """d_s(n, m) = 1 - 1/(n+m-1), cross-checked against the recursion
-    d_s(n, m) = 1/(2 - d_s(n, m-1)) anchored at d_s(n, 1) = 1 - 1/n."""
-    if n < 1 or m < 1:
-        raise ValidationError("both sides must be >= 1")
-    closed = _ONE - Fraction(1, n + m - 1)
-    d = _ONE - Fraction(1, n)
-    for _ in range(m - 1):
-        d = _ONE / (2 - d)
-    if d != closed:
-        raise ValidationError("closed form disagrees with the recursion")
-    return closed
 
 
 def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9),

@@ -15,11 +15,12 @@ d > 1 - 1/lambda^2.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import AlreadyEnsured, DivisionByZeroGuard, NotALeaf, NotATree
+from .errors import AlreadyEnsured, NotATree
 from .graphs import (
     Edge,
     PatternGraph,
@@ -60,42 +61,41 @@ class TreeDecision:
         return self.verdict is Verdict.ENSURED
 
 
-def _remove_leaf(
-    adj: dict[int, set[int]], r: dict[Edge, Fraction], leaf: int
-) -> tuple[int, dict[Edge, Fraction]]:
-    """The reduction step, in place: delete the leaf and its edge's ratio
-    r_leaf, and rescale the ratio of every other edge at its neighbor u
-    by 1/(1 - r_leaf).  Returns u and the rescaled ratios."""
-    (u,) = adj.pop(leaf)
-    adj[u].discard(leaf)
-    denom = _ONE - r.pop(canonical_edge(u, leaf))
-    updated: dict[Edge, Fraction] = {}
-    for w in adj[u]:
-        e = canonical_edge(u, w)
-        r[e] = updated[e] = r[e] / denom
-    return u, updated
-
-
 def _decide_from_ratios(
     T: PatternGraph,
     ratios: dict[Edge, Fraction],
     pick_leaf: Callable[[list[int]], int] | None = None,
 ) -> TreeDecision:
     """Core reduction loop.  Vertices keep their original labels, so the
-    violating edge and the trace refer to edges of the input tree."""
+    violating edge and the trace refer to edges of the input tree.
+
+    The leaf list stays sorted from step to step, and only the ratios the
+    last step rescaled are checked: before that step none reached 1, so
+    the smallest violating edge is among them."""
     adj: dict[int, set[int]] = {v: set(T.adjacency[v]) for v in T.vertices()}
     r = dict(ratios)
+    leaves = sorted(v for v in adj if len(adj[v]) == 1)
     trace: list[ReductionStep] = []
+    updated = r
     while True:
-        violating = next(
-            (e for e in sorted(r) if r[e] >= 1), None)
+        violating = min((e for e, x in updated.items() if x >= 1), default=None)
         if violating is not None:
             return TreeDecision(Verdict.NOT_ENSURED, violating, tuple(trace))
         if len(adj) <= 2:
             return TreeDecision(Verdict.ENSURED, None, tuple(trace))
-        leaves = sorted(v for v in adj if len(adj[v]) == 1)
-        v = leaves[0] if pick_leaf is None else pick_leaf(leaves)
-        u, updated = _remove_leaf(adj, r, v)
+        v = leaves[0] if pick_leaf is None else pick_leaf(list(leaves))
+        leaves.remove(v)
+        # Delete the leaf and its edge's ratio r_vu, and rescale the ratio
+        # of every other edge at its neighbor u by 1/(1 - r_vu).
+        (u,) = adj.pop(v)
+        adj[u].discard(v)
+        denom = _ONE - r.pop(canonical_edge(u, v))
+        updated = {}
+        for w in adj[u]:
+            e = canonical_edge(u, w)
+            r[e] = updated[e] = r[e] / denom
+        if len(adj[u]) == 1:
+            bisect.insort(leaves, u)
         trace.append(ReductionStep(v, u, updated))
 
 
@@ -112,41 +112,6 @@ def decide_tree(
     dens = edge_assignment(T, gamma, low=_ZERO, high=_ONE, what="density")
     ratios = {e: _ONE - g for e, g in dens.items()}
     return _decide_from_ratios(T, ratios, pick_leaf)
-
-
-def leaf_reduction_step(
-    T: PatternGraph,
-    r: Mapping[Edge, Fraction] | Sequence[Fraction],
-    leaf: int,
-) -> tuple[PatternGraph, dict[Edge, Fraction]]:
-    """One reduction step: remove the leaf, rescale the ratios at its
-    neighbor by 1/(1 - r_leaf).
-
-    The smaller tree keeps vertex order: labels above the removed leaf
-    shift down by one, and the returned ratio map is keyed by the new
-    labels.
-    """
-    if not T.is_tree():
-        raise NotATree("leaf reduction requires a tree")
-    ratios = edge_assignment(T, r, low=_ZERO, what="ratio")
-    leaf = T._check_vertex(leaf)
-    if T.degree(leaf) != 1:
-        raise NotALeaf(f"vertex {leaf} has degree {T.degree(leaf)}, not 1")
-    if T.n < 3:
-        raise NotALeaf("cannot reduce a tree with fewer than 3 vertices")
-    (u,) = T.neighbors(leaf)
-    r_leaf = ratios[canonical_edge(u, leaf)]
-    if r_leaf >= 1:
-        raise DivisionByZeroGuard(
-            f"leaf edge ratio {r_leaf} >= 1; apply the stop rule instead")
-    _remove_leaf({leaf: {u}, u: set(T.adjacency[u])}, ratios, leaf)
-
-    def relabel(v: int) -> int:
-        return v - 1 if v > leaf else v
-
-    new_ratios = {canonical_edge(relabel(i), relabel(j)): val
-                  for (i, j), val in ratios.items()}
-    return PatternGraph(T.n - 1, tuple(new_ratios)), new_ratios
 
 
 def decide_tree_equivalence(

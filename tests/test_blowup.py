@@ -11,7 +11,6 @@ from critdens.blowup import (
     WeightedBlowupGraph,
     assert_construction,
     blowup_without,
-    complete_blowup,
     gacs_tree_construction,
     star_decomposition_construct,
 )
@@ -19,9 +18,11 @@ from critdens.errors import ValidationError
 from critdens.graphs import (
     PatternGraph,
     complete_graph,
+    parse_graph,
     path_graph,
     star_graph,
 )
+from critdens.tree_decision import dcrit_tree
 
 
 def _blowup(pattern, weights, cross):
@@ -106,7 +107,7 @@ def test_blowup_without_drops_only_the_missing_pairs():
     missing = {((2, 0), (1, 1)), ((1, 0), (3, 1))}   # either orientation
     B = blowup_without(H, weights, missing)
     full = blowup_without(H, weights)
-    assert full.cross_edges == complete_blowup(H, (2, 1, 2)).cross_edges
+    assert full.cross_edges == blowup_without(H, [[F(1, 2)] * 2, [F(1)], [F(1, 2)] * 2]).cross_edges
     assert B.cross_edges == full.cross_edges - {((1, 1), (2, 0)), ((1, 0), (3, 1))}
     assert B.densities() == {(1, 2): F(1, 2), (1, 3): F(2, 3), (2, 3): F(1)}
     assert B.mode == "exact" and blowup_without(H, weights, mode="float").mode == "float"
@@ -124,7 +125,7 @@ def test_certificate_checks_densities_with_float_slack():
         with pytest.raises(ValidationError, match="below target"):
             assert_construction(B, {(1, 2): ok, (2, 3): short})
     with pytest.raises(ValidationError, match="has a transversal"):
-        assert_construction(complete_blowup(path_graph(2), (1, 2)), {})
+        assert_construction(blowup_without(path_graph(2), [[F(1)], [F(1, 2)] * 2]), {})
 
 
 def test_every_emitted_construction_passes_the_certificate(monkeypatch):
@@ -153,7 +154,7 @@ def test_every_emitted_construction_passes_the_certificate(monkeypatch):
 
 
 def test_complete_blowup_has_transversal_and_full_density():
-    B = complete_blowup(path_graph(3), (2, 1, 2))
+    B = blowup_without(path_graph(3), [[F(1, 2)] * 2, [F(1)], [F(1, 2)] * 2])
     assert B.densities() == {(1, 2): F(1), (2, 3): F(1)}
     t = B.find_transversal()
     assert t is not None
@@ -273,6 +274,21 @@ def test_gacs_weights_are_perron_ratios_on_all_small_trees():
                     assert w_ij * w_ji == F(int(target.p), int(target.q)), (T, i, j)
                 else:
                     assert abs(w_ij * w_ji - target) <= 1e-12 * target, (T, i, j)
+
+
+def test_gacs_reruns_drifting_float_ratios_in_rationals():
+    # the float ratios of this tree miss the cluster-sum check by 2e-9
+    T = parse_graph("26; 1-2 2-3 2-4 4-5 5-6 6-7 7-8 8-9 8-10 9-11 11-12 11-13 12-14"
+                    " 12-15 15-16 15-17 16-18 17-19 19-20 20-21 20-22 20-23 20-24"
+                    " 20-25 24-26")
+    B = gacs_tree_construction(T)
+    assert B.mode == "float" and B.find_transversal() is None
+    lo, _ = dcrit_tree(T, F(1, 10**15)).interval()
+    for i, j in T.edges:
+        w_ij = B.weights[i - 1][T.adjacency[i].index(j)]
+        w_ji = B.weights[j - 1][T.adjacency[j].index(i)]
+        assert abs(w_ij * w_ji - float(1 - lo)) <= 1e-12, (i, j)
+    assert all(abs(d - float(lo)) <= 1e-12 for d in B.densities().values())
 
 
 def test_star_construct_triangle_below_threshold():

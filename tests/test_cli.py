@@ -360,6 +360,18 @@ def test_reports_show_exact_and_decimal(path3):
     assert "1/2" in out and "0.5" in out
 
 
+def test_decimal_display_past_the_float_range(path3, star3):
+    # a rescaled ratio near 5e319 (near 1e400 on the star) has no float
+    code, out = _run(["decide-tree", path3, "--densities", "1e-320,0.5"])
+    assert code == 1
+    assert "(5e+319)" in out and out.endswith("verdict: NotEnsured\n")
+    code, out = _run(["decide-tree", star3, "--densities", "1e-400"])
+    assert code == 1 and out.count(" (1e+400)") == 2
+    assert cli._both(F(10**400, 3)) == f"{10**400}/3 (3.333333333e+399)"
+    assert cli._both(F(-10**309)) == f"-{10**309} (-1e+309)"
+    assert cli._both(F(10**300, 3)) == f"{10**300}/3 (3.333333333e+299)"
+
+
 def test_structured_output_is_json_lines(path3):
     code, out = _run(["decide-tree", path3, "--densities", "1/2,1/2",
                       "--format", "structured"])

@@ -13,17 +13,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from critdens.blowup import Transversal, blowup_without, complete_blowup
+from critdens.blowup import Transversal, blowup_without
 from critdens.cli import run
 from critdens.graphs import PatternGraph, canonical_edge, path_graph, proper_labelings
 from critdens.stars import monotone_path_tree, tree_shape_key
 
 
-def _recursive_path_tree(H, f, lifted=None):
-    """(legend, tree edges, edge origins, tree weights) by recursive
-    depth-first extension, children in increasing position."""
+def _recursive_path_tree(H, f):
+    """(legend, tree edges, edge origins) by recursive depth-first
+    extension, children in increasing position."""
     pos = {v: k for k, v in enumerate(f, start=1)}
-    legend, edges, origin, weights = {1: (f[0],)}, [], {}, {}
+    legend, edges, origin = {1: (f[0],)}, [], {}
     counter = [1]
 
     def expand(path, node):
@@ -36,12 +36,10 @@ def _recursive_path_tree(H, f, lifted=None):
             legend[child] = path + (w,)
             edges.append((node, child))
             origin[node, child] = canonical_edge(last, w)
-            if lifted is not None:
-                weights[node, child] = lifted[canonical_edge(last, w)]
             expand(path + (w,), child)
 
     expand((f[0],), 1)
-    return legend, tuple(sorted(edges)), origin, weights
+    return legend, tuple(sorted(edges)), origin
 
 
 def _recursive_shape(adj, root, parent):
@@ -123,12 +121,10 @@ def connected_graphs(draw, max_vertices=6):
 def test_walks_match_their_recursive_forms(H, data):
     labelings = list(proper_labelings(H))
     assert labelings == list(_recursive_labelings(H))
-    lifted = {e: F(k, 100) for k, e in enumerate(H.edges, 1)}
     for f in data.draw(st.lists(st.sampled_from(labelings), min_size=1, max_size=3)):
-        mpt = monotone_path_tree(H, f, lifted)
-        legend, edges, origin, weights = _recursive_path_tree(H, f, lifted)
-        assert (mpt.legend, mpt.tree.edges, mpt.edge_origin, mpt.weights) == (
-            legend, edges, origin, weights)
+        mpt = monotone_path_tree(H, f)
+        legend, edges, origin = _recursive_path_tree(H, f)
+        assert (mpt.legend, mpt.tree.edges, mpt.edge_origin) == (legend, edges, origin)
         assert mpt.tree.n == len(legend)
         assert tree_shape_key(mpt.tree) == _recursive_shape_key(mpt.tree)
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=H.n, max_size=H.n))
@@ -170,7 +166,7 @@ DEEP_CALLS = {
     # paths of 500 and 499 vertices below it, the longer one first
     "tree_shape_key": (lambda: tree_shape_key(path_graph(1000)),
                        "(" + "(" * 500 + ")" * 500 + "(" * 499 + ")" * 499 + ")"),
-    "find_transversal": (lambda: complete_blowup(_P1200, [1] * 1200).find_transversal(),
+    "find_transversal": (lambda: blowup_without(_P1200, [[F(1)]] * 1200).find_transversal(),
                          Transversal(dict.fromkeys(_F1200, 0))),
 }
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from critdens.blowup import WeightedBlowupGraph, complete_blowup, gacs_tree_construction
+from critdens.blowup import WeightedBlowupGraph, blowup_without, gacs_tree_construction
 from critdens.bounds import compute_bounds, glue_sufficiency, triangle_decide
 from critdens.cli import _parse_densities, run
 from critdens.errors import CritdensError, ValidationError
@@ -177,7 +177,7 @@ FUZZED = {
                                             "0.5,1/2", "0.5"]),
     "WeightedBlowupGraph.from_json": (
         lambda text: WeightedBlowupGraph.from_json(text).to_json(), [
-            complete_blowup(P3, [1, 2, 1]).to_json(),
+            blowup_without(P3, [[F(1)], [F(1, 2)] * 2, [F(1)]]).to_json(),
             gacs_tree_construction(path_graph(4)).to_json()]),
     "poly_from_strings": (lambda text: poly_to_strings(poly_from_strings(text.split(","))),
                           ["1/2,0,-3", "0.25,1e3,7"]),

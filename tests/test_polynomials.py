@@ -18,7 +18,6 @@ from critdens.polynomials import (
     AlgebraicNumber,
     RatPoly,
     cauchy_root_bound,
-    count_roots_in_unit_interval,
     largest_matching_root_squared,
     largest_real_root,
     matching_even_part,
@@ -34,7 +33,6 @@ from critdens.polynomials import (
     square_free_part,
     sturm_chain,
     sturm_count_open,
-    tree_spectral_radius,
 )
 
 
@@ -99,13 +97,6 @@ def test_roots_above_counts_multiplicity_for_real_rooted_polynomials():
         == [3, 2, 2, 0, 0]
     assert roots_above(matching_even_part(star_graph(5)), F(4)) == 0
     assert roots_above(matching_even_part(star_graph(5)), F(399, 100)) == 1
-
-
-def test_unit_interval_root_count_includes_endpoints():
-    assert count_roots_in_unit_interval(RatPoly([0, -1, 1])) == 2   # x(x-1)
-    assert count_roots_in_unit_interval(RatPoly([2, -7, 3])) == 1   # roots 1/3, 2
-    assert count_roots_in_unit_interval(RatPoly([1, 0, 1])) == 0
-    assert count_roots_in_unit_interval(RatPoly([0, 0, 1])) == 1    # double 0
 
 
 def test_positivity_on_closed_interval():
@@ -248,11 +239,8 @@ def test_path4_matching_root_is_golden():
 
 
 def test_tree_spectral_radius_matches_known_values():
-    lam = tree_spectral_radius(star_graph(10), tol=F(1, 10**12))
-    lo, hi = lam.interval()
-    assert lo * lo <= 9 <= hi * hi
-    lam2 = tree_spectral_radius(path_graph(2))
-    assert lam2.exact == 1
+    assert largest_matching_root_squared(star_graph(10), tol=F(1, 10**12)).exact == 9
+    assert largest_matching_root_squared(path_graph(2)).exact == 1
 
 
 def test_char_poly_identity_on_trees():

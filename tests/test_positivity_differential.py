@@ -87,13 +87,13 @@ def _poly_from_roots(*roots, lead=F(1), shift=F(0)):
 ])
 def test_hand_made_polynomials(p, sturm, monkeypatch):
     calls = []
-    count = polynomials.count_roots_in_unit_interval
+    count = polynomials.sturm_count_open
 
-    def counted(q):
-        calls.append(q)
-        return count(q)
+    def counted(chain, lo, hi):
+        calls.append(chain)
+        return count(chain, lo, hi)
 
-    monkeypatch.setattr(polynomials, "count_roots_in_unit_interval", counted)
+    monkeypatch.setattr(polynomials, "sturm_count_open", counted)
     assert positive_on_unit_interval(p) == _sympy_positive(p)
     assert bool(calls) == sturm
 

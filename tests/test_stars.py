@@ -14,7 +14,6 @@ from critdens.graphs import (
     star_graph,
 )
 from critdens.stars import (
-    bipartite_star_density,
     bow_tie_reconstruction,
     monotone_path_tree,
     star_decomposition_cannot_match_bowtie,
@@ -62,10 +61,9 @@ def test_edge_origin_maps_back_to_pattern_edges():
 def test_lifted_weights_follow_edge_origin():
     H = complete_graph(3)
     gamma = {(1, 2): F(7, 10), (1, 3): F(3, 5), (2, 3): F(1, 2)}
-    mpt = monotone_path_tree(H, (1, 2, 3), weights=gamma)
-    assert mpt.weights is not None
-    for e, w in mpt.weights.items():
-        assert w == gamma[mpt.edge_origin[e]]
+    mpt = monotone_path_tree(H, (1, 2, 3))
+    lifted = {e: gamma[he] for e, he in mpt.edge_origin.items()}
+    assert lifted == {(1, 2): F(7, 10), (2, 3): F(1, 2), (1, 4): F(3, 5)}
 
 
 def test_improper_labelings_rejected():
@@ -151,16 +149,6 @@ def test_necessary_condition_range_checks_pattern_edges():
         star_necessary_condition(K3, g, (1, 2, 3))
     with pytest.raises(ValidationError, match="below 0"):
         star_necessary_condition(K3, [F(-1, 2), F(1, 2), F(1, 2)], (1, 2, 3))
-
-
-def test_bipartite_star_density_closed_form():
-    assert bipartite_star_density(1, 1) == 0
-    assert bipartite_star_density(2, 2) == F(2, 3)
-    assert bipartite_star_density(2, 3) == F(3, 4)
-    assert bipartite_star_density(4, 4) == F(6, 7)
-    for n in range(1, 6):
-        for m in range(n, 6):
-            assert bipartite_star_density(n, m) == F(n + m - 2, n + m - 1)
 
 
 def test_verify_bt1_small_cases():

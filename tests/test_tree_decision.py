@@ -5,14 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from critdens.errors import (
-    AlreadyEnsured,
-    DivisionByZeroGuard,
-    NotALeaf,
-    NotATree,
-    ValidationError,
+from critdens.errors import AlreadyEnsured, NotATree, ValidationError
+from critdens.graphs import (
+    PatternGraph,
+    canonical_edge,
+    complete_graph,
+    path_graph,
+    star_graph,
 )
-from critdens.graphs import PatternGraph, complete_graph, path_graph, star_graph
 from critdens.tree_decision import (
     CriticalDensity,
     critical_scaling,
@@ -20,7 +20,6 @@ from critdens.tree_decision import (
     decide_tree,
     decide_tree_equivalence,
     edge_assignment,
-    leaf_reduction_step,
 )
 
 
@@ -138,19 +137,80 @@ def test_reduction_agrees_with_matching_positivity():
 
 
 def test_leaf_reduction_step_rescales_neighbor_edges():
-    T, ratios = leaf_reduction_step(
-        path_graph(3), {(1, 2): F(1, 2), (2, 3): F(1, 3)}, 1)
-    assert T == path_graph(2)
-    assert ratios == {(1, 2): F(2, 3)}
+    d = decide_tree(path_graph(3), {(1, 2): F(1, 2), (2, 3): F(2, 3)})
+    assert d.ensured
+    step, = d.reduction_trace
+    assert (step.leaf, step.neighbor, step.updated) == (1, 2, {(2, 3): F(2, 3)})
 
 
-def test_leaf_reduction_step_guards():
-    with pytest.raises(NotALeaf):
-        leaf_reduction_step(path_graph(2), {(1, 2): F(1, 2)}, 1)
-    with pytest.raises(NotALeaf):
-        leaf_reduction_step(path_graph(3), {(1, 2): F(1, 2), (2, 3): F(1, 2)}, 2)
-    with pytest.raises(DivisionByZeroGuard):
-        leaf_reduction_step(path_graph(3), {(1, 2): F(1), (2, 3): F(1, 2)}, 1)
+def _reference_decision(T, gamma, pick_leaf=None):
+    """Reference reduction: every step re-sorts the leaves and rescans
+    every ratio.  Returns the verdict, the violating edge and the trace
+    as (leaf, neighbor, updated) triples."""
+    adj = {v: set(T.adjacency[v]) for v in T.vertices()}
+    r = {e: 1 - g for e, g in gamma.items()}
+    trace = []
+    while True:
+        violating = next((e for e in sorted(r) if r[e] >= 1), None)
+        if violating is not None:
+            return "NotEnsured", violating, trace
+        if len(adj) <= 2:
+            return "Ensured", None, trace
+        leaves = sorted(v for v in adj if len(adj[v]) == 1)
+        v = leaves[0] if pick_leaf is None else pick_leaf(leaves)
+        (u,) = adj.pop(v)
+        adj[u].discard(v)
+        denom = 1 - r.pop(canonical_edge(u, v))
+        updated = {}
+        for w in adj[u]:
+            e = canonical_edge(u, w)
+            r[e] = updated[e] = r[e] / denom
+        trace.append((v, u, updated))
+
+
+def test_incremental_reduction_matches_full_rescan():
+    """decide_tree keeps its leaf list between steps and checks only the
+    rescaled ratios; verdict, violating edge and every trace step equal
+    the full re-sort and rescan."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    densities = st.one_of(st.sampled_from([F(0), F(1)]),
+                          st.integers(0, 40).map(lambda k: F(k, 40)),
+                          st.integers(0, 1000).map(lambda k: F(k, 1000)))
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 60))
+        label = draw(st.permutations(range(1, n + 1)))
+        T = PatternGraph(n, tuple(
+            (label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)))
+        return T, draw(st.fixed_dictionaries({e: densities for e in T.edges}))
+
+    def picker(kind, seed):
+        if kind == "lowest":
+            return None
+        if kind == "highest":
+            return lambda leaves: leaves[-1]
+        rng = random.Random(seed)
+        return lambda leaves: rng.choice(leaves)
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(cases(), st.sampled_from(["lowest", "highest", "random"]),
+                      st.integers(0, 2**32))
+    @hypothesis.example((PatternGraph(1, ()), {}), "lowest", 0)
+    @hypothesis.example((path_graph(2), {(1, 2): F(1, 40)}), "lowest", 0)
+    @hypothesis.example((path_graph(2), {(1, 2): F(0)}), "highest", 0)
+    # a violation before the first step, on an edge other than the first
+    @hypothesis.example(
+        (star_graph(4), {(1, 2): F(9, 10), (1, 3): F(0), (1, 4): F(0)}), "random", 7)
+    def check(case, kind, seed):
+        T, gamma = case
+        d = decide_tree(T, gamma, pick_leaf=picker(kind, seed))
+        got = (d.verdict, d.violating_edge,
+               [(s.leaf, s.neighbor, s.updated) for s in d.reduction_trace])
+        assert got == _reference_decision(T, gamma, picker(kind, seed))
+
+    check()
 
 
 # -- critical scaling and critical densities -------------------------------

@@ -1,7 +1,8 @@
 """Every name a module under src/critdens imports is used in that module,
-every name it assigns at module level is read there, and every private
+every name it assigns at module level is read there, every private
 (_-prefixed) function, method or class it defines is referenced somewhere
-in the package outside its own body.
+in the package outside its own body, and every public module-level
+function or class is referenced by the package or by perfbench/.
 
 No linter ships with the toolchain, so this scan is the guard.  The
 package's __init__ is left out: it imports names to re-export them.
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "critdens"
+PERFBENCH = SRC.parents[1] / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,9 +91,10 @@ def _private_definitions(tree: ast.Module) -> list[ast.AST]:
             and node.name.startswith("_") and not node.name.startswith("__")]
 
 
-def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names, attribute names and identifiers inside string constants in
-    tree, leaving out the subtree skip."""
+def _references(tree: ast.AST, skip: ast.AST | None = None,
+                strings: bool = True) -> set[str]:
+    """Names, attribute names and (with strings) identifiers inside string
+    constants in tree, leaving out the subtree skip."""
     found = set()
     stack = [tree]
     while stack:
@@ -102,7 +105,7 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.update(re.findall(r"[A-Za-z_]\w*", node.value))
         stack.extend(ast.iter_child_nodes(node))
     return found
@@ -119,6 +122,38 @@ def test_no_unreferenced_private_definitions():
                     and node.name not in _references(tree, skip=node)):
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert not orphans, f"private definitions without a reference: {', '.join(orphans)}"
+
+
+# Public definitions kept without a caller in the package or perfbench/.
+UNCALLED_PUBLIC = {
+    "critical_scaling": "the only computation of the critical scale t* of "
+                        "a ratio vector; the API offers it alongside decide_tree",
+    "poly_from_strings": "the reader of the documented polynomial text, the "
+                         "inverse of poly_to_strings",
+}
+
+
+def test_no_uncalled_public_definitions():
+    """A public function or class counts as called when a module other
+    than __init__ names it (as a name or an attribute, outside its own
+    body), or perfbench/ names it, also inside a string such as a traced
+    name.  Tests do not count: code only they reach is dead."""
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    perfbench = set().union(*(_references(ast.parse(p.read_text()))
+                              for p in PERFBENCH.glob("*.py")))
+    refs = {name: _references(tree, strings=False) for name, tree in trees.items()}
+    uncalled, defined = [], set()
+    for name, tree in trees.items():
+        elsewhere = set().union(perfbench, *(r for other, r in refs.items() if other != name))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.add(node.name)
+                if (node.name not in UNCALLED_PUBLIC and node.name not in elsewhere
+                        and node.name not in _references(tree, skip=node, strings=False)):
+                    uncalled.append(f"{name}:{node.lineno} {node.name}")
+    assert not uncalled, f"public definitions nothing calls: {', '.join(uncalled)}"
+    assert set(UNCALLED_PUBLIC) <= defined, "allowlist names a definition that is gone"
 
 
 def test_scan_sees_every_module():
