@@ -47,6 +47,7 @@ from .errors import (
 from .graphs import (
     Edge,
     PatternGraph,
+    automorphisms,
     bow_tie_graph,
     complete_bipartite,
     complete_graph,

@@ -331,6 +331,52 @@ def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:
     return extend()
 
 
+def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None
+                  ) -> list[tuple[int, ...]]:
+    """The automorphisms of H that keep every vertex's colour (colours[v - 1]
+    for vertex v; all alike when None), each as (σ(1), ..., σ(n)), in
+    lexicographic order, the identity first.  Colours are told apart by
+    == alone, so they need not be hashable or ordered.
+
+    Colour refinement first splits the vertices into cells: two vertices
+    share a cell while they share a colour and, cell by cell, a number of
+    neighbours, and every automorphism keeps each cell.  Backtracking then
+    maps vertices 1, 2, ... in turn to unused vertices of their cell whose
+    adjacency to the earlier images matches."""
+    n = H.n
+    cols = [None] * n if colours is None else sequence(colours, "colours")
+    if len(cols) != n:
+        raise ValidationError(f"expected {n} colours, got {len(cols)}")
+    adj = H.adjacency
+    # a colour's first place stands for it, so cells are tuples of ints
+    cell = {v: (cols.index(cols[v - 1]), len(adj[v])) for v in H.vertices()}
+    while True:
+        refined = {v: (cell[v], tuple(sorted(cell[u] for u in adj[v])))
+                   for v in H.vertices()}
+        if len(set(refined.values())) == len(set(cell.values())):
+            break
+        cell = refined
+    image: list[int] = []
+    used: set[int] = set()
+    found: list[tuple[int, ...]] = []
+
+    def extend(v: int) -> None:
+        if v > n:
+            found.append(tuple(image))
+            return
+        for w in H.vertices():
+            if (w not in used and cell[w] == cell[v]
+                    and all((u in adj[v]) == (image[u - 1] in adj[w])
+                            for u in range(1, v))):
+                image.append(w)
+                used.add(w)
+                extend(v + 1)
+                used.discard(image.pop())
+
+    extend(1)
+    return found
+
+
 def is_proper_labeling(H: PatternGraph, f: Sequence[int]) -> bool:
     if sorted(f) != list(H.vertices()):
         return False

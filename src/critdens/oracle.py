@@ -56,15 +56,36 @@ and the configuration index (the one --checkpoint counts) it stopped at;
 oracle-dcrit also the best grid density reached so far.  Its descent
 walks the weights before each improvement again, once per search.
 
+oracle-dcrit searches one configuration per automorphism orbit.  An
+automorphism σ of H maps a configuration, with any weights on it, to
+one whose edges carry the same masses, permuted; so both have the same
+best largest mass, and the grid optimum, a maximum over all
+configurations, is the maximum over one per orbit.  The size vectors
+searched are those least in their orbits under the automorphisms that
+keep the size bounds (so every image stays within them); for each such
+s, the covers searched are those least in their orbits under Aut(H)_s,
+the automorphisms that keep s, together with the slot permutations.
+Its exhausted-budget message counts configurations among those
+searched.  oracle-search keeps every configuration: its floor need not
+be symmetric, so an image of a configuration that misses the floor may
+meet it, and its --checkpoint indices count every configuration.
+
 A size vector's finished cover listing is kept for the process, and a
 reuse charges the units the listing spent, so a search spends the same,
 and stops at the same point, whether or not its covers were listed
-before.  The kept listings hold at most 50,000 covers in all, the least
-recently used dropped first; a listing stopped by the budget is not
-kept.  Canonicalising the covers under within-cluster slot permutations
-is outside the budget.  It maps each orbit of raw covers, not each raw
-cover, under the prod k! permutations, so K4 oracle-dcrit at q = 8
-reaches its exit-3 point in 26 s instead of 232 s (one run each).
+before.  A kept listing also keeps, per q, the weight search built on
+each of its covers, which a later search reruns with a fresh budget.
+The kept listings hold at most 50,000 covers and weight searches in
+all, the least recently used listing dropped first with its searches;
+a listing stopped by the budget is not kept.  Canonicalising the covers
+and picking the orbit representatives is outside the budget.  It is
+one walk over the raw covers the listing reached, each mapped under two
+generators per cluster (a swap of two slots and the cycle of all), and
+one member of each slot orbit under generators of Aut(H)_s, so its cost
+is linear in those covers.  K4 oracle-dcrit at q = 8 reaches its
+exit-3 point at configuration 1,007 in 17 s, not at 8,660 in 33 s, at
+a peak RSS of 40 MiB, not 159 MiB; C5 at q = 50 finishes in 0.3 s, not
+7.8 s (one run each).
 """
 
 from __future__ import annotations
@@ -87,7 +108,15 @@ from .blowup import (
     blowup_without,
 )
 from .errors import BudgetExhausted, ParseError, SizeLimit, ValidationError
-from .graphs import Edge, PatternGraph, edge_assignment, integer, sequence, tolerance
+from .graphs import (
+    Edge,
+    PatternGraph,
+    automorphisms,
+    edge_assignment,
+    integer,
+    sequence,
+    tolerance,
+)
 
 CHECKPOINT_FORMAT = 1
 
@@ -197,58 +226,105 @@ class _Budget:
         self.config, self.phase = config, "searching weights"
 
 
+class _Listing:
+    """A size vector's finished cover listing: its covers, canonical under
+    within-cluster slot permutations and sorted; the units listing them
+    spent; the indices of the covers oracle-dcrit searches, the least of
+    each orbit under Aut(H)_s with the slot permutations; and, once the
+    listing is kept, the weight searches built on its covers, by
+    (q, index)."""
+
+    __slots__ = ("covers", "spent", "orbit_reps", "searches")
+
+    def __init__(self, covers: tuple[Cover, ...], spent: int,
+                 orbit_reps: tuple[int, ...]) -> None:
+        self.covers, self.spent, self.orbit_reps = covers, spent, orbit_reps
+        self.searches: dict[tuple[int, int], _WeightSearch] = {}
+
+
 class _KeptListings:
     """Finished cover listings kept for the process, least recently used
-    first: (H.n, H.edges, sizes) -> (covers, units the listing spent),
-    at most max_covers covers in all."""
+    first, by (H.n, H.edges, sizes): at most max_held covers and weight
+    searches in all."""
 
-    def __init__(self, max_covers: int) -> None:
-        self.max_covers = max_covers
-        self.entries: OrderedDict[tuple, tuple[tuple[Cover, ...], int]] = OrderedDict()
-        self.covers = 0
+    def __init__(self, max_held: int) -> None:
+        self.max_held = max_held
+        self.entries: OrderedDict[tuple, _Listing] = OrderedDict()
+        self.held = 0
 
-    def get(self, key: tuple) -> tuple[tuple[Cover, ...], int] | None:
+    def get(self, key: tuple) -> _Listing | None:
         kept = self.entries.get(key)
         if kept is not None:
             self.entries.move_to_end(key)
         return kept
 
-    def keep(self, key: tuple, covers: tuple[Cover, ...], spent: int) -> None:
-        if len(covers) > self.max_covers:
-            return
-        self.entries[key] = covers, spent
-        self.covers += len(covers)
-        while self.covers > self.max_covers:
-            self.covers -= len(self.entries.popitem(last=False)[1][0])
+    def keep(self, key: tuple, listing: _Listing) -> None:
+        if len(listing.covers) <= self.max_held:
+            self.entries[key] = listing
+            self._grow(len(listing.covers))
+
+    def keep_search(self, key: tuple, listing: _Listing, at: tuple[int, int],
+                    search: _WeightSearch) -> None:
+        """Keep search with listing, while the listing itself is kept."""
+        if self.entries.get(key) is listing:
+            listing.searches[at] = search
+            self._grow(1)
+
+    def _grow(self, amount: int) -> None:
+        self.held += amount
+        while self.held > self.max_held:
+            dropped = self.entries.popitem(last=False)[1]
+            self.held -= len(dropped.covers) + len(dropped.searches)
 
     def clear(self) -> None:
         self.entries.clear()
-        self.covers = 0
+        self.held = 0
 
 
-_LISTINGS = _KeptListings(max_covers=50_000)
+_LISTINGS = _KeptListings(max_held=50_000)
 
 
 def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
-                    ) -> tuple[Cover, ...]:
+                    ) -> _Listing:
     """_list_minimal_covers, kept once a listing finishes: a repeated
-    call returns the kept covers and charges the budget what the listing
+    call returns the kept listing and charges the budget what the listing
     spent, failing where the listing itself would."""
     key = (H.n, H.edges, tuple(sizes))
     kept = _LISTINGS.get(key)
     if kept is not None:
-        budget.charge(kept[1])
-        return kept[0]
+        budget.charge(kept.spent)
+        return kept
     left = budget.left
-    covers = _list_minimal_covers(H, sizes, budget)
-    _LISTINGS.keep(key, covers, left - budget.left)
-    return covers
+    covers, orbit_reps = _list_minimal_covers(H, sizes, budget)
+    listing = _Listing(covers, left - budget.left, orbit_reps)
+    _LISTINGS.keep(key, listing)
+    return listing
+
+
+def _generators(group: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Elements of group (permutations, the identity first) that generate
+    it: each one that those before it do not."""
+    gens: list[tuple[int, ...]] = []
+    reached = {group[0]}
+    for g in group:
+        if g not in reached:
+            gens.append(g)
+            queue = list(reached)
+            for p in queue:   # also visits what the loop appends
+                for h in gens:
+                    ph = tuple([p[v - 1] for v in h])
+                    if ph not in reached:
+                        reached.add(ph)
+                        queue.append(ph)
+    return gens
 
 
 def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
-                         ) -> tuple[Cover, ...]:
+                         ) -> tuple[tuple[Cover, ...], tuple[int, ...]]:
     """All minimal blocking covers, canonicalized under within-cluster
-    slot permutations and sorted by (size, lexicographic order)."""
+    slot permutations and sorted by (size, lexicographic order), and the
+    indices of those least in their orbits under the automorphisms of H
+    that keep the sizes together with the slot permutations."""
     ranges = [range(k) for k in sizes]
     transversals = list(itertools.product(*ranges))
     index = {t: i for i, t in enumerate(transversals)}
@@ -274,12 +350,15 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
             by_transversal[low.bit_length() - 1].append(p)
             m ^= low
 
-    # A pair's rank is its place in sorted order, so covers as sorted
-    # tuples of ranks compare as the sorted tuples of their pairs.
+    # A raw cover is held as a mask with bit top - r for each of its pairs,
+    # r being the pair's place in sorted order: of two covers with as many
+    # pairs, the one whose sorted pairs come first has the larger mask, and
+    # an int takes far less memory than a set.
     ranked = sorted(pairs)
     rank = {pair: r for r, pair in enumerate(ranked)}
-    ranks = [rank[pair] for pair in pairs]
-    found: set[frozenset[int]] = set()   # as sets of ranks
+    top = len(ranked) - 1
+    bits = [1 << top - rank[pair] for pair in pairs]
+    found: set[int] = set()
 
     def branch(chosen: tuple[int, ...], covered: int, banned: int) -> None:
         budget.spend()
@@ -292,7 +371,7 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
                         rest |= masks[r]
                 if rest == full:
                     return
-            found.add(frozenset([ranks[p] for p in chosen]))
+            found.add(sum([bits[p] for p in chosen]))
             return
         first = (~covered & full)
         first = (first & -first).bit_length() - 1
@@ -306,35 +385,76 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
 
     branch((), 0, 0)
 
-    # moves[v][r] is (row, s): pair r has slot s in cluster v, and row[t]
-    # is the rank of the pair with slot t there instead; a pair off v has
-    # row (r,) * k.
-    moves: list[list[tuple[tuple[int, ...], int]]] = []
-    for v, k in enumerate(sizes, 1):
-        moves.append([])
-        for r, ((i, a), (j, b)) in enumerate(ranked):
-            if i == v:
-                moves[-1].append((tuple(rank[(i, t), (j, b)] for t in range(k)), a))
-            elif j == v:
-                moves[-1].append((tuple(rank[(i, a), (j, t)] for t in range(k)), b))
-            else:
-                moves[-1].append(((r,) * k, 0))
+    # Generators, each a permutation of the pairs: per cluster of size
+    # k >= 2 the swap of its slots 0 and 1 and the cycle of all k (the
+    # same for k = 2), which generate its k! slot permutations; and
+    # generators of Aut(H)_s, each moving slot a of cluster v to slot a
+    # of its image.  A generator maps a mask 8 bits at a time: its tables
+    # hold the image of every value of each 8-bit chunk.
+    def moving(image) -> list[list[int]]:
+        to = [1 << top - rank[tuple(sorted(image(i, a, j, b)))]
+              for (i, a), (j, b) in reversed(ranked)]   # by bit
+        tables = []
+        for chunk in (to[c:c + 8] for c in range(0, top + 1, 8)):
+            table = [0] * (1 << len(chunk))
+            for x in range(1, len(table)):
+                low = x & -x
+                table[x] = table[x ^ low] | chunk[low.bit_length() - 1]
+            tables.append(table)
+        return tables
 
-    # One orbit at a time: a raw cover not yet reached is mapped under the
-    # slot permutations of one cluster after another (they commute), its
-    # least image kept and its whole orbit taken out of found.
-    canon = []
+    swaps = []
+    for v, k in enumerate(sizes, 1):
+        for perm in [(1, 0, *range(2, k)), (*range(1, k), 0)][:k - 1]:
+            swaps.append(moving(lambda i, a, j, b, v=v, perm=perm: (
+                (i, perm[a] if i == v else a), (j, perm[b] if j == v else b))))
+    symmetry = [moving(lambda i, a, j, b, g=g: ((g[i - 1], a), (g[j - 1], b)))
+                for g in _generators(automorphisms(H, sizes))]
+
+    def mapped(tables: list[list[int]], mask: int) -> int:
+        image = 0
+        for table in tables:
+            image |= table[mask & 255]
+            mask >>= 8
+        return image
+
+    def walk(seed: int) -> int:
+        """Take seed's orbit under the slot permutations out of found, by
+        a walk over the swaps; its least cover, the largest mask."""
+        orbit = [seed]
+        for member in orbit:   # also visits what the loop appends
+            for tables in swaps:
+                image = mapped(tables, member)
+                if image in found:
+                    found.remove(image)
+                    orbit.append(image)
+        return max(orbit)
+
+    def cover(mask: int) -> Cover:
+        return tuple(ranked[top - t] for t in range(top, -1, -1) if mask >> t & 1)
+
+    # One orbit under Aut(H)_s with the slot permutations at a time, as a
+    # union of slot orbits: an automorphism g maps the slot orbit of a
+    # cover c onto that of g(c), so the generators of Aut(H)_s need only
+    # be applied to one member of each.  A slot orbit is walked as soon as
+    # one member is taken out of found, so found holds every other slot
+    # orbit whole, and every raw cover is walked once.
+    canon, reps = [], set()
     while found:
-        orbit = {found.pop()}
-        for v, k in enumerate(sizes):
-            if k > 1:
-                at = moves[v]
-                orbit = {frozenset([row[perm[s]] for row, s in [at[r] for r in member]])
-                         for member in orbit
-                         for perm in itertools.permutations(range(k))}
-        found -= orbit
-        canon.append(tuple(ranked[r] for r in min(tuple(sorted(m)) for m in orbit)))
-    return tuple(sorted(canon, key=lambda c: (len(c), c)))
+        seeds = [found.pop()]
+        least = [walk(seeds[0])]
+        for seed in seeds:   # also visits what the loop appends
+            for tables in symmetry:
+                image = mapped(tables, seed)
+                if image in found:
+                    found.remove(image)
+                    seeds.append(image)
+                    least.append(walk(image))
+        canon += least
+        reps.add(max(least))
+    covers = sorted(((cover(m), m) for m in canon), key=lambda c: (len(c[0]), c[0]))
+    return (tuple(c for c, _ in covers),
+            tuple(t for t, (_, m) in enumerate(covers) if m in reps))
 
 
 class _WeightSearch:
@@ -557,20 +677,34 @@ class _WeightSearch:
 
 
 def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,
-                    budget: _Budget, done: int = -1
+                    budget: _Budget, done: int = -1, up_to_symmetry: bool = False
                     ) -> Iterator[tuple[int, _WeightSearch]]:
     """Every configuration after index done (the one --checkpoint
     counts) with its weight search, in (size vector, cover) order; the
-    budget keeps the position for an exhausted-budget message."""
+    budget keeps the position for an exhausted-budget message.  With
+    up_to_symmetry, only the least size vector of each orbit under the
+    automorphisms of H that keep the bounds, each with its covers' orbit
+    representatives (see _Listing).  A kept listing keeps the searches
+    built on its covers, and a search run again starts afresh."""
+    group = automorphisms(H, bounds)[1:] if up_to_symmetry else []
     config_index = -1
     for sizes in itertools.product(*(range(1, b + 1) for b in bounds)):
+        if any(tuple([sizes[v - 1] for v in g]) < sizes for g in group):
+            continue
         budget.listing(sizes, config_index + 1)
-        for cover in _minimal_covers(H, sizes, budget):
+        listing = _minimal_covers(H, sizes, budget)
+        for at in listing.orbit_reps if up_to_symmetry else range(len(listing.covers)):
             config_index += 1
             if config_index <= done:
                 continue
             budget.searching(config_index)
-            yield config_index, _WeightSearch(H, sizes, cover, q, budget)
+            search = listing.searches.get((q, at))
+            if search is None:
+                search = _WeightSearch(H, sizes, listing.covers[at], q, budget)
+                _LISTINGS.keep_search((H.n, H.edges, sizes), listing, (q, at), search)
+            else:
+                search.budget = budget
+            yield config_index, search
 
 
 def _cover_record(cover: Cover) -> list[list[int]]:
@@ -675,7 +809,7 @@ def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,
     best_mass = q * q + 1
     search: _WeightSearch | None = None   # the search under way, once started
     try:
-        for _, search in _configurations(H, bounds, q, budget):
+        for _, search in _configurations(H, bounds, q, budget, up_to_symmetry=True):
             if search.feasible():
                 out = search.best_maxmin(best_mass)
                 if out is not None:

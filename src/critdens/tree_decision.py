@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import AlreadyEnsured, NotATree
+from .errors import AlreadyEnsured, NotATree, ValidationError
 from .graphs import (
     Edge,
     PatternGraph,
@@ -83,8 +83,12 @@ def _decide_from_ratios(
             return TreeDecision(Verdict.NOT_ENSURED, violating, tuple(trace))
         if len(adj) <= 2:
             return TreeDecision(Verdict.ENSURED, None, tuple(trace))
-        v = leaves[0] if pick_leaf is None else pick_leaf(list(leaves))
-        leaves.remove(v)
+        picked = leaves[0] if pick_leaf is None else pick_leaf(list(leaves))
+        try:
+            v = leaves.pop(leaves.index(picked))
+        except ValueError:
+            raise ValidationError(
+                f"pick_leaf returned {picked!r}, not one of the leaves {leaves}") from None
         # Delete the leaf and its edge's ratio r_vu, and rescale the ratio
         # of every other edge at its neighbor u by 1/(1 - r_vu).
         (u,) = adj.pop(v)

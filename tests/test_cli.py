@@ -126,8 +126,8 @@ def test_dcrit_budget_exhaustion_gives_best_density_so_far(k3, capsys):
     code, out = _run(["oracle-dcrit", k3, "--q", "10", "--budget", "100"])
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == (
-        "error: search budget exhausted at configuration 21, cluster sizes "
-        "[2, 1, 2], listing minimal covers; best grid density so far 3/5\n")
+        "error: search budget exhausted at configuration 8, cluster sizes "
+        "[2, 2, 2], listing minimal covers; best grid density so far 3/5\n")
 
 
 def test_glue_with_tree_certifier(path3):

@@ -13,6 +13,7 @@ from critdens.errors import (
 )
 from critdens.graphs import (
     PatternGraph,
+    automorphisms,
     bow_tie_graph,
     complete_bipartite,
     complete_graph,
@@ -177,6 +178,18 @@ def test_proper_labelings_match_brute_force():
 def test_proper_labelings_need_connectivity():
     with pytest.raises(DisconnectedGraph):
         next(proper_labelings(PatternGraph(3, ((1, 2),))))
+
+
+def test_automorphisms_take_colours_by_equality():
+    """Colours need only compare with ==: mixed types and unhashable
+    values work, and a wrong count is a ValidationError."""
+    P3 = path_graph(3)
+    assert automorphisms(P3) == automorphisms(P3, [1, "a", 1]) == [
+        (1, 2, 3), (3, 2, 1)]
+    assert automorphisms(P3, [1, "a", "b"]) == [(1, 2, 3)]
+    assert automorphisms(P3, [[0], [1], [0]]) == [(1, 2, 3), (3, 2, 1)]
+    with pytest.raises(ValidationError, match="expected 3 colours, got 2"):
+        automorphisms(P3, [1, 1])
 
 
 def test_is_proper_labeling_rejects_non_bijection():

@@ -204,12 +204,12 @@ def _bow_tie_search(budget):
     (_bow_tie_search, 41_212),
     (_c4_floor_search, 6_832),
     (_k3_floor_search, 419),
-    (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 14_110),
-    (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 12_627),
-    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 1_385),
-    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 1_561),
-    (lambda b: oracle_dcrit_estimate(star_graph(5), q=20, budget=b), 6_344),
-    (lambda b: _best_grid_density(cycle_graph(5), (2,) * 5, 10, _Budget(b)), 25_284),
+    (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 1_956),
+    (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 3_759),
+    (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 500),
+    (lambda b: oracle_dcrit_estimate(star_graph(4), q=100, budget=b), 875),
+    (lambda b: oracle_dcrit_estimate(star_graph(5), q=20, budget=b), 1_448),
+    (lambda b: _best_grid_density(cycle_graph(5), (2,) * 5, 10, _Budget(b)), 5_194),
 ], ids=["floor-bow-tie", "floor-c4", "floor-k3", "maxmin-c4", "maxmin-p5",
         "maxmin-k3", "maxmin-s4", "maxmin-s5", "maxmin-c5"])
 def test_budget_spend_is_pinned(search, spend):
@@ -322,21 +322,48 @@ def test_exhausted_listing_is_not_kept():
     assert (H.n, H.edges, sizes) not in oracle._LISTINGS.entries
     assert search(30_000) is None
     warm, cold = _Budget(10**6), _Budget(10**6)
-    assert _minimal_covers(H, sizes, warm) == _list_minimal_covers(H, sizes, cold)
+    listing = _minimal_covers(H, sizes, warm)
+    assert (listing.covers, listing.orbit_reps) == _list_minimal_covers(H, sizes, cold)
     assert warm.left == cold.left == 10**6 - 11_988
 
 
 def test_kept_listings_are_bounded(monkeypatch):
     """Listings are kept least recently used first, up to a fixed count
     of covers; one larger than that is not kept at all."""
-    kept = oracle._KeptListings(max_covers=60)
+    kept = oracle._KeptListings(max_held=60)
     monkeypatch.setattr(oracle, "_LISTINGS", kept)
     H = complete_graph(4)
     # 16, 37, 16 again, 9 and 160 covers
     for sizes in [(1, 1, 2, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2), (2, 2, 2, 2)]:
         _minimal_covers(H, sizes, _Budget(10**6))
-        assert kept.covers == sum(len(c) for c, _ in kept.entries.values()) <= 60
+        assert kept.held == sum(len(l.covers) for l in kept.entries.values()) <= 60
     assert [k[2] for k in kept.entries] == [(1, 1, 2, 2), (1, 1, 1, 2)]
+
+
+def test_kept_weight_searches_share_the_bound(monkeypatch):
+    """A kept listing keeps the weight searches built on its covers, per
+    q; they count against the same bound, go with their listing, and a
+    search run again gives what a fresh one does at the same spend."""
+    kept = oracle._KeptListings(max_held=10**6)
+    monkeypatch.setattr(oracle, "_LISTINGS", kept)
+    H = cycle_graph(4)
+    spends = []
+    for q in (10, 10, 12):
+        budget = _Budget(10**6)
+        spends.append((_best_grid_density(H, (2,) * 4, q, budget), budget.left))
+    assert spends[0] == spends[1] != spends[2]
+    held = [(len(l.covers), sorted(l.searches)) for l in kept.entries.values()]
+    assert kept.held == sum(c + len(s) for c, s in held)
+    assert {q for _, s in held for q, _ in s} == {10, 12}
+    for listing in kept.entries.values():
+        assert {at for _, at in listing.searches} <= set(listing.orbit_reps)
+    # the least recently used listings go first, their searches with them
+    kept.max_held = kept.held - 1
+    kept.keep(("new",), oracle._Listing((), 0, ()))
+    assert kept.held == sum(len(l.covers) + len(l.searches)
+                            for l in kept.entries.values()) <= kept.max_held
+    kept.clear()
+    assert (kept.entries, kept.held) == ({}, 0)
 
 
 def test_progress_and_checkpoint(tmp_path):

@@ -5,8 +5,10 @@ lexicographically first weights by a DFS that only checks edges once
 both ends are placed, the maxmin optimum and its witness by a one-pass
 plain DFS that solves a last cluster of size <= 2 from its lines, the
 spend of both against that first-weights DFS run over the same ceilings,
-and the weight tuples a placed cluster tries by the look-ahead rule
-applied per tuple."""
+the weight tuples a placed cluster tries by the look-ahead rule
+applied per tuple, the grid optimum searched one configuration per
+automorphism orbit against every configuration, and the automorphisms
+against networkx's matcher."""
 
 import math
 from fractions import Fraction as F
@@ -17,9 +19,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from critdens.graphs import PatternGraph, complete_graph, star_graph
+from critdens.graphs import (
+    PatternGraph,
+    automorphisms,
+    bow_tie_graph,
+    complete_graph,
+    cycle_graph,
+    star_graph,
+)
 from critdens.oracle import (
     _Budget,
+    _best_grid_density,
     _list_minimal_covers,
     _mass_ceilings,
     _minimal_covers,
@@ -85,9 +95,11 @@ def _brute_minimal_covers(H, sizes):
 
 @settings(max_examples=60, deadline=None)
 @given(patterns_with_sizes())
+# two automorphisms of the bow-tie map one cover into the same slot orbit
+@example((bow_tie_graph(), (2, 1, 1, 1, 1)))
 def test_minimal_covers_match_brute_force(case):
     H, sizes = case
-    assert list(_list_minimal_covers(H, sizes, _Budget(10**9))) == (
+    assert list(_list_minimal_covers(H, sizes, _Budget(10**9))[0]) == (
         _brute_minimal_covers(H, sizes))
 
 
@@ -139,7 +151,7 @@ def test_orbit_canonicalisation_matches_all_permutations(case):
     all-permutations canonicalisation did, at the same spend."""
     H, sizes = case
     budget, reference = _Budget(10**9), _Budget(10**9)
-    assert list(_list_minimal_covers(H, sizes, budget)) == (
+    assert list(_list_minimal_covers(H, sizes, budget)[0]) == (
         _all_permutations_minimal_covers(H, sizes, reference))
     assert budget.left == reference.left
 
@@ -211,7 +223,7 @@ _S5, _K3 = star_graph(5), complete_graph(3)
 def test_first_meeting_floor_matches_unpruned_search(case):
     H, sizes, q, floor, weights = case
     drawn = _mass_ceilings(H, floor, q)
-    for cover in _minimal_covers(H, sizes, _Budget(10**9)):
+    for cover in _minimal_covers(H, sizes, _Budget(10**9)).covers:
         tight = ({e: _mass(cover, weights, e) for e in H.edges}
                  if None not in weights else drawn)
         below = {e: c - 1 for e, c in tight.items()}
@@ -332,7 +344,7 @@ def maxmin_searches(draw):
 @example((_K3, (1, 4, 2), 6, [(6,), (1, 1, 2, 2), (5, 1)], 20))
 def test_best_maxmin_matches_unpruned_search(case):
     H, sizes, q, weights, drawn = case
-    for cover in _minimal_covers(H, sizes, _Budget(10**9)):
+    for cover in _minimal_covers(H, sizes, _Budget(10**9)).covers:
         tight = max(_mass(cover, weights, e) for e in H.edges)
         for best_mass in (q * q + 1, drawn, tight, tight + 1):
             budget = _Budget(10**9)
@@ -377,7 +389,7 @@ def look_aheads(draw):
             slot_pairs += k
     H = PatternGraph(n, tuple(sorted(edges)))
     if draw(st.booleans()):
-        cover = draw(st.sampled_from(_minimal_covers(H, sizes, _Budget(10**9))))
+        cover = draw(st.sampled_from(_minimal_covers(H, sizes, _Budget(10**9)).covers))
     else:
         # per edge (i, j) and slot b of j, the slots of i missing with b
         cover = tuple(sorted(
@@ -464,3 +476,53 @@ def test_look_ahead_gaps_skip_exactly_the_rejected_weights(case):
     search.ceilings = ceilings
     search._dfs(v)
     assert search.tried == _old_ahead_tries(H, sizes, cover, q, v, placed, ceilings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns_with_sizes(), st.integers(2, 8))
+# bounds kept by only part of Aut(K3): the whole group would map (1, 2, 1)
+# to (1, 1, 2), which is out of bounds, and so skip its orbit
+@example((_K3, (2, 2, 1)), 4)
+@example((_K3, (1, 2, 2)), 5)
+@example((_K3, (2, 1, 1)), 3)
+@example((cycle_graph(4), (2, 2, 2, 1)), 6)
+def test_orbit_reduced_grid_optimum_matches_every_configuration(case, q):
+    """The grid optimum searched over one size vector per orbit of the
+    automorphisms that keep the bounds, and one cover per orbit under its
+    stabiliser with the slot permutations, is the best maxmin over every
+    size vector within the bounds and every slot-canonical cover."""
+    H, bounds = case
+    best = q * q + 1
+    for sizes in product(*(range(1, b + 1) for b in bounds)):
+        if q < max(sizes):
+            continue
+        for cover in _list_minimal_covers(H, sizes, _Budget(10**9))[0]:
+            out = _WeightSearch(H, sizes, cover, q, _Budget(10**9)).best_maxmin(best)
+            if out is not None:
+                best = out[0]
+    want = F(0) if best > q * q else 1 - F(best, q * q)
+    assert _best_grid_density(H, bounds, q, _Budget(10**9)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.sampled_from([(i, j) for i in range(1, n + 1)
+                             for j in range(i + 1, n + 1)] or [(1, 2)])),
+    st.lists(st.integers(1, 3), min_size=n, max_size=n))))
+@example((4, set(cycle_graph(4).edges), [1, 1, 1, 1]))
+@example((5, set(complete_graph(5).edges), [1, 2, 1, 2, 1]))
+def test_automorphisms_match_networkx(case):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    n, edges, colours = case
+    H = PatternGraph(n, tuple(e for e in edges if e[1] <= n))
+    G = nx.Graph()
+    G.add_nodes_from((v, {"colour": colours[v - 1]}) for v in H.vertices())
+    G.add_edges_from(H.edges)
+    matcher = GraphMatcher(G, G, node_match=lambda a, b: a["colour"] == b["colour"])
+    want = sorted(tuple(m[v] for v in H.vertices()) for m in matcher.isomorphisms_iter())
+    got = automorphisms(H, colours)
+    assert got == want
+    assert got[0] == tuple(H.vertices())

@@ -126,6 +126,15 @@ def test_leaf_order_does_not_change_verdict():
         assert decide_tree(T, gamma, pick_leaf=shuffled).verdict == base
 
 
+@pytest.mark.parametrize("picked", [2, 9, 0, None, "1", 1.5])
+def test_picker_returning_a_non_leaf_is_rejected(picked):
+    """A pick_leaf hook that returns a non-leaf or a non-vertex raises
+    ValidationError naming what it returned."""
+    with pytest.raises(ValidationError, match=rf"pick_leaf returned {picked!r}, not "
+                       r"one of the leaves \[1, 3\]"):
+        decide_tree(path_graph(3), [F(9, 10)] * 2, pick_leaf=lambda leaves: picked)
+
+
 def test_reduction_agrees_with_matching_positivity():
     rng = random.Random(777)
     for _ in range(150):
