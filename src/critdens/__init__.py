@@ -45,6 +45,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .graphs import (
+    AutomorphismGroup,
     Edge,
     PatternGraph,
     automorphisms,

@@ -331,50 +331,127 @@ def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:
     return extend()
 
 
-def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None
-                  ) -> list[tuple[int, ...]]:
-    """The automorphisms of H that keep every vertex's colour (colours[v - 1]
-    for vertex v; all alike when None), each as (σ(1), ..., σ(n)), in
-    lexicographic order, the identity first.  Colours are told apart by
-    == alone, so they need not be hashable or ordered.
+@dataclass(frozen=True)
+class AutomorphismGroup:
+    """A group of permutations of 1..n, each as (σ(1), ..., σ(n)), held
+    without listing its elements.
 
-    Colour refinement first splits the vertices into cells: two vertices
-    share a cell while they share a colour and, cell by cell, a number of
-    neighbours, and every automorphism keeps each cell.  Backtracking then
-    maps vertices 1, 2, ... in turn to unused vertices of their cell whose
-    adjacency to the earlier images matches."""
+    generators generate it.  chain is a stabiliser chain: per level, a
+    base point b and a transversal taking each point w of b's orbit, under
+    the elements that fix the earlier base points, to one of them that
+    maps b to w (b itself to the identity).  Every element is t_1∘...∘t_m
+    for exactly one choice of one transversal element per level, and the
+    elements that fix a level's base point and those before it fix every
+    point below the next base point too."""
+
+    generators: tuple[tuple[int, ...], ...]
+    chain: tuple[tuple[int, dict[int, tuple[int, ...]]], ...]
+
+
+def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None
+                  ) -> AutomorphismGroup:
+    """The automorphisms of H that keep every vertex's colour (colours[v - 1]
+    for vertex v; all alike when None).  Colours are told apart by ==
+    alone, so they need not be hashable or ordered.
+
+    Colour refinement splits the vertices into cells: two vertices share
+    a cell while they share a colour and, cell by cell, a number of
+    neighbours, and every automorphism keeps each cell.  The base points
+    come from fixing the least vertex of a cell of two or more and
+    refining again, until every cell is a single vertex.  Level by level
+    from the last, each vertex of the base point's cell that the
+    generators found so far do not reach from it gets a search for one
+    automorphism fixing the earlier base points that maps the base point
+    to it (fix one vertex of a cell and a candidate image, refine both,
+    and go on while the refinements agree); each one found is a new
+    generator.  The group is never listed: a star's or a clique's n!
+    automorphisms take polynomial work."""
     n = H.n
     cols = [None] * n if colours is None else sequence(colours, "colours")
     if len(cols) != n:
         raise ValidationError(f"expected {n} colours, got {len(cols)}")
     adj = H.adjacency
-    # a colour's first place stands for it, so cells are tuples of ints
-    cell = {v: (cols.index(cols[v - 1]), len(adj[v])) for v in H.vertices()}
-    while True:
-        refined = {v: (cell[v], tuple(sorted(cell[u] for u in adj[v])))
-                   for v in H.vertices()}
-        if len(set(refined.values())) == len(set(cell.values())):
-            break
-        cell = refined
-    image: list[int] = []
-    used: set[int] = set()
-    found: list[tuple[int, ...]] = []
+    vertices = range(1, n + 1)
+    identity = tuple(vertices)
 
-    def extend(v: int) -> None:
-        if v > n:
-            found.append(tuple(image))
-            return
-        for w in H.vertices():
-            if (w not in used and cell[w] == cell[v]
-                    and all((u in adj[v]) == (image[u - 1] in adj[w])
-                            for u in range(1, v))):
-                image.append(w)
-                used.add(w)
-                extend(v + 1)
-                used.discard(image.pop())
+    def refine(cell: list[int], fixed: int | None = None
+               ) -> tuple[list[int], list[list]]:
+        """The stable refinement of cell (by vertex - 1), with vertex fixed
+        in a cell of its own first, each cell named by the rank of what
+        split it off; and every round's sorted splits.  Two colourings
+        that an automorphism maps onto each other give the same splits,
+        and it maps each cell of one refinement onto the like-named cell
+        of the other."""
+        if fixed is not None:
+            cell = cell[:]
+            cell[fixed - 1] = n   # above every rank
+        trace = []
+        while True:
+            keys = [(cell[v - 1], tuple(sorted([cell[u - 1] for u in adj[v]])))
+                    for v in vertices]
+            splits = sorted(set(keys))
+            trace.append(sorted(keys))
+            rank = {key: r for r, key in enumerate(splits)}
+            refined = [rank[key] for key in keys]
+            if len(splits) == len(set(cell)):
+                return refined, trace
+            cell = refined
 
-    extend(1)
-    return found
+    def shared(cell: list[int]) -> int | None:
+        """The least vertex whose cell has another vertex."""
+        return next((v for v in vertices if cell.count(cell[v - 1]) > 1), None)
+
+    def extend(domain: list[int], image: list[int]) -> tuple[int, ...] | None:
+        """An automorphism mapping each cell of domain onto the like-named
+        cell of image, two refinements whose splits agree; None if none."""
+        v = shared(domain)
+        if v is None:
+            at = {c: w for w, c in enumerate(image, 1)}
+            g = tuple([at[c] for c in domain])
+            return g if all(g[u - 1] in adj[g[w - 1]]
+                            for w in vertices for u in adj[w]) else None
+        fixed, trace = refine(domain, v)
+        for w in vertices:
+            if image[w - 1] == domain[v - 1]:
+                moved, splits = refine(image, w)
+                if splits == trace:
+                    g = extend(fixed, moved)
+                    if g is not None:
+                        return g
+        return None
+
+    def transversal(b: int, gens: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+        reached = {b: identity}
+        queue = [b]
+        for x in queue:   # also visits what the loop appends
+            for g in gens:
+                y = g[x - 1]
+                if y not in reached:
+                    reached[y] = tuple([g[p - 1] for p in reached[x]])
+                    queue.append(y)
+        return reached
+
+    # a colour's first place stands for it
+    path = [refine([cols.index(c) for c in cols])]
+    base: list[int] = []
+    while (b := shared(path[-1][0])) is not None:
+        base.append(b)
+        path.append(refine(path[-1][0], b))
+    gens: list[tuple[int, ...]] = []
+    chain = []
+    for level in reversed(range(len(base))):
+        b, cell = base[level], path[level][0]
+        fixed, trace = path[level + 1]
+        orbit = transversal(b, gens)
+        for w in vertices:
+            if cell[w - 1] == cell[b - 1] and w not in orbit:
+                moved, splits = refine(cell, w)
+                g = extend(fixed, moved) if splits == trace else None
+                if g is not None:
+                    gens.append(g)
+                    orbit = transversal(b, gens)
+        chain.append((b, orbit))
+    return AutomorphismGroup(tuple(gens), tuple(reversed(chain)))
 
 
 def is_proper_labeling(H: PatternGraph, f: Sequence[int]) -> bool:

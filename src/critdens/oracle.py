@@ -65,27 +65,37 @@ searched are those least in their orbits under the automorphisms that
 keep the size bounds (so every image stays within them); for each such
 s, the covers searched are those least in their orbits under Aut(H)_s,
 the automorphisms that keep s, together with the slot permutations.
-Its exhausted-budget message counts configurations among those
-searched.  oracle-search keeps every configuration: its floor need not
-be symmetric, so an image of a configuration that misses the floor may
-meet it, and its --checkpoint indices count every configuration.
+The groups are held as generators and a stabiliser chain
+(graphs.automorphisms), never listed: a size vector is tested by
+walking its images down the chain, and a vector ruled out by its
+first k sizes skips every vector with that prefix.  Its
+exhausted-budget message counts configurations among those searched.
+oracle-search keeps every configuration and does no automorphism work:
+its floor need not be symmetric, so an image of a configuration that
+misses the floor may meet it, and its --checkpoint indices count every
+configuration.
 
 A size vector's finished cover listing is kept for the process, and a
 reuse charges the units the listing spent, so a search spends the same,
 and stops at the same point, whether or not its covers were listed
 before.  A kept listing also keeps, per q, the weight search built on
-each of its covers, which a later search reruns with a fresh budget.
-The kept listings hold at most 50,000 covers and weight searches in
-all, the least recently used listing dropped first with its searches;
-a listing stopped by the budget is not kept.  Canonicalising the covers
-and picking the orbit representatives is outside the budget.  It is
-one walk over the raw covers the listing reached, each mapped under two
-generators per cluster (a swap of two slots and the cycle of all), and
-one member of each slot orbit under generators of Aut(H)_s, so its cost
-is linear in those covers.  K4 oracle-dcrit at q = 8 reaches its
-exit-3 point at configuration 1,007 in 17 s, not at 8,660 in 33 s, at
-a peak RSS of 40 MiB, not 159 MiB; C5 at q = 50 finishes in 0.3 s, not
-7.8 s (one run each).
+each of its covers, which a later search reruns with a fresh budget:
+a process that repeats a (pattern, sizes, q), as a floor sweep does,
+builds each search once.  The kept listings hold at most 50,000 units,
+one per cover and, per weight search, one per pair of its cover and
+per cluster (about 450 bytes a unit, so some 25 MB in all), the least
+recently used listing dropped first with its searches; a listing
+stopped by the budget is not kept.  Canonicalising the covers and, for
+oracle-dcrit, picking the orbit representatives is outside the budget.
+It is one walk over the raw covers the listing reached, each mapped
+under two generators per cluster (a swap of two slots and the cycle of
+all), and one member of each slot orbit under generators of Aut(H)_s,
+so its cost is linear in those covers.  A listing kept by
+oracle-search has no representatives; oracle-dcrit lists it again, at
+the same spend.  K4 oracle-dcrit at q = 8 reaches its exit-3 point
+at configuration 1,007 in 26 s, not at 8,660 in 43 s, at a peak RSS
+of 40 MiB, not 160 MiB; C5 at q = 50 finishes in 0.6 s, not 6.4 s
+(one run each, 2-core host).
 """
 
 from __future__ import annotations
@@ -109,6 +119,7 @@ from .blowup import (
 )
 from .errors import BudgetExhausted, ParseError, SizeLimit, ValidationError
 from .graphs import (
+    AutomorphismGroup,
     Edge,
     PatternGraph,
     automorphisms,
@@ -229,23 +240,31 @@ class _Budget:
 class _Listing:
     """A size vector's finished cover listing: its covers, canonical under
     within-cluster slot permutations and sorted; the units listing them
-    spent; the indices of the covers oracle-dcrit searches, the least of
-    each orbit under Aut(H)_s with the slot permutations; and, once the
-    listing is kept, the weight searches built on its covers, by
-    (q, index)."""
+    spent; for oracle-dcrit, the indices of the covers it searches, the
+    least of each orbit under Aut(H)_s with the slot permutations (None
+    when listed for oracle-search); and, once the listing is kept, the
+    weight searches built on its covers, by (q, index)."""
 
     __slots__ = ("covers", "spent", "orbit_reps", "searches")
 
     def __init__(self, covers: tuple[Cover, ...], spent: int,
-                 orbit_reps: tuple[int, ...]) -> None:
+                 orbit_reps: tuple[int, ...] | None) -> None:
         self.covers, self.spent, self.orbit_reps = covers, spent, orbit_reps
         self.searches: dict[tuple[int, int], _WeightSearch] = {}
 
 
+def _held(listing: _Listing) -> int:
+    """What a kept listing counts against the cap: one per cover, and per
+    kept weight search its cover's pairs and its clusters, which its
+    tables grow with (200-500 bytes each against ~100 for a cover)."""
+    return len(listing.covers) + sum([len(search.cover) + search.n
+                                      for search in listing.searches.values()])
+
+
 class _KeptListings:
     """Finished cover listings kept for the process, least recently used
-    first, by (H.n, H.edges, sizes): at most max_held covers and weight
-    searches in all."""
+    first, by (H.n, H.edges, sizes): at most max_held in all, as _held
+    counts them."""
 
     def __init__(self, max_held: int) -> None:
         self.max_held = max_held
@@ -259,6 +278,9 @@ class _KeptListings:
         return kept
 
     def keep(self, key: tuple, listing: _Listing) -> None:
+        replaced = self.entries.pop(key, None)
+        if replaced is not None:
+            self.held -= _held(replaced)
         if len(listing.covers) <= self.max_held:
             self.entries[key] = listing
             self._grow(len(listing.covers))
@@ -268,13 +290,12 @@ class _KeptListings:
         """Keep search with listing, while the listing itself is kept."""
         if self.entries.get(key) is listing:
             listing.searches[at] = search
-            self._grow(1)
+            self._grow(len(search.cover) + search.n)
 
     def _grow(self, amount: int) -> None:
         self.held += amount
         while self.held > self.max_held:
-            dropped = self.entries.popitem(last=False)[1]
-            self.held -= len(dropped.covers) + len(dropped.searches)
+            self.held -= _held(self.entries.popitem(last=False)[1])
 
     def clear(self) -> None:
         self.entries.clear()
@@ -284,47 +305,33 @@ class _KeptListings:
 _LISTINGS = _KeptListings(max_held=50_000)
 
 
-def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
-                    ) -> _Listing:
+def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
+                    symmetric: bool = False) -> _Listing:
     """_list_minimal_covers, kept once a listing finishes: a repeated
     call returns the kept listing and charges the budget what the listing
-    spent, failing where the listing itself would."""
+    spent, failing where the listing itself would.  A kept listing
+    without the orbit representatives a symmetric call asks for is
+    listed again, at the same spend, and replaced."""
     key = (H.n, H.edges, tuple(sizes))
     kept = _LISTINGS.get(key)
-    if kept is not None:
+    if kept is not None and (not symmetric or kept.orbit_reps is not None):
         budget.charge(kept.spent)
         return kept
     left = budget.left
-    covers, orbit_reps = _list_minimal_covers(H, sizes, budget)
+    covers, orbit_reps = _list_minimal_covers(H, sizes, budget, symmetric)
     listing = _Listing(covers, left - budget.left, orbit_reps)
     _LISTINGS.keep(key, listing)
     return listing
 
 
-def _generators(group: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Elements of group (permutations, the identity first) that generate
-    it: each one that those before it do not."""
-    gens: list[tuple[int, ...]] = []
-    reached = {group[0]}
-    for g in group:
-        if g not in reached:
-            gens.append(g)
-            queue = list(reached)
-            for p in queue:   # also visits what the loop appends
-                for h in gens:
-                    ph = tuple([p[v - 1] for v in h])
-                    if ph not in reached:
-                        reached.add(ph)
-                        queue.append(ph)
-    return gens
-
-
-def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
-                         ) -> tuple[tuple[Cover, ...], tuple[int, ...]]:
+def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
+                         symmetric: bool = False
+                         ) -> tuple[tuple[Cover, ...], tuple[int, ...] | None]:
     """All minimal blocking covers, canonicalized under within-cluster
-    slot permutations and sorted by (size, lexicographic order), and the
-    indices of those least in their orbits under the automorphisms of H
-    that keep the sizes together with the slot permutations."""
+    slot permutations and sorted by (size, lexicographic order); when
+    symmetric, also the indices of those least in their orbits under the
+    automorphisms of H that keep the sizes together with the slot
+    permutations, else None."""
     ranges = [range(k) for k in sizes]
     transversals = list(itertools.product(*ranges))
     index = {t: i for i, t in enumerate(transversals)}
@@ -409,7 +416,7 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
             swaps.append(moving(lambda i, a, j, b, v=v, perm=perm: (
                 (i, perm[a] if i == v else a), (j, perm[b] if j == v else b))))
     symmetry = [moving(lambda i, a, j, b, g=g: ((g[i - 1], a), (g[j - 1], b)))
-                for g in _generators(automorphisms(H, sizes))]
+                for g in (automorphisms(H, sizes).generators if symmetric else ())]
 
     def mapped(tables: list[list[int]], mask: int) -> int:
         image = 0
@@ -454,7 +461,8 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget
         reps.add(max(least))
     covers = sorted(((cover(m), m) for m in canon), key=lambda c: (len(c[0]), c[0]))
     return (tuple(c for c, _ in covers),
-            tuple(t for t, (_, m) in enumerate(covers) if m in reps))
+            tuple(t for t, (_, m) in enumerate(covers) if m in reps)
+            if symmetric else None)
 
 
 class _WeightSearch:
@@ -676,24 +684,73 @@ class _WeightSearch:
         return False
 
 
+def _beaten(sizes: tuple[int, ...], group: AutomorphismGroup) -> int | None:
+    """None when sizes is the least vector of its orbit under group, the
+    image under g being v -> sizes[g(v) - 1]; else a length k such that
+    every vector starting with sizes[:k] has a smaller image.
+
+    The images are walked down group's stabiliser chain: a level's
+    transversal elements settle the image from its base point up to the
+    next one, so only images equal to sizes so far go on, once each."""
+    chain = group.chain
+    reached = {sizes: tuple(range(1, len(sizes) + 1))}   # image -> element
+    for level, (b, transversal) in enumerate(chain):
+        end = chain[level + 1][0] if level + 1 < len(chain) else len(sizes) + 1
+        images = list(reached.values())
+        reached = {}
+        for g in images:
+            for t in transversal.values():
+                h = tuple([g[p - 1] for p in t])
+                for p in range(b, end):
+                    d = sizes[h[p - 1] - 1] - sizes[p - 1]
+                    if d:
+                        break
+                if d < 0:
+                    return max(h[:p])   # the places the image's first p read
+                if not d:
+                    reached[tuple([sizes[v - 1] for v in h])] = h
+    return None
+
+
+def _least_size_vectors(bounds: Sequence[int], group: AutomorphismGroup
+                        ) -> Iterator[tuple[int, ...]]:
+    """The size vectors within bounds that are least in their orbits
+    under group, in product order; a vector _beaten rules out skips every
+    vector with the same prefix."""
+    n = len(bounds)
+    sizes = [1] * n
+    while True:
+        k = _beaten(tuple(sizes), group)
+        if k is None:
+            yield tuple(sizes)
+            k = n
+        del sizes[k:]
+        while sizes and sizes[-1] == bounds[len(sizes) - 1]:
+            sizes.pop()
+        if not sizes:
+            return
+        sizes[-1] += 1
+        sizes += [1] * (n - len(sizes))
+
+
 def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,
-                    budget: _Budget, done: int = -1, up_to_symmetry: bool = False
+                    budget: _Budget, done: int = -1,
+                    symmetry: AutomorphismGroup | None = None
                     ) -> Iterator[tuple[int, _WeightSearch]]:
     """Every configuration after index done (the one --checkpoint
     counts) with its weight search, in (size vector, cover) order; the
-    budget keeps the position for an exhausted-budget message.  With
-    up_to_symmetry, only the least size vector of each orbit under the
-    automorphisms of H that keep the bounds, each with its covers' orbit
+    budget keeps the position for an exhausted-budget message.  Given
+    symmetry, the automorphisms of H that keep the bounds, only the least
+    size vector of each orbit, each with its covers' orbit
     representatives (see _Listing).  A kept listing keeps the searches
     built on its covers, and a search run again starts afresh."""
-    group = automorphisms(H, bounds)[1:] if up_to_symmetry else []
     config_index = -1
-    for sizes in itertools.product(*(range(1, b + 1) for b in bounds)):
-        if any(tuple([sizes[v - 1] for v in g]) < sizes for g in group):
-            continue
+    for sizes in (itertools.product(*(range(1, b + 1) for b in bounds))
+                  if symmetry is None else _least_size_vectors(bounds, symmetry)):
         budget.listing(sizes, config_index + 1)
-        listing = _minimal_covers(H, sizes, budget)
-        for at in listing.orbit_reps if up_to_symmetry else range(len(listing.covers)):
+        listing = _minimal_covers(H, sizes, budget, symmetry is not None)
+        for at in (range(len(listing.covers)) if symmetry is None
+                   else listing.orbit_reps):
             config_index += 1
             if config_index <= done:
                 continue
@@ -809,7 +866,8 @@ def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,
     best_mass = q * q + 1
     search: _WeightSearch | None = None   # the search under way, once started
     try:
-        for _, search in _configurations(H, bounds, q, budget, up_to_symmetry=True):
+        for _, search in _configurations(H, bounds, q, budget,
+                                         symmetry=automorphisms(H, bounds)):
             if search.feasible():
                 out = search.best_maxmin(best_mass)
                 if out is not None:

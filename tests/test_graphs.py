@@ -180,16 +180,35 @@ def test_proper_labelings_need_connectivity():
         next(proper_labelings(PatternGraph(3, ((1, 2),))))
 
 
+def _elements(group, n):
+    """Every element of group, t_1∘...∘t_m over its chain, sorted."""
+    out = [tuple(range(1, n + 1))]
+    for _, transversal in reversed(group.chain):
+        out = [tuple([t[x - 1] for x in g]) for t in transversal.values() for g in out]
+    return sorted(out)
+
+
 def test_automorphisms_take_colours_by_equality():
     """Colours need only compare with ==: mixed types and unhashable
     values work, and a wrong count is a ValidationError."""
     P3 = path_graph(3)
-    assert automorphisms(P3) == automorphisms(P3, [1, "a", 1]) == [
-        (1, 2, 3), (3, 2, 1)]
-    assert automorphisms(P3, [1, "a", "b"]) == [(1, 2, 3)]
-    assert automorphisms(P3, [[0], [1], [0]]) == [(1, 2, 3), (3, 2, 1)]
+    assert (_elements(automorphisms(P3), 3) == _elements(automorphisms(P3, [1, "a", 1]), 3)
+            == [(1, 2, 3), (3, 2, 1)])
+    assert _elements(automorphisms(P3, [1, "a", "b"]), 3) == [(1, 2, 3)]
+    assert _elements(automorphisms(P3, [[0], [1], [0]]), 3) == [(1, 2, 3), (3, 2, 1)]
     with pytest.raises(ValidationError, match="expected 3 colours, got 2"):
         automorphisms(P3, [1, 1])
+
+
+def test_automorphisms_hold_a_large_group_by_its_chain():
+    """S_13's 12! automorphisms and K_12's 12! come as 11 generators and
+    a chain of transversals of 12, 11, ..., 2 elements, never listed."""
+    for H in (star_graph(13), complete_graph(12)):
+        group = automorphisms(H)
+        assert len(group.generators) == 11
+        assert [len(t) for _, t in group.chain] == list(range(12, 1, -1))
+        for b, transversal in group.chain:
+            assert all(t[b - 1] == w for w, t in transversal.items())
 
 
 def test_is_proper_labeling_rejects_non_bijection():

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
@@ -309,6 +310,20 @@ def test_kept_listings_spend_as_fresh_ones(monkeypatch, search, budgets):
     assert warm == cold
 
 
+@pytest.mark.parametrize("bounds", [None, [3] * 13])
+def test_large_symmetry_stays_within_the_budget(bounds):
+    """A star with 12 leaves has 12! automorphisms.  Neither search
+    lists them, and oracle-dcrit skips the size vectors it rules out a
+    prefix at a time, so a small budget runs out at once."""
+    H = star_graph(13)
+    cfg = SearchConfig(cluster_size_bounds=bounds, density_floor=[F(1, 2)] * 12,
+                       budget=100)
+    with pytest.raises(BudgetExhausted, match="configuration"):
+        oracle_search_construction(H, cfg)
+    with pytest.raises(BudgetExhausted, match="best grid density so far"):
+        oracle_dcrit_estimate(H, q=10, cluster_size_bounds=bounds, budget=100)
+
+
 def test_exhausted_listing_is_not_kept():
     """A search stopped inside a listing keeps no part of it: the rerun
     lists those covers in full, as a cold listing does, at the same
@@ -342,8 +357,9 @@ def test_kept_listings_are_bounded(monkeypatch):
 
 def test_kept_weight_searches_share_the_bound(monkeypatch):
     """A kept listing keeps the weight searches built on its covers, per
-    q; they count against the same bound, go with their listing, and a
-    search run again gives what a fresh one does at the same spend."""
+    q; each counts its cover's pairs and its clusters against the same
+    bound, they go with their listing, and a search run again gives
+    what a fresh one does at the same spend."""
     kept = oracle._KeptListings(max_held=10**6)
     monkeypatch.setattr(oracle, "_LISTINGS", kept)
     H = cycle_graph(4)
@@ -352,18 +368,61 @@ def test_kept_weight_searches_share_the_bound(monkeypatch):
         budget = _Budget(10**6)
         spends.append((_best_grid_density(H, (2,) * 4, q, budget), budget.left))
     assert spends[0] == spends[1] != spends[2]
-    held = [(len(l.covers), sorted(l.searches)) for l in kept.entries.values()]
-    assert kept.held == sum(c + len(s) for c, s in held)
-    assert {q for _, s in held for q, _ in s} == {10, 12}
-    for listing in kept.entries.values():
+    listings = list(kept.entries.values())
+    assert kept.held == sum(len(l.covers) + sum(len(s.cover) + 4 for s in l.searches.values())
+                            for l in listings)
+    assert {q for l in listings for q, _ in l.searches} == {10, 12}
+    for listing in listings:
         assert {at for _, at in listing.searches} <= set(listing.orbit_reps)
     # the least recently used listings go first, their searches with them
     kept.max_held = kept.held - 1
     kept.keep(("new",), oracle._Listing((), 0, ()))
-    assert kept.held == sum(len(l.covers) + len(l.searches)
-                            for l in kept.entries.values()) <= kept.max_held
+    assert kept.held == sum(oracle._held(l) for l in kept.entries.values()) <= kept.max_held
     kept.clear()
     assert (kept.entries, kept.held) == ({}, 0)
+
+
+def test_listing_kept_by_floor_search_gets_orbit_reps(monkeypatch):
+    """oracle-search keeps listings without orbit representatives;
+    oracle-dcrit lists them again, at the spend of a cold run, and the
+    replaced listings leave the count held exact."""
+    kept = oracle._KeptListings(max_held=10**6)
+    monkeypatch.setattr(oracle, "_LISTINGS", kept)
+    H, bounds = cycle_graph(4), (2,) * 4
+    cold = _Budget(10**6)
+    want = _best_grid_density(H, bounds, 10, cold)
+    kept.clear()
+    cfg = SearchConfig(cluster_size_bounds=bounds, density_floor=[F(99, 100)] * 4)
+    assert oracle_search_construction(H, cfg) is None
+    assert all(l.orbit_reps is None for l in kept.entries.values())
+    warm = _Budget(10**6)
+    assert _best_grid_density(H, bounds, 10, warm) == want
+    assert warm.left == cold.left
+    assert kept.held == sum(oracle._held(l) for l in kept.entries.values())
+
+
+def test_kept_weight_searches_hold_bounded_memory(monkeypatch):
+    """Floor searches that run through every configuration fill the kept
+    listings with weight searches past the bound; what stays kept takes
+    under 1,000 bytes per unit of it (~450 here; with a search counted
+    as one unit, as a cover is, ~1,900)."""
+    kept = oracle._KeptListings(max_held=1_000)
+    monkeypatch.setattr(oracle, "_LISTINGS", kept)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for H in (cycle_graph(4), bow_tie_graph()):
+            for q in (4, 5):
+                cfg = SearchConfig(cluster_size_bounds=[2] * H.n, weight_grid_denominator=q,
+                                   density_floor=[F(99, 100)] * len(H.edges))
+                assert oracle_search_construction(H, cfg) is None
+                assert kept.held <= kept.max_held
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept.held > kept.max_held // 2
+    assert sum(len(l.searches) for l in kept.entries.values()) > 50
+    assert held < 1_000 * kept.max_held
 
 
 def test_progress_and_checkpoint(tmp_path):

@@ -7,8 +7,9 @@ plain DFS that solves a last cluster of size <= 2 from its lines, the
 spend of both against that first-weights DFS run over the same ceilings,
 the weight tuples a placed cluster tries by the look-ahead rule
 applied per tuple, the grid optimum searched one configuration per
-automorphism orbit against every configuration, and the automorphisms
-against networkx's matcher."""
+automorphism orbit against every configuration, the automorphisms
+against networkx's matcher, and the size vectors searched against
+every image under the group's elements."""
 
 import math
 from fractions import Fraction as F
@@ -30,6 +31,7 @@ from critdens.graphs import (
 from critdens.oracle import (
     _Budget,
     _best_grid_density,
+    _least_size_vectors,
     _list_minimal_covers,
     _mass_ceilings,
     _minimal_covers,
@@ -523,6 +525,47 @@ def test_automorphisms_match_networkx(case):
     G.add_edges_from(H.edges)
     matcher = GraphMatcher(G, G, node_match=lambda a, b: a["colour"] == b["colour"])
     want = sorted(tuple(m[v] for v in H.vertices()) for m in matcher.isomorphisms_iter())
-    got = automorphisms(H, colours)
-    assert got == want
-    assert got[0] == tuple(H.vertices())
+    group = automorphisms(H, colours)
+    assert _elements(group, n) == want   # so each element comes once
+    assert sorted(_closure(group.generators, n)) == want
+
+
+def _elements(group, n):
+    """Every element of group, t_1∘...∘t_m over its chain, sorted."""
+    out = [tuple(range(1, n + 1))]
+    for _, transversal in reversed(group.chain):
+        out = [tuple([t[x - 1] for x in g]) for t in transversal.values() for g in out]
+    return sorted(out)
+
+
+def _closure(generators, n):
+    reached = {tuple(range(1, n + 1))}
+    queue = list(reached)
+    for p in queue:
+        for g in generators:
+            image = tuple([g[x - 1] for x in p])
+            if image not in reached:
+                reached.add(image)
+                queue.append(image)
+    return reached
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.sampled_from([(i, j) for i in range(1, n + 1)
+                             for j in range(i + 1, n + 1)] or [(1, 2)])),
+    st.lists(st.integers(1, 3), min_size=n, max_size=n))))
+@example((5, set(star_graph(5).edges), [1, 3, 2, 3, 1]))
+@example((3, set(_K3.edges), [2, 2, 1]))
+@example((6, set(complete_graph(6).edges), [3] * 6))
+def test_least_size_vectors_match_every_image(case):
+    """The size vectors searched are those no element of the group maps
+    to a smaller one, in product order, whatever prefixes are skipped."""
+    n, edges, bounds = case
+    H = PatternGraph(n, tuple(e for e in edges if e[1] <= n))
+    group = automorphisms(H, bounds)
+    elements = _elements(group, n)
+    want = [s for s in product(*(range(1, b + 1) for b in bounds))
+            if not any(tuple([s[v - 1] for v in g]) < s for g in elements)]
+    assert list(_least_size_vectors(bounds, group)) == want
