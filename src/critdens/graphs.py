@@ -183,7 +183,10 @@ def rational(x: object, what: str = "value", *where: object) -> Fraction:
     """x as an exact rational.  Fraction() turns NaN, infinities, malformed
     text and non-numbers away with bare ValueError, ArithmeticError or
     TypeError; this raises ValidationError, naming what x is and where
-    it sits ("in cluster", 2), formatted only then."""
+    it sits ("in cluster", 2), formatted only then.  A Fraction is
+    returned as it is."""
+    if type(x) is Fraction:
+        return x
     try:
         return parse_rational(x)
     except (TypeError, ValueError, ArithmeticError):
@@ -331,6 +334,16 @@ def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:
     return extend()
 
 
+def colour_ranks(colours: Sequence[object] | None, count: int, what: str
+                 ) -> tuple[int, ...]:
+    """count colours, each as the first place it takes (all alike when
+    None), so equal colourings give equal ranks whatever the colours."""
+    colours = [None] * count if colours is None else sequence(colours, what)
+    if len(colours) != count:
+        raise ValidationError(f"expected {count} {what}, got {len(colours)}")
+    return tuple([colours.index(c) for c in colours])
+
+
 @dataclass(frozen=True)
 class AutomorphismGroup:
     """A group of permutations of 1..n, each as (σ(1), ..., σ(n)), held
@@ -348,31 +361,35 @@ class AutomorphismGroup:
     chain: tuple[tuple[int, dict[int, tuple[int, ...]]], ...]
 
 
-def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None
-                  ) -> AutomorphismGroup:
+def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None,
+                  edge_colours: Sequence[object] | None = None) -> AutomorphismGroup:
     """The automorphisms of H that keep every vertex's colour (colours[v - 1]
-    for vertex v; all alike when None).  Colours are told apart by ==
-    alone, so they need not be hashable or ordered.
+    for vertex v) and map every edge to one of the same colour
+    (edge_colours[k] for H.edges[k]); all alike when None.  Colours are
+    told apart by == alone, so they need not be hashable or ordered.
 
     Colour refinement splits the vertices into cells: two vertices share
-    a cell while they share a colour and, cell by cell, a number of
-    neighbours, and every automorphism keeps each cell.  The base points
-    come from fixing the least vertex of a cell of two or more and
-    refining again, until every cell is a single vertex.  Level by level
-    from the last, each vertex of the base point's cell that the
-    generators found so far do not reach from it gets a search for one
-    automorphism fixing the earlier base points that maps the base point
-    to it (fix one vertex of a cell and a candidate image, refine both,
-    and go on while the refinements agree); each one found is a new
-    generator.  The group is never listed: a star's or a clique's n!
-    automorphisms take polynomial work."""
+    a cell while they share a colour and, cell by cell and edge colour by
+    edge colour, a number of neighbours, and every automorphism keeps
+    each cell.  The base points come from fixing the least vertex of a
+    cell of two or more and refining again, until every cell is a single
+    vertex.  Level by level from the last, each vertex of the base
+    point's cell that the generators found so far do not reach from it
+    gets a search for one automorphism fixing the earlier base points
+    that maps the base point to it (fix one vertex of a cell and a
+    candidate image, refine both, and go on while the refinements
+    agree); each one found is a new generator.  The group is never
+    listed: a star's or a clique's n! automorphisms take polynomial
+    work."""
     n = H.n
-    cols = [None] * n if colours is None else sequence(colours, "colours")
-    if len(cols) != n:
-        raise ValidationError(f"expected {n} colours, got {len(cols)}")
-    adj = H.adjacency
     vertices = range(1, n + 1)
     identity = tuple(vertices)
+    # each edge, both ways, with its colour times n + 1, which a cell (at
+    # most n) added to it keeps apart from every other colour
+    coloured = {}
+    for (i, j), c in zip(H.edges, colour_ranks(edge_colours, len(H.edges), "edge colours")):
+        coloured[i, j] = coloured[j, i] = c * (n + 1)
+    adj = H.adjacency
 
     def refine(cell: list[int], fixed: int | None = None
                ) -> tuple[list[int], list[list]]:
@@ -387,7 +404,7 @@ def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None
             cell[fixed - 1] = n   # above every rank
         trace = []
         while True:
-            keys = [(cell[v - 1], tuple(sorted([cell[u - 1] for u in adj[v]])))
+            keys = [(cell[v - 1], tuple(sorted([coloured[v, u] + cell[u - 1] for u in adj[v]])))
                     for v in vertices]
             splits = sorted(set(keys))
             trace.append(sorted(keys))
@@ -408,8 +425,8 @@ def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None
         if v is None:
             at = {c: w for w, c in enumerate(image, 1)}
             g = tuple([at[c] for c in domain])
-            return g if all(g[u - 1] in adj[g[w - 1]]
-                            for w in vertices for u in adj[w]) else None
+            return g if all(coloured.get((g[w - 1], g[u - 1])) == c
+                            for (w, u), c in coloured.items()) else None
         fixed, trace = refine(domain, v)
         for w in vertices:
             if image[w - 1] == domain[v - 1]:
@@ -431,8 +448,7 @@ def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None
                     queue.append(y)
         return reached
 
-    # a colour's first place stands for it
-    path = [refine([cols.index(c) for c in cols])]
+    path = [refine(colour_ranks(colours, n, "colours"))]
     base: list[int] = []
     while (b := shared(path[-1][0])) is not None:
         base.append(b)

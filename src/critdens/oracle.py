@@ -56,46 +56,40 @@ and the configuration index (the one --checkpoint counts) it stopped at;
 oracle-dcrit also the best grid density reached so far.  Its descent
 walks the weights before each improvement again, once per search.
 
-oracle-dcrit searches one configuration per automorphism orbit.  An
-automorphism σ of H maps a configuration, with any weights on it, to
-one whose edges carry the same masses, permuted; so both have the same
-best largest mass, and the grid optimum, a maximum over all
-configurations, is the maximum over one per orbit.  The size vectors
-searched are those least in their orbits under the automorphisms that
-keep the size bounds (so every image stays within them); for each such
-s, the covers searched are those least in their orbits under Aut(H)_s,
-the automorphisms that keep s, together with the slot permutations.
-The groups are held as generators and a stabiliser chain
-(graphs.automorphisms), never listed: a size vector is tested by
-walking its images down the chain, and a vector ruled out by its
-first k sizes skips every vector with that prefix.  Its
-exhausted-budget message counts configurations among those searched.
-oracle-search keeps every configuration and does no automorphism work:
-its floor need not be symmetric, so an image of a configuration that
-misses the floor may meet it, and its --checkpoint indices count every
-configuration.
+Both searches search one configuration per orbit of G, the
+automorphisms of H that keep the size bounds and map every edge to one
+with the same mass ceiling (graphs.automorphisms with the ceilings as
+edge colours; oracle-dcrit's are alike on every edge).  An element of
+G maps a configuration within the bounds, with any weights on it, to
+one within them whose edges carry the same masses, permuted, each
+against the same ceiling.  So the grid optimum is the maximum over one
+configuration per orbit; and as configurations come in (size vector,
+cover) order and the one searched of each orbit is its first, the
+first configuration that meets oracle-search's floor is searched, with
+the same weights, and a full enumeration that finds none still finds
+none.  The size vectors searched are those least in their orbits under
+G; for each such s, the covers searched are those least in their
+orbits under Aut(H)_s, the automorphisms that keep s and the ceilings,
+together with the slot permutations.  The groups are held as
+generators and a stabiliser chain, never listed: a size vector is
+tested by walking its images down the chain, and a vector ruled out by
+its first k sizes skips every vector with that prefix.  Configuration
+indices count the configurations searched.
 
-A size vector's finished cover listing is kept for the process, and a
-reuse charges the units the listing spent, so a search spends the same,
-and stops at the same point, whether or not its covers were listed
-before.  A kept listing also keeps, per q, the weight search built on
-each of its covers, which a later search reruns with a fresh budget:
-a process that repeats a (pattern, sizes, q), as a floor sweep does,
-builds each search once.  The kept listings hold at most 50,000 units,
-one per cover and, per weight search, one per pair of its cover and
-per cluster (about 450 bytes a unit, so some 25 MB in all), the least
-recently used listing dropped first with its searches; a listing
-stopped by the budget is not kept.  Canonicalising the covers and, for
-oracle-dcrit, picking the orbit representatives is outside the budget.
-It is one walk over the raw covers the listing reached, each mapped
-under two generators per cluster (a swap of two slots and the cycle of
-all), and one member of each slot orbit under generators of Aut(H)_s,
-so its cost is linear in those covers.  A listing kept by
-oracle-search has no representatives; oracle-dcrit lists it again, at
-the same spend.  K4 oracle-dcrit at q = 8 reaches its exit-3 point
-at configuration 1,007 in 26 s, not at 8,660 in 43 s, at a peak RSS
-of 40 MiB, not 160 MiB; C5 at q = 50 finishes in 0.6 s, not 6.4 s
-(one run each, 2-core host).
+The size vectors a search has walked, per (pattern, bounds, ceiling
+colouring), and each finished cover listing, per (pattern, sizes,
+ceiling colouring), are kept for the process: at most 50,000 units in
+all, one per size vector and per cover, least recently used out first;
+a listing stopped by the budget is not kept.  A reused listing charges
+the units it spent, so a search spends the same, and stops at the same
+point, whether or not its covers were listed before.  Weight searches
+are built afresh for each configuration; kept with their listings,
+they saved no time beyond the benchmark's run-to-run spread.  Listing
+the canonical covers and their orbit representatives, outside the
+budget, is one walk over the raw covers reached, each mapped under two
+generators per cluster (a swap of two slots and the cycle of all), and
+one member of each slot orbit under generators of Aut(H)_s: linear in
+those covers.
 """
 
 from __future__ import annotations
@@ -123,13 +117,14 @@ from .graphs import (
     Edge,
     PatternGraph,
     automorphisms,
+    colour_ranks,
     edge_assignment,
     integer,
     sequence,
     tolerance,
 )
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -237,65 +232,69 @@ class _Budget:
         self.config, self.phase = config, "searching weights"
 
 
+@dataclass(slots=True)
 class _Listing:
-    """A size vector's finished cover listing: its covers, canonical under
-    within-cluster slot permutations and sorted; the units listing them
-    spent; for oracle-dcrit, the indices of the covers it searches, the
-    least of each orbit under Aut(H)_s with the slot permutations (None
-    when listed for oracle-search); and, once the listing is kept, the
-    weight searches built on its covers, by (q, index)."""
+    """A size vector's finished cover listing under one edge colouring:
+    its covers, canonical under within-cluster slot permutations and
+    sorted; the units listing them spent; and the indices of the covers
+    searched, the least of each orbit under Aut(H)_s (the automorphisms
+    that keep the sizes and the colouring) with the slot permutations."""
 
-    __slots__ = ("covers", "spent", "orbit_reps", "searches")
+    covers: tuple[Cover, ...]
+    spent: int
+    orbit_reps: tuple[int, ...]
 
-    def __init__(self, covers: tuple[Cover, ...], spent: int,
-                 orbit_reps: tuple[int, ...] | None) -> None:
-        self.covers, self.spent, self.orbit_reps = covers, spent, orbit_reps
-        self.searches: dict[tuple[int, int], _WeightSearch] = {}
+    def held(self) -> int:
+        return len(self.covers)
 
 
-def _held(listing: _Listing) -> int:
-    """What a kept listing counts against the cap: one per cover, and per
-    kept weight search its cover's pairs and its clusters, which its
-    tables grow with (200-500 bytes each against ~100 for a cover)."""
-    return len(listing.covers) + sum([len(search.cover) + search.n
-                                      for search in listing.searches.values()])
+class _SizeVectors:
+    """The automorphisms of H that keep the bounds and the edge colouring,
+    and the size vectors within the bounds least in their orbits under
+    them, in product order, as far as a search has walked them; an
+    interrupted walk leaves those intact."""
+
+    def __init__(self, H: PatternGraph, bounds: tuple[int, ...],
+                 colouring: tuple[int, ...]) -> None:
+        self.group = automorphisms(H, bounds, colouring)
+        self.vectors: list[tuple[int, ...]] = []
+
+    def held(self) -> int:
+        return 1 + len(self.vectors)
+
+
+_Entry = _Listing | _SizeVectors
 
 
 class _KeptListings:
-    """Finished cover listings kept for the process, least recently used
-    first, by (H.n, H.edges, sizes): at most max_held in all, as _held
-    counts them."""
+    """Finished cover listings, and the size vectors searches walk, kept
+    for the process, least recently used first: at most max_held in all,
+    as their held() counts them."""
 
     def __init__(self, max_held: int) -> None:
         self.max_held = max_held
-        self.entries: OrderedDict[tuple, _Listing] = OrderedDict()
+        self.entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self.held = 0
 
-    def get(self, key: tuple) -> _Listing | None:
+    def get(self, key: tuple) -> _Entry | None:
         kept = self.entries.get(key)
         if kept is not None:
             self.entries.move_to_end(key)
         return kept
 
-    def keep(self, key: tuple, listing: _Listing) -> None:
-        replaced = self.entries.pop(key, None)
-        if replaced is not None:
-            self.held -= _held(replaced)
-        if len(listing.covers) <= self.max_held:
-            self.entries[key] = listing
-            self._grow(len(listing.covers))
+    def keep(self, key: tuple, entry: _Entry) -> _Entry:
+        """Keep entry under key, which holds none yet; return it."""
+        if entry.held() <= self.max_held:
+            self.entries[key] = entry
+            self.grow(key, entry, entry.held())
+        return entry
 
-    def keep_search(self, key: tuple, listing: _Listing, at: tuple[int, int],
-                    search: _WeightSearch) -> None:
-        """Keep search with listing, while the listing itself is kept."""
-        if self.entries.get(key) is listing:
-            listing.searches[at] = search
-            self._grow(len(search.cover) + search.n)
-
-    def _grow(self, amount: int) -> None:
-        self.held += amount
-        while self.held > self.max_held:
-            self.held -= _held(self.entries.popitem(last=False)[1])
+    def grow(self, key: tuple, entry: _Entry, amount: int) -> None:
+        """Count amount more held by entry, while it is the one kept."""
+        if self.entries.get(key) is entry:
+            self.held += amount
+            while self.held > self.max_held:
+                self.held -= self.entries.popitem(last=False)[1].held()
 
     def clear(self) -> None:
         self.entries.clear()
@@ -306,32 +305,28 @@ _LISTINGS = _KeptListings(max_held=50_000)
 
 
 def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
-                    symmetric: bool = False) -> _Listing:
+                    colouring: tuple[int, ...]) -> _Listing:
     """_list_minimal_covers, kept once a listing finishes: a repeated
     call returns the kept listing and charges the budget what the listing
-    spent, failing where the listing itself would.  A kept listing
-    without the orbit representatives a symmetric call asks for is
-    listed again, at the same spend, and replaced."""
-    key = (H.n, H.edges, tuple(sizes))
+    spent, failing where the listing itself would."""
+    key = ("covers", H.n, H.edges, tuple(sizes), colouring)
     kept = _LISTINGS.get(key)
-    if kept is not None and (not symmetric or kept.orbit_reps is not None):
+    if kept is not None:
         budget.charge(kept.spent)
         return kept
     left = budget.left
-    covers, orbit_reps = _list_minimal_covers(H, sizes, budget, symmetric)
-    listing = _Listing(covers, left - budget.left, orbit_reps)
-    _LISTINGS.keep(key, listing)
-    return listing
+    covers, orbit_reps = _list_minimal_covers(H, sizes, budget, colouring)
+    return _LISTINGS.keep(key, _Listing(covers, left - budget.left, orbit_reps))
 
 
 def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
-                         symmetric: bool = False
-                         ) -> tuple[tuple[Cover, ...], tuple[int, ...] | None]:
+                         colouring: tuple[int, ...]
+                         ) -> tuple[tuple[Cover, ...], tuple[int, ...]]:
     """All minimal blocking covers, canonicalized under within-cluster
-    slot permutations and sorted by (size, lexicographic order); when
-    symmetric, also the indices of those least in their orbits under the
-    automorphisms of H that keep the sizes together with the slot
-    permutations, else None."""
+    slot permutations and sorted by (size, lexicographic order), and the
+    indices of those least in their orbits under the automorphisms of H
+    that keep the sizes and the edge colouring (colouring[k] for
+    H.edges[k]) together with the slot permutations."""
     ranges = [range(k) for k in sizes]
     transversals = list(itertools.product(*ranges))
     index = {t: i for i, t in enumerate(transversals)}
@@ -416,7 +411,7 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
             swaps.append(moving(lambda i, a, j, b, v=v, perm=perm: (
                 (i, perm[a] if i == v else a), (j, perm[b] if j == v else b))))
     symmetry = [moving(lambda i, a, j, b, g=g: ((g[i - 1], a), (g[j - 1], b)))
-                for g in (automorphisms(H, sizes).generators if symmetric else ())]
+                for g in automorphisms(H, sizes, colouring).generators]
 
     def mapped(tables: list[list[int]], mask: int) -> int:
         image = 0
@@ -461,8 +456,7 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
         reps.add(max(least))
     covers = sorted(((cover(m), m) for m in canon), key=lambda c: (len(c[0]), c[0]))
     return (tuple(c for c, _ in covers),
-            tuple(t for t, (_, m) in enumerate(covers) if m in reps)
-            if symmetric else None)
+            tuple(t for t, (_, m) in enumerate(covers) if m in reps))
 
 
 class _WeightSearch:
@@ -712,15 +706,16 @@ def _beaten(sizes: tuple[int, ...], group: AutomorphismGroup) -> int | None:
     return None
 
 
-def _least_size_vectors(bounds: Sequence[int], group: AutomorphismGroup
-                        ) -> Iterator[tuple[int, ...]]:
+def _least_size_vectors(bounds: Sequence[int], group: AutomorphismGroup,
+                        after: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
     """The size vectors within bounds that are least in their orbits
-    under group, in product order; a vector _beaten rules out skips every
-    vector with the same prefix."""
+    under group, in product order, those after the vector after when it
+    is given; a vector _beaten rules out skips every vector with the same
+    prefix."""
     n = len(bounds)
-    sizes = [1] * n
+    sizes = list(after) or [1] * n
+    k = n if after else _beaten(tuple(sizes), group)
     while True:
-        k = _beaten(tuple(sizes), group)
         if k is None:
             yield tuple(sizes)
             k = n
@@ -731,47 +726,48 @@ def _least_size_vectors(bounds: Sequence[int], group: AutomorphismGroup
             return
         sizes[-1] += 1
         sizes += [1] * (n - len(sizes))
+        k = _beaten(tuple(sizes), group)
 
 
-def _configurations(H: PatternGraph, bounds: Sequence[int], q: int,
-                    budget: _Budget, done: int = -1,
-                    symmetry: AutomorphismGroup | None = None
+def _configurations(H: PatternGraph, bounds: tuple[int, ...], q: int, budget: _Budget,
+                    colouring: tuple[int, ...], done: int = -1
                     ) -> Iterator[tuple[int, _WeightSearch]]:
-    """Every configuration after index done (the one --checkpoint
-    counts) with its weight search, in (size vector, cover) order; the
-    budget keeps the position for an exhausted-budget message.  Given
-    symmetry, the automorphisms of H that keep the bounds, only the least
-    size vector of each orbit, each with its covers' orbit
-    representatives (see _Listing).  A kept listing keeps the searches
-    built on its covers, and a search run again starts afresh."""
+    """The configurations searched after index done (the one --checkpoint
+    counts), each with its weight search, in (size vector, cover) order:
+    the least size vector of each orbit under the automorphisms of H that
+    keep the bounds and the edge colouring (colouring[k] for H.edges[k]),
+    each with its covers' orbit representatives (see _Listing).  The
+    budget keeps the position for an exhausted-budget message.  The size
+    vectors walked so far and the listings are kept (_LISTINGS)."""
+    key = ("sizes", H.n, H.edges, bounds, colouring)
+    walk = _LISTINGS.get(key) or _LISTINGS.keep(key, _SizeVectors(H, bounds, colouring))
     config_index = -1
-    for sizes in (itertools.product(*(range(1, b + 1) for b in bounds))
-                  if symmetry is None else _least_size_vectors(bounds, symmetry)):
+    for at in itertools.count():
+        if at == len(walk.vectors):
+            sizes = next(_least_size_vectors(bounds, walk.group, *walk.vectors[-1:]), None)
+            if sizes is None:
+                return
+            walk.vectors.append(sizes)
+            _LISTINGS.grow(key, walk, 1)
+        sizes = walk.vectors[at]
         budget.listing(sizes, config_index + 1)
-        listing = _minimal_covers(H, sizes, budget, symmetry is not None)
-        for at in (range(len(listing.covers)) if symmetry is None
-                   else listing.orbit_reps):
+        listing = _minimal_covers(H, sizes, budget, colouring)
+        for rep in listing.orbit_reps:
             config_index += 1
             if config_index <= done:
                 continue
             budget.searching(config_index)
-            search = listing.searches.get((q, at))
-            if search is None:
-                search = _WeightSearch(H, sizes, listing.covers[at], q, budget)
-                _LISTINGS.keep_search((H.n, H.edges, sizes), listing, (q, at), search)
-            else:
-                search.budget = budget
-            yield config_index, search
+            yield config_index, _WeightSearch(H, sizes, listing.covers[rep], q, budget)
 
 
 def _cover_record(cover: Cover) -> list[list[int]]:
     return [[i, a, j, b] for (i, a), (j, b) in cover]
 
 
-def _mass_ceilings(H: PatternGraph, floor: Mapping[Edge, Fraction], q: int
-                   ) -> dict[Edge, int]:
-    # mass/q^2 <= 1 - floor, as an exact integer ceiling
-    return {e: math.floor((_ONE - floor[e]) * q * q) for e in H.edges}
+def _mass_ceilings(floor: Mapping[Edge, Fraction], q: int) -> dict[Edge, int]:
+    # mass/q^2 <= 1 - floor, as an exact integer ceiling, in integers
+    return {e: (f.denominator - f.numerator) * q * q // f.denominator
+            for e, f in floor.items()}
 
 
 def _checkpoint_fingerprint(H: PatternGraph, bounds: Sequence[int], q: int,
@@ -832,9 +828,10 @@ def oracle_search_construction(
         fingerprint = _checkpoint_fingerprint(H, bounds, q, floor)
         done = _read_checkpoint(checkpoint_path, fingerprint)
     progress = open(progress_path, "a") if progress_path is not None else None
-    ceilings = _mass_ceilings(H, floor, q)
+    ceilings = _mass_ceilings(floor, q)
     try:
-        for config_index, search in _configurations(H, bounds, q, budget, done):
+        colouring = colour_ranks([ceilings[e] for e in H.edges], len(H.edges), "ceilings")
+        for config_index, search in _configurations(H, bounds, q, budget, colouring, done):
             weights = (search.first_meeting_floor(ceilings)
                        if search.feasible() else None)
             if progress is not None:
@@ -857,7 +854,7 @@ def oracle_search_construction(
             progress.close()
 
 
-def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,
+def _best_grid_density(H: PatternGraph, bounds: tuple[int, ...], q: int,
                        budget: _Budget) -> Fraction:
     """Max over grid configurations of the min realized density: the
     highest homogeneous floor any transversal-free grid blow-up meets.
@@ -866,8 +863,7 @@ def _best_grid_density(H: PatternGraph, bounds: Sequence[int], q: int,
     best_mass = q * q + 1
     search: _WeightSearch | None = None   # the search under way, once started
     try:
-        for _, search in _configurations(H, bounds, q, budget,
-                                         symmetry=automorphisms(H, bounds)):
+        for _, search in _configurations(H, bounds, q, budget, (0,) * len(H.edges)):
             if search.feasible():
                 out = search.best_maxmin(best_mass)
                 if out is not None:

@@ -253,6 +253,23 @@ def test_checkpoint_resumes_only_its_own_search(k3, tmp_path):
     assert _run(other_floor)[0] == 2
 
 
+def test_format_1_checkpoint_is_refused(k3, tmp_path, capsys):
+    """Format 1 counted every configuration, format 2 one per orbit, so a
+    format-1 checkpoint of the same search is refused, not resumed."""
+    checkpoint = tmp_path / "cp.json"
+    argv = ["oracle-search", k3, "--floor", "0.7", "--sizes", "2,2,2",
+            "--checkpoint", str(checkpoint)]
+    assert _run(argv)[0] == 1
+    state = json.loads(checkpoint.read_text())
+    assert state["search"]["format"] == 2
+    state["search"]["format"] = 1
+    checkpoint.write_text(json.dumps(state))
+    code, out = _run(argv)
+    assert code == 2
+    assert "NoneFound" not in out
+    assert "another search or format" in capsys.readouterr().err
+
+
 # -- repeated in-process runs ------------------------------------------------------
 
 _FRESH_RUN = """

@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from fractions import Fraction as F
 
 import pytest
 
@@ -22,6 +23,7 @@ from critdens.graphs import (
     parse_graph,
     path_graph,
     proper_labelings,
+    rational,
     star_graph,
 )
 
@@ -209,6 +211,28 @@ def test_automorphisms_hold_a_large_group_by_its_chain():
         assert [len(t) for _, t in group.chain] == list(range(12, 1, -1))
         for b, transversal in group.chain:
             assert all(t[b - 1] == w for w, t in transversal.items())
+
+
+def test_automorphisms_keep_edge_colours():
+    """An edge colouring keeps only the automorphisms that map each edge
+    to one of its colour; a wrong count is a ValidationError."""
+    H = bow_tie_graph()   # edges 1-2 1-3 1-4 1-5 2-3 4-5
+    assert len(_elements(automorphisms(H), 5)) == 8
+    assert len(_elements(automorphisms(H, edge_colours=[0, 0, 0, 0, 1, 1]), 5)) == 8
+    assert _elements(automorphisms(H, edge_colours=[0, 0, 0, 0, 1, 2]), 5) == [
+        (1, 2, 3, 4, 5), (1, 2, 3, 5, 4), (1, 3, 2, 4, 5), (1, 3, 2, 5, 4)]
+    assert _elements(automorphisms(H, edge_colours=[0, 1, 0, 0, 0, 0]), 5) == [
+        (1, 2, 3, 4, 5), (1, 2, 3, 5, 4)]
+    with pytest.raises(ValidationError, match="expected 6 edge colours, got 2"):
+        automorphisms(H, edge_colours=[1, 1])
+
+
+def test_rational_returns_a_fraction_as_it_is():
+    x = F(6, 7)
+    assert rational(x) is x
+    assert rational("6/7") == x
+    with pytest.raises(ValidationError, match="floor 'nan' on edge"):
+        rational("nan", "floor", "on edge")
 
 
 def test_is_proper_labeling_rejects_non_bijection():

@@ -1,9 +1,9 @@
 """Exhaustive grid search for transversal-free weighted blow-ups."""
 
+import itertools
 import json
 import random
 import re
-import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
@@ -23,6 +23,7 @@ from critdens.oracle import (
     SearchConfig,
     _Budget,
     _best_grid_density,
+    _least_size_vectors,
     _list_minimal_covers,
     _minimal_covers,
     oracle_dcrit_estimate,
@@ -43,6 +44,11 @@ def _uniform_random_blowup(rng, H):
         if rng.random() < keep
     ]
     return WeightedBlowupGraph(H, weights, cross)
+
+
+def _all_alike(H):
+    """The edge colouring with every edge alike, as oracle-dcrit searches."""
+    return (0,) * len(H.edges)
 
 
 # -- configuration -----------------------------------------------------------
@@ -202,9 +208,9 @@ def _bow_tie_search(budget):
 
 
 @pytest.mark.parametrize("search, spend", [
-    (_bow_tie_search, 41_212),
-    (_c4_floor_search, 6_832),
-    (_k3_floor_search, 419),
+    (_bow_tie_search, 17_757),
+    (_c4_floor_search, 1_237),
+    (_k3_floor_search, 227),
     (lambda b: oracle_dcrit_estimate(cycle_graph(4), q=30, budget=b), 1_956),
     (lambda b: oracle_dcrit_estimate(path_graph(5), q=50, budget=b), 3_759),
     (lambda b: oracle_dcrit_estimate(complete_graph(3), q=70, budget=b), 500),
@@ -333,12 +339,13 @@ def test_exhausted_listing_is_not_kept():
     oracle._LISTINGS.clear()
     with pytest.raises(BudgetExhausted, match=r"cluster sizes \[1, 2, 3, 3\], "
                        r"listing minimal covers"):
-        search(20_000)
-    assert (H.n, H.edges, sizes) not in oracle._LISTINGS.entries
+        search(10_000)
+    assert ("covers", H.n, H.edges, sizes, _all_alike(H)) not in oracle._LISTINGS.entries
     assert search(30_000) is None
     warm, cold = _Budget(10**6), _Budget(10**6)
-    listing = _minimal_covers(H, sizes, warm)
-    assert (listing.covers, listing.orbit_reps) == _list_minimal_covers(H, sizes, cold)
+    listing = _minimal_covers(H, sizes, warm, _all_alike(H))
+    assert (listing.covers, listing.orbit_reps) == _list_minimal_covers(
+        H, sizes, cold, _all_alike(H))
     assert warm.left == cold.left == 10**6 - 11_988
 
 
@@ -350,42 +357,75 @@ def test_kept_listings_are_bounded(monkeypatch):
     H = complete_graph(4)
     # 16, 37, 16 again, 9 and 160 covers
     for sizes in [(1, 1, 2, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2), (2, 2, 2, 2)]:
-        _minimal_covers(H, sizes, _Budget(10**6))
+        _minimal_covers(H, sizes, _Budget(10**6), _all_alike(H))
         assert kept.held == sum(len(l.covers) for l in kept.entries.values()) <= 60
-    assert [k[2] for k in kept.entries] == [(1, 1, 2, 2), (1, 1, 1, 2)]
+    assert [k[3] for k in kept.entries] == [(1, 1, 2, 2), (1, 1, 1, 2)]
 
 
-def test_kept_weight_searches_share_the_bound(monkeypatch):
-    """A kept listing keeps the weight searches built on its covers, per
-    q; each counts its cover's pairs and its clusters against the same
-    bound, they go with their listing, and a search run again gives
-    what a fresh one does at the same spend."""
+def test_kept_size_vectors_share_the_bound(monkeypatch):
+    """The size vectors a search walks are kept with the walk that goes on
+    from them: a search that stops early keeps the ones it reached, a
+    later one goes on from there, two walks in step see the same vectors,
+    each vector counts one unit against the bound, and the least recently
+    used entries go first."""
     kept = oracle._KeptListings(max_held=10**6)
     monkeypatch.setattr(oracle, "_LISTINGS", kept)
-    H = cycle_graph(4)
-    spends = []
-    for q in (10, 10, 12):
-        budget = _Budget(10**6)
-        spends.append((_best_grid_density(H, (2,) * 4, q, budget), budget.left))
-    assert spends[0] == spends[1] != spends[2]
-    listings = list(kept.entries.values())
-    assert kept.held == sum(len(l.covers) + sum(len(s.cover) + 4 for s in l.searches.values())
-                            for l in listings)
-    assert {q for l in listings for q, _ in l.searches} == {10, 12}
-    for listing in listings:
-        assert {at for _, at in listing.searches} <= set(listing.orbit_reps)
-    # the least recently used listings go first, their searches with them
+    H, bounds = cycle_graph(4), (2, 2, 2, 2)
+    alike = _all_alike(H)
+    want = list(_least_size_vectors(bounds, oracle.automorphisms(H, bounds)))
+    key = ("sizes", H.n, H.edges, bounds, alike)
+    early = _floor_search(H, F(1, 5), bounds=bounds)(10**6)
+    assert early is not None
+    walk = kept.entries[key]
+    assert 0 < len(walk.vectors) < len(want) == 6
+    first, second = (oracle._configurations(H, bounds, 10, _Budget(10**6), alike)
+                     for _ in range(2))
+    seen = [[], []]
+    for a, b in itertools.zip_longest(first, second):
+        seen[0].append(a[1].sizes)
+        seen[1].append(b[1].sizes)
+    assert seen[0] == seen[1]
+    assert list(dict.fromkeys(seen[0])) == want == walk.vectors
+    assert kept.entries[key] is walk
+    assert kept.held == sum(entry.held() for entry in kept.entries.values())
+    assert kept.entries[key].held() == 1 + len(want)
     kept.max_held = kept.held - 1
     kept.keep(("new",), oracle._Listing((), 0, ()))
-    assert kept.held == sum(oracle._held(l) for l in kept.entries.values()) <= kept.max_held
+    assert kept.held == sum(entry.held() for entry in kept.entries.values()) <= kept.max_held
     kept.clear()
     assert (kept.entries, kept.held) == ({}, 0)
 
 
-def test_listing_kept_by_floor_search_gets_orbit_reps(monkeypatch):
-    """oracle-search keeps listings without orbit representatives;
-    oracle-dcrit lists them again, at the spend of a cold run, and the
-    replaced listings leave the count held exact."""
+def test_interrupted_size_vector_walk_goes_on(monkeypatch):
+    """An exception inside the size-vector walk, such as an interrupt,
+    leaves the vectors kept so far intact: the next search walks on from
+    them and spends what a cold one does."""
+    kept = oracle._KeptListings(max_held=10**6)
+    monkeypatch.setattr(oracle, "_LISTINGS", kept)
+    H, bounds = cycle_graph(4), (2,) * 4
+    cold = _Budget(10**6)
+    want = _best_grid_density(H, bounds, 10, cold)
+    kept.clear()
+    beaten, calls = oracle._beaten, []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return beaten(*args)
+
+    monkeypatch.setattr(oracle, "_beaten", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _best_grid_density(H, bounds, 10, _Budget(10**6))
+    warm = _Budget(10**6)
+    assert _best_grid_density(H, bounds, 10, warm) == want
+    assert warm.left == cold.left
+
+
+def test_dcrit_reuses_the_listings_of_a_floor_search(monkeypatch):
+    """oracle-search and oracle-dcrit walk one enumeration: after a floor
+    search with the same floor on every edge, oracle-dcrit lists no size
+    vector again and spends what a cold run does."""
     kept = oracle._KeptListings(max_held=10**6)
     monkeypatch.setattr(oracle, "_LISTINGS", kept)
     H, bounds = cycle_graph(4), (2,) * 4
@@ -394,35 +434,14 @@ def test_listing_kept_by_floor_search_gets_orbit_reps(monkeypatch):
     kept.clear()
     cfg = SearchConfig(cluster_size_bounds=bounds, density_floor=[F(99, 100)] * 4)
     assert oracle_search_construction(H, cfg) is None
-    assert all(l.orbit_reps is None for l in kept.entries.values())
+    listings = []
+    monkeypatch.setattr(oracle, "_list_minimal_covers",
+                        lambda *a: listings.append(a) or _list_minimal_covers(*a))
     warm = _Budget(10**6)
     assert _best_grid_density(H, bounds, 10, warm) == want
+    assert listings == []
     assert warm.left == cold.left
-    assert kept.held == sum(oracle._held(l) for l in kept.entries.values())
-
-
-def test_kept_weight_searches_hold_bounded_memory(monkeypatch):
-    """Floor searches that run through every configuration fill the kept
-    listings with weight searches past the bound; what stays kept takes
-    under 1,000 bytes per unit of it (~450 here; with a search counted
-    as one unit, as a cover is, ~1,900)."""
-    kept = oracle._KeptListings(max_held=1_000)
-    monkeypatch.setattr(oracle, "_LISTINGS", kept)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for H in (cycle_graph(4), bow_tie_graph()):
-            for q in (4, 5):
-                cfg = SearchConfig(cluster_size_bounds=[2] * H.n, weight_grid_denominator=q,
-                                   density_floor=[F(99, 100)] * len(H.edges))
-                assert oracle_search_construction(H, cfg) is None
-                assert kept.held <= kept.max_held
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert kept.held > kept.max_held // 2
-    assert sum(len(l.searches) for l in kept.entries.values()) > 50
-    assert held < 1_000 * kept.max_held
+    assert kept.held == sum(entry.held() for entry in kept.entries.values())
 
 
 def test_progress_and_checkpoint(tmp_path):

@@ -8,8 +8,10 @@ spend of both against that first-weights DFS run over the same ceilings,
 the weight tuples a placed cluster tries by the look-ahead rule
 applied per tuple, the grid optimum searched one configuration per
 automorphism orbit against every configuration, the automorphisms
-against networkx's matcher, and the size vectors searched against
-every image under the group's elements."""
+against networkx's matcher and, with vertex and edge colours, against
+every permutation, the size vectors searched against every image under
+the group's elements, and oracle-search against the walk over every
+configuration it made before it searched one per orbit."""
 
 import math
 from fractions import Fraction as F
@@ -20,15 +22,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
+from critdens.blowup import blowup_without
 from critdens.graphs import (
     PatternGraph,
     automorphisms,
     bow_tie_graph,
+    canonical_edge,
     complete_graph,
     cycle_graph,
     star_graph,
 )
 from critdens.oracle import (
+    SearchConfig,
     _Budget,
     _best_grid_density,
     _least_size_vectors,
@@ -36,9 +41,15 @@ from critdens.oracle import (
     _mass_ceilings,
     _minimal_covers,
     _WeightSearch,
+    oracle_search_construction,
 )
 
 MAX_PAIRS = 14
+
+
+def _all_alike(H):
+    """The edge colouring with every edge alike, as oracle-dcrit searches."""
+    return (0,) * len(H.edges)
 
 
 @st.composite
@@ -101,7 +112,7 @@ def _brute_minimal_covers(H, sizes):
 @example((bow_tie_graph(), (2, 1, 1, 1, 1)))
 def test_minimal_covers_match_brute_force(case):
     H, sizes = case
-    assert list(_list_minimal_covers(H, sizes, _Budget(10**9))[0]) == (
+    assert list(_list_minimal_covers(H, sizes, _Budget(10**9), _all_alike(H))[0]) == (
         _brute_minimal_covers(H, sizes))
 
 
@@ -153,7 +164,7 @@ def test_orbit_canonicalisation_matches_all_permutations(case):
     all-permutations canonicalisation did, at the same spend."""
     H, sizes = case
     budget, reference = _Budget(10**9), _Budget(10**9)
-    assert list(_list_minimal_covers(H, sizes, budget)[0]) == (
+    assert list(_list_minimal_covers(H, sizes, budget, _all_alike(H))[0]) == (
         _all_permutations_minimal_covers(H, sizes, reference))
     assert budget.left == reference.left
 
@@ -224,8 +235,8 @@ _S5, _K3 = star_graph(5), complete_graph(3)
           [(7,), (2, 1, 3, 1), (3, 4)]))
 def test_first_meeting_floor_matches_unpruned_search(case):
     H, sizes, q, floor, weights = case
-    drawn = _mass_ceilings(H, floor, q)
-    for cover in _minimal_covers(H, sizes, _Budget(10**9)).covers:
+    drawn = _mass_ceilings(floor, q)
+    for cover in _minimal_covers(H, sizes, _Budget(10**9), _all_alike(H)).covers:
         tight = ({e: _mass(cover, weights, e) for e in H.edges}
                  if None not in weights else drawn)
         below = {e: c - 1 for e, c in tight.items()}
@@ -346,7 +357,7 @@ def maxmin_searches(draw):
 @example((_K3, (1, 4, 2), 6, [(6,), (1, 1, 2, 2), (5, 1)], 20))
 def test_best_maxmin_matches_unpruned_search(case):
     H, sizes, q, weights, drawn = case
-    for cover in _minimal_covers(H, sizes, _Budget(10**9)).covers:
+    for cover in _minimal_covers(H, sizes, _Budget(10**9), _all_alike(H)).covers:
         tight = max(_mass(cover, weights, e) for e in H.edges)
         for best_mass in (q * q + 1, drawn, tight, tight + 1):
             budget = _Budget(10**9)
@@ -391,7 +402,8 @@ def look_aheads(draw):
             slot_pairs += k
     H = PatternGraph(n, tuple(sorted(edges)))
     if draw(st.booleans()):
-        cover = draw(st.sampled_from(_minimal_covers(H, sizes, _Budget(10**9)).covers))
+        cover = draw(st.sampled_from(
+            _minimal_covers(H, sizes, _Budget(10**9), _all_alike(H)).covers))
     else:
         # per edge (i, j) and slot b of j, the slots of i missing with b
         cover = tuple(sorted(
@@ -498,7 +510,7 @@ def test_orbit_reduced_grid_optimum_matches_every_configuration(case, q):
     for sizes in product(*(range(1, b + 1) for b in bounds)):
         if q < max(sizes):
             continue
-        for cover in _list_minimal_covers(H, sizes, _Budget(10**9))[0]:
+        for cover in _list_minimal_covers(H, sizes, _Budget(10**9), _all_alike(H))[0]:
             out = _WeightSearch(H, sizes, cover, q, _Budget(10**9)).best_maxmin(best)
             if out is not None:
                 best = out[0]
@@ -561,7 +573,8 @@ def _closure(generators, n):
 @example((6, set(complete_graph(6).edges), [3] * 6))
 def test_least_size_vectors_match_every_image(case):
     """The size vectors searched are those no element of the group maps
-    to a smaller one, in product order, whatever prefixes are skipped."""
+    to a smaller one, in product order, whatever prefixes are skipped; a
+    walk resumed after one of them gives the rest."""
     n, edges, bounds = case
     H = PatternGraph(n, tuple(e for e in edges if e[1] <= n))
     group = automorphisms(H, bounds)
@@ -569,3 +582,104 @@ def test_least_size_vectors_match_every_image(case):
     want = [s for s in product(*(range(1, b + 1) for b in bounds))
             if not any(tuple([s[v - 1] for v in g]) < s for g in elements)]
     assert list(_least_size_vectors(bounds, group)) == want
+    for at in range(0, len(want), max(1, len(want) // 4)):
+        assert list(_least_size_vectors(bounds, group, want[at])) == want[at + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.sampled_from([(i, j) for i in range(1, n + 1)
+                             for j in range(i + 1, n + 1)] or [(1, 2)])),
+    st.lists(st.integers(1, 2), min_size=n, max_size=n),
+    st.lists(st.integers(1, 3), min_size=15, max_size=15))))
+@example((5, set(bow_tie_graph().edges), [1] * 5, [1, 1, 1, 1, 2, 3] + [1] * 9))
+@example((4, set(cycle_graph(4).edges), [1] * 4, [1, 2, 1, 2] + [1] * 11))
+@example((6, set(complete_graph(6).edges), [1] * 6, [1, 2, 3] * 5))
+def test_edge_coloured_automorphisms_match_every_permutation(case):
+    """The group kept by vertex and edge colours has as many elements as
+    the permutations that keep both, and each of those sifts down its
+    stabiliser chain to the identity."""
+    n, edges, colours, drawn = case
+    H = PatternGraph(n, tuple(e for e in edges if e[1] <= n))
+    edge_colours = drawn[:len(H.edges)]
+    colour = dict(zip(H.edges, edge_colours))
+    want = [g for g in permutations(range(1, n + 1))
+            if all(colours[g[v - 1] - 1] == colours[v - 1] for v in H.vertices())
+            and all(colour.get(canonical_edge(g[i - 1], g[j - 1])) == c
+                    for (i, j), c in colour.items())]
+    group = automorphisms(H, colours, edge_colours)
+    assert math.prod(len(t) for _, t in group.chain) == len(want)
+    assert all(_sifts(group, g) for g in want)
+    assert set(group.generators) <= set(want)
+
+
+def _sifts(group, g):
+    """Whether g is in group: each level of the chain takes the element
+    mapping its base point where g does off g, until the identity is
+    left."""
+    for b, transversal in group.chain:
+        t = transversal.get(g[b - 1])
+        if t is None:
+            return False
+        inverse = {y: x for x, y in enumerate(t, 1)}
+        g = tuple([inverse[y] for y in g])
+    return g == tuple(range(1, len(g) + 1))
+
+
+def _plain_walk(H, bounds, q, floor):
+    """The first grid configuration meeting the floor, as oracle-search
+    found it before it searched one configuration per orbit: every size
+    vector within the bounds in product order, every slot-canonical cover
+    in order, and the exact floor of each edge's missing mass."""
+    ceilings = {e: math.floor((1 - floor[e]) * q * q) for e in H.edges}
+    for sizes in product(*(range(1, b + 1) for b in bounds)):
+        if q < max(sizes):
+            continue
+        for cover in _list_minimal_covers(H, sizes, _Budget(10**9), _all_alike(H))[0]:
+            search = _WeightSearch(H, sizes, cover, q, _Budget(10**9))
+            weights = search.first_meeting_floor(ceilings)
+            if weights is not None:
+                return blowup_without(
+                    H, [[F(c, q) for c in w] for w in weights], cover).to_json()
+    return None
+
+
+_FLOORS = (F(0), F(1, 5), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(7, 10), F(4, 5))
+
+
+@st.composite
+def floor_search_cases(draw):
+    """A pattern with size bounds, q <= 6 and per-edge floors from one or
+    two values, so that edge colourings both keep and break symmetry."""
+    H, bounds = draw(patterns_with_sizes(max_pairs=12))
+    values = draw(st.lists(st.sampled_from(_FLOORS), min_size=1, max_size=2))
+    floor = {e: draw(st.sampled_from(values)) for e in H.edges}
+    return H, bounds, draw(st.integers(2, 6)), floor
+
+
+_C4 = cycle_graph(4)   # edges 1-2 1-4 2-3 3-4
+
+
+@settings(max_examples=150, deadline=None)
+@given(floor_search_cases())
+@example((_K3, (2, 2, 1), 5, dict.fromkeys(_K3.edges, F(3, 5))))
+@example((_C4, (2, 2, 2, 2), 6, dict(zip(_C4.edges, [F(7, 10), F(1, 2), F(1, 2), F(7, 10)]))))
+@example((_C4, (1, 2, 1, 2), 4, dict(zip(_C4.edges, [F(1, 2), F(2, 3), F(1, 2), F(2, 3)]))))
+@example((bow_tie_graph(), (2, 1, 1, 2, 2), 6,
+          dict(zip(bow_tie_graph().edges, [F(7, 10)] * 4 + [F(1, 2), F(2, 3)]))))
+def test_floor_search_matches_the_plain_walk(case):
+    """oracle-search, one configuration per orbit under the automorphisms
+    that keep the bounds and the ceilings, finds the witness (weights and
+    cross pairs) the walk over every configuration finds, or none when it
+    finds none."""
+    H, bounds, q, floor = case
+    cfg = SearchConfig(cluster_size_bounds=bounds, weight_grid_denominator=q,
+                       density_floor=floor, budget=10**9)
+    B = oracle_search_construction(H, cfg)
+    assert (None if B is None else B.to_json()) == _plain_walk(H, bounds, q, floor)
+
+
+@given(st.fractions(0, 1), st.integers(1, 200))
+def test_mass_ceilings_are_the_exact_floor(f, q):
+    assert _mass_ceilings({(1, 2): f}, q) == {(1, 2): math.floor((1 - f) * q * q)}
