@@ -168,8 +168,7 @@ def check_gacs_constructions() -> tuple[bool, str]:
         lo, hi = dcrit_tree(T).interval(Fraction(1, 10**12))
         B = gacs_tree_construction(T)
         for e, d in B.densities().items():
-            dd = Fraction(d)
-            if not (lo - _EPS9 <= dd <= hi + _EPS9):
+            if not (lo - _EPS9 <= d <= hi + _EPS9):
                 return False, f"density {float(d)} off target on {e} of {T.to_text()!r}"
         if B.find_transversal() is not None or oracle_find_transversal(B) is not None:
             return False, f"transversal found in construction for {T.to_text()!r}"
@@ -266,7 +265,7 @@ def check_searcher_agreement() -> tuple[bool, str]:
                     if rng.random() < keep:
                         cross.append(((i, a), (j, b)))
         weights = [[Fraction(1, s)] * s for s in sizes]
-        B = WeightedBlowupGraph(H, weights, cross, "exact")
+        B = WeightedBlowupGraph(H, weights, cross)
         fast = B.find_transversal()
         slow = oracle_find_transversal(B)
         if (fast is None) != (slow is None):

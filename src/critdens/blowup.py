@@ -8,8 +8,8 @@ edge (i, j) is the total weight mass sum w(u) w(v) over present cross
 pairs.  A transversal picks one slot per cluster so that every pattern
 edge is realized; its existence never depends on the weights.
 
-Two numeric modes: "exact" (fractions end to end, equalities exact) and
-"float" (tolerance 1e-9).  The mode is recorded in the serialized object.
+Weights are Fractions and every equality is exact.  Serialized objects
+carry "mode": "exact"; objects in any other mode are refused.
 
 Every construction emitted anywhere in the package is built by
 blowup_without (every cross pair on a pattern edge except a missing set)
@@ -21,11 +21,10 @@ transversal.
   (lambda x_i) from the principal eigenvector; every density equals
   1 - 1/lambda^2 and no transversal exists.  A tree is bipartite, so
   the weight toward a child, r_v = x_v/(lambda x_parent), obeys
-  r_v = (1/s) / (1 - sum of children r) in s = lambda^2 alone: when s is
-  rational the weights are rational and the construction is exact, with
-  no square root anywhere.  Otherwise the same recursion runs in floats
-  on x_v/x_parent = 1 / (lambda - sum of children), with lambda =
-  sqrt(s).
+  r_v = (1/s) / (1 - sum of children r) in s = lambda^2 alone.  The
+  recursion runs in rationals at s_lo, the lower end of s's certified
+  interval (s_lo = s when s is rational); one split slot trims the root
+  edge, so every density is exactly 1 - 1/s_lo.
 
 * star_decomposition_construct: for any connected H, a proper labeling f,
   and densities gamma that fail the monotone-path tree condition, a
@@ -37,7 +36,6 @@ transversal.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -46,10 +44,9 @@ from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
 from .graphs import (
     Edge, PatternGraph, canonical_edge, edge_assignment, integer, parse_rational,
     rational, rational_text)
-from .polynomials import AlgebraicNumber, largest_matching_root_squared
+from .polynomials import largest_matching_root_squared
 from .verdict import Verdict
 
-FLOAT_TOL = 1e-9
 TRANSVERSAL_GUARD = 10**6
 
 Slot = tuple[int, int]  # (pattern vertex, slot index within its cluster)
@@ -75,42 +72,25 @@ class WeightedBlowupGraph:
     def __init__(
         self,
         pattern: PatternGraph,
-        weights: Sequence[Sequence[Fraction | float]],
+        weights: Sequence[Sequence[Fraction]],
         cross_edges: Sequence[tuple[Slot, Slot]] | set[tuple[Slot, Slot]],
-        mode: str = "exact",
     ) -> None:
-        if mode not in ("exact", "float"):
-            raise ValidationError(f"unknown mode {mode!r}")
         if len(weights) != pattern.n:
             raise ValidationError(
                 f"need one cluster per pattern vertex: {pattern.n}, "
                 f"got {len(weights)}")
         self.pattern = pattern
-        self.mode = mode
-        if mode == "exact":
-            self.weights: tuple[tuple, ...] = tuple(
-                tuple(rational(w, "weight", "in cluster", i) for w in cluster)
-                for i, cluster in enumerate(weights, start=1))
-        else:
-            self.weights = tuple(
-                tuple(float(w) for w in cluster) for cluster in weights)
+        self.weights: tuple[tuple[Fraction, ...], ...] = tuple(
+            tuple(rational(w, "weight", "in cluster", i) for w in cluster)
+            for i, cluster in enumerate(weights, start=1))
         for i, cluster in enumerate(self.weights, start=1):
             if not cluster:
                 raise ValidationError(f"cluster {i} is empty")
-            # A NaN weight would pass the sign and sum checks below.
-            if mode == "float" and not all(map(math.isfinite, cluster)):
-                raise ValidationError(f"non-finite weight in cluster {i}")
             if any(w < 0 for w in cluster):
                 raise ValidationError(f"negative weight in cluster {i}")
             total = sum(cluster)
-            if mode == "exact":
-                if total != 1:
-                    raise ValidationError(
-                        f"cluster {i} weights sum to {total}, not 1")
-            elif abs(total - 1) > FLOAT_TOL:
-                raise ValidationError(
-                    f"cluster {i} weights sum to {total}, off by more "
-                    f"than {FLOAT_TOL}")
+            if total != 1:
+                raise ValidationError(f"cluster {i} weights sum to {total}, not 1")
         pairs: set[tuple[Slot, Slot]] = set()
         for a, b in cross_edges:
             (i, ai), (j, bj) = a, b
@@ -122,7 +102,7 @@ class WeightedBlowupGraph:
                     raise ValidationError(f"slot {s} out of range in cluster {v}")
             pairs.add(_normalize_pair((i, ai), (j, bj)))
         self.cross_edges: frozenset[tuple[Slot, Slot]] = frozenset(pairs)
-        self._densities: dict[Edge, Fraction | float] | None = None
+        self._densities: dict[Edge, Fraction] | None = None
 
     def cluster_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.weights)
@@ -130,18 +110,18 @@ class WeightedBlowupGraph:
     def has_cross_edge(self, a: Slot, b: Slot) -> bool:
         return _normalize_pair(a, b) in self.cross_edges
 
-    def density(self, i: int, j: int) -> Fraction | float:
+    def density(self, i: int, j: int) -> Fraction:
         """Weight mass of present cross pairs between clusters i and j."""
         if not self.pattern.has_edge(i, j):
             raise NotAnHEdge(f"({i},{j}) is not an edge of the pattern")
-        total = _ZERO if self.mode == "exact" else 0.0
+        total = _ZERO
         for a, wa in enumerate(self.weights[i - 1]):
             for b, wb in enumerate(self.weights[j - 1]):
                 if self.has_cross_edge((i, a), (j, b)):
                     total += wa * wb
         return total
 
-    def densities(self) -> dict[Edge, Fraction | float]:
+    def densities(self) -> dict[Edge, Fraction]:
         """Every pattern edge's density, computed on the first call (the
         blow-up is immutable) and returned as a fresh dict."""
         if self._densities is None:
@@ -183,15 +163,14 @@ class WeightedBlowupGraph:
         return Transversal(dict(chosen))
 
     def prune_zero_weights(self) -> "WeightedBlowupGraph":
-        """Drop slots of zero weight (below 1e-12 in float mode); slot
-        indices are renumbered per cluster."""
+        """Drop slots of zero weight; slot indices are renumbered per
+        cluster."""
         keep: dict[Slot, int] = {}
         new_weights: list[list] = []
         for i, cluster in enumerate(self.weights, start=1):
             kept = []
             for a, w in enumerate(cluster):
-                dead = (w == 0) if self.mode == "exact" else (w < 1e-12)
-                if not dead:
+                if w:
                     keep[(i, a)] = len(kept)
                     kept.append(w)
             if not kept:
@@ -202,22 +181,21 @@ class WeightedBlowupGraph:
             for (i, a), (j, b) in self.cross_edges
             if (i, a) in keep and (j, b) in keep
         ]
-        return WeightedBlowupGraph(self.pattern, new_weights, new_edges, self.mode)
+        return WeightedBlowupGraph(self.pattern, new_weights, new_edges)
 
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        encode = rational_text if self.mode == "exact" else float
         return {
             "pattern": {"n": self.pattern.n,
                         "edges": [list(e) for e in self.pattern.edges]},
             "clusters": [
-                [{"id": a, "weight": encode(w)} for a, w in enumerate(cluster)]
+                [{"id": a, "weight": rational_text(w)} for a, w in enumerate(cluster)]
                 for cluster in self.weights
             ],
             "cross_edges": sorted(
                 [i, a, j, b] for (i, a), (j, b) in self.cross_edges),
-            "mode": self.mode,
+            "mode": "exact",
         }
 
     @staticmethod
@@ -226,18 +204,19 @@ class WeightedBlowupGraph:
             pattern = PatternGraph(
                 obj["pattern"]["n"],
                 tuple(tuple(e) for e in obj["pattern"]["edges"]))
-            mode = obj["mode"]
-            parse = parse_rational if mode == "exact" else float
+            if obj["mode"] != "exact":
+                raise ValidationError(
+                    f"mode {obj['mode']!r} is not supported: weights must be exact")
             clusters = []
             for cluster in obj["clusters"]:
                 slots = sorted(cluster, key=lambda s: s["id"])
                 if [s["id"] for s in slots] != list(range(len(slots))):
                     raise ValidationError("slot ids must be 0..k-1")
-                clusters.append([parse(s["weight"]) for s in slots])
+                clusters.append([parse_rational(s["weight"]) for s in slots])
             edges = [((i, a), (j, b)) for i, a, j, b in obj["cross_edges"]]
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValidationError(f"malformed blow-up object: {exc}") from None
-        return WeightedBlowupGraph(pattern, clusters, edges, mode)
+        return WeightedBlowupGraph(pattern, clusters, edges)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
@@ -253,9 +232,8 @@ class WeightedBlowupGraph:
 
 def blowup_without(
     H: PatternGraph,
-    weights: Sequence[Sequence[Fraction | float]],
+    weights: Sequence[Sequence[Fraction]],
     missing: Iterable[tuple[Slot, Slot]] = (),
-    mode: str = "exact",
 ) -> WeightedBlowupGraph:
     """The blow-up with every cross pair on H's edges except the missing
     ones: the eigenvector, star-decomposition, bow-tie and grid
@@ -268,18 +246,17 @@ def blowup_without(
         for b in range(len(weights[j - 1]))
         if ((i, a), (j, b)) not in gone
     ]
-    return WeightedBlowupGraph(H, weights, cross, mode)
+    return WeightedBlowupGraph(H, weights, cross)
 
 
 def assert_construction(
-    B: WeightedBlowupGraph, target: Mapping[Edge, Fraction | float]
+    B: WeightedBlowupGraph, target: Mapping[Edge, Fraction]
 ) -> None:
     """The certificate every emitted construction passes: each density
-    meets its target (exact mode compares rationals, float mode allows
-    1e-9 slack) and no transversal exists."""
+    meets its target exactly and no transversal exists."""
     dens = B.densities()
     for e, want in target.items():
-        if dens[e] < want and (B.mode == "exact" or dens[e] < want - FLOAT_TOL):
+        if dens[e] < want:
             raise ValidationError(
                 f"density {dens[e]} on edge {e} below target {want}")
     if B.find_transversal() is not None:
@@ -287,75 +264,64 @@ def assert_construction(
 
 
 def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
-    """Transversal-free blow-up of a tree with every density equal to
-    1 - 1/lambda^2.
+    """Transversal-free blow-up of a tree with every density exactly
+    1 - 1/s_lo, where s_lo is the lower end of the certified interval
+    (width <= 1e-24) of s = lambda^2, and s_lo = s when s is rational.
 
     Cluster A_i holds one slot per neighbor j of i (in sorted neighbor
     order); the only missing cross pair per edge (i, j) is (v_ij, v_ji).
-    Weights come from the principal eigenvector x: w_ij = x_j/(lambda x_i).
-    Rooted at vertex 1, the ratios r_v follow r_v = k / (m - sum of
-    children r), which stays well defined because lambda exceeds every
-    proper subtree's spectral radius.  When s = lambda^2 is rational,
-    (k, m) = (1/s, 1) and r_v = x_v/(lambda x_parent) is a Fraction;
-    otherwise (k, m) = (1, lambda) in floats and r_v = x_v/x_parent.
-    Either way w_ij = r_j/m toward a child and k/(r_i m) toward the parent.
+    Rooted at the least leaf, the ratios r_v = x_v/(lambda x_parent) of
+    the principal eigenvector x follow r_v = k / (1 - sum of children r)
+    with k = 1/s, which stays well defined because lambda exceeds every
+    proper subtree's spectral radius.  Run in Fractions at k = 1/s_lo,
+    w_ij = r_j toward a child and k/r_i toward the parent.  Every non-root
+    cluster then sums to exactly 1, and every non-root edge misses mass
+    exactly k, so its density is t = 1 - k.
+
+    The root leaf gets one slot of weight 1.  Its edge (root, c) misses
+    mass k/S, with S = r_c (S = 1 when s_lo = s), so its density exceeds
+    t by delta = k(1 - 1/S).  Trim: split a copy b' of weight delta off
+    the slot b of c toward its least other neighbour x; b' keeps all of
+    b's pairs, so the edges at c other than the root edge keep their
+    densities.  Dropping the pair (root slot, b') removes exactly delta.
+    Removing pairs never creates a transversal, so every density is t and
+    the blow-up has one slot more than the untrimmed one.  Positivity of
+    the ratios and S >= 1 are checked, not proven: either failing raises
+    ValidationError.
     """
     if not T.is_tree():
         raise NotATree("construction defined for trees")
     if T.n < 2:
         raise ValidationError("construction needs n >= 2")
-    s_star = largest_matching_root_squared(T, Fraction(1, 10**24))
-    if s_star.exact is not None:
-        mode, k, m, slack = "exact", _ONE / s_star.exact, _ONE, _ZERO
-    else:
-        mode, k, slack = "float", 1.0, 1e-7
-        m = math.sqrt((s_star.lo + s_star.hi) / 2)
-
-    root = 1
+    s_lo, _ = largest_matching_root_squared(T, Fraction(1, 10**24)).interval()
+    k = _ONE / s_lo
+    root = min(v for v in T.vertices() if len(T.adjacency[v]) == 1)
     order, parent = T.bfs_tree(root)
-
-    def cluster_weights(k, m) -> list[list] | None:
-        """Each cluster's weights in neighbor order; None when the ratios
-        fail the root's consistency check."""
-        r: dict[int, Fraction | float] = {}
-        for v in reversed(order):
-            if v != root:
-                acc = sum(r[c] for c in T.adjacency[v] if parent[c] == v)
-                r[v] = k / (m - acc)
-        if abs(m - sum(r[c] for c in T.adjacency[root])) > slack:
-            return None
-        return [[r[j] / m if parent[j] == i else k / (r[i] * m) for j in T.adjacency[i]]
-                for i in T.vertices()]
-
-    weights = cluster_weights(k, m)
-    if mode == "float" and (weights is None
-                            or any(abs(sum(c) - 1) > FLOAT_TOL for c in weights)):
-        # The float recursion loses precision on some trees: rerun it in
-        # rationals, with m the square root of s*'s midpoint rounded down
-        # to 24 decimals, then round each weight to float.
-        mid = s_star.midpoint()
-        m = Fraction(math.isqrt(mid.numerator * 10**48 // mid.denominator), 10**24)
-        exact = cluster_weights(_ONE, m)
-        weights = None if exact is None else [[float(w) for w in c] for c in exact]
-    if weights is None:
-        raise ValidationError("eigenvector consistency check failed")
-
+    r: dict[int, Fraction] = {}
+    for v in reversed(order[1:]):
+        rest = _ONE - sum(r[c] for c in T.adjacency[v] if parent[c] == v)
+        if rest <= 0:
+            raise ValidationError("eigenvector ratios are not all positive")
+        r[v] = k / rest
+    c = order[1]
+    if r[c] < 1:
+        raise ValidationError(f"root ratio {r[c]} is below 1")
+    weights = [[r[j] if parent[j] == i else k / r[i] for j in T.adjacency[i]]
+               for i in T.vertices()]
+    weights[root - 1] = [_ONE]
     slot_of = {(i, j): a for i in T.vertices() for a, j in enumerate(T.adjacency[i])}
     missing = [((i, slot_of[i, j]), (j, slot_of[j, i])) for i, j in T.edges]
-    B = blowup_without(T, weights, missing, mode)
-    assert_construction(B, _gacs_target(T, s_star, mode))
+    delta = k - k / r[c]
+    if delta:
+        x = next(j for j in T.adjacency[c] if j != root)
+        weights[c - 1][slot_of[c, x]] -= delta
+        weights[c - 1].append(delta)
+        split = (c, len(weights[c - 1]) - 1)
+        missing += [(split, (x, slot_of[x, c])), (split, (root, 0))]
+    B = blowup_without(T, weights, missing)
+    t = _ONE - k
+    assert_construction(B, {e: t for e in T.edges})
     return B
-
-
-def _gacs_target(
-    T: PatternGraph, s_star: AlgebraicNumber, mode: str
-) -> dict[Edge, Fraction | float]:
-    if mode == "exact":
-        d = _ONE - _ONE / s_star.exact
-        return {e: d for e in T.edges}
-    s_star.refine(Fraction(1, 10**15))
-    d = 1.0 - 1.0 / float(s_star.midpoint())
-    return {e: d for e in T.edges}
 
 
 def star_decomposition_construct(

@@ -160,12 +160,6 @@ def _both(x) -> str:
     return f"{rational_text(x)} ({approx})"
 
 
-def _show(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return _both(value)
-
-
 def _density_fields(dc: CriticalDensity, tol: Fraction) -> dict:
     lo, hi = dc.interval(tol)
     return {
@@ -399,10 +393,10 @@ def cmd_construct(args, rep: Reporter) -> int:
         rep.text(B.to_json())
     dens = B.densities()
     rep.record("construction", blowup=B.to_json_obj(),
-               densities={f"{i}-{j}": _show(d) for (i, j), d in dens.items()})
+               densities={f"{i}-{j}": _both(d) for (i, j), d in dens.items()})
     if not rep.structured:
         for (i, j), d in sorted(dens.items()):
-            rep.text(f"density {i}-{j}: {_show(d)}")
+            rep.text(f"density {i}-{j}: {_both(d)}")
     return EXIT_YES
 
 

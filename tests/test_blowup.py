@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critdens.blowup import (
     Transversal,
@@ -44,8 +46,7 @@ def test_weights_must_sum_to_one_per_cluster():
 
 
 @pytest.mark.parametrize("mode, weight", [
-    ("exact", "1/0"), ("exact", float("inf")),
-    ("float", "nan"), ("float", "inf"), ("float", float("nan")),
+    ("exact", "1/0"), ("exact", float("inf")), ("exact", "nan"), ("float", "1"),
 ])
 def test_bad_weights_in_a_blowup_file_are_rejected(mode, weight):
     obj = _blowup(path_graph(2), [[F(1)], [F(1)]], [((1, 0), (2, 0))]).to_json_obj()
@@ -58,7 +59,7 @@ def test_bad_weights_in_a_blowup_file_are_rejected(mode, weight):
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_exact_weights_are_rejected(weight):
     with pytest.raises(ValidationError, match="not a finite rational"):
-        WeightedBlowupGraph(path_graph(2), [[weight], [1]], [], "exact")
+        WeightedBlowupGraph(path_graph(2), [[weight], [1]], [])
 
 
 def test_cross_edges_must_lie_on_pattern_edges():
@@ -110,20 +111,18 @@ def test_blowup_without_drops_only_the_missing_pairs():
     assert full.cross_edges == blowup_without(H, [[F(1, 2)] * 2, [F(1)], [F(1, 2)] * 2]).cross_edges
     assert B.cross_edges == full.cross_edges - {((1, 1), (2, 0)), ((1, 0), (3, 1))}
     assert B.densities() == {(1, 2): F(1, 2), (1, 3): F(2, 3), (2, 3): F(1)}
-    assert B.mode == "exact" and blowup_without(H, weights, mode="float").mode == "float"
 
 
-def test_certificate_checks_densities_with_float_slack():
+def test_certificate_checks_densities_exactly():
     # P3's eigenvector construction: density 1/2 on both edges
     weights = [[F(1)], [F(1, 2), F(1, 2)], [F(1)]]
     missing = [((1, 0), (2, 0)), ((2, 1), (3, 0))]
-    for mode, ok, short in (("exact", F(1, 2), F(1, 2) + F(1, 10**12)),
-                            ("float", 0.5 + 5e-10, 0.5 + 2e-9)):
-        B = blowup_without(path_graph(3), weights, missing, mode)
-        assert_construction(B, {})
-        assert_construction(B, {(1, 2): ok, (2, 3): ok})
-        with pytest.raises(ValidationError, match="below target"):
-            assert_construction(B, {(1, 2): ok, (2, 3): short})
+    ok, short = F(1, 2), F(1, 2) + F(1, 10**30)
+    B = blowup_without(path_graph(3), weights, missing)
+    assert_construction(B, {})
+    assert_construction(B, {(1, 2): ok, (2, 3): ok})
+    with pytest.raises(ValidationError, match="below target"):
+        assert_construction(B, {(1, 2): ok, (2, 3): short})
     with pytest.raises(ValidationError, match="has a transversal"):
         assert_construction(blowup_without(path_graph(2), [[F(1)], [F(1, 2)] * 2]), {})
 
@@ -211,12 +210,12 @@ def test_json_round_trip_exact_mode():
     assert sorted(R.cross_edges) == sorted(B.cross_edges)
 
 
-def test_json_round_trip_float_mode():
+def test_json_round_trip_of_a_trimmed_construction():
     B = gacs_tree_construction(path_graph(4))
-    assert B.mode == "float"
-    R = WeightedBlowupGraph.from_json(B.to_json())
-    assert R.mode == "float"
-    assert R.weights == B.weights
+    obj = json.loads(B.to_json())
+    assert obj["mode"] == "exact"
+    R = WeightedBlowupGraph.from_json_obj(obj)
+    assert R.weights == B.weights and R.cross_edges == B.cross_edges
 
 
 # -- extremal constructions -------------------------------------------------
@@ -224,7 +223,6 @@ def test_json_round_trip_float_mode():
 
 def test_gacs_path3_hits_one_half_exactly():
     B = gacs_tree_construction(path_graph(3))
-    assert B.mode == "exact"
     assert B.densities() == {(1, 2): F(1, 2), (2, 3): F(1, 2)}
     assert B.find_transversal() is None
 
@@ -239,18 +237,31 @@ def test_gacs_stars_hit_exact_critical_density():
             assert sum(cluster) == 1
 
 
-def test_gacs_path4_float_mode_hits_golden():
+def test_gacs_path4_hits_golden_exactly():
+    # lambda^2 = (3 + sqrt 5)/2: every density is the same rational t just
+    # below (sqrt 5 - 1)/2, and the split slot sits in cluster 2
     B = gacs_tree_construction(path_graph(4))
-    golden = 0.6180339887498949
-    for d in B.densities().values():
-        assert abs(d - golden) < 1e-9
+    (t,) = set(B.densities().values())
+    assert (2 * t + 1) ** 2 < 5 < (2 * t + 1 + F(2, 10**24)) ** 2
+    assert B.cluster_sizes() == (1, 3, 2, 1)
     assert B.find_transversal() is None
+
+
+def _merged_weight(B, T, i, j):
+    """Mass of i's slots that miss j's slot toward i: w_ij, with a split
+    slot folded back into the slot it was split from."""
+    b = T.adjacency[j].index(i)
+    return sum(w for a, w in enumerate(B.weights[i - 1])
+               if not B.has_cross_edge((i, a), (j, b)))
 
 
 def test_gacs_weights_are_perron_ratios_on_all_small_trees():
     # With each cluster summing to 1, w_ij w_ji = 1/lambda^2 on every edge
-    # pins the weights to the principal eigenvector's ratios; lambda comes
-    # from sympy's characteristic polynomial, not from the code under test.
+    # pins the weights to the principal eigenvector's ratios.  The
+    # construction runs at s_lo, a certified lower end of lambda^2, so
+    # w_ij w_ji = 1/s_lo exactly on every edge but the trimmed root edge;
+    # sympy's characteristic polynomial, not the code under test, places
+    # s_lo within 1e-24 below lambda^2 (equal when lambda^2 is rational).
     import networkx as nx
     import sympy
 
@@ -264,31 +275,57 @@ def test_gacs_weights_are_perron_ratios_on_all_small_trees():
             s = lam**2
             rational = sympy.degree(sympy.minimal_polynomial(s, x), x) == 1
             B = gacs_tree_construction(T)
-            assert B.mode == ("exact" if rational else "float"), T
-            target = 1 / sympy.Rational(s) if rational else float(sympy.N(1 / s, 30))
+            (t,) = set(B.densities().values())
+            s_lo = 1 / (1 - t)
+            gap = s - sympy.Rational(s_lo.numerator, s_lo.denominator)
+            if rational:
+                assert gap == 0, T
+            else:
+                assert 0 < gap <= sympy.Rational(1, 10**24), T
+            root = min(v for v in T.vertices() if len(T.adjacency[v]) == 1)
+            assert B.weights[root - 1] == (1,), T
             for i, j in T.edges:
-                w_ij = B.weights[i - 1][T.adjacency[i].index(j)]
-                w_ji = B.weights[j - 1][T.adjacency[j].index(i)]
+                w_ij, w_ji = _merged_weight(B, T, i, j), _merged_weight(B, T, j, i)
                 assert w_ij > 0 and w_ji > 0, (T, i, j)
-                if rational:
-                    assert w_ij * w_ji == F(int(target.p), int(target.q)), (T, i, j)
-                else:
-                    assert abs(w_ij * w_ji - target) <= 1e-12 * target, (T, i, j)
+                if root not in (i, j):
+                    assert w_ij * w_ji == 1 / s_lo, (T, i, j)
 
 
-def test_gacs_reruns_drifting_float_ratios_in_rationals():
-    # the float ratios of this tree miss the cluster-sum check by 2e-9
-    T = parse_graph("26; 1-2 2-3 2-4 4-5 5-6 6-7 7-8 8-9 8-10 9-11 11-12 11-13 12-14"
-                    " 12-15 15-16 15-17 16-18 17-19 19-20 20-21 20-22 20-23 20-24"
-                    " 20-25 24-26")
+def _relabelled_tree(parents, labels):
+    """Vertex v >= 2 hangs below parents[v - 2] < v; then v becomes
+    labels[v - 1]."""
+    return PatternGraph(len(labels), tuple(sorted(
+        tuple(sorted((labels[p - 1], labels[v - 1])))
+        for v, p in enumerate(parents, start=2))))
+
+
+_TREES = st.integers(2, 14).flatmap(lambda n: st.builds(
+    _relabelled_tree,
+    st.tuples(*(st.integers(1, v - 1) for v in range(2, n + 1))),
+    st.permutations(range(1, n + 1))))
+
+# the float ratio recursion, before constructions were exact, missed the
+# cluster-sum check by 2e-9 on this tree
+_DRIFTING_TREE = parse_graph(
+    "26; 1-2 2-3 2-4 4-5 5-6 6-7 7-8 8-9 8-10 9-11 11-12 11-13 12-14"
+    " 12-15 15-16 15-17 16-18 17-19 19-20 20-21 20-22 20-23 20-24"
+    " 20-25 24-26")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TREES)
+@example(_DRIFTING_TREE)
+def test_gacs_is_exact_and_transversal_free_on_random_trees(T):
+    from critdens.oracle import oracle_find_transversal
+
     B = gacs_tree_construction(T)
-    assert B.mode == "float" and B.find_transversal() is None
-    lo, _ = dcrit_tree(T, F(1, 10**15)).interval()
-    for i, j in T.edges:
-        w_ij = B.weights[i - 1][T.adjacency[i].index(j)]
-        w_ji = B.weights[j - 1][T.adjacency[j].index(i)]
-        assert abs(w_ij * w_ji - float(1 - lo)) <= 1e-12, (i, j)
-    assert all(abs(d - float(lo)) <= 1e-12 for d in B.densities().values())
+    (t,) = set(B.densities().values())
+    lo, hi = dcrit_tree(T).interval(F(1, 10**12))
+    assert lo <= t <= hi
+    assert all(sum(cluster) == 1 for cluster in B.weights)
+    assert sum(B.cluster_sizes()) <= 2 * len(T.edges) + 1
+    assert B.find_transversal() is None
+    assert oracle_find_transversal(B) is None
 
 
 def test_star_construct_triangle_below_threshold():

@@ -430,6 +430,18 @@ def test_construct_and_check_transversal(path3, tmp_path):
     assert "NoTransversal" in out
 
 
+def test_float_mode_blowup_file_is_refused(path3, tmp_path, capsys):
+    out_file = tmp_path / "old.json"
+    _run(["construct", path3, "--method", "gacs", "--out", str(out_file)])
+    obj = json.loads(out_file.read_text())
+    obj["mode"] = "float"
+    out_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code, _ = _run(["check-transversal", str(out_file)])
+    assert code == 2
+    assert "mode 'float' is not supported" in capsys.readouterr().err
+
+
 def test_construct_star_not_producible(k3):
     code, out = _run(["construct", k3, "--method", "star",
                       "--labeling", "1,2,3", "--densities", "0.63"])

@@ -86,8 +86,8 @@ CASES = [
     # a search stopped by its budget (exit 3)
     "oracle-search k3.g --floor 0.6 --budget 1",
     "glue k3.g k3.g --u1 1 --u2 1 --m1 1/2 --m2 1/2 --densities 0.5,0.5",
-    # the eigenvector construction: lambda rational (star5), and float
-    # mode (path4, lambda^2 irrational) written out and checked
+    # the eigenvector construction: lambda rational (star5), and lambda^2
+    # irrational (path4, one split slot) written out and checked
     "construct star5.g --method gacs",
     "construct path4.g --method gacs --out p4.json",
     "check-transversal p4.json --oracle",
