@@ -161,19 +161,22 @@ def check_star_bound_on_triangle() -> tuple[bool, str]:
 
 def check_gacs_constructions() -> tuple[bool, str]:
     """For every tree on up to 8 vertices the eigenvector-weighted
-    blow-up realizes densities within 1e-9 of 1 - 1/lambda^2 and has no
-    transversal (both searchers)."""
+    blow-up gives every edge one rational density t with t <= d_crit <
+    t + 10^-20, and has no transversal (both searchers)."""
     count = 0
     for T in _all_trees():
-        lo, hi = dcrit_tree(T).interval(Fraction(1, 10**12))
+        dc = dcrit_tree(T)
         B = gacs_tree_construction(T)
-        for e, d in B.densities().items():
-            if not (lo - _EPS9 <= d <= hi + _EPS9):
-                return False, f"density {float(d)} off target on {e} of {T.to_text()!r}"
+        densities = set(B.densities().values())
+        if len(densities) != 1:
+            return False, f"densities {sorted(densities)} differ on {T.to_text()!r}"
+        (t,) = densities
+        if dc.compare_density(t) < 0 or dc.compare_density(t + Fraction(1, 10**20)) >= 0:
+            return False, f"density {t} not within 1e-20 below d_crit of {T.to_text()!r}"
         if B.find_transversal() is not None or oracle_find_transversal(B) is not None:
             return False, f"transversal found in construction for {T.to_text()!r}"
         count += 1
-    return True, f"{count} trees, densities within 1e-9, transversal-free"
+    return True, f"{count} trees, one density t per tree, t <= d_crit < t + 1e-20, transversal-free"
 
 
 def check_bow_tie() -> tuple[bool, str]:

@@ -131,13 +131,9 @@ class WeightedBlowupGraph:
     def find_transversal(self) -> Transversal | None:
         """Backtracking search over clusters in BFS order of the pattern,
         pruning against already-chosen neighbors.  Exhaustive: None is a
-        certificate.  Weights play no role."""
-        space = 1
-        for c in self.weights:
-            space *= len(c)
-            if space > TRANSVERSAL_GUARD:
-                raise SizeLimit(
-                    f"choice space exceeds {TRANSVERSAL_GUARD}")
+        certificate.  Weights play no role.  SizeLimit after
+        TRANSVERSAL_GUARD slot trials."""
+        trials = 0
         order = self.pattern.bfs_order(1)
         pos_of = {v: k for k, v in enumerate(order)}
         earlier = [[u for u in self.pattern.adjacency[v] if pos_of[u] < k]
@@ -149,6 +145,9 @@ class WeightedBlowupGraph:
         while k < len(order):
             v = order[k]
             for s in range(start[k], len(self.weights[v - 1])):
+                trials += 1
+                if trials > TRANSVERSAL_GUARD:
+                    raise SizeLimit(f"search exceeds {TRANSVERSAL_GUARD} slot trials")
                 if all(self.has_cross_edge((v, s), (u, chosen[u]))
                        for u in earlier[k]):
                     chosen[v], start[k] = s, s + 1

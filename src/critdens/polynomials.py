@@ -1,14 +1,16 @@
 """Exact polynomial arithmetic, real-root isolation, and matching polynomials.
 
-Everything here runs over fractions.Fraction.  Polynomials are coefficient
-tuples in increasing powers of t.  Real roots of a general polynomial are
-located with Sturm chains on the square-free part, so root counts are
-counts of distinct real roots.  Matching polynomials have only real roots,
-so for them Descartes' rule counts the roots above a point exactly from
-one integer Taylor shift; largest_matching_root_squared lets float
-estimates choose the isolating cell and certifies it with such counts,
-returning exactly what the Sturm bisection would, and runs that bisection
-only when a certificate fails.  No answer ever depends on floating point.
+Polynomials are Fraction coefficient tuples in increasing powers of t.
+Matching sums, poly_gcd, square_free_part and Descartes counts run on
+integers; Sturm chains and AlgebraicNumber refinement and compare run on
+Fractions.  Real roots of a general polynomial are located with Sturm
+chains on the square-free part, so root counts are counts of distinct
+real roots.  Matching polynomials have only real roots, so for them
+Descartes' rule counts the roots above a point exactly from one integer
+Taylor shift; largest_matching_root_squared lets float estimates choose
+the isolating cell and certifies it with such counts, returning exactly
+what the Sturm bisection would, and runs that bisection only when a
+certificate fails.  No answer ever depends on floating point.
 
 An AlgebraicNumber is a real root pinned down by a square-free defining
 polynomial and an open isolating interval with rational endpoints; when the
@@ -161,22 +163,55 @@ class RatPoly:
         return f"RatPoly({list(self.coeffs)!r})"
 
 
+def _primitive(c: list[int]) -> list[int]:
+    """The nonzero integer polynomial c divided by the gcd of its entries."""
+    g = math.gcd(*c)
+    return [a // g for a in c]
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of a by b, [] when b divides a."""
+    r, db, lead = list(a), len(b) - 1, b[-1]
+    while r and (len(r) > db or not r[-1]):  # tops left below b's degree are 0
+        top = r.pop()
+        if top:
+            g = math.gcd(top, lead)
+            scale, top, shift = lead // g, top // g, len(r) - db
+            if scale != 1:
+                r = [scale * x for x in r]
+            for j in range(db):
+                r[shift + j] -= top * b[j]
+    return _primitive(r) if r else r
+
+
+def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of integer polynomials, not both zero, by primitive remainders."""
+    while b:
+        a, b = b, _remainder(a, b)
+    return _primitive(a)
+
+
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd, zero only for two zero polynomials."""
+    if a.is_zero() and b.is_zero():
+        return a
+    return RatPoly(_integer_gcd(_integer_coeffs(a), _integer_coeffs(b))).monic()
 
 
 def square_free_part(p: RatPoly) -> RatPoly:
+    """Monic p / gcd(p, p'), by exact integer division: the gcd is
+    primitive, so by Gauss's lemma the quotient is integral."""
     if p.is_zero():
         raise ZeroPolynomial("square-free part of the zero polynomial")
-    if p.degree == 0:
-        return RatPoly([_ONE])
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    return p.divmod(g)[0].monic()
+    c = _integer_coeffs(p)
+    g = _integer_gcd(c, [k * a for k, a in enumerate(c)][1:])
+    dg = len(g) - 1
+    quot = [0] * (len(c) - dg)
+    for k in range(len(quot) - 1, -1, -1):
+        x = quot[k] = c[k + dg] // g[-1]
+        for j in range(dg):
+            c[k + j] -= x * g[j]
+    return RatPoly(quot).monic()
 
 
 def sturm_chain(p: RatPoly) -> list[RatPoly]:
@@ -478,6 +513,22 @@ def _is_root(c: Sequence[int], x: Fraction) -> bool:
     return _scaled_value(c, x) == 0
 
 
+def _one_root_above(c: Sequence[int], up: bool, x: Fraction, s2: float | None) -> bool:
+    """Certifies that the real-rooted c, of sign `up` above its largest
+    root r, has one root above x: if r is the one root above a short
+    rational x' in (s2, x] and c(x) has the sign c takes just below r,
+    then x' <= x < r."""
+    return (s2 is not None and Fraction(s2) < x
+            and (v := _scaled_value(c, x)) != 0 and (v > 0) != up
+            and _roots_above(c, simplest_fraction_between((Fraction(s2) + x) / 2, x)) == 1)
+
+
+def _two_roots_above(c: Sequence[int], x: Fraction, s2: float | None) -> bool:
+    """Certifies two or more roots of the real-rooted c above x: as many above x'' in (x, s2)."""
+    return (s2 is not None and x < Fraction(s2)
+            and _roots_above(c, simplest_fraction_between(x, (x + Fraction(s2)) / 2)) >= 2)
+
+
 def _float_guided_root(
     sf: RatPoly, tol: Fraction, s1: float, s2: float | None
 ) -> AlgebraicNumber | None:
@@ -492,7 +543,8 @@ def _float_guided_root(
     Here the floats give K and the level-L cell, and exact arithmetic
     certifies them: one root above the level-K cell's left end, at least
     two above its parent's, a sign change across the level-L cell, and
-    one probe on the last cell the refinement would probe."""
+    one probe on the last cell the refinement would probe.  Counts are
+    taken at short rationals near the grid points where a certificate holds."""
     if not (math.isfinite(s1) and (s2 is None or math.isfinite(s2))):
         return None
     c = _integer_coeffs(sf)
@@ -526,7 +578,8 @@ def _float_guided_root(
     # floats by a level.
     for _ in range(3):
         cell = top >> (fine - iso)
-        above = _roots_above(c, grid(iso, cell))
+        klo = grid(iso, cell)
+        above = 1 if _one_root_above(c, up, klo, s2) else _roots_above(c, klo)
         if above != 1:
             if iso == (0 if above == 0 else fine):
                 return None
@@ -537,14 +590,15 @@ def _float_guided_root(
             v = _scaled_value(c, x)
             # sf(x) has the sign of sf above r iff an even number of
             # roots lies above x, and r is one of them.
-            if (v == 0 or (v > 0) != up) and _roots_above(c, x) < 2:
+            if ((v == 0 or (v > 0) != up) and not _two_roots_above(c, x, s2)
+                    and _roots_above(c, x) < 2):
                 iso -= 1
                 continue
         break
     else:
         return None
     final = max(iso, last)
-    klo, khi = grid(iso, cell), grid(iso, cell + 1)
+    khi = grid(iso, cell + 1)
 
     # Midpoints that became left ends on the way down to level K: each
     # root among them is deflated, as the bisection does.  Above klo,
@@ -707,18 +761,19 @@ def poly_from_strings(items: Sequence[str]) -> RatPoly:
 # -- matching polynomials --------------------------------------------------
 
 def _matching_weight_sums(
-    H: PatternGraph, weight: Callable[[Edge], Fraction]
-) -> list[Fraction]:
-    """c_k = sum over k-matchings M of prod_{e in M} weight(e), k = 0..n/2.
+    H: PatternGraph, weight: Callable[[Edge], int | Fraction]
+) -> list:
+    """c_k = sum over k-matchings M of prod_{e in M} weight(e), k = 0..n/2,
+    in the weights' number type.
 
     Memoized recursion on the set of available vertices: the lowest
     available vertex is either unmatched or matched to a neighbor.
     """
     n = H.n
     adj = H.adjacency
-    memo: dict[int, list[Fraction]] = {0: [_ONE]}
+    memo: dict[int, list] = {0: [1]}
 
-    def solve(mask: int) -> list[Fraction]:
+    def solve(mask: int) -> list:
         got = memo.get(mask)
         if got is not None:
             return got
@@ -733,7 +788,7 @@ def _matching_weight_sums(
                     continue
                 sub = solve(rest & ~bit)
                 if len(out) < len(sub) + 1:
-                    out.extend([_ZERO] * (len(sub) + 1 - len(out)))
+                    out.extend([0] * (len(sub) + 1 - len(out)))
                 for k, c in enumerate(sub):
                     out[k + 1] += w * c
         memo[mask] = out
@@ -743,20 +798,20 @@ def _matching_weight_sums(
 
 
 def _tree_matching_weight_sums(
-    H: PatternGraph, weight: Callable[[Edge], Fraction]
-) -> list[Fraction]:
+    H: PatternGraph, weight: Callable[[Edge], int | Fraction]
+) -> list:
     """Same as _matching_weight_sums for trees, by a rooted two-state DP
     (vertex matched into its subtree or not), linear in n."""
     order, parent = H.bfs_tree()
     # free[v]: weight sums by matching size in v's subtree with v unmatched;
     # any[v]: same with v free to be matched inside the subtree.
-    free: dict[int, list[Fraction]] = {}
-    anym: dict[int, list[Fraction]] = {}
+    free: dict[int, list] = {}
+    anym: dict[int, list] = {}
 
-    def mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        if a == [_ONE]:   # each fold below starts from 1
+    def mul(a: list, b: list) -> list:
+        if a == [1]:   # each fold below starts from 1
             return list(b)
-        out = [_ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
@@ -768,15 +823,15 @@ def _tree_matching_weight_sums(
         children = [u for u in H.adjacency[v] if parent[u] == v]
         # Fold the children in one at a time: f is the product of their
         # any[c] so far, and a also counts v matched to one of them.
-        f = [_ONE]
-        a = [_ONE]
+        f = [1]
+        a = [1]
         for c in children:
             w = weight(canonical_edge(v, c))
             a = mul(a, anym[c])
             if w != 0:
                 paired = mul(f, free[c])
                 if len(a) < len(paired) + 1:
-                    a.extend([_ZERO] * (len(paired) + 1 - len(a)))
+                    a.extend([0] * (len(paired) + 1 - len(a)))
                 for k, x in enumerate(paired):
                     a[k + 1] += w * x
             f = mul(f, anym[c])
@@ -788,16 +843,19 @@ def _tree_matching_weight_sums(
 def matching_weight_sums(
     H: PatternGraph, weight: Callable[[Edge], Fraction] | None = None
 ) -> list[Fraction]:
-    if weight is None:
-        weight = lambda e: _ONE
-    if H.is_tree():
-        # linear-time rooted recursion, no size cap needed
-        return _tree_matching_weight_sums(H, weight)
-    if len(H.edges) > MAX_MATCHING_EDGES:
+    """c_k = sum over k-matchings of the product of their edge weights
+    (1 by default): the DP runs on the weights' integer numerators over
+    their least common denominator D, and c_k is its sum over D^k.
+    Trees take the linear-time rooted recursion, with no size cap."""
+    dp = _tree_matching_weight_sums if H.is_tree() else _matching_weight_sums
+    if dp is _matching_weight_sums and len(H.edges) > MAX_MATCHING_EDGES:
         raise SizeLimit(
             f"matching polynomial capped at {MAX_MATCHING_EDGES} edges, "
             f"got {len(H.edges)}")
-    return _matching_weight_sums(H, weight)
+    w = {e: Fraction(weight(e) if weight else 1) for e in H.edges}
+    den = math.lcm(*(x.denominator for x in w.values()))
+    scaled = {e: x.numerator * (den // x.denominator) for e, x in w.items()}
+    return [Fraction(c, den ** k) for k, c in enumerate(dp(H, scaled.__getitem__))]
 
 
 def matching_polynomial(H: PatternGraph) -> RatPoly:

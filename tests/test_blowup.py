@@ -16,7 +16,7 @@ from critdens.blowup import (
     gacs_tree_construction,
     star_decomposition_construct,
 )
-from critdens.errors import ValidationError
+from critdens.errors import SizeLimit, ValidationError
 from critdens.graphs import (
     PatternGraph,
     complete_graph,
@@ -24,6 +24,7 @@ from critdens.graphs import (
     path_graph,
     star_graph,
 )
+from critdens.oracle import oracle_find_transversal
 from critdens.tree_decision import dcrit_tree
 
 
@@ -165,6 +166,18 @@ def test_complete_blowup_has_transversal_and_full_density():
 def test_missing_single_pair_blocks_single_slots():
     B = _blowup(path_graph(2), [[F(1)], [F(1)]], [])
     assert B.find_transversal() is None
+
+
+def test_transversal_guard_counts_slot_trials_not_the_choice_space():
+    # 2^21 > 10^6 choices, but an empty first edge refutes both slots of
+    # cluster 1 in six trials; the unpruned searcher keeps its product guard.
+    H, weights = path_graph(21), [[F(1, 2)] * 2] * 21
+    B = blowup_without(H, weights, [((1, a), (2, b)) for a in range(2) for b in range(2)])
+    assert B.find_transversal() is None
+    t = blowup_without(H, weights).find_transversal()
+    assert t is not None and set(t.choice.values()) == {0}
+    with pytest.raises(SizeLimit):
+        oracle_find_transversal(B)
 
 
 def test_transversal_found_iff_choice_exists():
@@ -316,8 +329,6 @@ _DRIFTING_TREE = parse_graph(
 @given(_TREES)
 @example(_DRIFTING_TREE)
 def test_gacs_is_exact_and_transversal_free_on_random_trees(T):
-    from critdens.oracle import oracle_find_transversal
-
     B = gacs_tree_construction(T)
     (t,) = set(B.densities().values())
     lo, hi = dcrit_tree(T).interval(F(1, 10**12))

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from critdens import cli
-from critdens.blowup import WeightedBlowupGraph
+from critdens.blowup import WeightedBlowupGraph, blowup_without
 from critdens.cli import run
+from critdens.graphs import path_graph
 
 
 @pytest.fixture
@@ -440,6 +441,20 @@ def test_float_mode_blowup_file_is_refused(path3, tmp_path, capsys):
     code, _ = _run(["check-transversal", str(out_file)])
     assert code == 2
     assert "mode 'float' is not supported" in capsys.readouterr().err
+
+
+def test_transversal_search_past_its_guard_exits_3(tmp_path, capsys):
+    # No transversal: the last edge of the path has no cross pair, and the
+    # search meets it only after every choice on the first 14 clusters,
+    # 3^14 of them, far beyond the guard's 10^6 slot trials.
+    H = path_graph(15)
+    B = blowup_without(H, [[F(1, 3)] * 3] * 15,
+                       [((14, a), (15, b)) for a in range(3) for b in range(3)])
+    blowup_file = tmp_path / "deep.json"
+    blowup_file.write_text(B.to_json())
+    code, _ = _run(["check-transversal", str(blowup_file)])
+    assert code == 3
+    assert "search exceeds 1000000 slot trials" in capsys.readouterr().err
 
 
 def test_construct_star_not_producible(k3):
