@@ -79,17 +79,16 @@ indices count the configurations searched.
 The size vectors a search has walked, per (pattern, bounds, ceiling
 colouring), and each finished cover listing, per (pattern, sizes,
 ceiling colouring), are kept for the process: at most 50,000 units in
-all, one per size vector and per cover, least recently used out first;
-a listing stopped by the budget is not kept.  A reused listing charges
-the units it spent, so a search spends the same, and stops at the same
-point, whether or not its covers were listed before.  Weight searches
-are built afresh for each configuration; kept with their listings,
-they saved no time beyond the benchmark's run-to-run spread.  Listing
-the canonical covers and their orbit representatives, outside the
-budget, is one walk over the raw covers reached, each mapped under two
-generators per cluster (a swap of two slots and the cycle of all), and
-one member of each slot orbit under generators of Aut(H)_s: linear in
-those covers.
+all, one per size vector and per cover searched, least recently used
+out first; a listing stopped by the budget is not kept.  A reused
+listing charges the units it spent, so a search spends the same, and
+stops at the same point, whether or not its covers were listed before.
+Weight searches are built afresh for each configuration; kept with
+their listings, they saved no time beyond the benchmark's run-to-run
+spread.  Picking the least cover of each orbit, outside the budget, is
+one walk over the raw covers reached, one orbit at a time, each cover
+mapped under the generators of Aut(H)_s and two per cluster (a swap of
+two slots and the cycle of all): linear in those covers.
 """
 
 from __future__ import annotations
@@ -235,14 +234,12 @@ class _Budget:
 @dataclass(slots=True)
 class _Listing:
     """A size vector's finished cover listing under one edge colouring:
-    its covers, canonical under within-cluster slot permutations and
-    sorted; the units listing them spent; and the indices of the covers
-    searched, the least of each orbit under Aut(H)_s (the automorphisms
-    that keep the sizes and the colouring) with the slot permutations."""
+    the covers searched, the least of each orbit under Aut(H)_s (the
+    automorphisms that keep the sizes and the colouring) with the slot
+    permutations, sorted; and the units listing them spent."""
 
     covers: tuple[Cover, ...]
     spent: int
-    orbit_reps: tuple[int, ...]
 
     def held(self) -> int:
         return len(self.covers)
@@ -315,18 +312,16 @@ def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
         budget.charge(kept.spent)
         return kept
     left = budget.left
-    covers, orbit_reps = _list_minimal_covers(H, sizes, budget, colouring)
-    return _LISTINGS.keep(key, _Listing(covers, left - budget.left, orbit_reps))
+    covers = _list_minimal_covers(H, sizes, budget, colouring)
+    return _LISTINGS.keep(key, _Listing(covers, left - budget.left))
 
 
 def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
-                         colouring: tuple[int, ...]
-                         ) -> tuple[tuple[Cover, ...], tuple[int, ...]]:
-    """All minimal blocking covers, canonicalized under within-cluster
-    slot permutations and sorted by (size, lexicographic order), and the
-    indices of those least in their orbits under the automorphisms of H
-    that keep the sizes and the edge colouring (colouring[k] for
-    H.edges[k]) together with the slot permutations."""
+                         colouring: tuple[int, ...]) -> tuple[Cover, ...]:
+    """The minimal blocking covers least in their orbits under the
+    automorphisms of H that keep the sizes and the edge colouring
+    (colouring[k] for H.edges[k]) together with the within-cluster slot
+    permutations, sorted by (size, lexicographic order)."""
     ranges = [range(k) for k in sizes]
     transversals = list(itertools.product(*ranges))
     index = {t: i for i, t in enumerate(transversals)}
@@ -387,12 +382,12 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
 
     branch((), 0, 0)
 
-    # Generators, each a permutation of the pairs: per cluster of size
-    # k >= 2 the swap of its slots 0 and 1 and the cycle of all k (the
-    # same for k = 2), which generate its k! slot permutations; and
-    # generators of Aut(H)_s, each moving slot a of cluster v to slot a
-    # of its image.  A generator maps a mask 8 bits at a time: its tables
-    # hold the image of every value of each 8-bit chunk.
+    # Generators, each a permutation of the pairs: those of Aut(H)_s, each
+    # moving slot a of cluster v to slot a of its image; and per cluster of
+    # size k >= 2 the swap of its slots 0 and 1 and the cycle of all k (the
+    # same for k = 2), which generate its k! slot permutations.  A
+    # generator maps a mask 8 bits at a time: its tables hold the image of
+    # every value of each 8-bit chunk.
     def moving(image) -> list[list[int]]:
         to = [1 << top - rank[tuple(sorted(image(i, a, j, b)))]
               for (i, a), (j, b) in reversed(ranked)]   # by bit
@@ -405,13 +400,12 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
             tables.append(table)
         return tables
 
-    swaps = []
+    generators = [moving(lambda i, a, j, b, g=g: ((g[i - 1], a), (g[j - 1], b)))
+                  for g in automorphisms(H, sizes, colouring).generators]
     for v, k in enumerate(sizes, 1):
         for perm in [(1, 0, *range(2, k)), (*range(1, k), 0)][:k - 1]:
-            swaps.append(moving(lambda i, a, j, b, v=v, perm=perm: (
+            generators.append(moving(lambda i, a, j, b, v=v, perm=perm: (
                 (i, perm[a] if i == v else a), (j, perm[b] if j == v else b))))
-    symmetry = [moving(lambda i, a, j, b, g=g: ((g[i - 1], a), (g[j - 1], b)))
-                for g in automorphisms(H, sizes, colouring).generators]
 
     def mapped(tables: list[list[int]], mask: int) -> int:
         image = 0
@@ -420,43 +414,23 @@ def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
             mask >>= 8
         return image
 
-    def walk(seed: int) -> int:
-        """Take seed's orbit under the slot permutations out of found, by
-        a walk over the swaps; its least cover, the largest mask."""
-        orbit = [seed]
+    def cover(mask: int) -> Cover:
+        return tuple(ranked[top - t] for t in range(top, -1, -1) if mask >> t & 1)
+
+    # found is closed under the group, so each walk takes one whole orbit
+    # out of it and every raw cover is mapped once; the orbit's covers all
+    # have one size, and its least is its largest mask.
+    least = []
+    while found:
+        orbit = [found.pop()]
         for member in orbit:   # also visits what the loop appends
-            for tables in swaps:
+            for tables in generators:
                 image = mapped(tables, member)
                 if image in found:
                     found.remove(image)
                     orbit.append(image)
-        return max(orbit)
-
-    def cover(mask: int) -> Cover:
-        return tuple(ranked[top - t] for t in range(top, -1, -1) if mask >> t & 1)
-
-    # One orbit under Aut(H)_s with the slot permutations at a time, as a
-    # union of slot orbits: an automorphism g maps the slot orbit of a
-    # cover c onto that of g(c), so the generators of Aut(H)_s need only
-    # be applied to one member of each.  A slot orbit is walked as soon as
-    # one member is taken out of found, so found holds every other slot
-    # orbit whole, and every raw cover is walked once.
-    canon, reps = [], set()
-    while found:
-        seeds = [found.pop()]
-        least = [walk(seeds[0])]
-        for seed in seeds:   # also visits what the loop appends
-            for tables in symmetry:
-                image = mapped(tables, seed)
-                if image in found:
-                    found.remove(image)
-                    seeds.append(image)
-                    least.append(walk(image))
-        canon += least
-        reps.add(max(least))
-    covers = sorted(((cover(m), m) for m in canon), key=lambda c: (len(c[0]), c[0]))
-    return (tuple(c for c, _ in covers),
-            tuple(t for t, (_, m) in enumerate(covers) if m in reps))
+        least.append(cover(max(orbit)))
+    return tuple(sorted(least, key=lambda c: (len(c), c)))
 
 
 class _WeightSearch:
@@ -736,7 +710,7 @@ def _configurations(H: PatternGraph, bounds: tuple[int, ...], q: int, budget: _B
     counts), each with its weight search, in (size vector, cover) order:
     the least size vector of each orbit under the automorphisms of H that
     keep the bounds and the edge colouring (colouring[k] for H.edges[k]),
-    each with its covers' orbit representatives (see _Listing).  The
+    each with the covers of its listing (see _Listing).  The
     budget keeps the position for an exhausted-budget message.  The size
     vectors walked so far and the listings are kept (_LISTINGS)."""
     key = ("sizes", H.n, H.edges, bounds, colouring)
@@ -752,12 +726,12 @@ def _configurations(H: PatternGraph, bounds: tuple[int, ...], q: int, budget: _B
         sizes = walk.vectors[at]
         budget.listing(sizes, config_index + 1)
         listing = _minimal_covers(H, sizes, budget, colouring)
-        for rep in listing.orbit_reps:
+        for cover in listing.covers:
             config_index += 1
             if config_index <= done:
                 continue
             budget.searching(config_index)
-            yield config_index, _WeightSearch(H, sizes, listing.covers[rep], q, budget)
+            yield config_index, _WeightSearch(H, sizes, cover, q, budget)
 
 
 def _cover_record(cover: Cover) -> list[list[int]]:

@@ -286,18 +286,27 @@ def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
     around a rational root, that root is the simplest number inside."""
     if not lo < hi:
         raise ValidationError("empty interval")
-    fl = lo.numerator // lo.denominator
-    if Fraction(fl + 1) < hi:
-        # floor(lo)+1 > lo always holds, so this integer lies inside.
-        return Fraction(fl + 1)
-    if lo == fl:
-        # Interval hugs the integer fl from above: simplest is fl + 1/k.
-        inv = _ONE / (hi - fl)
-        k = inv.numerator // inv.denominator + 1
-        return fl + Fraction(1, k)
-    # Both endpoints strictly inside (fl, fl+1): recurse on reciprocals.
-    sub = simplest_fraction_between(_ONE / (hi - fl), _ONE / (lo - fl))
-    return fl + _ONE / sub
+    # The interval is (a/b, c/d), b, d > 0, and the answer is
+    # [fl_0; fl_1, ..., u/v]: h/k and h0/k0 are the last two convergents
+    # of the partial quotients fl taken so far.
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h, k, h0, k0 = 1, 0, 0, 1
+    while True:
+        fl = a // b
+        if (fl + 1) * d < c:
+            # floor(lo)+1 > lo always holds, so this integer lies inside.
+            u, v = fl + 1, 1
+            break
+        if a == fl * b:
+            # Interval hugs the integer fl from above: simplest is fl + 1/m.
+            m = d // (c - fl * d) + 1
+            u, v = fl * m + 1, m
+            break
+        # Both endpoints strictly inside (fl, fl+1): go on with
+        # (1/(hi - fl), 1/(lo - fl)).
+        a, b, c, d = d, c - fl * d, b, a - fl * b
+        h, k, h0, k0 = fl * h + h0, fl * k + k0, h, k
+    return Fraction(u * h + v * h0, u * k + v * k0)
 
 
 @dataclass
@@ -326,11 +335,6 @@ class AlgebraicNumber:
         if self.exact is not None:
             return _ZERO
         return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        if self.exact is not None:
-            return self.exact
-        return (self.lo + self.hi) / 2
 
     def refine(self, tol: Fraction | float) -> None:
         """Shrink the isolating interval to width <= tol by sign bisection,

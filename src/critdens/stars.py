@@ -44,6 +44,7 @@ from .verdict import Verdict
 
 NODE_CAP = 10**5
 LABELING_CAP = 10**5
+BT1_CAP = 8   # verify_bt1's largest n + m
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -139,14 +140,14 @@ class StarBound:
 def star_lower_bound(
     H: PatternGraph,
     tol: Fraction | float = Fraction(1, 10**9),
-    labeling_cap: int = LABELING_CAP,
 ) -> StarBound:
     """Maximize 1 - 1/lambda(T_f(H))^2 over proper labelings.
 
     lambda depends only on the shape of T_f, so spectra are memoized by
-    canonical shape; every labeling is still enumerated (up to the cap;
-    past it the lexicographic prefix is scored and the result is flagged
-    heuristic, i.e. still a valid lower bound but maybe not the max).
+    canonical shape; every labeling is still enumerated (up to
+    LABELING_CAP; past it the lexicographic prefix is scored and the
+    result is flagged heuristic, i.e. still a valid lower bound but maybe
+    not the max).
     Ties keep the lexicographically first labeling.
     """
     tol = tolerance(tol)
@@ -160,7 +161,7 @@ def star_lower_bound(
     examined = 0
     heuristic = False
     for f in proper_labelings(H):
-        if examined >= labeling_cap:
+        if examined >= LABELING_CAP:
             heuristic = True
             break
         examined += 1
@@ -197,8 +198,7 @@ def star_necessary_condition(
     return Verdict.PASSES if decision.ensured else Verdict.FAILS
 
 
-def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9),
-               cap: int = 8) -> bool:
+def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bool:
     """Check, for every proper labeling f of K_{n,m}, that the
     monotone-path tree's spectral radius squared is exactly n + m - 1.
 
@@ -206,8 +206,8 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9),
     at n+m-1, and Descartes counts no larger root: matching polynomials
     are real-rooted), which implies any positive tol."""
     tolerance(tol)
-    if n + m > cap:
-        raise SizeLimit(f"n + m capped at {cap}")
+    if n + m > BT1_CAP:
+        raise SizeLimit(f"n + m capped at {BT1_CAP}")
     K = complete_bipartite(n, m)
     target = Fraction(n + m - 1)
     seen: set[str] = set()

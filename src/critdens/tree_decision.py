@@ -201,10 +201,6 @@ class CriticalDensity:
             return -1
         return self.s_star.compare_fraction(_ONE / (_ONE - d))
 
-    def ensures(self, d: Fraction | float) -> bool:
-        """Homogeneous density d ensures the tree iff d > d_crit."""
-        return self.compare_density(d) < 0
-
 
 def dcrit_tree(
     T: PatternGraph, tol: Fraction | float = Fraction(1, 10**9)

@@ -70,7 +70,7 @@ CALLS = {
         P2, P2, 1, 1, NAN, 0.5, [0.5, 0.5]),
     "glue_sufficiency nan density": lambda: glue_sufficiency(
         P2, P2, 1, 1, 0.5, 0.5, [NAN, 0.5]),
-    "CriticalDensity nan density": lambda: CriticalDensity(_root_of_two()).ensures(NAN),
+    "CriticalDensity nan density": lambda: CriticalDensity(_root_of_two()).compare_density(NAN),
     "CriticalDensity nan tol": lambda: CriticalDensity(_root_of_two()).interval(NAN),
     "refine nan tol": lambda: _root_of_two().refine(NAN),
     "refine zero tol": lambda: _root_of_two().refine(0),

@@ -344,21 +344,20 @@ def test_exhausted_listing_is_not_kept():
     assert search(30_000) is None
     warm, cold = _Budget(10**6), _Budget(10**6)
     listing = _minimal_covers(H, sizes, warm, _all_alike(H))
-    assert (listing.covers, listing.orbit_reps) == _list_minimal_covers(
-        H, sizes, cold, _all_alike(H))
+    assert listing.covers == _list_minimal_covers(H, sizes, cold, _all_alike(H))
     assert warm.left == cold.left == 10**6 - 11_988
 
 
 def test_kept_listings_are_bounded(monkeypatch):
     """Listings are kept least recently used first, up to a fixed count
-    of covers; one larger than that is not kept at all."""
-    kept = oracle._KeptListings(max_held=60)
+    of covers searched; one larger than that is not kept at all."""
+    kept = oracle._KeptListings(max_held=20)
     monkeypatch.setattr(oracle, "_LISTINGS", kept)
     H = complete_graph(4)
-    # 16, 37, 16 again, 9 and 160 covers
-    for sizes in [(1, 1, 2, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2), (2, 2, 2, 2)]:
+    # 7, 11, 7 again, 3 and 89 covers, one per orbit
+    for sizes in [(1, 1, 2, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2), (1, 2, 3, 3)]:
         _minimal_covers(H, sizes, _Budget(10**6), _all_alike(H))
-        assert kept.held == sum(len(l.covers) for l in kept.entries.values()) <= 60
+        assert kept.held == sum(len(l.covers) for l in kept.entries.values()) <= 20
     assert [k[3] for k in kept.entries] == [(1, 1, 2, 2), (1, 1, 1, 2)]
 
 
@@ -390,7 +389,7 @@ def test_kept_size_vectors_share_the_bound(monkeypatch):
     assert kept.held == sum(entry.held() for entry in kept.entries.values())
     assert kept.entries[key].held() == 1 + len(want)
     kept.max_held = kept.held - 1
-    kept.keep(("new",), oracle._Listing((), 0, ()))
+    kept.keep(("new",), oracle._Listing((), 0))
     assert kept.held == sum(entry.held() for entry in kept.entries.values()) <= kept.max_held
     kept.clear()
     assert (kept.entries, kept.held) == ({}, 0)

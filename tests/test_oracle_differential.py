@@ -1,6 +1,7 @@
 """The pruned cover enumeration and weight searches against unpruned
-references on hypothesis-drawn small patterns: every inclusion-minimal
-blocking cover by brute force over all sets of slot pairs, the
+references on hypothesis-drawn small patterns: the least
+inclusion-minimal blocking cover of each orbit by brute force over all
+sets of slot pairs and all vertex permutations, the
 lexicographically first weights by a DFS that only checks edges once
 both ends are placed, the maxmin optimum and its witness by a one-pass
 plain DFS that solves a last cluster of size <= 2 from its lines, the
@@ -39,7 +40,6 @@ from critdens.oracle import (
     _least_size_vectors,
     _list_minimal_covers,
     _mass_ceilings,
-    _minimal_covers,
     _WeightSearch,
     oracle_search_construction,
 )
@@ -106,20 +106,36 @@ def _brute_minimal_covers(H, sizes):
     return sorted(covers, key=lambda c: (len(c), c))
 
 
+def _orbit_minima(H, sizes, covers):
+    """The slot-canonical covers that no automorphism of H keeping the
+    sizes maps to a smaller slot-canonical cover: the least of each orbit
+    under those automorphisms with the slot permutations, by brute force
+    over every vertex permutation."""
+    edges = set(H.edges)
+    group = [g for g in permutations(range(1, H.n + 1))
+             if all(sizes[g[v - 1] - 1] == sizes[v - 1] for v in H.vertices())
+             and {canonical_edge(g[i - 1], g[j - 1]) for i, j in edges} == edges]
+    return [c for c in covers
+            if all(_canonical([tuple(sorted(((g[i - 1], a), (g[j - 1], b))))
+                               for (i, a), (j, b) in c], sizes) >= c
+                   for g in group)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(patterns_with_sizes())
 # two automorphisms of the bow-tie map one cover into the same slot orbit
 @example((bow_tie_graph(), (2, 1, 1, 1, 1)))
 def test_minimal_covers_match_brute_force(case):
     H, sizes = case
-    assert list(_list_minimal_covers(H, sizes, _Budget(10**9), _all_alike(H))[0]) == (
-        _brute_minimal_covers(H, sizes))
+    assert list(_list_minimal_covers(H, sizes, _Budget(10**9), _all_alike(H))) == (
+        _orbit_minima(H, sizes, _brute_minimal_covers(H, sizes)))
 
 
 def _all_permutations_minimal_covers(H, sizes, budget):
-    """The cover listing as it was before covers were canonicalised one
-    orbit at a time: the same cover tree, then every raw cover mapped
-    under all within-cluster slot permutations."""
+    """Every minimal cover, canonical under within-cluster slot
+    permutations and sorted, as the listing found them before it kept
+    one cover per orbit: the same cover tree, then every raw cover mapped
+    under all slot permutations."""
     transversals = list(product(*(range(k) for k in sizes)))
     full = (1 << len(transversals)) - 1
     pairs, masks = [], []
@@ -160,12 +176,12 @@ def _all_permutations_minimal_covers(H, sizes, budget):
 @given(patterns_with_sizes(max_pairs=24))
 @example((complete_graph(4), (1, 2, 3, 3)))
 def test_orbit_canonicalisation_matches_all_permutations(case):
-    """Canonicalising one orbit at a time lists the covers the
-    all-permutations canonicalisation did, at the same spend."""
+    """Walking one orbit at a time lists the least cover of each orbit
+    of the all-permutations canonicalisation, at the same spend."""
     H, sizes = case
     budget, reference = _Budget(10**9), _Budget(10**9)
-    assert list(_list_minimal_covers(H, sizes, budget, _all_alike(H))[0]) == (
-        _all_permutations_minimal_covers(H, sizes, reference))
+    assert list(_list_minimal_covers(H, sizes, budget, _all_alike(H))) == _orbit_minima(
+        H, sizes, _all_permutations_minimal_covers(H, sizes, reference))
     assert budget.left == reference.left
 
 
@@ -236,7 +252,7 @@ _S5, _K3 = star_graph(5), complete_graph(3)
 def test_first_meeting_floor_matches_unpruned_search(case):
     H, sizes, q, floor, weights = case
     drawn = _mass_ceilings(floor, q)
-    for cover in _minimal_covers(H, sizes, _Budget(10**9), _all_alike(H)).covers:
+    for cover in _all_permutations_minimal_covers(H, sizes, _Budget(10**9)):
         tight = ({e: _mass(cover, weights, e) for e in H.edges}
                  if None not in weights else drawn)
         below = {e: c - 1 for e, c in tight.items()}
@@ -357,7 +373,7 @@ def maxmin_searches(draw):
 @example((_K3, (1, 4, 2), 6, [(6,), (1, 1, 2, 2), (5, 1)], 20))
 def test_best_maxmin_matches_unpruned_search(case):
     H, sizes, q, weights, drawn = case
-    for cover in _minimal_covers(H, sizes, _Budget(10**9), _all_alike(H)).covers:
+    for cover in _all_permutations_minimal_covers(H, sizes, _Budget(10**9)):
         tight = max(_mass(cover, weights, e) for e in H.edges)
         for best_mass in (q * q + 1, drawn, tight, tight + 1):
             budget = _Budget(10**9)
@@ -403,7 +419,7 @@ def look_aheads(draw):
     H = PatternGraph(n, tuple(sorted(edges)))
     if draw(st.booleans()):
         cover = draw(st.sampled_from(
-            _minimal_covers(H, sizes, _Budget(10**9), _all_alike(H)).covers))
+            _all_permutations_minimal_covers(H, sizes, _Budget(10**9))))
     else:
         # per edge (i, j) and slot b of j, the slots of i missing with b
         cover = tuple(sorted(
@@ -510,7 +526,7 @@ def test_orbit_reduced_grid_optimum_matches_every_configuration(case, q):
     for sizes in product(*(range(1, b + 1) for b in bounds)):
         if q < max(sizes):
             continue
-        for cover in _list_minimal_covers(H, sizes, _Budget(10**9), _all_alike(H))[0]:
+        for cover in _all_permutations_minimal_covers(H, sizes, _Budget(10**9)):
             out = _WeightSearch(H, sizes, cover, q, _Budget(10**9)).best_maxmin(best)
             if out is not None:
                 best = out[0]
@@ -636,7 +652,7 @@ def _plain_walk(H, bounds, q, floor):
     for sizes in product(*(range(1, b + 1) for b in bounds)):
         if q < max(sizes):
             continue
-        for cover in _list_minimal_covers(H, sizes, _Budget(10**9), _all_alike(H))[0]:
+        for cover in _all_permutations_minimal_covers(H, sizes, _Budget(10**9)):
             search = _WeightSearch(H, sizes, cover, q, _Budget(10**9))
             weights = search.first_meeting_floor(ceilings)
             if weights is not None:

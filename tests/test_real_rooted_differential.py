@@ -3,7 +3,10 @@ checked against sympy's exact real-root isolation and against the Sturm
 path it replaces: same interval, same exact value, same defining
 polynomial, also when the float estimates are wrong and the Sturm path has
 to run.  Also AlgebraicNumber.compare_fraction, which decides the side of
-a rational by signs alone, against sympy on every real root."""
+a rational by signs alone, against sympy on every real root;
+AlgebraicNumber.compare on pairs of real roots whose intervals overlap,
+against sympy; and simplest_fraction_between against a search over every
+denominator in turn."""
 
 from fractions import Fraction as F
 from unittest import mock
@@ -22,6 +25,7 @@ from critdens.polynomials import (
     largest_matching_root_squared,
     largest_real_root,
     matching_even_part,
+    simplest_fraction_between,
 )
 from critdens.tree_decision import dcrit_tree
 
@@ -217,3 +221,85 @@ def test_compare_fraction_matches_sympy_on_every_root(P, a, b, c):
             for q in points:
                 want = _sign(r - sympy.Rational(q.numerator, q.denominator))
                 assert x.compare_fraction(q) == want, (poly, lo, hi, q)
+
+
+def _pinned(P, i, a, b):
+    """P's real root r of index i (mod their count) as an AlgebraicNumber
+    whose interval reaches shares a and b of the way to r's neighbours
+    (4 past r at either end), and r itself."""
+    roots = P.real_roots()
+    i %= len(roots)
+    r = roots[i]
+    a, b = sympy.Rational(a), sympy.Rational(b)   # exact shares
+    left = roots[i - 1] if i else r - 4
+    right = roots[i + 1] if i + 1 < len(roots) else r + 4
+    lo, hi = _rational(r - (r - left) * a), _rational(r + (right - r) * b)
+    coeffs = [F(int(k)) for k in reversed(P.all_coeffs())]
+    return AlgebraicNumber(RatPoly(coeffs), lo, hi), r
+
+
+def _holds(x, r):
+    """Whether x still pins r: exactly, or strictly inside its interval."""
+    if x.exact is not None:
+        return r == sympy.Rational(x.exact.numerator, x.exact.denominator)
+    return bool(_sympy(x.lo) < r) and bool(r < _sympy(x.hi))
+
+
+def _sympy(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+_SHARES = st.floats(0.01, 0.99)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_free_polys(), square_free_polys(), st.integers(0, 5), st.integers(0, 5),
+       _SHARES, _SHARES, _SHARES, _SHARES)
+# sqrt 2 on about (1, 2) and 3/2 on (1, 2): the first refinement of 3/2
+# probes 3/2 itself and makes it exact
+@example(sympy.Poly(_S**2 - 2, _S), sympy.Poly(2 * _S - 3, _S), 1, 0,
+         0.15, 0.15, 0.125, 0.125)
+# sqrt 2 and sqrt 3 on overlapping intervals, refined until they separate
+@example(sympy.Poly(_S**2 - 2, _S), sympy.Poly(_S**2 - 3, _S), 1, 1,
+         0.25, 0.25, 0.25, 0.25)
+# sqrt 2 twice, as roots of different polynomials
+@example(sympy.Poly(_S**2 - 2, _S), sympy.Poly(_S**3 - 2 * _S, _S), 1, 2,
+         0.5, 0.5, 0.5, 0.5)
+def test_compare_matches_sympy(P, Q, i, j, a, b, c, d):
+    """compare on two real roots, each pinned by an interval reaching a
+    random share of the way to its neighbours, so that the intervals
+    often overlap with distinct values and the refinement runs (a
+    rational root may turn exact on the way); against sympy, in both
+    orders on fresh copies, with every value still pinned afterwards."""
+    (x, r), (y, s) = _pinned(P, i, a, b), _pinned(Q, j, c, d)
+    # equal real roots have one minimal polynomial and one index among its
+    # roots, so sympy gives them one form
+    want = 0 if r == s else _sign(r - s)
+    assert x.compare(y) == want
+    assert _holds(x, r) and _holds(y, s)
+    (x, r), (y, s) = _pinned(P, i, a, b), _pinned(Q, j, c, d)
+    assert y.compare(x) == -want
+    assert _holds(x, r) and _holds(y, s)
+
+
+def _least_denominator_between(lo, hi):
+    """The rational in (lo, hi) with the least denominator, and the least
+    numerator among those, by trying each denominator in turn."""
+    q = 1
+    while True:
+        p = lo.numerator * q // lo.denominator + 1   # the least p/q > lo
+        if p * hi.denominator < hi.numerator * q:
+            return F(p, q)
+        q += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-20, 20, max_denominator=10**4),
+       st.fractions(F(1, 10**4), 3, max_denominator=10**4))
+@example(F(2), F(1))           # an interval hugging an integer from above
+@example(F(-3, 2), F(1, 2))    # ... and from below, past zero
+@example(F(-7, 2), F(3))       # several integers: the least of them
+@example(F(415, 1000), F(2, 1000))
+def test_simplest_fraction_matches_least_denominator_search(lo, width):
+    hi = lo + width
+    assert simplest_fraction_between(lo, hi) == _least_denominator_between(lo, hi)

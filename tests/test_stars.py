@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from critdens import stars
 from critdens.errors import ImproperLabeling, SizeLimit, ValidationError
 from critdens.graphs import (
     bow_tie_graph,
@@ -106,8 +107,9 @@ def test_star_bound_triangle_hits_golden_ratio():
     assert count == 6 and example == (1, 2, 3)
 
 
-def test_star_bound_labeling_cap_marks_heuristic():
-    bound = star_lower_bound(complete_graph(4), labeling_cap=5)
+def test_star_bound_labeling_cap_marks_heuristic(monkeypatch):
+    monkeypatch.setattr(stars, "LABELING_CAP", 5)
+    bound = star_lower_bound(complete_graph(4))
     assert bound.heuristic
     assert bound.labelings_examined == 5
 

@@ -2,7 +2,8 @@
 every name it assigns at module level is read there, every private
 (_-prefixed) function, method or class it defines is referenced somewhere
 in the package outside its own body, and every public module-level
-function or class is referenced by the package or by perfbench/.
+function or class, and every public method of such a class, is
+referenced by the package or by perfbench/.
 
 No linter ships with the toolchain, so this scan is the guard.  The
 package's __init__ is left out: it imports names to re-export them.
@@ -16,12 +17,14 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "critdens"
 PERFBENCH = SRC.parents[1] / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -133,11 +136,25 @@ UNCALLED_PUBLIC = {
 }
 
 
+def _public_definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """The public module-level functions and classes, and the public
+    methods of those classes, each with its name (Class.method for a
+    method)."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, DEFINITIONS) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
 def test_no_uncalled_public_definitions():
-    """A public function or class counts as called when a module other
-    than __init__ names it (as a name or an attribute, outside its own
-    body), or perfbench/ names it, also inside a string such as a traced
-    name.  Tests do not count: code only they reach is dead."""
+    """A public function, class or method of a public class counts as
+    called when a module other than __init__ names it (as a name or an
+    attribute, outside its own body), or perfbench/ names it, also inside
+    a string such as a traced name.  Tests do not count: code only they
+    reach is dead."""
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
     perfbench = set().union(*(_references(ast.parse(p.read_text()))
                               for p in PERFBENCH.glob("*.py")))
@@ -145,13 +162,11 @@ def test_no_uncalled_public_definitions():
     uncalled, defined = [], set()
     for name, tree in trees.items():
         elsewhere = set().union(perfbench, *(r for other, r in refs.items() if other != name))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.add(node.name)
-                if (node.name not in UNCALLED_PUBLIC and node.name not in elsewhere
-                        and node.name not in _references(tree, skip=node, strings=False)):
-                    uncalled.append(f"{name}:{node.lineno} {node.name}")
+        for shown, node in _public_definitions(tree):
+            defined.add(shown)
+            if (shown not in UNCALLED_PUBLIC and node.name not in elsewhere
+                    and node.name not in _references(tree, skip=node, strings=False)):
+                uncalled.append(f"{name}:{node.lineno} {shown}")
     assert not uncalled, f"public definitions nothing calls: {', '.join(uncalled)}"
     assert set(UNCALLED_PUBLIC) <= defined, "allowlist names a definition that is gone"
 
