@@ -1,23 +1,26 @@
 """Exact polynomial arithmetic, real-root isolation, and matching polynomials.
 
 Polynomials are Fraction coefficient tuples in increasing powers of t.
-Matching sums, poly_gcd, square_free_part and Descartes counts run on
-integers; Sturm chains and AlgebraicNumber refinement and compare run on
-Fractions.  Real roots of a general polynomial are located with Sturm
-chains on the square-free part, so root counts are counts of distinct
-real roots.  Matching polynomials have only real roots, so for them
-Descartes' rule counts the roots above a point exactly from one integer
-Taylor shift; largest_matching_root_squared lets float estimates choose
-the isolating cell and certifies it with such counts, returning exactly
-what the Sturm bisection would, and runs that bisection only when a
-certificate fails.  No answer ever depends on floating point.
+All division runs on integers, through one primitive remainder sequence
+(poly_gcd, square_free_part, Sturm chains) and one exact division (the
+square-free part, deflating a rational root); so do matching sums and
+Descartes counts.  AlgebraicNumber refinement runs on Fractions.  Real
+roots of a general polynomial are located with Sturm chains on the
+square-free part, so root counts are counts of distinct real roots.
+Matching polynomials have only real roots, so for them Descartes' rule
+counts the roots above a point exactly from one integer Taylor shift;
+largest_matching_root_squared lets float estimates choose the isolating
+cell and certifies it with such counts, returning exactly what the Sturm
+bisection would, and runs that bisection only when a certificate fails.
+No answer ever depends on floating point.
 
 An AlgebraicNumber is a real root pinned down by a square-free defining
 polynomial and an open isolating interval with rational endpoints; when the
 root happens to be rational the exact value is carried instead.  This is
 the common currency for spectral radii and critical densities: the root in
 the interval is simple, so a comparison against a rational costs two sign
-evaluations, never a float.
+evaluations, never a float, and two such numbers are equal exactly when
+the gcd of their polynomials changes sign across their intervals' overlap.
 """
 
 from __future__ import annotations
@@ -75,11 +78,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
 
@@ -112,34 +110,6 @@ class RatPoly:
                 out[i + j] += a * b
         return RatPoly(out)
 
-    def scale(self, c: Fraction | int) -> "RatPoly":
-        c = Fraction(c)
-        return RatPoly([a * c for a in self.coeffs])
-
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        quot = [_ZERO] * max(0, len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[k - dd] = q
-            for j in range(dd + 1):
-                rem[k - dd + j] -= q * div[j]
-        return RatPoly(quot), RatPoly(rem)
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return self.divmod(other)[1]
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
@@ -152,13 +122,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def deflate_root(self, r: Fraction) -> "RatPoly":
-        """Divide by (t - r); the remainder must vanish."""
-        quot, rem = self.divmod(RatPoly([-r, _ONE]))
-        if not rem.is_zero():
-            raise ValidationError(f"{r} is not a root, cannot deflate")
-        return quot
-
     def __repr__(self) -> str:
         return f"RatPoly({list(self.coeffs)!r})"
 
@@ -170,13 +133,16 @@ def _primitive(c: list[int]) -> list[int]:
 
 
 def _remainder(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a pseudo-remainder of a by b, [] when b divides a."""
+    """Primitive part of a pseudo-remainder of a by b, [] when b divides a;
+    every step scales by a positive factor, as Sturm chains need."""
     r, db, lead = list(a), len(b) - 1, b[-1]
     while r and (len(r) > db or not r[-1]):  # tops left below b's degree are 0
         top = r.pop()
         if top:
             g = math.gcd(top, lead)
             scale, top, shift = lead // g, top // g, len(r) - db
+            if scale < 0:
+                scale, top = -scale, -top
             if scale != 1:
                 r = [scale * x for x in r]
             for j in range(db):
@@ -191,6 +157,18 @@ def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a and b is primitive:
+    by Gauss's lemma the quotient is integral."""
+    a, db = list(a), len(b) - 1
+    quot = [0] * (len(a) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        x = quot[k] = a[k + db] // b[-1]
+        for j in range(db):
+            a[k + j] -= x * b[j]
+    return quot
+
+
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd, zero only for two zero polynomials."""
     if a.is_zero() and b.is_zero():
@@ -199,35 +177,27 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 
 def square_free_part(p: RatPoly) -> RatPoly:
-    """Monic p / gcd(p, p'), by exact integer division: the gcd is
-    primitive, so by Gauss's lemma the quotient is integral."""
+    """Monic p / gcd(p, p'), by exact integer division."""
     if p.is_zero():
         raise ZeroPolynomial("square-free part of the zero polynomial")
     c = _integer_coeffs(p)
     g = _integer_gcd(c, [k * a for k, a in enumerate(c)][1:])
-    dg = len(g) - 1
-    quot = [0] * (len(c) - dg)
-    for k in range(len(quot) - 1, -1, -1):
-        x = quot[k] = c[k + dg] // g[-1]
-        for j in range(dg):
-            c[k + j] -= x * g[j]
-    return RatPoly(quot).monic()
+    return RatPoly(_exact_quotient(c, g)).monic()
 
 
-def sturm_chain(p: RatPoly) -> list[RatPoly]:
-    """Sturm chain of a square-free polynomial.
-
-    Entries are rescaled by positive constants only; a monic step would
-    flip signs on negative leading coefficients and break the variation
-    count."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
+def sturm_chain(p: RatPoly) -> list[list[int]]:
+    """Sturm chain of a square-free polynomial, as integer coefficient
+    lists: p times a positive integer, its derivative, then each negated
+    remainder.  Every entry is a positive multiple of the classical one,
+    so the sign variations are the same."""
+    c = _integer_coeffs(p)
+    chain = [c, [k * a for k, a in enumerate(c)][1:]]
+    while chain[-1] and len(chain[-1]) > 1:
+        rem = _remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        neg = -rem
-        chain.append(neg.scale(_ONE / abs(neg.leading())))
-    if chain[-1].is_zero():
+        chain.append([-x for x in rem])
+    if not chain[-1]:
         chain.pop()
     return chain
 
@@ -238,16 +208,16 @@ def _variations(values: Iterable[Fraction | int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count_open(chain: Sequence[RatPoly], lo: Fraction, hi: Fraction) -> int:
+def sturm_count_open(chain: Sequence[list[int]], lo: Fraction, hi: Fraction) -> int:
     """Distinct roots of chain[0] in the open interval (lo, hi).
 
     Requires chain[0] nonzero at both endpoints.
     """
     p = chain[0]
-    if p(lo) == 0 or p(hi) == 0:
+    if not p or _scaled_value(p, lo) == 0 or _scaled_value(p, hi) == 0:
         raise ValidationError("Sturm count endpoints must not be roots")
-    return (_variations(q(lo) for q in chain)
-            - _variations(q(hi) for q in chain))
+    return (_variations(_scaled_value(q, lo) for q in chain)
+            - _variations(_scaled_value(q, hi) for q in chain))
 
 
 def cauchy_root_bound(p: RatPoly) -> Fraction:
@@ -342,6 +312,8 @@ class AlgebraicNumber:
         if self.exact is not None:
             return
         tol = tolerance(tol)
+        if self.hi - self.lo <= tol:
+            return
         sign_lo = self.poly(self.lo) > 0
         while self.hi - self.lo > tol:
             # A rational root eventually becomes the simplest rational in
@@ -386,15 +358,16 @@ class AlgebraicNumber:
         if other.hi <= self.lo:
             return 1
         # Equality test: if the two values are equal, their common value is
-        # a root of gcd(p1, p2) lying strictly inside the intervals'
-        # overlap; conversely, a gcd root in the overlap is a root of both
+        # a root of g = gcd(p1, p2) lying strictly inside the intervals'
+        # overlap; conversely, a root of g in the overlap is a root of both
         # polynomials there, and each interval holds exactly one root of
-        # its own polynomial, so all three coincide.
+        # its own polynomial, so all three coincide.  g is square-free with
+        # at most one root in the overlap and none at its ends (ends of
+        # isolating intervals), so it has one iff it changes sign there.
         g = poly_gcd(self.poly, other.poly)
         if g.degree >= 1:
             olo, ohi = max(self.lo, other.lo), min(self.hi, other.hi)
-            # Interval ends are never roots of their polynomial, so of g.
-            if olo < ohi and sturm_count_open(sturm_chain(g), olo, ohi) >= 1:
+            if (g(olo) > 0) != (g(ohi) > 0):
                 return 0
         # Distinct values: refine until the intervals separate.
         while not (self.hi <= other.lo or other.hi <= self.lo):
@@ -429,8 +402,9 @@ def _sturm_largest_root(sf: RatPoly, tol: Fraction | float) -> AlgebraicNumber:
     # midpoint hit is deflated so interval endpoints stay off the roots.
     while sturm_count_open(chain, lo, hi) > 1:
         mid = (lo + hi) / 2
-        if sf(mid) == 0:
-            sf = sf.deflate_root(mid)
+        if _scaled_value(chain[0], mid) == 0:
+            quot = _exact_quotient(chain[0], [-mid.numerator, mid.denominator])
+            sf = RatPoly(quot).monic()
             chain = sturm_chain(sf)
             if sturm_count_open(chain, mid, hi) == 0:
                 return AlgebraicNumber.from_rational(mid)
@@ -606,15 +580,15 @@ def _float_guided_root(
 
     # Midpoints that became left ends on the way down to level K: each
     # root among them is deflated, as the bisection does.  Above klo,
-    # poly has the roots and the sign of sf, and no root at klo.
-    poly = sf
+    # cp has the roots and the sign of sf, and no root at klo.
+    cp = c
     left = -bound
     for level in range(1, iso + 1):
         x = grid(level, top >> (fine - level))
         if x != left and _is_root(c, x):
-            poly = poly.deflate_root(x)
+            cp = _exact_quotient(cp, [-x.numerator, x.denominator])
         left = x
-    cp = c if poly is sf else _integer_coeffs(poly)
+    poly = sf if cp is c else RatPoly(cp).monic()
 
     def exact_root(r: Fraction) -> AlgebraicNumber | None:
         """Refinement from the level-K cell, given that its root is r."""

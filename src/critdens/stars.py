@@ -16,6 +16,7 @@ density of H.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -34,7 +35,6 @@ from .graphs import (
     tolerance,
 )
 from .polynomials import (
-    AlgebraicNumber,
     largest_matching_root_squared,
     matching_even_part,
     roots_above,
@@ -137,47 +137,70 @@ class StarBound:
         return self.density.interval(tol)
 
 
+def _tree_labelings(T: PatternGraph) -> int:
+    """The number of proper labelings of the tree T, or a partial sum
+    above LABELING_CAP.  Those with f(1) = r order each vertex after its
+    parent in T rooted at r: n!/prod_v |subtree_r(v)| of them."""
+    total, orders = 0, math.factorial(T.n)
+    for r in T.vertices():
+        order, parent = T.bfs_tree(r)
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        total += orders // math.prod(size.values())
+        if total > LABELING_CAP:
+            break
+    return total
+
+
 def star_lower_bound(
     H: PatternGraph,
     tol: Fraction | float = Fraction(1, 10**9),
 ) -> StarBound:
     """Maximize 1 - 1/lambda(T_f(H))^2 over proper labelings.
 
-    lambda depends only on the shape of T_f, so spectra are memoized by
-    canonical shape; every labeling is still enumerated (up to
-    LABELING_CAP; past it the lexicographic prefix is scored and the
-    result is flagged heuristic, i.e. still a valid lower bound but maybe
-    not the max).
+    lambda depends only on the shape of T_f, so a spectrum is computed
+    and compared only when its shape first appears; every labeling is
+    still enumerated (up to LABELING_CAP; past it the lexicographic
+    prefix is scored and the result is flagged heuristic, i.e. still a
+    valid lower bound but maybe not the max).  On a tree every T_f is
+    the tree itself, so its labelings are counted, not enumerated.
     Ties keep the lexicographically first labeling.
     """
     tol = tolerance(tol)
     if H.n == 1:
         zero = CriticalDensity.zero()
         return StarBound(zero, (1,), 1, False, {"()": ((1,), 1, zero)})
-    spectra: dict[str, AlgebraicNumber] = {}
     table: dict[str, tuple[tuple[int, ...], int, CriticalDensity]] = {}
-    best_s: AlgebraicNumber | None = None
+    best: CriticalDensity | None = None
     best_f: tuple[int, ...] | None = None
     examined = 0
     heuristic = False
-    for f in proper_labelings(H):
-        if examined >= LABELING_CAP:
-            heuristic = True
-            break
-        examined += 1
-        mpt = monotone_path_tree(H, f)
-        shape = tree_shape_key(mpt.tree)
-        if shape not in spectra:
-            spectra[shape] = largest_matching_root_squared(mpt.tree)
-            table[shape] = (f, 1, CriticalDensity(spectra[shape]))
-        else:
-            example, count, dc = table[shape]
-            table[shape] = (example, count + 1, dc)
-        s = spectra[shape]
-        if best_s is None or s.compare(best_s) > 0:
-            best_s, best_f = s, f
-    assert best_s is not None and best_f is not None
-    bound = StarBound(CriticalDensity(best_s), best_f, examined, heuristic, table)
+    if H.is_tree():
+        best_f = next(proper_labelings(H))
+        tree = monotone_path_tree(H, best_f).tree
+        count = _tree_labelings(H)
+        examined, heuristic = min(count, LABELING_CAP), count > LABELING_CAP
+        best = CriticalDensity(largest_matching_root_squared(tree))
+        table[tree_shape_key(tree)] = (best_f, examined, best)
+    else:
+        for f in proper_labelings(H):
+            if examined >= LABELING_CAP:
+                heuristic = True
+                break
+            examined += 1
+            tree = monotone_path_tree(H, f).tree
+            shape = tree_shape_key(tree)
+            if shape in table:
+                example, count, dc = table[shape]
+                table[shape] = (example, count + 1, dc)
+                continue
+            dc = CriticalDensity(largest_matching_root_squared(tree))
+            table[shape] = (f, 1, dc)
+            if best is None or dc.s_star.compare(best.s_star) > 0:
+                best, best_f = dc, f
+    assert best is not None and best_f is not None
+    bound = StarBound(best, best_f, examined, heuristic, table)
     bound.interval(tol)
     return bound
 

@@ -474,6 +474,16 @@ def test_oracle_search_writes_loadable_construction(k3, tmp_path):
     assert all(d >= F(3, 5) for d in B.densities().values())
 
 
+def test_star_bound_counts_tree_labelings_past_the_cap(tmp_path):
+    # P_1200 has 2^1199 proper labelings, each with P_1200 as its path tree
+    p = tmp_path / "p1200.g"
+    p.write_text(path_graph(1200).to_text() + "\n")
+    code, out = _run(["star-bound", str(p)])
+    assert code == 0
+    assert ("labelings examined: 100000 (cap reached: certified lower bound only)"
+            in out.splitlines())
+
+
 def test_star_check_exports_tree(k3, tmp_path):
     exported = tmp_path / "tree.g"
     code, out = _run(["star-check", k3, "--labeling", "1,2,3",

@@ -5,8 +5,9 @@ polynomial, also when the float estimates are wrong and the Sturm path has
 to run.  Also AlgebraicNumber.compare_fraction, which decides the side of
 a rational by signs alone, against sympy on every real root;
 AlgebraicNumber.compare on pairs of real roots whose intervals overlap,
-against sympy; and simplest_fraction_between against a search over every
-denominator in turn."""
+against sympy; the integer Sturm count and the deflating Sturm bisection
+of largest_real_root, against sympy; and simplest_fraction_between
+against a search over every denominator in turn."""
 
 from fractions import Fraction as F
 from unittest import mock
@@ -26,6 +27,8 @@ from critdens.polynomials import (
     largest_real_root,
     matching_even_part,
     simplest_fraction_between,
+    sturm_chain,
+    sturm_count_open,
 )
 from critdens.tree_decision import dcrit_tree
 
@@ -265,6 +268,10 @@ _SHARES = st.floats(0.01, 0.99)
 # sqrt 2 twice, as roots of different polynomials
 @example(sympy.Poly(_S**2 - 2, _S), sympy.Poly(_S**3 - 2 * _S, _S), 1, 2,
          0.5, 0.5, 0.5, 0.5)
+# sqrt 2 on about (0.71, 6.8) and 0 on about (-0.35, 1.06): the gcd
+# s^2 - 2 has roots, but none in the overlap
+@example(sympy.Poly(_S**2 - 2, _S), sympy.Poly(_S**3 - 2 * _S, _S), 1, 1,
+         0.25, 0.25, 0.25, 0.75)
 def test_compare_matches_sympy(P, Q, i, j, a, b, c, d):
     """compare on two real roots, each pinned by an interval reaching a
     random share of the way to its neighbours, so that the intervals
@@ -280,6 +287,55 @@ def test_compare_matches_sympy(P, Q, i, j, a, b, c, d):
     (x, r), (y, s) = _pinned(P, i, a, b), _pinned(Q, j, c, d)
     assert y.compare(x) == -want
     assert _holds(x, r) and _holds(y, s)
+
+
+def _coeffs(P):
+    return [F(int(k)) for k in reversed(P.all_coeffs())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_free_polys(), st.booleans(), st.fractions(F(1, 9), 9, max_denominator=9),
+       st.fractions(-6, 6, max_denominator=16),
+       st.fractions(F(1, 16), 12, max_denominator=16))
+@example(sympy.Poly(_S**3 - 2 * _S, _S), True, F(1), F(-2), F(4))  # -(s^3 - 2s)
+def test_sturm_count_matches_sympy(P, negate, scale, lo, width):
+    """Distinct roots in (lo, hi) of a square-free polynomial with
+    rational coefficients, of either leading sign, at ends that are not
+    roots."""
+    hi = lo + width
+    P = -P if negate else P
+    assume(P.eval(_sympy(lo)) != 0 and P.eval(_sympy(hi)) != 0)
+    p = RatPoly([scale * c for c in _coeffs(P)])
+    want = P.count_roots(_sympy(lo), _sympy(hi))
+    assert sturm_count_open(sturm_chain(p), lo, hi) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_free_polys(), st.booleans())
+@example(sympy.Poly(_S**2 - 2, _S), False)   # sqrt 2 after deflating 0
+@example(sympy.Poly(_S + 3, _S), True)       # 0 itself, the largest root
+def test_largest_real_root_deflates_a_rational_midpoint(Q, negate):
+    """s Q has the root 0, the Sturm bisection's first midpoint, and
+    another real root, so the midpoint is deflated and the chain rebuilt;
+    the result pins sympy's largest root with a factor of s Q."""
+    assume(Q.eval(0) != 0)
+    P = _S * (-Q if negate else Q)
+    chains = []
+    real = polynomials.sturm_chain
+
+    def counted(p):
+        chains.append(p)
+        return real(p)
+
+    with mock.patch.object(polynomials, "sturm_chain", counted):
+        x = largest_real_root(RatPoly(_coeffs(P)))
+    assert len(chains) >= 2
+    r = P.real_roots()[-1]
+    assert _holds(x, r)
+    if x.exact is None:
+        X = sympy.Poly([_sympy(c) for c in reversed(x.poly.coeffs)], _S)
+        assert P.rem(X).is_zero
+        assert X.count_roots(_sympy(x.lo), _sympy(x.hi)) == 1
 
 
 def _least_denominator_between(lo, hi):

@@ -2,19 +2,25 @@
 
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from critdens import stars
+from critdens.acceptance import _connected_atlas
 from critdens.errors import ImproperLabeling, SizeLimit, ValidationError
 from critdens.graphs import (
+    PatternGraph,
     bow_tie_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
+    proper_labelings,
     star_graph,
 )
+from critdens.polynomials import largest_matching_root_squared
 from critdens.stars import (
+    StarBound,
     bow_tie_reconstruction,
     monotone_path_tree,
     star_decomposition_cannot_match_bowtie,
@@ -23,6 +29,7 @@ from critdens.stars import (
     tree_shape_key,
     verify_bt1,
 )
+from critdens.tree_decision import CriticalDensity
 from critdens.verdict import Verdict
 
 
@@ -112,6 +119,63 @@ def test_star_bound_labeling_cap_marks_heuristic(monkeypatch):
     bound = star_lower_bound(complete_graph(4))
     assert bound.heuristic
     assert bound.labelings_examined == 5
+
+
+def _reference_star_bound(H, tol=F(1, 10**9)):
+    """The plain search: every labeling's spectrum, memoized by shape, is
+    compared with the best so far."""
+    spectra, table = {}, {}
+    best_s = best_f = None
+    examined, heuristic = 0, False
+    for f in proper_labelings(H):
+        if examined >= stars.LABELING_CAP:
+            heuristic = True
+            break
+        examined += 1
+        tree = monotone_path_tree(H, f).tree
+        shape = tree_shape_key(tree)
+        if shape not in spectra:
+            spectra[shape] = largest_matching_root_squared(tree)
+            table[shape] = (f, 1, CriticalDensity(spectra[shape]))
+        else:
+            example, count, dc = table[shape]
+            table[shape] = (example, count + 1, dc)
+        if best_s is None or spectra[shape].compare(best_s) > 0:
+            best_s, best_f = spectra[shape], f
+    bound = StarBound(CriticalDensity(best_s), best_f, examined, heuristic, table)
+    bound.interval(tol)
+    return bound
+
+
+def _assert_matches_reference(H):
+    got, want = star_lower_bound(H), _reference_star_bound(H)
+    assert got == want, H
+    tol = F(1, 10**9)
+    assert got.interval(tol) == want.interval(tol), H
+    for shape, (_, _, dc) in want.shape_table.items():
+        assert got.shape_table[shape][2].interval(tol) == dc.interval(tol), H
+
+
+def test_star_bound_matches_plain_search_on_connected_atlas():
+    for H in _connected_atlas(3, 5):
+        _assert_matches_reference(H)
+
+
+def test_star_bound_matches_plain_search_on_small_trees():
+    for n in range(2, 9):
+        for G in nx.nonisomorphic_trees(n):
+            _assert_matches_reference(
+                PatternGraph(n, tuple(sorted((min(a, b) + 1, max(a, b) + 1)
+                                             for a, b in G.edges()))))
+
+
+def test_star_bound_on_a_tree_past_the_labeling_cap(monkeypatch):
+    monkeypatch.setattr(stars, "LABELING_CAP", 5)
+    for n in (3, 4, 6):   # 4, 8 and 32 labelings
+        _assert_matches_reference(path_graph(n))
+    bound = star_lower_bound(path_graph(6))
+    assert bound.heuristic and bound.labelings_examined == 5
+    assert [count for _, count, _ in bound.shape_table.values()] == [5]
 
 
 def test_star_bound_below_matching_root_on_cycles():
