@@ -473,10 +473,8 @@ def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None,
 def is_proper_labeling(H: PatternGraph, f: Sequence[int]) -> bool:
     if sorted(f) != list(H.vertices()):
         return False
-    for k in range(1, len(f)):
-        if not any(f[j] in H.adjacency[f[k]] for j in range(k)):
-            return False
-    return True
+    pos = {v: k for k, v in enumerate(f)}
+    return all(any(pos[u] < pos[v] for u in H.adjacency[v]) for v in f[1:])
 
 
 # Standard families, used throughout the tests and the CLI self-test.

@@ -473,12 +473,6 @@ def _roots_above(c: Sequence[int], x: Fraction) -> int:
     return _variations(b)
 
 
-def roots_above(p: RatPoly, x: Fraction) -> int:
-    """Roots strictly above x, with multiplicity, of the real-rooted p
-    (a matching polynomial or its even part, say)."""
-    return _roots_above(_integer_coeffs(p), x)
-
-
 def _is_root(c: Sequence[int], x: Fraction) -> bool:
     """x is a root of the integer polynomial c.  By the rational root
     theorem a root N/D has D dividing the leading coefficient and N

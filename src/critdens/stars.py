@@ -11,7 +11,9 @@ two vertices.
 Every proper labeling yields the necessary condition that the lifted
 densities must ensure T_f(H); the best such condition over all labelings
 is the star lower bound max_f (1 - 1/lambda(T_f)^2) on the critical
-density of H.
+density of H.  The condition and the K_{n,m} check run on the DAG that
+orients each H-edge forward along f, which T_f unfolds from f(1), so
+NODE_CAP bounds only the trees built for export and the star bound.
 """
 
 from __future__ import annotations
@@ -34,12 +36,8 @@ from .graphs import (
     proper_labelings,
     tolerance,
 )
-from .polynomials import (
-    largest_matching_root_squared,
-    matching_even_part,
-    roots_above,
-)
-from .tree_decision import CriticalDensity, _decide_from_ratios
+from .polynomials import largest_matching_root_squared
+from .tree_decision import CriticalDensity
 from .verdict import Verdict
 
 NODE_CAP = 10**5
@@ -52,25 +50,28 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class MonotonePathTree:
-    """T_f(H) with its node legend and per-edge provenance."""
+    """T_f(H) with its node legend."""
 
     tree: PatternGraph
-    legend: dict[int, tuple[int, ...]]       # tree node -> path of H-vertices
-    edge_origin: dict[Edge, Edge]            # tree edge -> underlying H-edge
+    legend: dict[int, tuple[int, ...]]  # node -> H-path; edge (a, b) lifts legend[b][-2:]
+
+
+def _proper(H: PatternGraph, f: Sequence[int]) -> tuple[int, ...]:
+    f = tuple(f)
+    if not is_proper_labeling(H, f):
+        raise ImproperLabeling(f"{f} is not a proper labeling")
+    return f
 
 
 def monotone_path_tree(H: PatternGraph, f: Sequence[int]) -> MonotonePathTree:
     """Enumerate monotone paths by depth-first extension (children in
     increasing position of the added vertex).  Node 1 is the root path
     (f(1),); parents precede children in the numbering."""
-    f = tuple(f)
-    if not is_proper_labeling(H, f):
-        raise ImproperLabeling(f"{f} is not a proper labeling")
+    f = _proper(H, f)
     pos = {v: k for k, v in enumerate(f, start=1)}
 
     legend: dict[int, tuple[int, ...]] = {}
     edges: list[Edge] = []
-    edge_origin: dict[Edge, Edge] = {}
 
     # (parent node, path) pairs, each pushed after its later siblings so
     # that nodes are numbered in depth-first preorder; the root's parent is 0
@@ -84,14 +85,12 @@ def monotone_path_tree(H: PatternGraph, f: Sequence[int]) -> MonotonePathTree:
         legend[node] = path
         last = path[-1]
         if parent:
-            e = (parent, node)
-            edges.append(e)
-            edge_origin[e] = canonical_edge(path[-2], last)
+            edges.append((parent, node))
         for w in sorted(H.adjacency[last], key=pos.__getitem__, reverse=True):
             if pos[w] > pos[last]:
                 stack.append((node, path + (w,)))
     tree = PatternGraph(node, tuple(edges))
-    return MonotonePathTree(tree, legend, edge_origin)
+    return MonotonePathTree(tree, legend)
 
 
 def _rooted_shape(T: PatternGraph, root: int) -> str:
@@ -205,6 +204,27 @@ def star_lower_bound(
     return bound
 
 
+def _root_sum(H: PatternGraph, f: Sequence[int],
+              ratio: Mapping[Edge, Fraction]) -> Fraction | None:
+    """T_f(H)'s leaf reduction on the labeling's DAG: None if it stops
+    NotEnsured below the root, else the root's sum, < 1 iff T_f is ensured.
+    Backwards along f, S(v) sums r_vw F(w) over the later neighbours w of
+    v, and F(v) = 1/(1 - S(v)).  Exact: removing a node's children one
+    leaf at a time, the k-th rescaled ratio a_k/(1 - a_1 - ... - a_{k-1})
+    reaches 1 iff the first k terms sum to >= 1, and the edge above is
+    rescaled by F(v) in all; the verdict does not depend on leaf order."""
+    pos = {v: k for k, v in enumerate(f)}
+    scale: dict[int, Fraction] = {}
+    for v in reversed(f):
+        s = sum((ratio[canonical_edge(v, w)] * scale[w]
+                 for w in H.adjacency[v] if pos[w] > pos[v]), _ZERO)
+        if v == f[0]:
+            return s
+        if s >= 1:
+            return None
+        scale[v] = _ONE / (_ONE - s)
+
+
 def star_necessary_condition(
     H: PatternGraph,
     gamma: Mapping[Edge, Fraction] | Sequence[Fraction],
@@ -214,36 +234,22 @@ def star_necessary_condition(
     ensure the monotone-path tree.  FailsThisLabeling certifies that a
     transversal-free construction with densities >= gamma exists."""
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
-    mpt = monotone_path_tree(H, f)
-    # gamma is range-checked on H, so skip decide_tree's check per tree edge.
-    ratios = {te: _ONE - dens[he] for te, he in mpt.edge_origin.items()}
-    decision = _decide_from_ratios(mpt.tree, ratios)
-    return Verdict.PASSES if decision.ensured else Verdict.FAILS
+    s = _root_sum(H, _proper(H, f), {e: _ONE - g for e, g in dens.items()})
+    return Verdict.PASSES if s is not None and s < 1 else Verdict.FAILS
 
 
 def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bool:
     """Check, for every proper labeling f of K_{n,m}, that the
     monotone-path tree's spectral radius squared is exactly n + m - 1.
-
-    The check is exact (the even part of the matching polynomial vanishes
-    at n+m-1, and Descartes counts no larger root: matching polynomials
-    are real-rooted), which implies any positive tol."""
+    Exact, so any positive tol holds: at ratio 1/s the root sum is 1 iff
+    s = lambda(T_f)^2, as proper subtrees have smaller lambda and the
+    root sum rises strictly with the ratio."""
     tolerance(tol)
     if n + m > BT1_CAP:
         raise SizeLimit(f"n + m capped at {BT1_CAP}")
     K = complete_bipartite(n, m)
-    target = Fraction(n + m - 1)
-    seen: set[str] = set()
-    for f in proper_labelings(K):
-        mpt = monotone_path_tree(K, f)
-        shape = tree_shape_key(mpt.tree)
-        if shape in seen:
-            continue
-        seen.add(shape)
-        q = matching_even_part(mpt.tree)
-        if q(target) != 0 or roots_above(q, target) != 0:
-            return False
-    return True
+    ratio = dict.fromkeys(K.edges, Fraction(1, n + m - 1))
+    return all(_root_sum(K, f, ratio) == 1 for f in proper_labelings(K))
 
 
 BOW_TIE_CENTER_DENSITY = Fraction(17, 20)

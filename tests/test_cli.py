@@ -493,6 +493,31 @@ def test_star_check_exports_tree(k3, tmp_path):
     assert "node 3 = path 1>2>3" in out
 
 
+@pytest.fixture
+def k18(tmp_path):
+    p = tmp_path / "k18.g"
+    p.write_text("18; " + " ".join(f"{i}-{j}" for i in range(1, 19)
+                                   for j in range(i + 1, 19)) + "\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("density, code, verdict", [("0.95", 1, "FailsThisLabeling"),
+                                                    ("0.99", 0, "PassesThisLabeling")])
+def test_star_check_past_the_path_tree_cap(k18, density, code, verdict):
+    # T_f of K18 has 2^17 nodes, past NODE_CAP; the verdict builds none
+    assert _run(["star-check", k18, "--labeling", ",".join(map(str, range(1, 19))),
+                 "--densities", density]) == (code, f"verdict: {verdict}\n")
+
+
+def test_star_check_export_past_the_path_tree_cap_exits_3(k18, tmp_path, capsys):
+    exported = tmp_path / "tree.g"
+    code, out = _run(["star-check", k18, "--labeling", ",".join(map(str, range(1, 19))),
+                      "--densities", "0.99", "--export-tree", str(exported)])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: monotone-path tree exceeds 100000 nodes\n"
+    assert not exported.exists()
+
+
 @pytest.mark.parametrize("criteria, message", [
     ("0", "no criterion 0: criteria are numbered 1..11"),
     ("12", "no criterion 12: criteria are numbered 1..11"),

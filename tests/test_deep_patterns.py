@@ -15,15 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from critdens.blowup import Transversal, blowup_without
 from critdens.cli import run
-from critdens.graphs import PatternGraph, canonical_edge, path_graph, proper_labelings
+from critdens.graphs import PatternGraph, path_graph, proper_labelings
 from critdens.stars import monotone_path_tree, tree_shape_key
 
 
 def _recursive_path_tree(H, f):
-    """(legend, tree edges, edge origins) by recursive depth-first
-    extension, children in increasing position."""
+    """(legend, tree edges) by recursive depth-first extension, children
+    in increasing position."""
     pos = {v: k for k, v in enumerate(f, start=1)}
-    legend, edges, origin = {1: (f[0],)}, [], {}
+    legend, edges = {1: (f[0],)}, []
     counter = [1]
 
     def expand(path, node):
@@ -35,11 +35,10 @@ def _recursive_path_tree(H, f):
             child = counter[0]
             legend[child] = path + (w,)
             edges.append((node, child))
-            origin[node, child] = canonical_edge(last, w)
             expand(path + (w,), child)
 
     expand((f[0],), 1)
-    return legend, tuple(sorted(edges)), origin
+    return legend, tuple(sorted(edges))
 
 
 def _recursive_shape(adj, root, parent):
@@ -123,8 +122,8 @@ def test_walks_match_their_recursive_forms(H, data):
     assert labelings == list(_recursive_labelings(H))
     for f in data.draw(st.lists(st.sampled_from(labelings), min_size=1, max_size=3)):
         mpt = monotone_path_tree(H, f)
-        legend, edges, origin = _recursive_path_tree(H, f)
-        assert (mpt.legend, mpt.tree.edges, mpt.edge_origin) == (legend, edges, origin)
+        legend, edges = _recursive_path_tree(H, f)
+        assert (mpt.legend, mpt.tree.edges) == (legend, edges)
         assert mpt.tree.n == len(legend)
         assert tree_shape_key(mpt.tree) == _recursive_shape_key(mpt.tree)
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=H.n, max_size=H.n))

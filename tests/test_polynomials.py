@@ -28,12 +28,12 @@ from critdens.polynomials import (
     poly_gcd,
     poly_to_strings,
     positive_on_unit_interval,
-    roots_above,
     simplest_fraction_between,
     square_free_part,
     sturm_chain,
     sturm_count_open,
 )
+from critdens.polynomials import _integer_coeffs, _roots_above
 
 
 def _random_tree(rng, n):
@@ -92,6 +92,9 @@ def test_sturm_counting():
 
 
 def test_roots_above_counts_multiplicity_for_real_rooted_polynomials():
+    def roots_above(p, x):
+        return _roots_above(_integer_coeffs(p), x)
+
     p = RatPoly([F(-1, 2), 1]) * RatPoly([-2, 1]) * RatPoly([-2, 1])  # 1/2, 2, 2
     assert [roots_above(p, x) for x in (F(-1), F(1, 2), F(1), F(2), F(3))] \
         == [3, 2, 2, 0, 0]

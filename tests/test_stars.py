@@ -11,6 +11,7 @@ from critdens.errors import ImproperLabeling, SizeLimit, ValidationError
 from critdens.graphs import (
     PatternGraph,
     bow_tie_graph,
+    canonical_edge,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -18,7 +19,12 @@ from critdens.graphs import (
     proper_labelings,
     star_graph,
 )
-from critdens.polynomials import largest_matching_root_squared
+from critdens.polynomials import (
+    _integer_coeffs,
+    _roots_above,
+    largest_matching_root_squared,
+    matching_even_part,
+)
 from critdens.stars import (
     StarBound,
     bow_tie_reconstruction,
@@ -56,21 +62,21 @@ def test_path_tree_of_a_tree_is_the_tree():
             assert tree_shape_key(mpt.tree) == tree_shape_key(T)
 
 
-def test_edge_origin_maps_back_to_pattern_edges():
+def test_legend_maps_tree_edges_back_to_pattern_edges():
     H = complete_graph(3)
     mpt = monotone_path_tree(H, (2, 3, 1))
-    for (a, b), origin in mpt.edge_origin.items():
+    for a, b in mpt.tree.edges:
         pa, pb = mpt.legend[a], mpt.legend[b]
         assert pb[:-1] == pa
-        assert origin == tuple(sorted((pb[-2], pb[-1])))
-        assert origin in H.edges
+        assert canonical_edge(pb[-2], pb[-1]) in H.edges
 
 
-def test_lifted_weights_follow_edge_origin():
+def test_lifted_weights_follow_legend():
     H = complete_graph(3)
     gamma = {(1, 2): F(7, 10), (1, 3): F(3, 5), (2, 3): F(1, 2)}
     mpt = monotone_path_tree(H, (1, 2, 3))
-    lifted = {e: gamma[he] for e, he in mpt.edge_origin.items()}
+    lifted = {(a, b): gamma[canonical_edge(*mpt.legend[b][-2:])]
+              for a, b in mpt.tree.edges}
     assert lifted == {(1, 2): F(7, 10), (2, 3): F(1, 2), (1, 4): F(3, 5)}
 
 
@@ -224,9 +230,51 @@ def test_verify_bt1_small_cases():
     assert verify_bt1(2, 5)
 
 
+def _reference_bt1(n, m):
+    """The check as it ran on built path trees: one matching polynomial
+    per path-tree shape, its even part vanishing at n + m - 1 with no
+    root above."""
+    K = complete_bipartite(n, m)
+    target = F(n + m - 1)
+    seen = set()
+    for f in proper_labelings(K):
+        tree = monotone_path_tree(K, f).tree
+        shape = tree_shape_key(tree)
+        if shape in seen:
+            continue
+        seen.add(shape)
+        q = matching_even_part(tree)
+        if q(target) != 0 or _roots_above(_integer_coeffs(q), target) != 0:
+            return False
+    return True
+
+
+# K_{m,n} is K_{n,m} with its parts swapped, so n <= m covers every size
+@pytest.mark.parametrize("n, m", [(n, s - n) for s in range(2, stars.BT1_CAP + 1)
+                                  for n in range(1, s // 2 + 1)])
+def test_verify_bt1_matches_path_tree_spectra(n, m):
+    assert verify_bt1(n, m) == _reference_bt1(n, m)
+    # one labeling's root sum misses 1 at a nearby ratio, so the check
+    # would fail there
+    K = complete_bipartite(n, m)
+    for s in (n + m - 1 - F(1, 1000), n + m - 1 + F(1, 1000)):
+        ratio = dict.fromkeys(K.edges, 1 / s)
+        assert not all(stars._root_sum(K, f, ratio) == 1 for f in proper_labelings(K))
+
+
 def test_verify_bt1_size_cap():
     with pytest.raises(SizeLimit):
         verify_bt1(5, 5)
+
+
+def test_verdicts_build_no_path_tree(monkeypatch):
+    def refuse(H, f):
+        raise AssertionError("monotone_path_tree called")
+
+    monkeypatch.setattr(stars, "monotone_path_tree", refuse)
+    assert star_necessary_condition(complete_graph(4), [F(9, 10)] * 6, (1, 2, 3, 4)) \
+        is Verdict.PASSES
+    assert verify_bt1(2, 3)
 
 
 # -- bow-tie -----------------------------------------------------------------

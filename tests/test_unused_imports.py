@@ -1,12 +1,13 @@
 """Every name a module under src/critdens imports is used in that module,
 every name it assigns at module level is read there, every private
 (_-prefixed) function, method or class it defines is referenced somewhere
-in the package outside its own body, and every public module-level
-function or class, and every public method of such a class, is
-referenced by the package or by perfbench/.
+in the package outside its own body, no module imports another's private
+name, and every public module-level function or class, and every public
+method of such a class, is referenced by the package or by perfbench/.
 
 No linter ships with the toolchain, so this scan is the guard.  The
-package's __init__ is left out: it imports names to re-export them.
+package's __init__ is left out, except from the private-import scan: it
+imports names to re-export them.
 A name counts as used when it appears as a name anywhere in the module,
 including inside a quoted (forward-reference) annotation; it counts as
 read when it appears that way other than as an assignment target.
@@ -169,6 +170,16 @@ def test_no_uncalled_public_definitions():
                 uncalled.append(f"{name}:{node.lineno} {shown}")
     assert not uncalled, f"public definitions nothing calls: {', '.join(uncalled)}"
     assert set(UNCALLED_PUBLIC) <= defined, "allowlist names a definition that is gone"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported(path):
+    """A module reaches another only through its public names."""
+    tree = ast.parse(path.read_text())
+    private = [f"{alias.name} from {node.module} (line {node.lineno})"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"
 
 
 def test_scan_sees_every_module():
