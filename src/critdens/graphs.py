@@ -312,13 +312,15 @@ def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:
     def extend() -> Iterator[tuple[int, ...]]:
         prefix: list[int] = []
         used: set[int] = set()
-        # the candidates left for each position of prefix, the last for
-        # the next one
+        # for each position of prefix, the last for the next one: the
+        # candidates left, and the unused neighbours of the prefix before it
         frontiers = [iter(H.vertices())]
+        reach: list[set[int]] = [set()]
         while frontiers:
             v = next(frontiers[-1], None)
             if v is None:
                 frontiers.pop()
+                reach.pop()
                 if prefix:
                     used.discard(prefix.pop())
                 continue
@@ -328,8 +330,8 @@ def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:
                 prefix.pop()
                 continue
             used.add(v)
-            frontiers.append(iter(sorted(
-                {u for w in prefix for u in H.adjacency[w]} - used)))
+            reach.append(reach[-1].union(H.adjacency[v]) - used)
+            frontiers.append(iter(sorted(reach[-1])))
 
     return extend()
 

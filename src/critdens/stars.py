@@ -11,9 +11,10 @@ two vertices.
 Every proper labeling yields the necessary condition that the lifted
 densities must ensure T_f(H); the best such condition over all labelings
 is the star lower bound max_f (1 - 1/lambda(T_f)^2) on the critical
-density of H.  The condition and the K_{n,m} check run on the DAG that
-orients each H-edge forward along f, which T_f unfolds from f(1), so
-NODE_CAP bounds only the trees built for export and the star bound.
+density of H.  The condition, the star bound and the K_{n,m} check run
+on the DAG that orients each H-edge forward along f, which T_f unfolds
+from f(1); the star bound builds T_f once per rooted shape read off it,
+so NODE_CAP bounds only those builds and the trees built for export.
 """
 
 from __future__ import annotations
@@ -120,6 +121,18 @@ def tree_shape_key(T: PatternGraph) -> str:
     return min(_rooted_shape(T, c) for c in centers)
 
 
+def _rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int]) -> int:
+    """T_f's rooted shape as an id interned in ids: backwards along f,
+    each vertex gets the id of the sorted ids of its later neighbours,
+    as a node's subtree in T_f depends only on the node's last vertex."""
+    pos = {v: k for k, v in enumerate(f)}
+    rid: dict[int, int] = {}
+    for v in reversed(f):
+        key = tuple(sorted(rid[w] for w in H.adjacency[v] if pos[w] > pos[v]))
+        rid[v] = ids.setdefault(key, len(ids))
+    return rid[f[0]]
+
+
 @dataclass
 class StarBound:
     """max over proper labelings of the lifted-tree critical density."""
@@ -158,12 +171,13 @@ def star_lower_bound(
 ) -> StarBound:
     """Maximize 1 - 1/lambda(T_f(H))^2 over proper labelings.
 
-    lambda depends only on the shape of T_f, so a spectrum is computed
-    and compared only when its shape first appears; every labeling is
-    still enumerated (up to LABELING_CAP; past it the lexicographic
-    prefix is scored and the result is flagged heuristic, i.e. still a
-    valid lower bound but maybe not the max).  On a tree every T_f is
-    the tree itself, so its labelings are counted, not enumerated.
+    T_f and its unrooted shape key, the table's key, are built once per
+    rooted shape of T_f, read off the labeling's DAG; a spectrum is
+    computed and compared once per shape.  Every labeling is still
+    enumerated (up to LABELING_CAP; past it the lexicographic prefix is
+    scored and the result is flagged heuristic, i.e. still a valid lower
+    bound but maybe not the max).  On a tree every T_f is the tree
+    itself, so its labelings are counted, not enumerated.
     Ties keep the lexicographically first labeling.
     """
     tol = tolerance(tol)
@@ -183,17 +197,23 @@ def star_lower_bound(
         best = CriticalDensity(largest_matching_root_squared(tree))
         table[tree_shape_key(tree)] = (best_f, examined, best)
     else:
+        ids: dict[tuple[int, ...], int] = {}
+        shapes: dict[int, str] = {}   # rooted id -> shape key
         for f in proper_labelings(H):
             if examined >= LABELING_CAP:
                 heuristic = True
                 break
             examined += 1
-            tree = monotone_path_tree(H, f).tree
-            shape = tree_shape_key(tree)
+            rid = _rooted_id(H, f, ids)
+            if rid not in shapes:
+                tree = monotone_path_tree(H, f).tree
+                shapes[rid] = tree_shape_key(tree)
+            shape = shapes[rid]
             if shape in table:
                 example, count, dc = table[shape]
                 table[shape] = (example, count + 1, dc)
                 continue
+            # a new shape has a new rooted id, so tree is f's
             dc = CriticalDensity(largest_matching_root_squared(tree))
             table[shape] = (f, 1, dc)
             if best is None or dc.s_star.compare(best.s_star) > 0:
@@ -243,13 +263,15 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bo
     monotone-path tree's spectral radius squared is exactly n + m - 1.
     Exact, so any positive tol holds: at ratio 1/s the root sum is 1 iff
     s = lambda(T_f)^2, as proper subtrees have smaller lambda and the
-    root sum rises strictly with the ratio."""
+    root sum rises strictly with the ratio.  One sum per rooted shape."""
     tolerance(tol)
     if n + m > BT1_CAP:
         raise SizeLimit(f"n + m capped at {BT1_CAP}")
     K = complete_bipartite(n, m)
     ratio = dict.fromkeys(K.edges, Fraction(1, n + m - 1))
-    return all(_root_sum(K, f, ratio) == 1 for f in proper_labelings(K))
+    ids: dict[tuple[int, ...], int] = {}
+    rooted = {_rooted_id(K, f, ids): f for f in proper_labelings(K)}
+    return all(_root_sum(K, f, ratio) == 1 for f in rooted.values())
 
 
 BOW_TIE_CENTER_DENSITY = Fraction(17, 20)

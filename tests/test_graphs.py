@@ -177,6 +177,17 @@ def test_proper_labelings_match_brute_force():
         assert all(is_proper_labeling(T, f) for f in expected)
 
 
+def test_proper_labelings_match_brute_force_with_cycles():
+    # trees above; here the frontier also meets vertices already placed
+    from itertools import permutations
+
+    from critdens.acceptance import _connected_atlas
+
+    for H in [*_connected_atlas(3, 5), complete_bipartite(2, 4)]:
+        expected = [f for f in permutations(H.vertices()) if is_proper_labeling(H, f)]
+        assert list(proper_labelings(H)) == expected, H
+
+
 def test_proper_labelings_need_connectivity():
     with pytest.raises(DisconnectedGraph):
         next(proper_labelings(PatternGraph(3, ((1, 2),))))

@@ -167,6 +167,43 @@ def test_star_bound_matches_plain_search_on_connected_atlas():
         _assert_matches_reference(H)
 
 
+def test_star_bound_matches_plain_search_on_six_vertices():
+    _assert_matches_reference(complete_graph(6))
+    for H in _connected_atlas(6, 6):
+        if len(H.edges) <= 9:
+            _assert_matches_reference(H)
+
+
+def test_rooted_ids_name_rooted_path_tree_shapes():
+    # one intern table across every pattern: equal ids iff equal rooted
+    # shapes of T_f from f(1)
+    ids, by_id, by_shape = {}, {}, {}
+    for H in [*_connected_atlas(3, 6), complete_bipartite(3, 4)]:
+        for f in proper_labelings(H):
+            rid = stars._rooted_id(H, f, ids)
+            shape = stars._rooted_shape(monotone_path_tree(H, f).tree, 1)
+            assert by_id.setdefault(rid, shape) == shape, (H, f)
+            assert by_shape.setdefault(shape, rid) == rid, (H, f)
+
+
+def test_star_bound_builds_one_path_tree_per_rooted_id(monkeypatch):
+    built = []
+
+    def counting(H, f):
+        built.append(f)
+        return monotone_path_tree(H, f)
+
+    monkeypatch.setattr(stars, "monotone_path_tree", counting)
+    star_lower_bound(complete_graph(6))
+    assert len(built) == 1
+    for H in _connected_atlas(3, 6):
+        built.clear()
+        star_lower_bound(H)
+        ids = {}
+        rooted = {stars._rooted_id(H, f, ids) for f in proper_labelings(H)}
+        assert 1 <= len(built) <= len(rooted), H
+
+
 def test_star_bound_matches_plain_search_on_small_trees():
     for n in range(2, 9):
         for G in nx.nonisomorphic_trees(n):
