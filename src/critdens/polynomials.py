@@ -1,12 +1,17 @@
 """Exact polynomial arithmetic, real-root isolation, and matching polynomials.
 
-Polynomials are Fraction coefficient tuples in increasing powers of t.
-All division runs on integers, through one primitive remainder sequence
-(poly_gcd, square_free_part, Sturm chains) and one exact division (the
-square-free part, deflating a rational root); so do matching sums and
-Descartes counts.  AlgebraicNumber refinement runs on Fractions.  Real
-roots of a general polynomial are located with Sturm chains on the
-square-free part, so root counts are counts of distinct real roots.
+A polynomial enters and leaves the package as a RatPoly, a tuple of
+Fraction coefficients in increasing powers of t, and is converted once.
+Below that boundary every kernel and every AlgebraicNumber holds a list
+of Python integers, lowest power first, standing for any nonzero
+multiple of the polynomial: kernels read signs relative to the leading
+coefficient or to a value at a point, so no monic or primitive step is
+needed.  All division runs on integers, through one primitive remainder
+sequence (gcds, square_free_part, Sturm chains) and one exact division
+(the square-free part, deflating a rational root); so do matching sums,
+Descartes counts and refinement.  Real roots of a general polynomial are
+located with Sturm chains on the square-free part, so root counts are
+counts of distinct real roots.
 Matching polynomials have only real roots, so for them Descartes' rule
 counts the roots above a point exactly from one integer Taylor shift;
 largest_matching_root_squared lets float estimates choose the isolating
@@ -14,13 +19,14 @@ cell and certifies it with such counts, returning exactly what the Sturm
 bisection would, and runs that bisection only when a certificate fails.
 No answer ever depends on floating point.
 
-An AlgebraicNumber is a real root pinned down by a square-free defining
-polynomial and an open isolating interval with rational endpoints; when the
-root happens to be rational the exact value is carried instead.  This is
-the common currency for spectral radii and critical densities: the root in
-the interval is simple, so a comparison against a rational costs two sign
-evaluations, never a float, and two such numbers are equal exactly when
-the gcd of their polynomials changes sign across their intervals' overlap.
+An AlgebraicNumber is a real root pinned down by a square-free integer
+defining polynomial and an open isolating interval with rational
+endpoints; when the root happens to be rational the exact value is carried
+instead.  This is the common currency for spectral radii and critical
+densities: the root in the interval is simple, so a comparison against a
+rational costs two sign evaluations, never a float, and two such numbers
+are equal exactly when the gcd of their polynomials changes sign across
+their intervals' overlap.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .graphs import (
     canonical_edge,
     edge_assignment,
     parse_rational,
+    rational,
     rational_text,
     tolerance,
 )
@@ -54,7 +61,8 @@ _ONE = Fraction(1)
 
 
 class RatPoly:
-    """Dense univariate polynomial over Fraction, lowest power first."""
+    """Dense univariate polynomial over Fraction, lowest power first: the
+    type in which polynomials enter and leave the package."""
 
     __slots__ = ("coeffs",)
 
@@ -83,44 +91,6 @@ class RatPoly:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return RatPoly(out)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        if self.is_zero() or other.is_zero():
-            return RatPoly([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return RatPoly([c / lead for c in self.coeffs])
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         return f"RatPoly({list(self.coeffs)!r})"
@@ -169,28 +139,18 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd, zero only for two zero polynomials."""
-    if a.is_zero() and b.is_zero():
-        return a
-    return RatPoly(_integer_gcd(_integer_coeffs(a), _integer_coeffs(b))).monic()
-
-
-def square_free_part(p: RatPoly) -> RatPoly:
-    """Monic p / gcd(p, p'), by exact integer division."""
-    if p.is_zero():
+def square_free_part(c: list[int]) -> list[int]:
+    """c / gcd(c, c'), by exact integer division: a nonzero multiple of
+    the square-free part of the integer polynomial c."""
+    if not c:
         raise ZeroPolynomial("square-free part of the zero polynomial")
-    c = _integer_coeffs(p)
-    g = _integer_gcd(c, [k * a for k, a in enumerate(c)][1:])
-    return RatPoly(_exact_quotient(c, g)).monic()
+    return _exact_quotient(c, _integer_gcd(c, [k * a for k, a in enumerate(c)][1:]))
 
 
-def sturm_chain(p: RatPoly) -> list[list[int]]:
-    """Sturm chain of a square-free polynomial, as integer coefficient
-    lists: p times a positive integer, its derivative, then each negated
-    remainder.  Every entry is a positive multiple of the classical one,
-    so the sign variations are the same."""
-    c = _integer_coeffs(p)
+def sturm_chain(c: list[int]) -> list[list[int]]:
+    """Sturm chain of the square-free integer polynomial c: c itself, its
+    derivative, then each negated remainder.  Every entry is a positive
+    multiple of the classical one, so the sign variations are the same."""
     chain = [c, [k * a for k, a in enumerate(c)][1:]]
     while chain[-1] and len(chain[-1]) > 1:
         rem = _remainder(chain[-2], chain[-1])
@@ -202,7 +162,7 @@ def sturm_chain(p: RatPoly) -> list[list[int]]:
     return chain
 
 
-def _variations(values: Iterable[Fraction | int]) -> int:
+def _variations(values: Iterable[int]) -> int:
     """Sign variations of a sequence, zeros skipped."""
     signs = [c > 0 for c in values if c]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -220,12 +180,11 @@ def sturm_count_open(chain: Sequence[list[int]], lo: Fraction, hi: Fraction) -> 
             - _variations(_scaled_value(q, hi) for q in chain))
 
 
-def cauchy_root_bound(p: RatPoly) -> Fraction:
-    """All real roots of p lie in (-B, B)."""
-    if p.is_zero() or p.degree == 0:
+def cauchy_root_bound(c: list[int]) -> Fraction:
+    """All real roots of the integer polynomial c lie in (-B, B)."""
+    if len(c) < 2:
         return _ONE
-    lead = abs(p.coeffs[-1])
-    return _ONE + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return _ONE + Fraction(max(abs(a) for a in c[:-1]), abs(c[-1]))
 
 
 def _integer_coeffs(p: RatPoly) -> list[int]:
@@ -243,10 +202,11 @@ def positive_on_unit_interval(p: RatPoly) -> bool:
     are the roots t = 1/(1+x) of p in (0, 1)."""
     if p.is_zero():
         raise ZeroPolynomial("positivity undefined for the zero polynomial")
-    if p(_ZERO) <= 0 or p(_ONE) <= 0:
+    c = _integer_coeffs(p)
+    if c[0] <= 0 or sum(c) <= 0:
         return False
-    return (_roots_above(_integer_coeffs(p)[::-1], _ONE) == 0
-            or sturm_count_open(sturm_chain(square_free_part(p)), _ZERO, _ONE) == 0)
+    return (_roots_above(c[::-1], _ONE) == 0
+            or sturm_count_open(sturm_chain(square_free_part(c)), _ZERO, _ONE) == 0)
 
 
 def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -281,20 +241,21 @@ def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 @dataclass
 class AlgebraicNumber:
-    """A real algebraic number: square-free defining polynomial plus an
-    open isolating interval (lo, hi) containing exactly one root, with
+    """A real algebraic number: a square-free defining polynomial, as
+    integer coefficients lowest power first (any nonzero multiple), plus
+    an open isolating interval (lo, hi) containing exactly one root, with
     poly nonzero at both endpoints.  exact is set when the value is
     rational (and then the interval is ignored)."""
 
-    poly: RatPoly
+    poly: list[int]
     lo: Fraction
     hi: Fraction
     exact: Fraction | None = None
 
     @staticmethod
     def from_rational(x: Fraction | int) -> "AlgebraicNumber":
-        x = Fraction(x)
-        return AlgebraicNumber(RatPoly([-x, _ONE]), x - 1, x + 1, exact=x)
+        x = rational(x)
+        return AlgebraicNumber([-x.numerator, x.denominator], x - 1, x + 1, exact=x)
 
     def interval(self) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
@@ -309,21 +270,19 @@ class AlgebraicNumber:
     def refine(self, tol: Fraction | float) -> None:
         """Shrink the isolating interval to width <= tol by sign bisection,
         detecting rational roots exactly along the way."""
-        if self.exact is not None:
-            return
         tol = tolerance(tol)
-        if self.hi - self.lo <= tol:
+        if self.exact is not None or self.hi - self.lo <= tol:
             return
-        sign_lo = self.poly(self.lo) > 0
+        sign_lo = _scaled_value(self.poly, self.lo) > 0
         while self.hi - self.lo > tol:
             # A rational root eventually becomes the simplest rational in
             # the interval, so this probe makes rational roots exact.
             probe = simplest_fraction_between(self.lo, self.hi)
-            if self.poly(probe) == 0:
+            if _is_root(self.poly, probe):
                 self.exact = probe
                 return
             mid = (self.lo + self.hi) / 2
-            v = self.poly(mid)
+            v = _scaled_value(self.poly, mid)
             if v == 0:
                 self.exact = mid
                 return
@@ -334,19 +293,19 @@ class AlgebraicNumber:
 
     def compare_fraction(self, x: Fraction | int) -> int:
         """Sign of (self - x): -1, 0, or +1."""
-        x = Fraction(x)
+        x = rational(x)
         if self.exact is not None:
             return (self.exact > x) - (self.exact < x)
         if x <= self.lo:
             return 1
         if x >= self.hi:
             return -1
-        v = self.poly(x)
+        v = _scaled_value(self.poly, x)
         if v == 0:
             return 0
         # poly changes sign only at its one root in (lo, hi), a simple
         # root: x lies below it iff poly(x) has the sign of poly(lo).
-        return 1 if (v > 0) == (self.poly(self.lo) > 0) else -1
+        return 1 if (v > 0) == (_scaled_value(self.poly, self.lo) > 0) else -1
 
     def compare(self, other: "AlgebraicNumber") -> int:
         if other.exact is not None:
@@ -364,10 +323,10 @@ class AlgebraicNumber:
         # its own polynomial, so all three coincide.  g is square-free with
         # at most one root in the overlap and none at its ends (ends of
         # isolating intervals), so it has one iff it changes sign there.
-        g = poly_gcd(self.poly, other.poly)
-        if g.degree >= 1:
+        g = _integer_gcd(self.poly, other.poly)
+        if len(g) > 1:
             olo, ohi = max(self.lo, other.lo), min(self.hi, other.hi)
-            if (g(olo) > 0) != (g(ohi) > 0):
+            if (_scaled_value(g, olo) > 0) != (_scaled_value(g, ohi) > 0):
                 return 0
         # Distinct values: refine until the intervals separate.
         while not (self.hi <= other.lo or other.hi <= self.lo):
@@ -381,17 +340,18 @@ class AlgebraicNumber:
 
 def largest_real_root(p: RatPoly, tol: Fraction | float = Fraction(1, 10**9)) -> AlgebraicNumber:
     """Largest real root of p as an AlgebraicNumber refined to tol."""
+    tol = tolerance(tol)
     if p.is_zero():
         raise ZeroPolynomial("roots undefined for the zero polynomial")
     if p.degree == 0:
         raise NoRealRoot("nonzero constant polynomial has no root")
-    return _sturm_largest_root(square_free_part(p), tol)
+    return _sturm_largest_root(square_free_part(_integer_coeffs(p)), tol)
 
 
-def _sturm_largest_root(sf: RatPoly, tol: Fraction | float) -> AlgebraicNumber:
-    """Largest real root of the square-free sf: Sturm bisection of
-    (-B, B) down to the first dyadic cell holding only that root, then
-    refine to tol."""
+def _sturm_largest_root(sf: list[int], tol: Fraction) -> AlgebraicNumber:
+    """Largest real root of the square-free integer polynomial sf: Sturm
+    bisection of (-B, B) down to the first dyadic cell holding only that
+    root, then refine to tol."""
     bound = cauchy_root_bound(sf)
     lo, hi = -bound, bound
     # The Cauchy bound is strict, so the endpoints are never roots.
@@ -403,9 +363,7 @@ def _sturm_largest_root(sf: RatPoly, tol: Fraction | float) -> AlgebraicNumber:
     while sturm_count_open(chain, lo, hi) > 1:
         mid = (lo + hi) / 2
         if _scaled_value(chain[0], mid) == 0:
-            quot = _exact_quotient(chain[0], [-mid.numerator, mid.denominator])
-            sf = RatPoly(quot).monic()
-            chain = sturm_chain(sf)
+            chain = sturm_chain(_exact_quotient(chain[0], [-mid.numerator, mid.denominator]))
             if sturm_count_open(chain, mid, hi) == 0:
                 return AlgebraicNumber.from_rational(mid)
             lo = mid
@@ -414,13 +372,9 @@ def _sturm_largest_root(sf: RatPoly, tol: Fraction | float) -> AlgebraicNumber:
             lo = mid
         else:
             hi = mid
-    root = AlgebraicNumber(sf, lo, hi)
-    return _refined(root, tol)
-
-
-def _refined(x: AlgebraicNumber, tol: Fraction | float) -> AlgebraicNumber:
-    x.refine(tol)
-    return x
+    root = AlgebraicNumber(chain[0], lo, hi)
+    root.refine(tol)
+    return root
 
 
 # -- real-rooted polynomials ----------------------------------------------
@@ -502,11 +456,12 @@ def _two_roots_above(c: Sequence[int], x: Fraction, s2: float | None) -> bool:
 
 
 def _float_guided_root(
-    sf: RatPoly, tol: Fraction, s1: float, s2: float | None
+    c: list[int], tol: Fraction, s1: float, s2: float | None
 ) -> AlgebraicNumber | None:
-    """What _sturm_largest_root(sf, tol) returns, for a real-rooted
-    square-free sf given float estimates s1 > s2 of its two largest roots
-    (s2 None when sf has one root); None when a certificate fails.
+    """What _sturm_largest_root(c, tol) returns, for a real-rooted
+    square-free integer polynomial c given float estimates s1 > s2 of its
+    two largest roots (s2 None when c has one root); None when a
+    certificate fails.
 
     That function bisects (-B, B) to level K, the first whose cell around
     the largest root r holds no other root, deflating any midpoint that is
@@ -519,9 +474,8 @@ def _float_guided_root(
     taken at short rationals near the grid points where a certificate holds."""
     if not (math.isfinite(s1) and (s2 is None or math.isfinite(s2))):
         return None
-    c = _integer_coeffs(sf)
-    up = c[-1] > 0  # the sign of sf above r
-    bound = cauchy_root_bound(sf)
+    up = c[-1] > 0  # the sign of c above r
+    bound = cauchy_root_bound(c)
     width = 2 * bound
 
     def grid(level: int, index: int) -> Fraction:
@@ -560,7 +514,7 @@ def _float_guided_root(
         if iso:
             x = grid(iso - 1, cell >> 1)
             v = _scaled_value(c, x)
-            # sf(x) has the sign of sf above r iff an even number of
+            # c(x) has the sign of c above r iff an even number of
             # roots lies above x, and r is one of them.
             if ((v == 0 or (v > 0) != up) and not _two_roots_above(c, x, s2)
                     and _roots_above(c, x) < 2):
@@ -574,7 +528,7 @@ def _float_guided_root(
 
     # Midpoints that became left ends on the way down to level K: each
     # root among them is deflated, as the bisection does.  Above klo,
-    # cp has the roots and the sign of sf, and no root at klo.
+    # cp has the roots and the sign of c, and no root at klo.
     cp = c
     left = -bound
     for level in range(1, iso + 1):
@@ -582,14 +536,17 @@ def _float_guided_root(
         if x != left and _is_root(c, x):
             cp = _exact_quotient(cp, [-x.numerator, x.denominator])
         left = x
-    poly = sf if cp is c else RatPoly(cp).monic()
 
     def exact_root(r: Fraction) -> AlgebraicNumber | None:
         """Refinement from the level-K cell, given that its root is r."""
-        return _refined(AlgebraicNumber(poly, klo, khi), tol) if klo < r < khi else None
+        if not klo < r < khi:
+            return None
+        root = AlgebraicNumber(cp, klo, khi)
+        root.refine(tol)
+        return root
 
     # Jump to the level-L cell, or to the finest cell the floats can
-    # place; above the level-K cell's left end, poly has the sign `up`
+    # place; above the level-K cell's left end, cp has the sign `up`
     # exactly above r, and vanishes only at r.
     level = min(final, fine)
     first = cell << (level - iso)
@@ -630,7 +587,7 @@ def _float_guided_root(
                                           grid(final - 1, parent + 1))
         if _is_root(cp, probe):
             return exact_root(probe)
-    return AlgebraicNumber(poly, lo, hi)
+    return AlgebraicNumber(cp, lo, hi)
 
 
 def _newton_from_right(f: Sequence[float], x: float) -> float:
@@ -650,12 +607,12 @@ def _newton_from_right(f: Sequence[float], x: float) -> float:
     return x
 
 
-def _newton_top_roots(sf: RatPoly) -> tuple[float, float | None]:
-    """Float estimates of the two largest roots of the real-rooted sf:
-    Newton from the Cauchy bound, then from the first root on sf divided
-    by (t - first root)."""
-    f = [float(c) for c in sf.coeffs]
-    s1 = _newton_from_right(f, float(cauchy_root_bound(sf)))
+def _newton_top_roots(c: list[int]) -> tuple[float, float | None]:
+    """Float estimates of the two largest roots of the real-rooted integer
+    polynomial c: Newton from the Cauchy bound, then from the first root
+    on c divided by (t - first root)."""
+    f = [a / c[-1] for a in c]
+    s1 = _newton_from_right(f, float(cauchy_root_bound(c)))
     if len(f) <= 2:
         return s1, None
     g = [0.0] * (len(f) - 1)
@@ -871,9 +828,9 @@ def largest_matching_root_squared(
         return AlgebraicNumber.from_rational(0)
     # Equal to largest_real_root(matching_even_part(H), tol); the Sturm
     # bisection runs only when a certificate fails.
-    sf = square_free_part(matching_even_part(H))
+    sf = square_free_part(_integer_coeffs(matching_even_part(H)))
     s1, s2 = _tree_top_roots_squared(H) if H.is_tree() else _newton_top_roots(sf)
-    root = _float_guided_root(sf, tol, s1, s2 if sf.degree > 1 else None)
+    root = _float_guided_root(sf, tol, s1, s2 if len(sf) > 2 else None)
     if root is not None:
         return root
     return _sturm_largest_root(sf, tol)

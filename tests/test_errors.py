@@ -26,6 +26,7 @@ from critdens.polynomials import (
     AlgebraicNumber,
     RatPoly,
     largest_matching_root_squared,
+    largest_real_root,
     poly_from_strings,
     poly_to_strings,
 )
@@ -42,7 +43,7 @@ P2, P3, K3 = path_graph(2), path_graph(3), complete_graph(3)
 
 
 def _root_of_two():
-    return AlgebraicNumber(RatPoly([-2, 0, 1]), F(1), F(2))
+    return AlgebraicNumber([-2, 0, 1], F(1), F(2))
 
 
 CALLS = {
@@ -81,6 +82,17 @@ CALLS = {
     "RatPoly text coefficient": lambda: RatPoly([1, "x"]),
     "RatPoly missing coefficient": lambda: RatPoly([None]),
 }
+# t^2 + t has its largest root 0 at the first bisection midpoint, and 1 is
+# exact from the start: neither needs refining, so the tolerance is checked
+# before any shortcut.
+for name, tol in {"zero": 0, "negative": -1, "nan": NAN, "text": "x"}.items():
+    CALLS[f"largest_real_root {name} tol"] = (
+        lambda tol=tol: largest_real_root(RatPoly([0, 1, 1]), tol))
+    CALLS[f"exact refine {name} tol"] = (
+        lambda tol=tol: AlgebraicNumber.from_rational(1).refine(tol))
+for name, x in {"text": "x", "nan": NAN, "missing": None, "inf": INF}.items():
+    CALLS[f"compare_fraction {name}"] = lambda x=x: _root_of_two().compare_fraction(x)
+    CALLS[f"from_rational {name}"] = lambda x=x: AlgebraicNumber.from_rational(x)
 
 
 @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())

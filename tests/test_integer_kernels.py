@@ -1,9 +1,11 @@
 """The integer kernels of the matching-root pipeline against independent
-references: poly_gcd and square_free_part against sympy's gcd and
-sqf_part, matching_weight_sums (both DPs) against a plain Fraction
-enumeration of matchings, and the short-rational isolation certificate
-of the float-guided root against the full count it stands in for."""
+references: _integer_gcd and square_free_part against sympy's gcd and
+sqf_part, up to a nonzero factor, matching_weight_sums (both DPs)
+against a plain Fraction enumeration of matchings, and the short-rational
+isolation certificate of the float-guided root against the full count it
+stands in for."""
 
+import math
 from fractions import Fraction as F
 from itertools import combinations
 from unittest import mock
@@ -18,9 +20,10 @@ from critdens import polynomials
 from critdens.graphs import PatternGraph, path_graph, star_graph
 from critdens.polynomials import (
     RatPoly,
+    _integer_coeffs,
+    _integer_gcd,
     largest_matching_root_squared,
     matching_weight_sums,
-    poly_gcd,
     square_free_part,
 )
 
@@ -29,12 +32,18 @@ _X = sympy.Symbol("x")
 _rationals = st.fractions(-6, 6, max_denominator=7)
 
 
+def _poly(*coeffs):
+    """The sympy polynomial over QQ with these coefficients, lowest power first."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)] or [0], _X, domain="QQ")
+
+
 @st.composite
 def factored_polys(draw, factors):
     """A nonzero rational constant, possibly negative, times some of the
     shared factors, each to a power 0-3: repeated factors, and degree 0 or
     1 when few are drawn."""
-    p = RatPoly([draw(_rationals.filter(bool))])
+    p = _poly(draw(_rationals.filter(bool)))
     for f in factors:
         for _ in range(draw(st.integers(0, 3))):
             p = p * f
@@ -44,37 +53,43 @@ def factored_polys(draw, factors):
 @st.composite
 def poly_pairs(draw):
     factors = draw(st.lists(
-        st.lists(_rationals, min_size=2, max_size=3).map(RatPoly).filter(
-            lambda f: f.degree >= 1), max_size=3))
+        st.lists(_rationals, min_size=2, max_size=3).map(lambda cs: _poly(*cs)).filter(
+            lambda f: f.degree() >= 1), max_size=3))
     return draw(factored_polys(factors)), draw(factored_polys(factors))
 
 
-def _to_sympy(p):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)] or [0], _X, domain="QQ")
+def _integers(P):
+    """P's coefficients, lowest power first, times a positive integer."""
+    return _integer_coeffs(RatPoly([F(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())]))
 
 
-def _from_sympy(P):
-    return RatPoly([F(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())])
+def _is_multiple(c, P):
+    """The integer polynomial c is a nonzero multiple of P, or both are zero."""
+    if P.is_zero:
+        return c == []
+    return bool(c) and sympy.Poly(c[::-1], _X, domain="QQ").monic() == P.monic()
 
 
 @settings(max_examples=150, deadline=None)
 @given(poly_pairs())
-@example((RatPoly([F(-3)]), RatPoly([F(5, 2)])))                 # two constants
-@example((RatPoly([F(1), F(-2)]), RatPoly([F(-1, 2), F(1)])))   # 1 - 2x, x - 1/2
-@example((RatPoly([F(-4), F(0), F(-4)]) * RatPoly([F(-4), F(0), F(-4)]), RatPoly([])))
+@example((_poly(F(-3)), _poly(F(5, 2))))                 # two constants
+@example((_poly(F(1), F(-2)), _poly(F(-1, 2), F(1))))   # 1 - 2x, x - 1/2
+@example((_poly(F(-4), F(0), F(-4)) ** 2, _poly()))
 def test_gcd_and_square_free_part_match_sympy(pair):
-    a, b = pair
-    assert poly_gcd(a, b) == _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)).monic())
-    assert poly_gcd(a, b) == poly_gcd(b, a)
-    for p in pair:
-        if not p.is_zero():
-            assert square_free_part(p) == _from_sympy(_to_sympy(p).sqf_part().monic())
+    P, Q = pair
+    a, b = _integers(P), _integers(Q)
+    want = sympy.gcd(P, Q)
+    for g in (_integer_gcd(a, b), _integer_gcd(b, a)):
+        assert _is_multiple(g, want)
+        assert not g or math.gcd(*g) == 1    # primitive
+    for c, R in ((a, P), (b, Q)):
+        if c:
+            assert _is_multiple(square_free_part(c), R.sqf_part())
 
 
 def test_gcd_of_two_zero_polynomials_is_zero():
-    assert poly_gcd(RatPoly([]), RatPoly([])).is_zero()
-    assert poly_gcd(RatPoly([F(-2), F(4)]), RatPoly([])) == RatPoly([F(-1, 2), F(1)])
+    assert _integer_gcd([], []) == []
+    assert _integer_gcd([-2, 4], []) == [-1, 2]
 
 
 def _enumerated_sums(H, weight):

@@ -25,7 +25,6 @@ from critdens.polynomials import (
     matching_weight_sums,
     multivariate_matching_eval,
     poly_from_strings,
-    poly_gcd,
     poly_to_strings,
     positive_on_unit_interval,
     simplest_fraction_between,
@@ -33,7 +32,13 @@ from critdens.polynomials import (
     sturm_chain,
     sturm_count_open,
 )
-from critdens.polynomials import _integer_coeffs, _roots_above
+from critdens.polynomials import (
+    _exact_quotient,
+    _integer_coeffs,
+    _integer_gcd,
+    _roots_above,
+    _scaled_value,
+)
 
 
 def _random_tree(rng, n):
@@ -41,49 +46,37 @@ def _random_tree(rng, n):
     return PatternGraph(n, edges)
 
 
-# -- dense rational polynomials ------------------------------------------
+# -- dense rational polynomials and integer kernels ----------------------
 
 
 def test_ratpoly_basics():
     p = RatPoly([F(-2), 0, 1])
     assert p.degree == 2
-    assert p(F(3, 2)) == F(1, 4)
-    assert p(F(2)) == 2
+    assert _integer_coeffs(p) == [-2, 0, 1]
+    assert _integer_coeffs(RatPoly([F(1, 2), F(-1, 3)])) == [3, -2]
+    assert _scaled_value([-2, 0, 1], F(3, 2)) == 1      # 2^2 p(3/2)
+    assert _scaled_value([-2, 0, 1], F(2)) == 2
     assert RatPoly([1, 2, 0, 0]).coeffs == (F(1), F(2))
     assert RatPoly([]).is_zero()
     assert RatPoly([0]).is_zero()
 
 
-def test_ratpoly_ring_ops():
-    p = RatPoly([1, 1])
-    q = RatPoly([-1, 1])
-    assert p * q == RatPoly([-1, 0, 1])
-    assert p + q == RatPoly([0, 2])
-    assert p - p == RatPoly([])
-
-
 def test_deflate_root():
-    from critdens.polynomials import _exact_quotient, _integer_coeffs
-
-    p = RatPoly([-2, 1]) * RatPoly([-3, 1]) * RatPoly([-3, 1])
-    q = _exact_quotient(_integer_coeffs(p), [-3, 1])
-    assert RatPoly(q) == RatPoly([-2, 1]) * RatPoly([-3, 1])
-    # a root N/D divides out as D t - N, on integers
-    p = RatPoly([-3, 2]) * RatPoly([1, 0, 1])
-    assert _exact_quotient(_integer_coeffs(p), [-3, 2]) == [1, 0, 1]
+    # (t - 2)(t - 3)^2 by t - 3
+    assert _exact_quotient([-18, 21, -8, 1], [-3, 1]) == [6, -5, 1]
+    # a root N/D divides out as D t - N, on integers: (2t - 3)(t^2 + 1)
+    assert _exact_quotient([-3, 2, -3, 2], [-3, 2]) == [1, 0, 1]
 
 
-def test_poly_gcd_and_square_free():
-    a = RatPoly([-1, 0, 1])          # (x-1)(x+1)
-    b = RatPoly([-1, 1])
-    assert poly_gcd(a, b) == RatPoly([-1, 1]).monic()
-    p = RatPoly([-1, 1]) * RatPoly([-1, 1]) * RatPoly([2, 1])
-    sf = square_free_part(p).monic()
-    assert sf == (RatPoly([-1, 1]) * RatPoly([2, 1])).monic()
+def test_integer_gcd_and_square_free():
+    # (t - 1)(t + 1) and t - 1
+    assert _integer_gcd([-1, 0, 1], [-1, 1]) == [-1, 1]
+    # (t - 1)^2 (t + 2) has square-free part -(t - 1)(t + 2)
+    assert square_free_part([2, -3, 0, 1]) == [2, -1, -1]
 
 
 def test_sturm_counting():
-    p = RatPoly([-2, 0, 1])          # x^2 - 2
+    p = [-2, 0, 1]                   # x^2 - 2
     chain = sturm_chain(p)
     assert sturm_count_open(chain, F(0), F(2)) == 1
     assert sturm_count_open(chain, F(-2), F(2)) == 2
@@ -92,14 +85,12 @@ def test_sturm_counting():
 
 
 def test_roots_above_counts_multiplicity_for_real_rooted_polynomials():
-    def roots_above(p, x):
-        return _roots_above(_integer_coeffs(p), x)
-
-    p = RatPoly([F(-1, 2), 1]) * RatPoly([-2, 1]) * RatPoly([-2, 1])  # 1/2, 2, 2
-    assert [roots_above(p, x) for x in (F(-1), F(1, 2), F(1), F(2), F(3))] \
+    p = [-4, 12, -9, 2]              # (2t - 1)(t - 2)^2: 1/2, 2, 2
+    assert [_roots_above(p, x) for x in (F(-1), F(1, 2), F(1), F(2), F(3))] \
         == [3, 2, 2, 0, 0]
-    assert roots_above(matching_even_part(star_graph(5)), F(4)) == 0
-    assert roots_above(matching_even_part(star_graph(5)), F(399, 100)) == 1
+    q = _integer_coeffs(matching_even_part(star_graph(5)))
+    assert _roots_above(q, F(4)) == 0
+    assert _roots_above(q, F(399, 100)) == 1
 
 
 def test_positivity_on_closed_interval():

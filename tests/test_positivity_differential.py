@@ -27,7 +27,7 @@ def _sympy_positive(p: RatPoly) -> bool:
     """p > 0 on [0, 1]: positive at 0 and no real root in [0, 1]."""
     sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                      for c in reversed(p.coeffs)], _T)
-    return p(F(0)) > 0 and sp.count_roots(0, 1) == 0
+    return sp.eval(0) > 0 and sp.count_roots(0, 1) == 0
 
 
 @st.composite
@@ -40,14 +40,23 @@ def graphs_with_densities(draw):
     return PatternGraph(n, tuple(edges)), densities
 
 
+def _poly_from_roots(*roots, lead=F(1), shift=F(0)):
+    """lead * prod (t - root) + shift, expanded by sympy."""
+    def q(x):
+        x = F(x)
+        return sympy.Rational(x.numerator, x.denominator)
+
+    P = sympy.Poly(q(lead) * sympy.prod([_T - q(r) for r in roots]) + q(shift), _T)
+    return RatPoly([F(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())])
+
+
 @st.composite
 def shifted_products(draw):
     """lead * prod (t - root) + shift, roots in [-1, 2]."""
     roots = draw(st.lists(st.fractions(-1, 2, max_denominator=12), max_size=5))
-    p = RatPoly([draw(st.sampled_from([F(1), F(-1), F(3, 2)]))])
-    for r in roots:
-        p = p * RatPoly([-r, 1])
-    p = p + RatPoly([draw(st.fractions(-1, 1, max_denominator=1000))])
+    lead = draw(st.sampled_from([F(1), F(-1), F(3, 2)]))
+    p = _poly_from_roots(*roots, lead=lead,
+                         shift=draw(st.fractions(-1, 1, max_denominator=1000)))
     assume(not p.is_zero())
     return p
 
@@ -64,13 +73,6 @@ def test_matching_generating_function_positivity(case):
 @given(shifted_products())
 def test_rational_polynomial_positivity(p):
     assert positive_on_unit_interval(p) == _sympy_positive(p)
-
-
-def _poly_from_roots(*roots, lead=F(1), shift=F(0)):
-    p = RatPoly([lead])
-    for r in roots:
-        p = p * RatPoly([-F(r), 1])
-    return p + RatPoly([shift])
 
 
 @pytest.mark.parametrize("p, sturm", [

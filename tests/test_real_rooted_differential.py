@@ -6,8 +6,9 @@ to run.  Also AlgebraicNumber.compare_fraction, which decides the side of
 a rational by signs alone, against sympy on every real root;
 AlgebraicNumber.compare on pairs of real roots whose intervals overlap,
 against sympy; the integer Sturm count and the deflating Sturm bisection
-of largest_real_root, against sympy; and simplest_fraction_between
-against a search over every denominator in turn."""
+of largest_real_root, against sympy; every root kernel on k times its
+input against the input itself; and simplest_fraction_between against a
+search over every denominator in turn."""
 
 from fractions import Fraction as F
 from unittest import mock
@@ -23,10 +24,14 @@ from critdens.graphs import PatternGraph, path_graph, star_graph
 from critdens.polynomials import (
     AlgebraicNumber,
     RatPoly,
+    _integer_coeffs,
+    _scaled_value,
+    cauchy_root_bound,
     largest_matching_root_squared,
     largest_real_root,
     matching_even_part,
     simplest_fraction_between,
+    square_free_part,
     sturm_chain,
     sturm_count_open,
 )
@@ -208,7 +213,7 @@ def test_compare_fraction_matches_sympy_on_every_root(P, a, b, c):
     a random share of the way to its neighbours, compared against points
     on both sides of r, the endpoints and r itself when rational; with
     P and -P, so the sign of P at lo takes both values."""
-    coeffs = [F(int(k)) for k in reversed(P.all_coeffs())]
+    coeffs = _integers(P)
     roots = P.real_roots()
     a, b, c = (sympy.Rational(u) for u in (a, b, c))   # exact shares
     for i, r in enumerate(roots):
@@ -219,7 +224,7 @@ def test_compare_fraction_matches_sympy_on_every_root(P, a, b, c):
         points = [lo, below, above, hi]
         if r.is_Rational:
             points.append(F(r.p, r.q))
-        for poly in (RatPoly(coeffs), -RatPoly(coeffs)):
+        for poly in (coeffs, [-k for k in coeffs]):
             x = AlgebraicNumber(poly, lo, hi)
             for q in points:
                 want = _sign(r - sympy.Rational(q.numerator, q.denominator))
@@ -237,8 +242,7 @@ def _pinned(P, i, a, b):
     left = roots[i - 1] if i else r - 4
     right = roots[i + 1] if i + 1 < len(roots) else r + 4
     lo, hi = _rational(r - (r - left) * a), _rational(r + (right - r) * b)
-    coeffs = [F(int(k)) for k in reversed(P.all_coeffs())]
-    return AlgebraicNumber(RatPoly(coeffs), lo, hi), r
+    return AlgebraicNumber(_integers(P), lo, hi), r
 
 
 def _holds(x, r):
@@ -293,6 +297,11 @@ def _coeffs(P):
     return [F(int(k)) for k in reversed(P.all_coeffs())]
 
 
+def _integers(P):
+    """The integer polynomial P's coefficients, lowest power first."""
+    return [int(k) for k in reversed(P.all_coeffs())]
+
+
 @settings(max_examples=100, deadline=None)
 @given(square_free_polys(), st.booleans(), st.fractions(F(1, 9), 9, max_denominator=9),
        st.fractions(-6, 6, max_denominator=16),
@@ -305,7 +314,7 @@ def test_sturm_count_matches_sympy(P, negate, scale, lo, width):
     hi = lo + width
     P = -P if negate else P
     assume(P.eval(_sympy(lo)) != 0 and P.eval(_sympy(hi)) != 0)
-    p = RatPoly([scale * c for c in _coeffs(P)])
+    p = _integer_coeffs(RatPoly([scale * c for c in _coeffs(P)]))
     want = P.count_roots(_sympy(lo), _sympy(hi))
     assert sturm_count_open(sturm_chain(p), lo, hi) == want
 
@@ -333,9 +342,82 @@ def test_largest_real_root_deflates_a_rational_midpoint(Q, negate):
     r = P.real_roots()[-1]
     assert _holds(x, r)
     if x.exact is None:
-        X = sympy.Poly([_sympy(c) for c in reversed(x.poly.coeffs)], _S)
+        X = sympy.Poly(x.poly[::-1], _S)
         assert P.rem(X).is_zero
         assert X.count_roots(_sympy(x.lo), _sympy(x.hi)) == 1
+
+
+MULTIPLIERS = (-3, -1, 2, 7)
+
+
+@st.composite
+def scale_cases(draw):
+    """A square-free integer polynomial with a real root, and whether it
+    is real-rooted: the square-free part of a matching even part, or a
+    generic one from square_free_polys."""
+    if draw(st.booleans()):
+        H = draw(st.one_of(trees(max_n=12), connected_graphs()))
+        return square_free_part(_integer_coeffs(matching_even_part(H))), True
+    return _integers(draw(square_free_polys())), False
+
+
+def _scaled(k, c):
+    return [k * a for a in c]
+
+
+def _copy(x, k=1):
+    """A fresh copy of x with its defining polynomial times k."""
+    return AlgebraicNumber(_scaled(k, x.poly), x.lo, x.hi, x.exact)
+
+
+def _same_root(x, y, k):
+    """y is x, with its defining polynomial times k unless x is exact."""
+    return ((y.lo, y.hi, y.exact) == (x.lo, x.hi, x.exact)
+            and (x.exact is not None or y.poly == _scaled(k, x.poly)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scale_cases(), st.sampled_from(MULTIPLIERS), st.sampled_from(TOLERANCES),
+       st.fractions(-6, 6, max_denominator=16), st.fractions(F(1, 16), 12, max_denominator=16),
+       square_free_polys())
+# P_4's even part, negated, and a linear polynomial
+@example(([-1, 3, -1], True), -1, F(1, 10**9), F(0), F(3), sympy.Poly(_S**2 - 2, _S))
+@example(([1, -2], False), -3, F(1, 64), F(-2), F(3), sympy.Poly(2 * _S - 1, _S))
+def test_kernels_agree_on_every_nonzero_multiple(case, k, tol, lo, width, Q):
+    """Kernels take any nonzero multiple of a polynomial: k c gives what c
+    gives, up to the factor k in the defining polynomial, for negative k
+    too (no monic step normalises the sign)."""
+    c, real_rooted = case
+    kc, tol = _scaled(k, c), F(tol)
+    assert cauchy_root_bound(kc) == cauchy_root_bound(c)
+    hi = lo + width
+    if _scaled_value(c, lo) and _scaled_value(c, hi):
+        assert sturm_count_open(sturm_chain(kc), lo, hi) == sturm_count_open(sturm_chain(c), lo, hi)
+    assert _same_root(polynomials._sturm_largest_root(c, tol),
+                      polynomials._sturm_largest_root(kc, tol), k)
+    if real_rooted:
+        s1, s2 = polynomials._newton_top_roots(c)
+        assert polynomials._newton_top_roots(kc) == (s1, s2)
+        s2 = s2 if len(c) > 2 else None
+        x = polynomials._float_guided_root(c, tol, s1, s2)
+        y = polynomials._float_guided_root(kc, tol, s1, s2)
+        assert x is y is None or _same_root(x, y, k)
+    # An AlgebraicNumber on k p: its refinement and its comparisons with
+    # rationals, with itself on p, and with another root.
+    x = polynomials._sturm_largest_root(c, F(1, 2))
+    if x.exact is not None:
+        return
+    for q in (x.lo, x.hi, lo, hi, (x.lo + x.hi) / 2, simplest_fraction_between(x.lo, x.hi)):
+        assert _copy(x, k).compare_fraction(q) == _copy(x).compare_fraction(q)
+    y, z = _copy(x), _copy(x, k)
+    y.refine(tol)
+    z.refine(tol)
+    assert _same_root(y, z, k)
+    assert _copy(x, k).compare(_copy(x)) == 0
+    other = polynomials._sturm_largest_root(_integers(Q), F(1, 2))
+    want = _copy(x).compare(_copy(other))
+    assert _copy(x, k).compare(_copy(other)) == want
+    assert _copy(other, k).compare(_copy(x, k)) == -want
 
 
 def _least_denominator_between(lo, hi):

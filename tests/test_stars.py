@@ -22,6 +22,7 @@ from critdens.graphs import (
 from critdens.polynomials import (
     _integer_coeffs,
     _roots_above,
+    _scaled_value,
     largest_matching_root_squared,
     matching_even_part,
 )
@@ -280,8 +281,8 @@ def _reference_bt1(n, m):
         if shape in seen:
             continue
         seen.add(shape)
-        q = matching_even_part(tree)
-        if q(target) != 0 or _roots_above(_integer_coeffs(q), target) != 0:
+        q = _integer_coeffs(matching_even_part(tree))
+        if _scaled_value(q, target) != 0 or _roots_above(q, target) != 0:
             return False
     return True
 

@@ -2,8 +2,9 @@
 every name it assigns at module level is read there, every private
 (_-prefixed) function, method or class it defines is referenced somewhere
 in the package outside its own body, no module imports another's private
-name, and every public module-level function or class, and every public
-method of such a class, is referenced by the package or by perfbench/.
+name, every public module-level function or class, and every public
+method of such a class, is referenced by the package or by perfbench/,
+and no class defines a dunder method outside ALLOWED_DUNDERS.
 
 No linter ships with the toolchain, so this scan is the guard.  The
 package's __init__ is left out, except from the private-import scan: it
@@ -170,6 +171,24 @@ def test_no_uncalled_public_definitions():
                 uncalled.append(f"{name}:{node.lineno} {shown}")
     assert not uncalled, f"public definitions nothing calls: {', '.join(uncalled)}"
     assert set(UNCALLED_PUBLIC) <= defined, "allowlist names a definition that is gone"
+
+
+# Dunder methods a class under src/ may define.  The scans above skip
+# dunders, which Python calls implicitly, so an operator nothing uses would
+# go unseen; a class that needs one adds it here, naming its caller in src/.
+ALLOWED_DUNDERS = {"__init__", "__post_init__", "__new__", "__eq__", "__hash__",
+                   "__repr__", "__str__"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dunders_outside_the_allowed_set(path):
+    tree = ast.parse(path.read_text())
+    extra = [f"{node.name}.{item.name} (line {item.lineno})"
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, DEFINITIONS)
+             and item.name.startswith("__") and item.name.endswith("__")
+             and item.name not in ALLOWED_DUNDERS]
+    assert not extra, f"{path.name} defines dunders outside the allowed set: {', '.join(extra)}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
