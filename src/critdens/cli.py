@@ -329,6 +329,8 @@ def cmd_star_bound(args, rep: Reporter) -> int:
     tol = _tolerance(args.tol)
     H = _load_graph(args.graph)
     bound = star_lower_bound(H, tol)
+    # the table is built when first read: a size limit there prints nothing
+    table = sorted(bound.shape_table.items()) if args.dedupe else []
     rep.record("value", name="star_lower_bound",
                **_density_fields(bound.density, tol))
     rep.record("labeling", labeling=list(bound.best_labeling),
@@ -340,7 +342,7 @@ def cmd_star_bound(args, rep: Reporter) -> int:
                  + (" (cap reached: certified lower bound only)" if bound.heuristic else ""))
     if args.dedupe:
         rep.text("path-tree shapes (automorphic labelings collapsed):")
-        for shape, (example, count, dc) in sorted(bound.shape_table.items()):
+        for shape, (example, count, dc) in table:
             rep.record("shape", shape=shape, example=list(example), count=count,
                        **_density_fields(dc, tol))
             if not rep.structured:

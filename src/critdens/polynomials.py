@@ -769,22 +769,30 @@ def _tree_matching_weight_sums(
     return anym[order[0]]
 
 
+def _integer_weight_sums(H: PatternGraph, weight: Callable[[Edge], int]) -> list[int]:
+    """The integer matching sums of H: trees take the linear-time rooted
+    recursion, with no size cap; other patterns the subset recursion, up
+    to MAX_MATCHING_EDGES edges."""
+    if H.is_tree():
+        return _tree_matching_weight_sums(H, weight)
+    if len(H.edges) > MAX_MATCHING_EDGES:
+        raise SizeLimit(
+            f"matching polynomial capped at {MAX_MATCHING_EDGES} edges, "
+            f"got {len(H.edges)}")
+    return _matching_weight_sums(H, weight)
+
+
 def matching_weight_sums(
     H: PatternGraph, weight: Callable[[Edge], Fraction] | None = None
 ) -> list[Fraction]:
     """c_k = sum over k-matchings of the product of their edge weights
     (1 by default): the DP runs on the weights' integer numerators over
-    their least common denominator D, and c_k is its sum over D^k.
-    Trees take the linear-time rooted recursion, with no size cap."""
-    dp = _tree_matching_weight_sums if H.is_tree() else _matching_weight_sums
-    if dp is _matching_weight_sums and len(H.edges) > MAX_MATCHING_EDGES:
-        raise SizeLimit(
-            f"matching polynomial capped at {MAX_MATCHING_EDGES} edges, "
-            f"got {len(H.edges)}")
+    their least common denominator D, and c_k is its sum over D^k."""
     w = {e: Fraction(weight(e) if weight else 1) for e in H.edges}
     den = math.lcm(*(x.denominator for x in w.values()))
     scaled = {e: x.numerator * (den // x.denominator) for e, x in w.items()}
-    return [Fraction(c, den ** k) for k, c in enumerate(dp(H, scaled.__getitem__))]
+    return [Fraction(c, den ** k)
+            for k, c in enumerate(_integer_weight_sums(H, scaled.__getitem__))]
 
 
 def matching_polynomial(H: PatternGraph) -> RatPoly:
@@ -806,16 +814,21 @@ def multivariate_matching_eval(
     return RatPoly([(-1) ** k * c for k, c in enumerate(counts)])
 
 
+def _even_part(H: PatternGraph) -> list[int]:
+    """matching_even_part(H)'s integer coefficients, from the matching
+    counts m_k with no Fraction in between."""
+    K = H.n // 2
+    coeffs = [0] * (K + 1)
+    for k, m_k in enumerate(_integer_weight_sums(H, lambda e: 1)):
+        coeffs[K - k] = (-1) ** k * m_k
+    return coeffs
+
+
 def matching_even_part(H: PatternGraph) -> RatPoly:
     """q(s) with M(t) = t^(n mod 2) q(t^2): q = sum_k (-1)^k m_k s^(K-k),
     K = floor(n/2).  Well defined because M only has exponents of one
     parity (matchings remove vertices in pairs)."""
-    counts = matching_weight_sums(H)
-    K = H.n // 2
-    coeffs = [_ZERO] * (K + 1)
-    for k, m_k in enumerate(counts):
-        coeffs[K - k] = (-1) ** k * m_k
-    return RatPoly(coeffs)
+    return RatPoly(_even_part(H))
 
 
 def largest_matching_root_squared(
@@ -828,7 +841,7 @@ def largest_matching_root_squared(
         return AlgebraicNumber.from_rational(0)
     # Equal to largest_real_root(matching_even_part(H), tol); the Sturm
     # bisection runs only when a certificate fails.
-    sf = square_free_part(_integer_coeffs(matching_even_part(H)))
+    sf = square_free_part(_even_part(H))
     s1, s2 = _tree_top_roots_squared(H) if H.is_tree() else _newton_top_roots(sf)
     root = _float_guided_root(sf, tol, s1, s2 if len(sf) > 2 else None)
     if root is not None:

@@ -13,8 +13,12 @@ densities must ensure T_f(H); the best such condition over all labelings
 is the star lower bound max_f (1 - 1/lambda(T_f)^2) on the critical
 density of H.  The condition, the star bound and the K_{n,m} check run
 on the DAG that orients each H-edge forward along f, which T_f unfolds
-from f(1); the star bound builds T_f once per rooted shape read off it,
-so NODE_CAP bounds only those builds and the trees built for export.
+from f(1).  The star bound reads T_f's rooted shape off it and sets
+aside, by one exact leaf reduction at the best's lambda^2, each rooted
+shape that cannot reach the best; it builds T_f, its shape key and its
+spectrum only for the others, and for the set-aside ones when the shape
+table is read.  So NODE_CAP bounds only those builds and the trees built
+for export.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .blowup import WeightedBlowupGraph, assert_construction, blowup_without
 from .errors import ImproperLabeling, SizeLimit, ValidationError
@@ -121,19 +125,42 @@ def tree_shape_key(T: PatternGraph) -> str:
     return min(_rooted_shape(T, c) for c in centers)
 
 
-def _rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int]) -> int:
-    """T_f's rooted shape as an id interned in ids: backwards along f,
-    each vertex gets the id of the sorted ids of its later neighbours,
-    as a node's subtree in T_f depends only on the node's last vertex."""
+def _rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int],
+               keys: list[tuple[int, ...]]) -> int:
+    """T_f's rooted shape as an id interned in ids, with keys[id] its
+    key: backwards along f, each vertex gets the id of the sorted ids of
+    its later neighbours, as a node's subtree in T_f depends only on the
+    node's last vertex.  A key's ids are interned before the key."""
     pos = {v: k for k, v in enumerate(f)}
     rid: dict[int, int] = {}
     for v in reversed(f):
         key = tuple(sorted(rid[w] for w in H.adjacency[v] if pos[w] > pos[v]))
-        rid[v] = ids.setdefault(key, len(ids))
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+        rid[v] = ids[key]
     return rid[f[0]]
 
 
-@dataclass
+def _extend_reduction(keys: Sequence[tuple[int, ...]], r: Fraction,
+                      memo: list[tuple[Fraction | None, Fraction | None]]) -> None:
+    """_root_sum's leaf reduction at ratio r on every edge, once per
+    interned rooted id: extend memo to every id in keys with (S, F), where
+    S(id) = r * sum of F(c) over the ids c in key(id), None if one is
+    None, and F(id) = 1/(1 - S(id)), None unless S(id) < 1.  So id's
+    tree T has every pivot of I - sqrt(r) A(T) positive, i.e.
+    lambda(T)^2 < 1/r, iff F(id) is not None; and lambda(T)^2 = 1/r iff
+    S(id) = 1."""
+    for i in range(len(memo), len(keys)):
+        F = [memo[c][1] for c in keys[i]]
+        S = None if any(x is None for x in F) else r * sum(F, _ZERO)
+        memo.append((S, None if S is None or S >= 1 else _ONE / (_ONE - S)))
+
+
+ShapeTable = dict[str, tuple[tuple[int, ...], int, CriticalDensity]]
+
+
+@dataclass(eq=False)
 class StarBound:
     """max over proper labelings of the lifted-tree critical density."""
 
@@ -141,9 +168,21 @@ class StarBound:
     best_labeling: tuple[int, ...]
     labelings_examined: int
     heuristic: bool
-    # shape of T_f -> (example labeling, labeling count, critical density);
+    # shape of T_f -> (example labeling, labeling count, critical density),
+    # or a function that builds it when shape_table is first read;
     # automorphic labelings collapse here, which is reporting-only data.
-    shape_table: dict[str, tuple[tuple[int, ...], int, CriticalDensity]]
+    _table: ShapeTable | Callable[[], ShapeTable]
+
+    @property
+    def shape_table(self) -> ShapeTable:
+        if callable(self._table):
+            self._table = self._table()
+        return self._table
+
+    def __eq__(self, other: object) -> bool:
+        # reading both tables first leaves every field a plain value
+        return (isinstance(other, StarBound) and self.shape_table == other.shape_table
+                and vars(self) == vars(other))
 
     def interval(self, tol: Fraction | float = Fraction(1, 10**9)) -> tuple[Fraction, Fraction]:
         return self.density.interval(tol)
@@ -171,57 +210,93 @@ def star_lower_bound(
 ) -> StarBound:
     """Maximize 1 - 1/lambda(T_f(H))^2 over proper labelings.
 
-    T_f and its unrooted shape key, the table's key, are built once per
-    rooted shape of T_f, read off the labeling's DAG; a spectrum is
-    computed and compared once per shape.  Every labeling is still
-    enumerated (up to LABELING_CAP; past it the lexicographic prefix is
-    scored and the result is flagged heuristic, i.e. still a valid lower
-    bound but maybe not the max).  On a tree every T_f is the tree
-    itself, so its labelings are counted, not enumerated.
-    Ties keep the lexicographically first labeling.
+    Labelings are grouped by the rooted shape of T_f, read off the
+    labeling's DAG.  A new rooted shape is first reduced at ratio 1/s on
+    every edge, s the lower end of the best's lambda^2 interval: if no
+    pivot reaches 0, lambda(T_f)^2 < s and the shape can neither beat
+    nor tie the best, so it is set aside.  Only the others get T_f, its
+    unrooted shape key and, once per shape, a spectrum compared with the
+    best; the set-aside ones get theirs when shape_table is first read.
+    Every labeling is still enumerated (up to LABELING_CAP; past it the
+    lexicographic prefix is scored and the result is flagged heuristic,
+    i.e. still a valid lower bound but maybe not the max).  On a tree
+    every T_f is the tree itself, so its labelings are counted, not
+    enumerated.  Ties keep the lexicographically first labeling.
     """
     tol = tolerance(tol)
     if H.n == 1:
         zero = CriticalDensity.zero()
         return StarBound(zero, (1,), 1, False, {"()": ((1,), 1, zero)})
-    table: dict[str, tuple[tuple[int, ...], int, CriticalDensity]] = {}
     best: CriticalDensity | None = None
     best_f: tuple[int, ...] | None = None
     examined = 0
     heuristic = False
+    table: ShapeTable | Callable[[], ShapeTable]
     if H.is_tree():
         best_f = next(proper_labelings(H))
         tree = monotone_path_tree(H, best_f).tree
         count = _tree_labelings(H)
         examined, heuristic = min(count, LABELING_CAP), count > LABELING_CAP
         best = CriticalDensity(largest_matching_root_squared(tree))
-        table[tree_shape_key(tree)] = (best_f, examined, best)
+        table = {tree_shape_key(tree): (best_f, examined, best)}
     else:
         ids: dict[tuple[int, ...], int] = {}
-        shapes: dict[int, str] = {}   # rooted id -> shape key
+        keys: list[tuple[int, ...]] = []
+        # rooted id -> [first labeling, count, shape key or None if set aside]
+        records: dict[int, list] = {}
+        spectra: dict[str, CriticalDensity] = {}
+        # the reduction at r = 1/s, s the lower end of the best's interval
+        # (s > 1: a path tree of a non-tree has lambda^2 >= 2, and the
+        # interval is at most 10^-9 wide)
+        memo: list[tuple[Fraction | None, Fraction | None]] = []
         for f in proper_labelings(H):
             if examined >= LABELING_CAP:
                 heuristic = True
                 break
             examined += 1
-            rid = _rooted_id(H, f, ids)
-            if rid not in shapes:
-                tree = monotone_path_tree(H, f).tree
-                shapes[rid] = tree_shape_key(tree)
-            shape = shapes[rid]
-            if shape in table:
-                example, count, dc = table[shape]
-                table[shape] = (example, count + 1, dc)
+            rid = _rooted_id(H, f, ids, keys)
+            if rid in records:
+                records[rid][1] += 1
                 continue
-            # a new shape has a new rooted id, so tree is f's
-            dc = CriticalDensity(largest_matching_root_squared(tree))
-            table[shape] = (f, 1, dc)
+            if best is not None:
+                _extend_reduction(keys, r, memo)
+                if memo[rid][1] is not None:
+                    records[rid] = [f, 1, None]
+                    continue
+            tree = monotone_path_tree(H, f).tree
+            shape = tree_shape_key(tree)
+            records[rid] = [f, 1, shape]
+            if shape in spectra:
+                continue
+            dc = spectra[shape] = CriticalDensity(largest_matching_root_squared(tree))
             if best is None or dc.s_star.compare(best.s_star) > 0:
                 best, best_f = dc, f
+                r, memo = 1 / best.s_star.interval()[0], []
+        table = lambda: _shape_table(H, records, spectra)
     assert best is not None and best_f is not None
     bound = StarBound(best, best_f, examined, heuristic, table)
     bound.interval(tol)
     return bound
+
+
+def _shape_table(H: PatternGraph, records: Mapping[int, list],
+                 spectra: dict[str, CriticalDensity]) -> ShapeTable:
+    """star_lower_bound's table from its rooted-id records, in the order
+    of their first labelings: T_f and its shape key for each set-aside
+    id, and a spectrum for each shape that has none yet."""
+    table: ShapeTable = {}
+    for f, count, shape in records.values():
+        if shape is None:
+            tree = monotone_path_tree(H, f).tree
+            shape = tree_shape_key(tree)
+            if shape not in spectra:
+                spectra[shape] = CriticalDensity(largest_matching_root_squared(tree))
+        if shape in table:
+            example, total, dc = table[shape]
+            table[shape] = (example, total + count, dc)
+        else:
+            table[shape] = (f, count, spectra[shape])
+    return table
 
 
 def _root_sum(H: PatternGraph, f: Sequence[int],
@@ -263,15 +338,18 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bo
     monotone-path tree's spectral radius squared is exactly n + m - 1.
     Exact, so any positive tol holds: at ratio 1/s the root sum is 1 iff
     s = lambda(T_f)^2, as proper subtrees have smaller lambda and the
-    root sum rises strictly with the ratio.  One sum per rooted shape."""
+    root sum rises strictly with the ratio.  The reduction runs once per
+    interned rooted id, and the root sum is read once per rooted shape."""
     tolerance(tol)
     if n + m > BT1_CAP:
         raise SizeLimit(f"n + m capped at {BT1_CAP}")
     K = complete_bipartite(n, m)
-    ratio = dict.fromkeys(K.edges, Fraction(1, n + m - 1))
     ids: dict[tuple[int, ...], int] = {}
-    rooted = {_rooted_id(K, f, ids): f for f in proper_labelings(K)}
-    return all(_root_sum(K, f, ratio) == 1 for f in rooted.values())
+    keys: list[tuple[int, ...]] = []
+    roots = {_rooted_id(K, f, ids, keys) for f in proper_labelings(K)}
+    memo: list[tuple[Fraction | None, Fraction | None]] = []
+    _extend_reduction(keys, Fraction(1, n + m - 1), memo)
+    return all(memo[rid][0] == 1 for rid in roots)
 
 
 BOW_TIE_CENTER_DENSITY = Fraction(17, 20)

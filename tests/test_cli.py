@@ -518,6 +518,21 @@ def test_star_check_export_past_the_path_tree_cap_exits_3(k18, tmp_path, capsys)
     assert not exported.exists()
 
 
+def test_star_bound_sets_aside_a_path_tree_past_the_cap(tmp_path, monkeypatch, capsys):
+    # the paw's labeling 2, 3, 4, 1 has a 6-node path tree, below the
+    # best's 5-node one (1, 4, 2, 3): only the shape table builds it
+    from critdens import stars
+
+    monkeypatch.setattr(stars, "NODE_CAP", 5)
+    paw = tmp_path / "paw.g"
+    paw.write_text("4; 1-4 2-3 2-4 3-4\n")
+    assert _run(["bounds", str(paw)])[0] == 0
+    assert _run(["star-bound", str(paw)])[0] == 0
+    capsys.readouterr()
+    assert _run(["star-bound", str(paw), "--dedupe"]) == (3, "")
+    assert capsys.readouterr().err == "error: monotone-path tree exceeds 5 nodes\n"
+
+
 @pytest.mark.parametrize("criteria, message", [
     ("0", "no criterion 0: criteria are numbered 1..11"),
     ("12", "no criterion 12: criteria are numbered 1..11"),

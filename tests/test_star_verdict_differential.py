@@ -1,10 +1,12 @@
 """The star necessary condition, decided on the labeling's DAG, against
 the leaf reduction on the built monotone-path tree with each tree edge's
-density lifted through the legend.  Patterns are connected with at most
+density lifted through the legend; and the star bound's sign test, the
+reduction at ratio 1/s once per interned rooted id, against the path
+tree's spectrum compared with s.  Patterns are connected with at most
 seven vertices; densities are 0, 1 and multiples of 1/40.  The examples
 sit at homogeneous densities equal to a rational tree critical density,
 where a rescaled ratio reaches 1 exactly (a zero pivot), at the root or
-below it."""
+below it; so do the explicit sign tests."""
 
 from fractions import Fraction as F
 
@@ -18,8 +20,11 @@ from critdens.graphs import (
     canonical_edge,
     complete_bipartite,
     cycle_graph,
+    proper_labelings,
     star_graph,
 )
+from critdens import stars
+from critdens.polynomials import largest_matching_root_squared
 from critdens.stars import monotone_path_tree, star_necessary_condition
 from critdens.tree_decision import _decide_from_ratios
 from critdens.verdict import Verdict
@@ -72,3 +77,72 @@ def test_dag_verdict_matches_leaf_reduction_on_the_path_tree(case):
     verdict = star_necessary_condition(H, gamma, f)
     event(str(verdict))
     assert verdict is _tree_verdict(H, gamma, f)
+
+
+# -- the star bound's sign test ----------------------------------------------
+
+
+def _below(H, f, s):
+    """Every pivot of T_f's reduction at ratio 1/s is positive, reduced
+    once per interned rooted id as the star bound does."""
+    ids, keys, memo = {}, [], []
+    rid = stars._rooted_id(H, f, ids, keys)
+    stars._extend_reduction(keys, 1 / s, memo)
+    return memo[rid][1] is not None
+
+
+def _spectrum_below(H, f, s):
+    tree = monotone_path_tree(H, f).tree
+    return largest_matching_root_squared(tree).compare_fraction(s) < 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_patterns(), st.data())
+def test_sign_test_matches_the_path_tree_spectrum(case, data):
+    H, f, _ = case
+    lam2 = largest_matching_root_squared(monotone_path_tree(H, f).tree)
+    # a rational s anywhere, or an end of lambda^2's isolating interval
+    near = [x for x in lam2.interval() if x > 0]
+    anywhere = st.integers(1, 320).map(lambda k: F(k, 8))
+    s = data.draw(st.one_of(anywhere, st.sampled_from(near)) if near else anywhere)
+    below = _below(H, f, s)
+    event(f"below {below}")
+    assert below == (lam2.compare_fraction(s) < 0)
+
+
+def _subtrees(H, f):
+    """Each node's subtree of T_f, as a tree of its own."""
+    mpt = monotone_path_tree(H, f)
+    for path in mpt.legend.values():
+        nodes = [u for u, p in mpt.legend.items() if p[:len(path)] == path]
+        index = {u: k for k, u in enumerate(nodes, start=1)}
+        yield PatternGraph(len(nodes), tuple((index[a], index[b]) for a, b in mpt.tree.edges
+                                             if a in index and b in index))
+
+
+@pytest.mark.parametrize("H, f", [
+    (star_graph(4), (2, 1, 3, 4)),             # K_{1,2} below the root
+    (star_graph(5), (2, 1, 3, 4, 5)),          # K_{1,3} below the root
+    (cycle_graph(4), (1, 2, 3, 4)),
+    (cycle_graph(5), (1, 2, 3, 4, 5)),
+    (complete_bipartite(2, 2), (1, 3, 2, 4)),
+    (complete_bipartite(2, 3), (1, 3, 2, 4, 5)),
+    (complete_bipartite(3, 3), (1, 4, 2, 5, 3, 6)),
+    (PatternGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))), (1, 2, 3, 4)),
+])
+def test_sign_test_at_a_subtree_spectrum_is_a_zero_pivot(H, f):
+    # at s = lambda^2 of a subtree with a rational lambda^2 (K_{1,k} has
+    # k), that subtree's top pivot is exactly 0: not below
+    exact = {largest_matching_root_squared(T).exact for T in _subtrees(H, f)} - {None, 0}
+    assert exact
+    for s in exact:
+        assert not _below(H, f, s)
+        assert not _spectrum_below(H, f, s)
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (2, 3), (3, 3), (2, 4)])
+def test_sign_test_on_complete_bipartite_at_n_plus_m_minus_1(n, m):
+    K = complete_bipartite(n, m)
+    for f in proper_labelings(K):
+        assert not _below(K, f, F(n + m - 1))
+        assert _below(K, f, F(n + m - 1) + F(1, 1000))

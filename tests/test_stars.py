@@ -7,6 +7,7 @@ import pytest
 
 from critdens import stars
 from critdens.acceptance import _connected_atlas
+from critdens.bounds import compute_bounds
 from critdens.errors import ImproperLabeling, SizeLimit, ValidationError
 from critdens.graphs import (
     PatternGraph,
@@ -178,13 +179,16 @@ def test_star_bound_matches_plain_search_on_six_vertices():
 def test_rooted_ids_name_rooted_path_tree_shapes():
     # one intern table across every pattern: equal ids iff equal rooted
     # shapes of T_f from f(1)
-    ids, by_id, by_shape = {}, {}, {}
+    ids, keys, by_id, by_shape = {}, [], {}, {}
     for H in [*_connected_atlas(3, 6), complete_bipartite(3, 4)]:
         for f in proper_labelings(H):
-            rid = stars._rooted_id(H, f, ids)
+            rid = stars._rooted_id(H, f, ids, keys)
             shape = stars._rooted_shape(monotone_path_tree(H, f).tree, 1)
             assert by_id.setdefault(rid, shape) == shape, (H, f)
             assert by_shape.setdefault(shape, rid) == rid, (H, f)
+    # keys[id] is id's key, and a key's ids come before it
+    assert [ids[key] for key in keys] == list(range(len(keys)))
+    assert all(c < i for i, key in enumerate(keys) for c in key)
 
 
 def test_star_bound_builds_one_path_tree_per_rooted_id(monkeypatch):
@@ -200,9 +204,45 @@ def test_star_bound_builds_one_path_tree_per_rooted_id(monkeypatch):
     for H in _connected_atlas(3, 6):
         built.clear()
         star_lower_bound(H)
-        ids = {}
-        rooted = {stars._rooted_id(H, f, ids) for f in proper_labelings(H)}
+        ids, keys = {}, []
+        rooted = {stars._rooted_id(H, f, ids, keys) for f in proper_labelings(H)}
         assert 1 <= len(built) <= len(rooted), H
+
+
+def test_star_bound_computes_spectra_only_for_shapes_that_can_win(monkeypatch):
+    # an atlas pattern: a triangle 2-3-4 and a triangle 2-3-5 sharing 2-3,
+    # and a pendant vertex 1 at 2
+    H = PatternGraph(5, ((1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)))
+    spectra, built = [], []
+
+    def counting_spectrum(T, *args):
+        spectra.append(T)
+        return largest_matching_root_squared(T, *args)
+
+    def counting_tree(H, f):
+        built.append(f)
+        return monotone_path_tree(H, f)
+
+    monkeypatch.setattr(stars, "largest_matching_root_squared", counting_spectrum)
+    monkeypatch.setattr(stars, "monotone_path_tree", counting_tree)
+    want = _reference_star_bound(H)
+    compute_bounds(H)
+    assert 1 <= len(spectra) < len(want.shape_table)
+
+    spectra.clear()
+    bound = star_lower_bound(H)
+    bound.density.interval()
+    computed = len(spectra)
+    table = bound.shape_table
+    assert table == want.shape_table and bound == want
+    # the first read computes the remaining spectra, one per shape in all;
+    # later reads return the same table and build nothing
+    assert computed < len(spectra) == len(table)
+    counts = len(spectra), len(built)
+    assert bound.shape_table is table
+    assert (len(spectra), len(built)) == counts
+    best_shape = tree_shape_key(monotone_path_tree(H, bound.best_labeling).tree)
+    assert table[best_shape][2] is bound.density
 
 
 def test_star_bound_matches_plain_search_on_small_trees():
@@ -292,12 +332,15 @@ def _reference_bt1(n, m):
                                   for n in range(1, s // 2 + 1)])
 def test_verify_bt1_matches_path_tree_spectra(n, m):
     assert verify_bt1(n, m) == _reference_bt1(n, m)
-    # one labeling's root sum misses 1 at a nearby ratio, so the check
+    # one rooted shape's root sum misses 1 at a nearby ratio, so the check
     # would fail there
     K = complete_bipartite(n, m)
+    ids, keys = {}, []
+    roots = {stars._rooted_id(K, f, ids, keys) for f in proper_labelings(K)}
     for s in (n + m - 1 - F(1, 1000), n + m - 1 + F(1, 1000)):
-        ratio = dict.fromkeys(K.edges, 1 / s)
-        assert not all(stars._root_sum(K, f, ratio) == 1 for f in proper_labelings(K))
+        memo = []
+        stars._extend_reduction(keys, 1 / s, memo)
+        assert not all(memo[rid][0] == 1 for rid in roots)
 
 
 def test_verify_bt1_size_cap():

@@ -135,6 +135,9 @@ UNCALLED_PUBLIC = {
                         "a ratio vector; the API offers it alongside decide_tree",
     "poly_from_strings": "the reader of the documented polynomial text, the "
                          "inverse of poly_to_strings",
+    "matching_even_part": "the even part q(t^2) of the matching polynomial as "
+                          "a RatPoly; largest_matching_root_squared reads the "
+                          "same integers from the matching counts directly",
 }
 
 
