@@ -13,12 +13,10 @@ densities must ensure T_f(H); the best such condition over all labelings
 is the star lower bound max_f (1 - 1/lambda(T_f)^2) on the critical
 density of H.  The condition, the star bound and the K_{n,m} check run
 on the DAG that orients each H-edge forward along f, which T_f unfolds
-from f(1).  The star bound reads T_f's rooted shape off it and sets
-aside, by one exact leaf reduction at the best's lambda^2, each rooted
-shape that cannot reach the best; it builds T_f, its shape key and its
-spectrum only for the others, and for the set-aside ones when the shape
-table is read.  So NODE_CAP bounds only those builds and the trees built
-for export.
+from f(1).  The star bound walks the labelings once, then certifies the
+rooted shapes of T_f best-first by a float hint; one exact leaf
+reduction at the best's lambda^2 sets aside each that cannot reach it,
+so NODE_CAP bounds only the trees built for the others and for export.
 """
 
 from __future__ import annotations
@@ -125,36 +123,49 @@ def tree_shape_key(T: PatternGraph) -> str:
     return min(_rooted_shape(T, c) for c in centers)
 
 
-def _rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int],
-               keys: list[tuple[int, ...]]) -> int:
-    """T_f's rooted shape as an id interned in ids, with keys[id] its
-    key: backwards along f, each vertex gets the id of the sorted ids of
-    its later neighbours, as a node's subtree in T_f depends only on the
-    node's last vertex.  A key's ids are interned before the key."""
-    pos = {v: k for k, v in enumerate(f)}
-    rid: dict[int, int] = {}
+def _rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int]) -> int:
+    """T_f's rooted shape as an id interned in ids, key -> id in id order
+    (so list(ids)[id] is id's key): backwards along f, each vertex gets
+    the id of the sorted ids of its later neighbours, as a node's subtree
+    in T_f depends only on the node's last vertex.  A key's ids are
+    interned before the key."""
+    rid = [-1] * (H.n + 1)   # vertex -> id, once passed backwards
     for v in reversed(f):
-        key = tuple(sorted(rid[w] for w in H.adjacency[v] if pos[w] > pos[v]))
-        if key not in ids:
-            ids[key] = len(keys)
-            keys.append(key)
-        rid[v] = ids[key]
+        key = tuple(sorted([rid[w] for w in H.adjacency[v] if rid[w] >= 0]))
+        rid[v] = ids.setdefault(key, len(ids))
     return rid[f[0]]
 
 
-def _extend_reduction(keys: Sequence[tuple[int, ...]], r: Fraction,
-                      memo: list[tuple[Fraction | None, Fraction | None]]) -> None:
-    """_root_sum's leaf reduction at ratio r on every edge, once per
-    interned rooted id: extend memo to every id in keys with (S, F), where
-    S(id) = r * sum of F(c) over the ids c in key(id), None if one is
-    None, and F(id) = 1/(1 - S(id)), None unless S(id) < 1.  So id's
-    tree T has every pivot of I - sqrt(r) A(T) positive, i.e.
-    lambda(T)^2 < 1/r, iff F(id) is not None; and lambda(T)^2 = 1/r iff
-    S(id) = 1."""
-    for i in range(len(memo), len(keys)):
-        F = [memo[c][1] for c in keys[i]]
-        S = None if any(x is None for x in F) else r * sum(F, _ZERO)
-        memo.append((S, None if S is None or S >= 1 else _ONE / (_ONE - S)))
+def _pivots(keys: Sequence[tuple[int, ...]], r: Fraction) -> list[tuple[int, int]]:
+    """_root_sum's leaf reduction at ratio r = q/p on every edge, once per
+    interned rooted id, on unreduced integers: with a/b the sum of F(c)
+    over key(id), id's pivot 1 - r a/b is D/N for N = p b, D = N - q a,
+    and F(id) = N/D.  (1, -1) marks a child's pivot <= 0, i.e. a proper
+    subtree with lambda^2 >= 1/r.  So D has the sign of 1/r - lambda(T)^2
+    for id's tree T (Sylvester's criterion on I - sqrt(r) A(T))."""
+    q, p = r.numerator, r.denominator
+    pivots: list[tuple[int, int]] = []
+    for key in keys:
+        a, b = 0, 1
+        for c in key:
+            N, D = pivots[c]
+            if D <= 0:
+                pivots.append((1, -1))
+                break
+            a, b = a * D + N * b, b * D
+        else:
+            pivots.append((p * b, p * b - q * a))
+    return pivots
+
+
+def _hints(keys: Sequence[tuple[int, ...]], r: float) -> list[float]:
+    """F(id) of _pivots in floats at ratio r, +inf once a sum reaches 1:
+    an order to certify rooted ids in, the likely largest lambda^2 first."""
+    F: list[float] = []
+    for key in keys:
+        s = r * sum([F[c] for c in key])
+        F.append(1 / (1 - s) if s < 1 else math.inf)
+    return F
 
 
 ShapeTable = dict[str, tuple[tuple[int, ...], int, CriticalDensity]]
@@ -210,18 +221,15 @@ def star_lower_bound(
 ) -> StarBound:
     """Maximize 1 - 1/lambda(T_f(H))^2 over proper labelings.
 
-    Labelings are grouped by the rooted shape of T_f, read off the
-    labeling's DAG.  A new rooted shape is first reduced at ratio 1/s on
-    every edge, s the lower end of the best's lambda^2 interval: if no
-    pivot reaches 0, lambda(T_f)^2 < s and the shape can neither beat
-    nor tie the best, so it is set aside.  Only the others get T_f, its
-    unrooted shape key and, once per shape, a spectrum compared with the
-    best; the set-aside ones get theirs when shape_table is first read.
-    Every labeling is still enumerated (up to LABELING_CAP; past it the
-    lexicographic prefix is scored and the result is flagged heuristic,
-    i.e. still a valid lower bound but maybe not the max).  On a tree
-    every T_f is the tree itself, so its labelings are counted, not
-    enumerated.  Ties keep the lexicographically first labeling.
+    Walk the labelings (up to LABELING_CAP; past it the lexicographic
+    prefix is scored and flagged heuristic: a valid lower bound, maybe
+    not the max), grouped by T_f's rooted shape.  Then certify the rooted
+    shapes by descending _hints: _pivots at 1/s, s the lower end of the
+    best's lambda^2, sets aside each with lambda(T_f)^2 < s, which can
+    neither beat nor tie the best; the others get T_f, its shape key and,
+    once per shape, a spectrum compared exactly with the best.  Ties keep
+    the lexicographically first labeling, so the order changes no output.
+    shape_table builds the rest when read.  A tree's labelings are counted.
     """
     tol = tolerance(tol)
     if H.n == 1:
@@ -241,37 +249,36 @@ def star_lower_bound(
         table = {tree_shape_key(tree): (best_f, examined, best)}
     else:
         ids: dict[tuple[int, ...], int] = {}
-        keys: list[tuple[int, ...]] = []
         # rooted id -> [first labeling, count, shape key or None if set aside]
         records: dict[int, list] = {}
-        spectra: dict[str, CriticalDensity] = {}
-        # the reduction at r = 1/s, s the lower end of the best's interval
-        # (s > 1: a path tree of a non-tree has lambda^2 >= 2, and the
-        # interval is at most 10^-9 wide)
-        memo: list[tuple[Fraction | None, Fraction | None]] = []
         for f in proper_labelings(H):
             if examined >= LABELING_CAP:
                 heuristic = True
                 break
             examined += 1
-            rid = _rooted_id(H, f, ids, keys)
-            if rid in records:
-                records[rid][1] += 1
-                continue
+            records.setdefault(_rooted_id(H, f, ids), [f, 0, None])[1] += 1
+        keys = list(ids)
+        # T_f has max degree <= Delta, so lambda(T_f)^2 < 4(Delta - 1)
+        hint = _hints(keys, 1 / (4 * (H.max_degree() - 1)))
+        spectra: dict[str, CriticalDensity] = {}
+        pivots: list[tuple[int, int]] | None = None
+        for rid in sorted(records, key=lambda rid: -hint[rid]):
+            f = records[rid][0]
             if best is not None:
-                _extend_reduction(keys, r, memo)
-                if memo[rid][1] is not None:
-                    records[rid] = [f, 1, None]
+                # D > 0: lambda(T_f)^2 < s <= best, s the interval's lower
+                # end (> 1: a non-tree's path tree has lambda^2 >= 2)
+                if pivots is None:
+                    pivots = _pivots(keys, 1 / best.s_star.interval()[0])
+                if pivots[rid][1] > 0:
                     continue
             tree = monotone_path_tree(H, f).tree
-            shape = tree_shape_key(tree)
-            records[rid] = [f, 1, shape]
-            if shape in spectra:
-                continue
-            dc = spectra[shape] = CriticalDensity(largest_matching_root_squared(tree))
-            if best is None or dc.s_star.compare(best.s_star) > 0:
-                best, best_f = dc, f
-                r, memo = 1 / best.s_star.interval()[0], []
+            shape = records[rid][2] = tree_shape_key(tree)
+            if shape not in spectra:
+                spectra[shape] = CriticalDensity(largest_matching_root_squared(tree))
+            dc = spectra[shape]
+            c = 1 if best is None else 0 if dc is best else dc.s_star.compare(best.s_star)
+            if c > 0 or c == 0 and f < best_f:
+                best, best_f, pivots = dc, f, None
         table = lambda: _shape_table(H, records, spectra)
     assert best is not None and best_f is not None
     bound = StarBound(best, best_f, examined, heuristic, table)
@@ -291,11 +298,8 @@ def _shape_table(H: PatternGraph, records: Mapping[int, list],
             shape = tree_shape_key(tree)
             if shape not in spectra:
                 spectra[shape] = CriticalDensity(largest_matching_root_squared(tree))
-        if shape in table:
-            example, total, dc = table[shape]
-            table[shape] = (example, total + count, dc)
-        else:
-            table[shape] = (f, count, spectra[shape])
+        example, total, dc = table.get(shape, (f, 0, spectra[shape]))
+        table[shape] = (example, total + count, dc)
     return table
 
 
@@ -335,21 +339,17 @@ def star_necessary_condition(
 
 def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bool:
     """Check, for every proper labeling f of K_{n,m}, that the
-    monotone-path tree's spectral radius squared is exactly n + m - 1.
-    Exact, so any positive tol holds: at ratio 1/s the root sum is 1 iff
-    s = lambda(T_f)^2, as proper subtrees have smaller lambda and the
-    root sum rises strictly with the ratio.  The reduction runs once per
-    interned rooted id, and the root sum is read once per rooted shape."""
+    monotone-path tree's spectral radius squared is exactly n + m - 1:
+    each rooted shape's root pivot at ratio 1/(n + m - 1) is exactly 0.
+    Exact, so any positive tol holds."""
     tolerance(tol)
     if n + m > BT1_CAP:
         raise SizeLimit(f"n + m capped at {BT1_CAP}")
     K = complete_bipartite(n, m)
     ids: dict[tuple[int, ...], int] = {}
-    keys: list[tuple[int, ...]] = []
-    roots = {_rooted_id(K, f, ids, keys) for f in proper_labelings(K)}
-    memo: list[tuple[Fraction | None, Fraction | None]] = []
-    _extend_reduction(keys, Fraction(1, n + m - 1), memo)
-    return all(memo[rid][0] == 1 for rid in roots)
+    roots = {_rooted_id(K, f, ids) for f in proper_labelings(K)}
+    pivots = _pivots(list(ids), Fraction(1, n + m - 1))
+    return all(pivots[rid][1] == 0 for rid in roots)
 
 
 BOW_TIE_CENTER_DENSITY = Fraction(17, 20)

@@ -2,11 +2,12 @@
 the leaf reduction on the built monotone-path tree with each tree edge's
 density lifted through the legend; and the star bound's sign test, the
 reduction at ratio 1/s once per interned rooted id, against the path
-tree's spectrum compared with s.  Patterns are connected with at most
-seven vertices; densities are 0, 1 and multiples of 1/40.  The examples
-sit at homogeneous densities equal to a rational tree critical density,
-where a rescaled ratio reaches 1 exactly (a zero pivot), at the root or
-below it; so do the explicit sign tests."""
+tree's spectrum compared with s, and its integer pivots against a
+Fraction reference.  Patterns are connected with at most seven vertices;
+densities are 0, 1 and multiples of 1/40.  The examples sit at
+homogeneous densities equal to a rational tree critical density, where a
+rescaled ratio reaches 1 exactly (a zero pivot), at the root or below
+it; so do the explicit sign tests."""
 
 from fractions import Fraction as F
 
@@ -85,10 +86,15 @@ def test_dag_verdict_matches_leaf_reduction_on_the_path_tree(case):
 def _below(H, f, s):
     """Every pivot of T_f's reduction at ratio 1/s is positive, reduced
     once per interned rooted id as the star bound does."""
-    ids, keys, memo = {}, [], []
-    rid = stars._rooted_id(H, f, ids, keys)
-    stars._extend_reduction(keys, 1 / s, memo)
-    return memo[rid][1] is not None
+    ids = {}
+    rid = stars._rooted_id(H, f, ids)
+    return stars._pivots(list(ids), 1 / s)[rid][1] > 0
+
+
+def _pattern_keys(H):
+    ids = {}
+    roots = {stars._rooted_id(H, f, ids) for f in proper_labelings(H)}
+    return list(ids), roots
 
 
 def _spectrum_below(H, f, s):
@@ -140,9 +146,62 @@ def test_sign_test_at_a_subtree_spectrum_is_a_zero_pivot(H, f):
         assert not _spectrum_below(H, f, s)
 
 
-@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (2, 3), (3, 3), (2, 4)])
+# K_{1,k} at 1/k among them
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 3), (3, 3), (2, 4)])
 def test_sign_test_on_complete_bipartite_at_n_plus_m_minus_1(n, m):
     K = complete_bipartite(n, m)
     for f in proper_labelings(K):
         assert not _below(K, f, F(n + m - 1))
         assert _below(K, f, F(n + m - 1) + F(1, 1000))
+    # every root pivot is exactly 0 there
+    keys, roots = _pattern_keys(K)
+    pivots = stars._pivots(keys, F(1, n + m - 1))
+    assert all(pivots[rid][1] == 0 for rid in roots)
+
+
+# -- the integer pivots ------------------------------------------------------
+
+
+def _reference_pivots(keys, r):
+    """The reduction on Fractions, once per id: S(id) = r * the sum of
+    F(c) over key(id), None if some F(c) is; F(id) = 1/(1 - S(id)),
+    None unless S(id) < 1."""
+    memo = []
+    for key in keys:
+        Fs = [memo[c][1] for c in key]
+        S = None if None in Fs else r * sum(Fs, F(0))
+        memo.append((S, None if S is None or S >= 1 else 1 / (1 - S)))
+    return memo
+
+
+@st.composite
+def interned_keys(draw):
+    """Keys as _rooted_id interns them: each key a sorted tuple of
+    earlier ids."""
+    keys = []
+    for i in range(draw(st.integers(1, 12))):
+        children = st.lists(st.integers(0, i - 1), max_size=4) if i else st.just([])
+        keys.append(tuple(sorted(draw(children))))
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(interned_keys(), st.one_of(st.sampled_from([F(1), F(1, 2), F(1, 3), F(1, 4)]),
+                                  st.fractions(F(1, 100), F(3, 2), max_denominator=100)))
+# exact zero pivots at the roots
+@example(_pattern_keys(complete_bipartite(2, 3))[0], F(1, 4))
+@example(_pattern_keys(complete_bipartite(3, 3))[0], F(1, 5))
+@example(_pattern_keys(star_graph(5))[0], F(1, 4))
+def test_integer_pivots_match_fraction_reference(keys, r):
+    pivots = stars._pivots(keys, r)
+    for (N, D), (S, Fid) in zip(pivots, _reference_pivots(keys, r), strict=True):
+        assert N > 0
+        if S is None:
+            assert (N, D) == (1, -1)
+            continue
+        assert F(D, N) == 1 - S
+        assert (D > 0) == (Fid is not None)
+        if D == 0:
+            event("zero pivot")
+        if D > 0:
+            assert F(N, D) == Fid

@@ -1,5 +1,6 @@
 """Monotone-path trees, star-decomposition bounds, and the bow-tie case."""
 
+import random
 from fractions import Fraction as F
 
 import networkx as nx
@@ -179,14 +180,15 @@ def test_star_bound_matches_plain_search_on_six_vertices():
 def test_rooted_ids_name_rooted_path_tree_shapes():
     # one intern table across every pattern: equal ids iff equal rooted
     # shapes of T_f from f(1)
-    ids, keys, by_id, by_shape = {}, [], {}, {}
+    ids, by_id, by_shape = {}, {}, {}
     for H in [*_connected_atlas(3, 6), complete_bipartite(3, 4)]:
         for f in proper_labelings(H):
-            rid = stars._rooted_id(H, f, ids, keys)
+            rid = stars._rooted_id(H, f, ids)
             shape = stars._rooted_shape(monotone_path_tree(H, f).tree, 1)
             assert by_id.setdefault(rid, shape) == shape, (H, f)
             assert by_shape.setdefault(shape, rid) == rid, (H, f)
-    # keys[id] is id's key, and a key's ids come before it
+    # ids are interned in order, and a key's ids come before it
+    keys = list(ids)
     assert [ids[key] for key in keys] == list(range(len(keys)))
     assert all(c < i for i, key in enumerate(keys) for c in key)
 
@@ -204,8 +206,8 @@ def test_star_bound_builds_one_path_tree_per_rooted_id(monkeypatch):
     for H in _connected_atlas(3, 6):
         built.clear()
         star_lower_bound(H)
-        ids, keys = {}, []
-        rooted = {stars._rooted_id(H, f, ids, keys) for f in proper_labelings(H)}
+        ids = {}
+        rooted = {stars._rooted_id(H, f, ids) for f in proper_labelings(H)}
         assert 1 <= len(built) <= len(rooted), H
 
 
@@ -243,6 +245,51 @@ def test_star_bound_computes_spectra_only_for_shapes_that_can_win(monkeypatch):
     assert (len(spectra), len(built)) == counts
     best_shape = tree_shape_key(monotone_path_tree(H, bound.best_labeling).tree)
     assert table[best_shape][2] is bound.density
+
+
+def _cube():
+    """Q3: the vertices 1..8 are 1 + the bit strings 0..7."""
+    return PatternGraph(8, tuple((a + 1, b + 1) for a in range(8) for b in range(a + 1, 8)
+                                 if bin(a ^ b).count("1") == 1))
+
+
+@pytest.mark.parametrize("order", ["reversed", "random"])
+def test_star_bound_does_not_depend_on_the_certification_order(monkeypatch, order):
+    # the hints only order the certification; the sign test and exact
+    # comparisons decide, so any order gives the same bound and table
+    patterns = [*_connected_atlas(3, 6), complete_graph(6), _cube()]
+    want = [star_lower_bound(H) for H in patterns]
+    hints, rng = stars._hints, random.Random(2011)
+    if order == "reversed":
+        monkeypatch.setattr(stars, "_hints", lambda keys, r: [-h for h in hints(keys, r)])
+    else:
+        monkeypatch.setattr(stars, "_hints", lambda keys, r: [rng.random() for _ in keys])
+    tol = F(1, 10**9)
+    for H, bound in zip(patterns, want):
+        got = star_lower_bound(H)
+        assert got.interval(tol) == bound.interval(tol), H
+        assert got == bound and list(got.shape_table) == list(bound.shape_table), H
+
+
+def test_star_bound_takes_few_spectra(monkeypatch):
+    spectra = []
+
+    def counting(T, *args):
+        spectra.append(T)
+        return largest_matching_root_squared(T, *args)
+
+    monkeypatch.setattr(stars, "largest_matching_root_squared", counting)
+    for n in (5, 6, 7, 8):
+        spectra.clear()
+        star_lower_bound(complete_graph(n))
+        assert len(spectra) == 1, n
+    spectra.clear()
+    for H in _connected_atlas(3, 6):
+        if not H.is_tree():
+            star_lower_bound(H)
+    # 146 when written, against 431 when rooted ids were certified in
+    # the order of their first labelings
+    assert len(spectra) <= 160
 
 
 def test_star_bound_matches_plain_search_on_small_trees():
@@ -331,16 +378,16 @@ def _reference_bt1(n, m):
 @pytest.mark.parametrize("n, m", [(n, s - n) for s in range(2, stars.BT1_CAP + 1)
                                   for n in range(1, s // 2 + 1)])
 def test_verify_bt1_matches_path_tree_spectra(n, m):
-    assert verify_bt1(n, m) == _reference_bt1(n, m)
-    # one rooted shape's root sum misses 1 at a nearby ratio, so the check
-    # would fail there
+    # the identity holds at every size up to the cap, in either part order
+    assert verify_bt1(n, m) and verify_bt1(m, n) and _reference_bt1(n, m)
+    # some rooted shape's root pivot is nonzero at a nearby ratio, so the
+    # check would fail there
     K = complete_bipartite(n, m)
-    ids, keys = {}, []
-    roots = {stars._rooted_id(K, f, ids, keys) for f in proper_labelings(K)}
+    ids = {}
+    roots = {stars._rooted_id(K, f, ids) for f in proper_labelings(K)}
     for s in (n + m - 1 - F(1, 1000), n + m - 1 + F(1, 1000)):
-        memo = []
-        stars._extend_reduction(keys, 1 / s, memo)
-        assert not all(memo[rid][0] == 1 for rid in roots)
+        pivots = stars._pivots(list(ids), 1 / s)
+        assert not all(pivots[rid][1] == 0 for rid in roots)
 
 
 def test_verify_bt1_size_cap():
