@@ -479,13 +479,29 @@ def is_proper_labeling(H: PatternGraph, f: Sequence[int]) -> bool:
     return all(any(pos[u] < pos[v] for u in H.adjacency[v]) for v in f[1:])
 
 
+def rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int]) -> int:
+    """The rooted shape of the monotone-path tree T_f(H) (critdens.stars;
+    T itself for a tree T and its BFS order) as an id interned in ids,
+    key -> id in id order (so list(ids)[id] is id's key): backwards along
+    f, each vertex gets the id of the sorted ids of its later neighbours,
+    as a node's subtree in T_f depends only on the node's last vertex.  A
+    key's ids are interned before the key."""
+    rid = [-1] * (H.n + 1)   # vertex -> id, once passed backwards
+    for v in reversed(f):
+        key = tuple(sorted([rid[w] for w in H.adjacency[v] if rid[w] >= 0]))
+        rid[v] = ids.setdefault(key, len(ids))
+    return rid[f[0]]
+
+
 # Standard families, used throughout the tests and the CLI self-test.
 
 def path_graph(n: int) -> PatternGraph:
+    n = integer(n, "vertex count")
     return PatternGraph(n, tuple((i, i + 1) for i in range(1, n)))
 
 
 def cycle_graph(n: int) -> PatternGraph:
+    n = integer(n, "vertex count")
     if n < 3:
         raise ValidationError("cycles need n >= 3")
     return PatternGraph(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),))
@@ -493,18 +509,21 @@ def cycle_graph(n: int) -> PatternGraph:
 
 def star_graph(n: int) -> PatternGraph:
     """S_n: n vertices, center 1, leaves 2..n."""
+    n = integer(n, "vertex count")
     if n < 2:
         raise ValidationError("stars need n >= 2")
     return PatternGraph(n, tuple((1, j) for j in range(2, n + 1)))
 
 
 def complete_graph(n: int) -> PatternGraph:
+    n = integer(n, "vertex count")
     return PatternGraph(
         n, tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1)))
 
 
 def complete_bipartite(n: int, m: int) -> PatternGraph:
     """K_{n,m} with parts 1..n and n+1..n+m."""
+    n, m = integer(n, "part size"), integer(m, "part size")
     if n < 1 or m < 1:
         raise ValidationError("both parts must be nonempty")
     return PatternGraph(

@@ -14,7 +14,8 @@ located with Sturm chains on the square-free part, so root counts are
 counts of distinct real roots.
 Matching polynomials have only real roots, so for them Descartes' rule
 counts the roots above a point exactly from one integer Taylor shift;
-largest_matching_root_squared lets float estimates choose the isolating
+largest_matching_root_squared lets float estimates (for a tree, counts
+by leaf_up_inertia, the one leaf-up elimination) choose the isolating
 cell and certifies it with such counts, returning exactly what the Sturm
 bisection would, and runs that bisection only when a certificate fails.
 No answer ever depends on floating point.
@@ -51,6 +52,7 @@ from .graphs import (
     parse_rational,
     rational,
     rational_text,
+    rooted_id,
     tolerance,
 )
 
@@ -623,43 +625,56 @@ def _newton_top_roots(c: list[int]) -> tuple[float, float | None]:
     return s1, _newton_from_right(g, s1)
 
 
+def leaf_up_inertia(nodes: Sequence[Sequence[tuple[int, Fraction | float]]],
+                    r: Fraction | float) -> list[tuple[Fraction | float | None, int]]:
+    """The leaf-up elimination of a rooted forest, children first: node
+    i, a tuple of (child, weight) pairs, has the pivot P(i) = 1 - r * the
+    sum of w F(c) and F(i) = 1/P(i).  Returns per node F(i), None when
+    P(i) = 0, and the number of negative pivots in i's subtree.  A child's
+    pivot 0 pairs off with its node into one negative and one positive
+    pivot and cuts the node from its parent (Jacobs-Trevisan 2011): the
+    node adds 1 to its count and passes F = 0 up.  At unit weights and
+    r = 1/s these are the pivots of I - sqrt(r) A(T), so the root's count
+    is T's number of eigenvalues above sqrt(s) (Sylvester); all pivots are
+    positive, the leaf reduction ensuring T, iff the root's count is 0 and
+    its F is not None.  Exact on Fractions (an int r of 1 would make 1/P
+    a float), approximate on floats."""
+    out: list[tuple[Fraction | float | None, int]] = []
+    for node in nodes:
+        total, count, zero_child = 0, 0, False
+        for c, w in node:
+            Fc, k = out[c]
+            count += k
+            if Fc is None:
+                zero_child = True
+            else:
+                total += w * Fc
+        if zero_child:
+            out.append((0, count + 1))
+        else:
+            P = 1 - r * total
+            out.append((None if P == 0 else 1 / P, count + (P < 0)))
+    return out
+
+
 def _tree_top_roots_squared(T: PatternGraph) -> tuple[float, float]:
     """Float estimates of lambda_1^2 and lambda_2^2 for the two largest
     adjacency eigenvalues of the tree T: the two largest roots of its
     matching even part.
 
-    Eigenvalues above x are counted in O(n) by diagonalising A - xI from
-    the leaves up (Jacobs-Trevisan 2011), and bisection finds the top two.
-    Unlike Newton on the coefficients, this stays accurate on large trees,
-    where the power basis cancels."""
-    order, parent = T.bfs_tree()
-    leaves_up = [(v, parent[v]) for v in reversed(order)]
-
-    def above(x: float) -> int:
-        diag = [-x] * (T.n + 1)
-        zero_child = [False] * (T.n + 1)
-        count = 0
-        for v, p in leaves_up:
-            if zero_child[v]:
-                # A child at 0 becomes 2 and v becomes -1/2, cut off
-                # from its parent.
-                count += 1
-                continue
-            a = diag[v]
-            if a > 0:
-                count += 1
-            if p:
-                if a == 0:
-                    zero_child[p] = True
-                else:
-                    diag[p] -= 1 / a
-        return count
+    leaf_up_inertia at ratio 1/x^2 counts the eigenvalues above x on T's
+    interned rooted subtrees (its BFS order is a proper labeling), and
+    bisection finds the top two.  Unlike Newton on the coefficients, this
+    stays accurate on large trees, where the power basis cancels."""
+    ids: dict[tuple[int, ...], int] = {}
+    root = rooted_id(T, T.bfs_tree()[0], ids)
+    nodes = [[(c, 1) for c in key] for key in ids]
 
     def sup(k: int, lo: float, hi: float) -> float:
         """The k-th largest eigenvalue, in [lo, hi]."""
         for _ in range(_BISECTION_STEPS):
             mid = (lo + hi) / 2
-            if above(mid) >= k:
+            if leaf_up_inertia(nodes, 1 / (mid * mid))[root][1] >= k:
                 lo = mid
             else:
                 hi = mid

@@ -13,10 +13,13 @@ densities must ensure T_f(H); the best such condition over all labelings
 is the star lower bound max_f (1 - 1/lambda(T_f)^2) on the critical
 density of H.  The condition, the star bound and the K_{n,m} check run
 on the DAG that orients each H-edge forward along f, which T_f unfolds
-from f(1).  The star bound walks the labelings once, then certifies the
-rooted shapes of T_f best-first by a float hint; one exact leaf
-reduction at the best's lambda^2 sets aside each that cannot reach it,
-so NODE_CAP bounds only the trees built for the others and for export.
+from f(1), by polynomials.leaf_up_inertia: on the DAG itself for the
+condition's per-edge ratios, else on T_f's interned rooted shapes.  The
+star bound walks the labelings once, then certifies the rooted shapes
+best-first by a float hint; one float elimination, on the safe side of
+the best's lambda^2 by more than rounding can reach, sets aside each
+shape that cannot reach it, so NODE_CAP bounds only the trees built for
+the others and for export.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from .graphs import (
     canonical_edge,
     complete_bipartite,
     edge_assignment,
+    integer,
     is_proper_labeling,
     proper_labelings,
+    rooted_id,
     tolerance,
 )
-from .polynomials import largest_matching_root_squared
+from .polynomials import largest_matching_root_squared, leaf_up_inertia
 from .tree_decision import CriticalDensity
 from .verdict import Verdict
 
@@ -123,49 +128,16 @@ def tree_shape_key(T: PatternGraph) -> str:
     return min(_rooted_shape(T, c) for c in centers)
 
 
-def _rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int]) -> int:
-    """T_f's rooted shape as an id interned in ids, key -> id in id order
-    (so list(ids)[id] is id's key): backwards along f, each vertex gets
-    the id of the sorted ids of its later neighbours, as a node's subtree
-    in T_f depends only on the node's last vertex.  A key's ids are
-    interned before the key."""
-    rid = [-1] * (H.n + 1)   # vertex -> id, once passed backwards
-    for v in reversed(f):
-        key = tuple(sorted([rid[w] for w in H.adjacency[v] if rid[w] >= 0]))
-        rid[v] = ids.setdefault(key, len(ids))
-    return rid[f[0]]
-
-
-def _pivots(keys: Sequence[tuple[int, ...]], r: Fraction) -> list[tuple[int, int]]:
-    """_root_sum's leaf reduction at ratio r = q/p on every edge, once per
-    interned rooted id, on unreduced integers: with a/b the sum of F(c)
-    over key(id), id's pivot 1 - r a/b is D/N for N = p b, D = N - q a,
-    and F(id) = N/D.  (1, -1) marks a child's pivot <= 0, i.e. a proper
-    subtree with lambda^2 >= 1/r.  So D has the sign of 1/r - lambda(T)^2
-    for id's tree T (Sylvester's criterion on I - sqrt(r) A(T))."""
-    q, p = r.numerator, r.denominator
-    pivots: list[tuple[int, int]] = []
-    for key in keys:
-        a, b = 0, 1
-        for c in key:
-            N, D = pivots[c]
-            if D <= 0:
-                pivots.append((1, -1))
-                break
-            a, b = a * D + N * b, b * D
-        else:
-            pivots.append((p * b, p * b - q * a))
-    return pivots
-
-
-def _hints(keys: Sequence[tuple[int, ...]], r: float) -> list[float]:
-    """F(id) of _pivots in floats at ratio r, +inf once a sum reaches 1:
-    an order to certify rooted ids in, the likely largest lambda^2 first."""
-    F: list[float] = []
-    for key in keys:
-        s = r * sum([F[c] for c in key])
-        F.append(1 / (1 - s) if s < 1 else math.inf)
-    return F
+def _pivots_below(nodes: Sequence[Sequence[tuple[int, int]]],
+                  s: Fraction) -> list[tuple[float | None, int]]:
+    """leaf_up_inertia in floats just above ratio 1/s: where an id's
+    pivots are all positive, so are its exact ones at 1/s: lambda^2 < s.
+    With k the most children of a node and u = 2^-53, its roundings make
+    it the exact elimination at per-edge ratios within 1 +- (k + 2)u of
+    its ratio (that of 1 - t keeps the pivot's sign), and positive pivots
+    only grow as ratios fall; 1 + 8(k + 8)u also covers 1/s's rounding."""
+    k = max(map(len, nodes))
+    return leaf_up_inertia(nodes, float(1 / s) * (1 + (k + 8) * 2.0**-50))
 
 
 ShapeTable = dict[str, tuple[tuple[int, ...], int, CriticalDensity]]
@@ -224,10 +196,11 @@ def star_lower_bound(
     Walk the labelings (up to LABELING_CAP; past it the lexicographic
     prefix is scored and flagged heuristic: a valid lower bound, maybe
     not the max), grouped by T_f's rooted shape.  Then certify the rooted
-    shapes by descending _hints: _pivots at 1/s, s the lower end of the
-    best's lambda^2, sets aside each with lambda(T_f)^2 < s, which can
-    neither beat nor tie the best; the others get T_f, its shape key and,
-    once per shape, a spectrum compared exactly with the best.  Ties keep
+    shapes by descending hint, F of leaf_up_inertia at a ratio below every
+    1/lambda(T_f)^2; _pivots_below, s the lower end of the best's
+    lambda^2, sets aside each with lambda(T_f)^2 < s, which can neither
+    beat nor tie the best; the others get T_f, its shape key and, once
+    per shape, a spectrum compared exactly with the best.  Ties keep
     the lexicographically first labeling, so the order changes no output.
     shape_table builds the rest when read.  A tree's labelings are counted.
     """
@@ -256,20 +229,22 @@ def star_lower_bound(
                 heuristic = True
                 break
             examined += 1
-            records.setdefault(_rooted_id(H, f, ids), [f, 0, None])[1] += 1
-        keys = list(ids)
+            records.setdefault(rooted_id(H, f, ids), [f, 0, None])[1] += 1
+        nodes = [[(c, 1) for c in key] for key in ids]
         # T_f has max degree <= Delta, so lambda(T_f)^2 < 4(Delta - 1)
-        hint = _hints(keys, 1 / (4 * (H.max_degree() - 1)))
+        hint = leaf_up_inertia(nodes, 1 / (4 * (H.max_degree() - 1)))
         spectra: dict[str, CriticalDensity] = {}
-        pivots: list[tuple[int, int]] | None = None
-        for rid in sorted(records, key=lambda rid: -hint[rid]):
+        pivots: list[tuple[float | None, int]] | None = None
+        for rid in sorted(records, key=lambda rid: -hint[rid][0]):
             f = records[rid][0]
             if best is not None:
-                # D > 0: lambda(T_f)^2 < s <= best, s the interval's lower
-                # end (> 1: a non-tree's path tree has lambda^2 >= 2)
+                # every pivot positive: lambda(T_f)^2 < s <= best, s the
+                # interval's lower end (> 1: a non-tree's path tree has
+                # lambda^2 >= 2)
                 if pivots is None:
-                    pivots = _pivots(keys, 1 / best.s_star.interval()[0])
-                if pivots[rid][1] > 0:
+                    pivots = _pivots_below(nodes, best.s_star.interval()[0])
+                F, count = pivots[rid]
+                if count == 0 and F is not None:
                     continue
             tree = monotone_path_tree(H, f).tree
             shape = records[rid][2] = tree_shape_key(tree)
@@ -303,27 +278,6 @@ def _shape_table(H: PatternGraph, records: Mapping[int, list],
     return table
 
 
-def _root_sum(H: PatternGraph, f: Sequence[int],
-              ratio: Mapping[Edge, Fraction]) -> Fraction | None:
-    """T_f(H)'s leaf reduction on the labeling's DAG: None if it stops
-    NotEnsured below the root, else the root's sum, < 1 iff T_f is ensured.
-    Backwards along f, S(v) sums r_vw F(w) over the later neighbours w of
-    v, and F(v) = 1/(1 - S(v)).  Exact: removing a node's children one
-    leaf at a time, the k-th rescaled ratio a_k/(1 - a_1 - ... - a_{k-1})
-    reaches 1 iff the first k terms sum to >= 1, and the edge above is
-    rescaled by F(v) in all; the verdict does not depend on leaf order."""
-    pos = {v: k for k, v in enumerate(f)}
-    scale: dict[int, Fraction] = {}
-    for v in reversed(f):
-        s = sum((ratio[canonical_edge(v, w)] * scale[w]
-                 for w in H.adjacency[v] if pos[w] > pos[v]), _ZERO)
-        if v == f[0]:
-            return s
-        if s >= 1:
-            return None
-        scale[v] = _ONE / (_ONE - s)
-
-
 def star_necessary_condition(
     H: PatternGraph,
     gamma: Mapping[Edge, Fraction] | Sequence[Fraction],
@@ -333,23 +287,32 @@ def star_necessary_condition(
     ensure the monotone-path tree.  FailsThisLabeling certifies that a
     transversal-free construction with densities >= gamma exists."""
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
-    s = _root_sum(H, _proper(H, f), {e: _ONE - g for e, g in dens.items()})
-    return Verdict.PASSES if s is not None and s < 1 else Verdict.FAILS
+    f = _proper(H, f)
+    # T_f's leaf reduction on the DAG, backwards along f, each vertex's
+    # children its later neighbours at ratio 1 - density: removing them
+    # one leaf at a time, the k-th rescaled ratio reaches 1 iff the first
+    # k terms of the sum do, so the leaf order does not matter.
+    node = {v: k for k, v in enumerate(reversed(f))}
+    nodes = [[(node[w], _ONE - dens[canonical_edge(v, w)])
+              for w in H.adjacency[v] if node[w] < node[v]] for v in reversed(f)]
+    F, count = leaf_up_inertia(nodes, _ONE)[-1]
+    return Verdict.PASSES if count == 0 and F is not None else Verdict.FAILS
 
 
 def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bool:
     """Check, for every proper labeling f of K_{n,m}, that the
     monotone-path tree's spectral radius squared is exactly n + m - 1:
-    each rooted shape's root pivot at ratio 1/(n + m - 1) is exactly 0.
-    Exact, so any positive tol holds."""
+    at ratio 1/(n + m - 1) each rooted shape's root pivot is exactly 0,
+    and every pivot below it positive.  Exact, so any positive tol holds."""
     tolerance(tol)
+    n, m = integer(n, "part size"), integer(m, "part size")
     if n + m > BT1_CAP:
         raise SizeLimit(f"n + m capped at {BT1_CAP}")
     K = complete_bipartite(n, m)
     ids: dict[tuple[int, ...], int] = {}
-    roots = {_rooted_id(K, f, ids) for f in proper_labelings(K)}
-    pivots = _pivots(list(ids), Fraction(1, n + m - 1))
-    return all(pivots[rid][1] == 0 for rid in roots)
+    roots = {rooted_id(K, f, ids) for f in proper_labelings(K)}
+    pivots = leaf_up_inertia([[(c, 1) for c in key] for key in ids], Fraction(1, n + m - 1))
+    return all(pivots[rid] == (None, 0) for rid in roots)
 
 
 BOW_TIE_CENTER_DENSITY = Fraction(17, 20)

@@ -16,7 +16,9 @@ from critdens.cli import _parse_densities, run
 from critdens.errors import CritdensError, ValidationError
 from critdens.graphs import (
     PatternGraph,
+    complete_bipartite,
     complete_graph,
+    cycle_graph,
     parse_graph,
     path_graph,
     star_graph,
@@ -77,6 +79,13 @@ CALLS = {
     "refine zero tol": lambda: _root_of_two().refine(0),
     "exact blow-up nan weight": lambda: WeightedBlowupGraph(P2, [[NAN], [1]], []),
     "fractional vertex count": lambda: PatternGraph(2.5, ((1, 2),)),
+    "path_graph fractional size": lambda: path_graph(2.5),
+    "cycle_graph text size": lambda: cycle_graph("4"),
+    "star_graph missing size": lambda: star_graph(None),
+    "complete_graph fractional size": lambda: complete_graph(3.0),
+    "complete_bipartite fractional part": lambda: complete_bipartite(2, 1.5),
+    "verify_bt1 fractional part": lambda: verify_bt1(2.5, 2),
+    "verify_bt1 text part": lambda: verify_bt1("3", 2),
     "RatPoly nan coefficient": lambda: RatPoly([1, NAN]),
     "RatPoly inf coefficient": lambda: RatPoly([-INF]),
     "RatPoly text coefficient": lambda: RatPoly([1, "x"]),

@@ -17,10 +17,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from critdens import polynomials
-from critdens.graphs import PatternGraph, path_graph, star_graph
+from critdens.graphs import PatternGraph, path_graph, rooted_id, star_graph
 from critdens.polynomials import (
     AlgebraicNumber,
     RatPoly,
@@ -29,6 +29,7 @@ from critdens.polynomials import (
     cauchy_root_bound,
     largest_matching_root_squared,
     largest_real_root,
+    leaf_up_inertia,
     matching_even_part,
     simplest_fraction_between,
     square_free_part,
@@ -100,6 +101,52 @@ def test_dcrit_tree_brackets_sympy_critical_density(T):
     assert bool(sympy.Rational(lo.numerator, lo.denominator) <= d)
     assert bool(d <= sympy.Rational(hi.numerator, hi.denominator))
     assert hi - lo <= tol
+
+
+def _eigenvalues_above(T, s):
+    """sympy's count of T's adjacency eigenvalues above sqrt(s) > 0, with
+    multiplicity: T is bipartite, so its characteristic polynomial is
+    lambda^(n mod 2) Q(lambda^2), and they are Q's roots above s."""
+    A = sympy.zeros(T.n, T.n)
+    for i, j in T.edges:
+        A[i - 1, j - 1] = A[j - 1, i - 1] = 1
+    Q = sympy.Poly(A.charpoly().all_coeffs()[::2], _S)
+    return sum(1 for x in Q.real_roots() if x > _sympy(s))
+
+
+def _star_sizes(T):
+    """k for each subtree K_{1,k} of T rooted at 1: the child counts of
+    the vertices whose children are all leaves."""
+    order, parent = T.bfs_tree()
+    children = {v: [u for u in order if parent[u] == v] for v in order}
+    return sorted({len(c) for c in children.values()
+                   if c and not any(children[u] for u in c)})
+
+
+@st.composite
+def trees_and_levels(draw):
+    """A tree and s: a random rational, or lambda^2 = k of a subtree
+    K_{1,k}, where that subtree's top pivot is 0."""
+    T = draw(trees(max_n=14))
+    return T, draw(st.one_of(st.fractions(F(1, 12), 16, max_denominator=12),
+                             st.sampled_from(_star_sizes(T)).map(F)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees_and_levels())
+# the root's pivot is 0; a zero pivot below the root; two below it
+@example((star_graph(5), F(4)))
+@example((PatternGraph(5, ((1, 2), (2, 3), (2, 4), (2, 5))), F(3)))
+@example((PatternGraph(7, ((1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7))), F(2)))
+def test_exact_count_matches_sympy_eigenvalues(case):
+    """leaf_up_inertia's count at r = 1/s on T's interned rooted
+    subtrees, as dcrit_tree's float estimates take it, against sympy."""
+    T, s = case
+    ids = {}
+    root = rooted_id(T, T.bfs_tree()[0], ids)
+    pivots = leaf_up_inertia([[(c, 1) for c in key] for key in ids], 1 / s)
+    event(f"zero pivot {any(x is None for x, _ in pivots)}")
+    assert pivots[root][1] == _eigenvalues_above(T, s)
 
 
 @settings(max_examples=80, deadline=None)

@@ -19,6 +19,7 @@ from critdens.graphs import (
     cycle_graph,
     path_graph,
     proper_labelings,
+    rooted_id,
     star_graph,
 )
 from critdens.polynomials import (
@@ -26,6 +27,7 @@ from critdens.polynomials import (
     _roots_above,
     _scaled_value,
     largest_matching_root_squared,
+    leaf_up_inertia,
     matching_even_part,
 )
 from critdens.stars import (
@@ -183,7 +185,7 @@ def test_rooted_ids_name_rooted_path_tree_shapes():
     ids, by_id, by_shape = {}, {}, {}
     for H in [*_connected_atlas(3, 6), complete_bipartite(3, 4)]:
         for f in proper_labelings(H):
-            rid = stars._rooted_id(H, f, ids)
+            rid = rooted_id(H, f, ids)
             shape = stars._rooted_shape(monotone_path_tree(H, f).tree, 1)
             assert by_id.setdefault(rid, shape) == shape, (H, f)
             assert by_shape.setdefault(shape, rid) == rid, (H, f)
@@ -207,7 +209,7 @@ def test_star_bound_builds_one_path_tree_per_rooted_id(monkeypatch):
         built.clear()
         star_lower_bound(H)
         ids = {}
-        rooted = {stars._rooted_id(H, f, ids) for f in proper_labelings(H)}
+        rooted = {rooted_id(H, f, ids) for f in proper_labelings(H)}
         assert 1 <= len(built) <= len(rooted), H
 
 
@@ -259,16 +261,27 @@ def test_star_bound_does_not_depend_on_the_certification_order(monkeypatch, orde
     # comparisons decide, so any order gives the same bound and table
     patterns = [*_connected_atlas(3, 6), complete_graph(6), _cube()]
     want = [star_lower_bound(H) for H in patterns]
-    hints, rng = stars._hints, random.Random(2011)
-    if order == "reversed":
-        monkeypatch.setattr(stars, "_hints", lambda keys, r: [-h for h in hints(keys, r)])
-    else:
-        monkeypatch.setattr(stars, "_hints", lambda keys, r: [rng.random() for _ in keys])
+    rng, calls = random.Random(2011), []
+
+    def hints(nodes, r):
+        # the first elimination of each bound is the hint; the set-aside
+        # tests come after it
+        out = leaf_up_inertia(nodes, r)
+        calls.append(r)
+        if len(calls) == 1:
+            out = [(-h if order == "reversed" else rng.random(), k) for h, k in out]
+        return out
+
+    monkeypatch.setattr(stars, "leaf_up_inertia", hints)
     tol = F(1, 10**9)
+    reordered = 0
     for H, bound in zip(patterns, want):
+        calls.clear()
         got = star_lower_bound(H)
+        reordered += bool(calls)
         assert got.interval(tol) == bound.interval(tol), H
         assert got == bound and list(got.shape_table) == list(bound.shape_table), H
+    assert reordered > 100
 
 
 def test_star_bound_takes_few_spectra(monkeypatch):
@@ -384,10 +397,11 @@ def test_verify_bt1_matches_path_tree_spectra(n, m):
     # check would fail there
     K = complete_bipartite(n, m)
     ids = {}
-    roots = {stars._rooted_id(K, f, ids) for f in proper_labelings(K)}
+    roots = {rooted_id(K, f, ids) for f in proper_labelings(K)}
+    nodes = [[(c, 1) for c in key] for key in ids]
     for s in (n + m - 1 - F(1, 1000), n + m - 1 + F(1, 1000)):
-        pivots = stars._pivots(list(ids), 1 / s)
-        assert not all(pivots[rid][1] == 0 for rid in roots)
+        pivots = leaf_up_inertia(nodes, 1 / s)
+        assert not all(pivots[rid] == (None, 0) for rid in roots)
 
 
 def test_verify_bt1_size_cap():
