@@ -12,9 +12,9 @@ Weights are Fractions and every equality is exact.  Serialized objects
 carry "mode": "exact"; objects in any other mode are refused.
 
 Every construction emitted anywhere in the package is built by
-blowup_without (every cross pair on a pattern edge except a missing set)
-and passes assert_construction: densities at least the target, no
-transversal.
+blowup_without (every cross pair on a pattern edge except a missing set,
+slots of weight 0 left out) and passes assert_construction: densities at
+least the target, no transversal.
 
 * gacs_tree_construction: for a tree T, clusters A_i = {v_ij : j ~ i},
   all cross pairs present except (v_ij, v_ji), weights w_ij = x_j /
@@ -44,7 +44,7 @@ from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
 from .graphs import (
     Edge, PatternGraph, canonical_edge, edge_assignment, integer, parse_rational,
     rational, rational_text)
-from .polynomials import largest_matching_root_squared
+from .polynomials import largest_matching_root_squared, leaf_up_inertia
 from .verdict import Verdict
 
 TRANSVERSAL_GUARD = 10**6
@@ -161,27 +161,6 @@ class WeightedBlowupGraph:
                 k -= 1
         return Transversal(dict(chosen))
 
-    def prune_zero_weights(self) -> "WeightedBlowupGraph":
-        """Drop slots of zero weight; slot indices are renumbered per
-        cluster."""
-        keep: dict[Slot, int] = {}
-        new_weights: list[list] = []
-        for i, cluster in enumerate(self.weights, start=1):
-            kept = []
-            for a, w in enumerate(cluster):
-                if w:
-                    keep[(i, a)] = len(kept)
-                    kept.append(w)
-            if not kept:
-                raise ValidationError(f"cluster {i} lost all its weight")
-            new_weights.append(kept)
-        new_edges = [
-            ((i, keep[(i, a)]), (j, keep[(j, b)]))
-            for (i, a), (j, b) in self.cross_edges
-            if (i, a) in keep and (j, b) in keep
-        ]
-        return WeightedBlowupGraph(self.pattern, new_weights, new_edges)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -236,16 +215,20 @@ def blowup_without(
 ) -> WeightedBlowupGraph:
     """The blow-up with every cross pair on H's edges except the missing
     ones: the eigenvector, star-decomposition, bow-tie and grid
-    constructions."""
+    constructions.  Slots of weight 0 are left out, and the others
+    renumbered in order within their cluster; missing names the slots as
+    given."""
     gone = {_normalize_pair(a, b) for a, b in missing}
+    kept = [[a for a, w in enumerate(cluster) if w != 0] for cluster in weights]
     cross = [
-        ((i, a), (j, b))
+        ((i, x), (j, y))
         for i, j in H.edges
-        for a in range(len(weights[i - 1]))
-        for b in range(len(weights[j - 1]))
+        for x, a in enumerate(kept[i - 1])
+        for y, b in enumerate(kept[j - 1])
         if ((i, a), (j, b)) not in gone
     ]
-    return WeightedBlowupGraph(H, weights, cross)
+    return WeightedBlowupGraph(
+        H, [[cluster[a] for a in k] for cluster, k in zip(weights, kept)], cross)
 
 
 def assert_construction(
@@ -272,7 +255,8 @@ def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
     Rooted at the least leaf, the ratios r_v = x_v/(lambda x_parent) of
     the principal eigenvector x follow r_v = k / (1 - sum of children r)
     with k = 1/s, which stays well defined because lambda exceeds every
-    proper subtree's spectral radius.  Run in Fractions at k = 1/s_lo,
+    proper subtree's spectral radius: r_v = k F(v) for leaf_up_inertia at
+    ratio k.  Run in Fractions at k = 1/s_lo,
     w_ij = r_j toward a child and k/r_i toward the parent.  Every non-root
     cluster then sums to exactly 1, and every non-root edge misses mass
     exactly k, so its density is t = 1 - k.
@@ -296,13 +280,13 @@ def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
     k = _ONE / s_lo
     root = min(v for v in T.vertices() if len(T.adjacency[v]) == 1)
     order, parent = T.bfs_tree(root)
-    r: dict[int, Fraction] = {}
-    for v in reversed(order[1:]):
-        rest = _ONE - sum(r[c] for c in T.adjacency[v] if parent[c] == v)
-        if rest <= 0:
-            raise ValidationError("eigenvector ratios are not all positive")
-        r[v] = k / rest
+    at = {v: i for i, v in enumerate(reversed(order))}
+    pivots = leaf_up_inertia([[(at[u], 1) for u in T.adjacency[v] if parent[u] == v]
+                              for v in reversed(order)], k)
     c = order[1]
+    if pivots[at[c]][1] or pivots[at[c]][0] is None:
+        raise ValidationError("eigenvector ratios are not all positive")
+    r = {v: k * pivots[at[v]][0] for v in order[1:]}
     if r[c] < 1:
         raise ValidationError(f"root ratio {r[c]} is below 1")
     weights = [[r[j] if parent[j] == i else k / r[i] for j in T.adjacency[i]]
@@ -343,8 +327,8 @@ def star_decomposition_construct(
     is met).  Up pass, u = f(2), ..., f(n): u gets a singleton cluster
     {w_k}, and each earlier neighbour v has its weights scaled by its
     target gamma_{uv} and gains a fresh slot of weight 1 - gamma_{uv}.
-    The pairs (w_k, fresh slot) are the only missing cross pairs; slots of
-    weight 0 are pruned.
+    The pairs (w_k, fresh slot) are the only missing cross pairs;
+    blowup_without leaves slots of weight 0 out.
     """
     from .stars import star_necessary_condition  # local import to avoid a cycle
 
@@ -376,6 +360,5 @@ def star_decomposition_construct(
                 weights[v] = [w * g for w in weights[v]] + [_ONE - g]
                 missing.append(((u, 0), (v, len(weights[v]) - 1)))
     B = blowup_without(H, [weights[i] for i in H.vertices()], missing)
-    B = B.prune_zero_weights()
     assert_construction(B, dens)
     return B

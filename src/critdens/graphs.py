@@ -148,20 +148,20 @@ def parse_graph(text: str) -> PatternGraph:
     Raises ParseError for malformed tokens (with line numbers) and
     ValidationError for loops, duplicates, and out-of-range labels.
     """
-    stripped = text.strip()
-    if ";" not in stripped:
-        raise ParseError("missing ';' after the vertex count (line 1)")
-    head, _, tail = stripped.partition(";")
-    head = head.strip()
+    # line numbers count from the top of the text: the count's, then the edges'
+    first = len(text[:len(text) - len(text.lstrip()) + 1].splitlines()) or 1
+    if ";" not in text:
+        raise ParseError(f"missing ';' after the vertex count (line {first})")
+    semi = text.index(";")
+    head = text[:semi].strip()
     n = natural(head)
     if n is None:
-        raise ParseError(f"vertex count {head!r} is not a positive integer (line 1)")
+        raise ParseError(f"vertex count {head!r} is not a positive integer (line {first})")
     if n < 1:
         raise ValidationError(f"vertex count must be >= 1, got {n}")
     edges: set[Edge] = set()
-    # Track line numbers relative to the original text for error messages.
-    offset = text.index(";") + 1
-    for lineno, line in enumerate(text[offset:].splitlines() or [""], start=1):
+    for lineno, line in enumerate(text[semi + 1:].splitlines() or [""],
+                                  start=len(text[:semi + 1].splitlines())):
         for tok in line.split():
             i_str, sep, j_str = tok.partition("-")
             i, j = natural(i_str), natural(j_str)
@@ -491,6 +491,14 @@ def rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int]
         key = tuple(sorted([rid[w] for w in H.adjacency[v] if rid[w] >= 0]))
         rid[v] = ids.setdefault(key, len(ids))
     return rid[f[0]]
+
+
+def rooted_nodes(H: PatternGraph, f: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """T_f(H)'s rooted shapes (rooted_id) as polynomials.leaf_up_inertia's
+    node list: each key's ids as children at weight 1, the root last."""
+    ids: dict[tuple[int, ...], int] = {}
+    rooted_id(H, f, ids)
+    return [[(c, 1) for c in key] for key in ids]
 
 
 # Standard families, used throughout the tests and the CLI self-test.

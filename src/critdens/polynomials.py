@@ -14,8 +14,8 @@ located with Sturm chains on the square-free part, so root counts are
 counts of distinct real roots.
 Matching polynomials have only real roots, so for them Descartes' rule
 counts the roots above a point exactly from one integer Taylor shift;
-largest_matching_root_squared lets float estimates (for a tree, counts
-by leaf_up_inertia, the one leaf-up elimination) choose the isolating
+matching_root_squared lets float estimates (for a tree, counts by
+leaf_up_inertia, the one leaf-up elimination) choose the isolating
 cell and certifies it with such counts, returning exactly what the Sturm
 bisection would, and runs that bisection only when a certificate fails.
 No answer ever depends on floating point.
@@ -52,7 +52,7 @@ from .graphs import (
     parse_rational,
     rational,
     rational_text,
-    rooted_id,
+    rooted_nodes,
     tolerance,
 )
 
@@ -657,30 +657,26 @@ def leaf_up_inertia(nodes: Sequence[Sequence[tuple[int, Fraction | float]]],
     return out
 
 
-def _tree_top_roots_squared(T: PatternGraph) -> tuple[float, float]:
-    """Float estimates of lambda_1^2 and lambda_2^2 for the two largest
-    adjacency eigenvalues of the tree T: the two largest roots of its
-    matching even part.
-
-    leaf_up_inertia at ratio 1/x^2 counts the eigenvalues above x on T's
-    interned rooted subtrees (its BFS order is a proper labeling), and
-    bisection finds the top two.  Unlike Newton on the coefficients, this
-    stays accurate on large trees, where the power basis cancels."""
-    ids: dict[tuple[int, ...], int] = {}
-    root = rooted_id(T, T.bfs_tree()[0], ids)
-    nodes = [[(c, 1) for c in key] for key in ids]
+def _tree_top_roots_squared(nodes: Sequence[Sequence[tuple[int, int]]]) -> tuple[float, float]:
+    """Float estimates of lambda_1^2 > lambda_2^2, the top two roots of the
+    matching even part of the tree given as leaf_up_inertia's node list,
+    root last: the elimination at ratio 1/x^2 counts the eigenvalues above
+    x at the root, and bisection from the largest degree finds the top
+    two.  Unlike Newton on the coefficients, this stays accurate on large
+    trees, where the power basis cancels."""
+    degree = max([len(nodes[-1]), *(len(node) + 1 for node in nodes[:-1])])
 
     def sup(k: int, lo: float, hi: float) -> float:
         """The k-th largest eigenvalue, in [lo, hi]."""
         for _ in range(_BISECTION_STEPS):
             mid = (lo + hi) / 2
-            if leaf_up_inertia(nodes, 1 / (mid * mid))[root][1] >= k:
+            if leaf_up_inertia(nodes, 1 / (mid * mid))[-1][1] >= k:
                 lo = mid
             else:
                 hi = mid
         return (lo + hi) / 2
 
-    lam1 = sup(1, 0.0, float(T.max_degree()))
+    lam1 = sup(1, 0.0, float(degree))
     lam2 = sup(2, 0.0, lam1)
     return lam1 * lam1, lam2 * lam2
 
@@ -741,36 +737,26 @@ def _matching_weight_sums(
     return solve((1 << n) - 1)
 
 
-def _tree_matching_weight_sums(
-    H: PatternGraph, weight: Callable[[Edge], int | Fraction]
-) -> list:
-    """Same as _matching_weight_sums for trees, by a rooted two-state DP
-    (vertex matched into its subtree or not), linear in n."""
-    order, parent = H.bfs_tree()
-    # free[v]: weight sums by matching size in v's subtree with v unmatched;
-    # any[v]: same with v free to be matched inside the subtree.
-    free: dict[int, list] = {}
-    anym: dict[int, list] = {}
+def _tree_matching_sums(nodes: Sequence[Sequence[tuple[int, int | Fraction]]]) -> list:
+    """_matching_weight_sums of the tree given as leaf_up_inertia's node
+    list (a child with its edge's weight, the root last), linear in the
+    nodes: free[i] holds the weight sums by matching size in i's subtree
+    with i unmatched, anym[i] the same with i free to be matched in it."""
+    free: list[list] = []
+    anym: list[list] = []
 
     def mul(a: list, b: list) -> list:
-        if a == [1]:   # each fold below starts from 1
-            return list(b)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
             for j, y in enumerate(b):
                 out[i + j] += x * y
         return out
 
-    for v in reversed(order):
-        children = [u for u in H.adjacency[v] if parent[u] == v]
+    for node in nodes:
         # Fold the children in one at a time: f is the product of their
-        # any[c] so far, and a also counts v matched to one of them.
-        f = [1]
-        a = [1]
-        for c in children:
-            w = weight(canonical_edge(v, c))
+        # anym so far, and a also counts the node matched to one of them.
+        f, a = [1], [1]
+        for c, w in node:
             a = mul(a, anym[c])
             if w != 0:
                 paired = mul(f, free[c])
@@ -779,17 +765,20 @@ def _tree_matching_weight_sums(
                 for k, x in enumerate(paired):
                     a[k + 1] += w * x
             f = mul(f, anym[c])
-        free[v] = f
-        anym[v] = a
-    return anym[order[0]]
+        free.append(f)
+        anym.append(a)
+    return anym[-1]
 
 
 def _integer_weight_sums(H: PatternGraph, weight: Callable[[Edge], int]) -> list[int]:
-    """The integer matching sums of H: trees take the linear-time rooted
-    recursion, with no size cap; other patterns the subset recursion, up
-    to MAX_MATCHING_EDGES edges."""
+    """The integer matching sums of H: trees take the linear-time DP on
+    one node per vertex, rooted at 1, with no size cap; other patterns
+    the subset recursion, up to MAX_MATCHING_EDGES edges."""
     if H.is_tree():
-        return _tree_matching_weight_sums(H, weight)
+        order = H.bfs_tree()[0][::-1]   # a child before its parent
+        at = {v: i for i, v in enumerate(order)}
+        return _tree_matching_sums([[(at[u], weight(canonical_edge(v, u)))
+                                     for u in H.adjacency[v] if at[u] < at[v]] for v in order])
     if len(H.edges) > MAX_MATCHING_EDGES:
         raise SizeLimit(
             f"matching polynomial capped at {MAX_MATCHING_EDGES} edges, "
@@ -829,36 +818,54 @@ def multivariate_matching_eval(
     return RatPoly([(-1) ** k * c for k, c in enumerate(counts)])
 
 
-def _even_part(H: PatternGraph) -> list[int]:
-    """matching_even_part(H)'s integer coefficients, from the matching
-    counts m_k with no Fraction in between."""
-    K = H.n // 2
-    coeffs = [0] * (K + 1)
-    for k, m_k in enumerate(_integer_weight_sums(H, lambda e: 1)):
-        coeffs[K - k] = (-1) ** k * m_k
-    return coeffs
+def _even_coeffs(sums: Sequence[int], n: int) -> list[int]:
+    """The integer coefficients of the matching even part of a graph on n
+    vertices with matching counts sums, lowest power first."""
+    signed = [(-1) ** k * m_k for k, m_k in enumerate(sums)]
+    return [0] * (n // 2 + 1 - len(signed)) + signed[::-1]
 
 
 def matching_even_part(H: PatternGraph) -> RatPoly:
     """q(s) with M(t) = t^(n mod 2) q(t^2): q = sum_k (-1)^k m_k s^(K-k),
     K = floor(n/2).  Well defined because M only has exponents of one
     parity (matchings remove vertices in pairs)."""
-    return RatPoly(_even_part(H))
+    return RatPoly(_even_coeffs(_integer_weight_sums(H, lambda e: 1), H.n))
+
+
+def tree_even_part(nodes: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, ...]:
+    """The matching even part of the tree given as leaf_up_inertia's node
+    list at unit weights, root last (graphs.rooted_nodes), as integer
+    coefficients lowest power first: isomorphic trees share it."""
+    sums = _tree_matching_sums(nodes)
+    return tuple(_even_coeffs(sums, (sums + [0])[1] + 1))   # m_1 = n - 1 edges
+
+
+def matching_root_squared(even: Sequence[int], tol: Fraction | float = Fraction(1, 10**9),
+                          nodes: Sequence[Sequence[tuple[int, int]]] | None = None
+                          ) -> AlgebraicNumber:
+    """largest_real_root of a matching even part, integer coefficients
+    lowest power first (0 for a constant).  Float estimates of its top two
+    roots, by counts on the tree's nodes (tree_even_part's) when given,
+    else by Newton, choose the cell; Sturm runs if a certificate fails."""
+    tol = tolerance(tol)
+    if len(even) < 2:
+        return AlgebraicNumber.from_rational(0)
+    sf = square_free_part(list(even))
+    s1, s2 = _newton_top_roots(sf) if nodes is None else _tree_top_roots_squared(nodes)
+    root = _float_guided_root(sf, tol, s1, s2 if len(sf) > 2 else None)
+    return root if root is not None else _sturm_largest_root(sf, tol)
 
 
 def largest_matching_root_squared(
     H: PatternGraph, tol: Fraction | float = Fraction(1, 10**9)
 ) -> AlgebraicNumber:
     """t(H)^2: the square of the largest root of the matching polynomial,
-    as the largest root of its even part.  Exact 0 for edgeless graphs."""
+    as the largest root of its even part; a tree's from its rooted shapes
+    from vertex 1.  Exact 0 for edgeless graphs."""
     tol = tolerance(tol)
     if not H.edges:
         return AlgebraicNumber.from_rational(0)
-    # Equal to largest_real_root(matching_even_part(H), tol); the Sturm
-    # bisection runs only when a certificate fails.
-    sf = square_free_part(_even_part(H))
-    s1, s2 = _tree_top_roots_squared(H) if H.is_tree() else _newton_top_roots(sf)
-    root = _float_guided_root(sf, tol, s1, s2 if len(sf) > 2 else None)
-    if root is not None:
-        return root
-    return _sturm_largest_root(sf, tol)
+    if H.is_tree():
+        nodes = rooted_nodes(H, H.bfs_tree()[0])
+        return matching_root_squared(tree_even_part(nodes), tol, nodes)
+    return matching_root_squared(_even_coeffs(_integer_weight_sums(H, lambda e: 1), H.n), tol)

@@ -18,8 +18,9 @@ condition's per-edge ratios, else on T_f's interned rooted shapes.  The
 star bound walks the labelings once, then certifies the rooted shapes
 best-first by a float hint; one float elimination, on the safe side of
 the best's lambda^2 by more than rounding can reach, sets aside each
-shape that cannot reach it, so NODE_CAP bounds only the trees built for
-the others and for export.
+shape that cannot reach it, and the others take their spectra from the
+rooted shapes too (polynomials.matching_root_squared).  monotone_path_tree
+and tree_shape_key build T_f only for the shape table and for export.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from .graphs import (
     is_proper_labeling,
     proper_labelings,
     rooted_id,
+    rooted_nodes,
     tolerance,
 )
-from .polynomials import largest_matching_root_squared, leaf_up_inertia
+from .polynomials import leaf_up_inertia, matching_root_squared, tree_even_part
 from .tree_decision import CriticalDensity
 from .verdict import Verdict
 
@@ -199,41 +201,62 @@ def star_lower_bound(
     shapes by descending hint, F of leaf_up_inertia at a ratio below every
     1/lambda(T_f)^2; _pivots_below, s the lower end of the best's
     lambda^2, sets aside each with lambda(T_f)^2 < s, which can neither
-    beat nor tie the best; the others get T_f, its shape key and, once
-    per shape, a spectrum compared exactly with the best.  Ties keep
-    the lexicographically first labeling, so the order changes no output.
-    shape_table builds the rest when read.  A tree's labelings are counted.
+    beat nor tie the best; the others get a spectrum from T_f's rooted
+    shapes, compared exactly with the best.  Ties keep the
+    lexicographically first labeling, so the order changes no output.
+    A tree's labelings are counted.  Spectra are memoised per matching
+    even part, which isomorphic shapes share; shape_table builds T_f per
+    rooted id when read.
     """
     tol = tolerance(tol)
     if H.n == 1:
         zero = CriticalDensity.zero()
         return StarBound(zero, (1,), 1, False, {"()": ((1,), 1, zero)})
+    spectra: dict[tuple[int, ...], CriticalDensity] = {}
+
+    def spectrum(f: tuple[int, ...]) -> CriticalDensity:
+        """T_f's, refused past NODE_CAP nodes as monotone_path_tree refuses it."""
+        nodes, size = rooted_nodes(H, f), []
+        for node in nodes:
+            size.append(1 + sum(size[c] for c, _ in node))
+        if size[-1] > NODE_CAP:
+            raise SizeLimit(f"monotone-path tree exceeds {NODE_CAP} nodes")
+        even = tree_even_part(nodes)
+        if even not in spectra:
+            spectra[even] = CriticalDensity(matching_root_squared(even, nodes=nodes))
+        return spectra[even]
+
+    def shape_table() -> ShapeTable:
+        """By T_f's shape key, in the order of the rooted ids' first labelings."""
+        table: ShapeTable = {}
+        for f, count in records.values():
+            shape = tree_shape_key(monotone_path_tree(H, f).tree)
+            example, total, dc = table[shape] if shape in table else (f, 0, spectrum(f))
+            table[shape] = (example, total + count, dc)
+        return table
+
     best: CriticalDensity | None = None
     best_f: tuple[int, ...] | None = None
-    examined = 0
-    heuristic = False
-    table: ShapeTable | Callable[[], ShapeTable]
+    examined, heuristic = 0, False
+    records: dict[int, list] = {}   # rooted id -> [first labeling, count]
     if H.is_tree():
+        # T_f is H for every f
         best_f = next(proper_labelings(H))
-        tree = monotone_path_tree(H, best_f).tree
+        best = spectrum(best_f)
         count = _tree_labelings(H)
         examined, heuristic = min(count, LABELING_CAP), count > LABELING_CAP
-        best = CriticalDensity(largest_matching_root_squared(tree))
-        table = {tree_shape_key(tree): (best_f, examined, best)}
+        records[0] = [best_f, examined]
     else:
         ids: dict[tuple[int, ...], int] = {}
-        # rooted id -> [first labeling, count, shape key or None if set aside]
-        records: dict[int, list] = {}
         for f in proper_labelings(H):
             if examined >= LABELING_CAP:
                 heuristic = True
                 break
             examined += 1
-            records.setdefault(rooted_id(H, f, ids), [f, 0, None])[1] += 1
+            records.setdefault(rooted_id(H, f, ids), [f, 0])[1] += 1
         nodes = [[(c, 1) for c in key] for key in ids]
         # T_f has max degree <= Delta, so lambda(T_f)^2 < 4(Delta - 1)
         hint = leaf_up_inertia(nodes, 1 / (4 * (H.max_degree() - 1)))
-        spectra: dict[str, CriticalDensity] = {}
         pivots: list[tuple[float | None, int]] | None = None
         for rid in sorted(records, key=lambda rid: -hint[rid][0]):
             f = records[rid][0]
@@ -246,36 +269,14 @@ def star_lower_bound(
                 F, count = pivots[rid]
                 if count == 0 and F is not None:
                     continue
-            tree = monotone_path_tree(H, f).tree
-            shape = records[rid][2] = tree_shape_key(tree)
-            if shape not in spectra:
-                spectra[shape] = CriticalDensity(largest_matching_root_squared(tree))
-            dc = spectra[shape]
+            dc = spectrum(f)
             c = 1 if best is None else 0 if dc is best else dc.s_star.compare(best.s_star)
             if c > 0 or c == 0 and f < best_f:
                 best, best_f, pivots = dc, f, None
-        table = lambda: _shape_table(H, records, spectra)
     assert best is not None and best_f is not None
-    bound = StarBound(best, best_f, examined, heuristic, table)
+    bound = StarBound(best, best_f, examined, heuristic, shape_table)
     bound.interval(tol)
     return bound
-
-
-def _shape_table(H: PatternGraph, records: Mapping[int, list],
-                 spectra: dict[str, CriticalDensity]) -> ShapeTable:
-    """star_lower_bound's table from its rooted-id records, in the order
-    of their first labelings: T_f and its shape key for each set-aside
-    id, and a spectrum for each shape that has none yet."""
-    table: ShapeTable = {}
-    for f, count, shape in records.values():
-        if shape is None:
-            tree = monotone_path_tree(H, f).tree
-            shape = tree_shape_key(tree)
-            if shape not in spectra:
-                spectra[shape] = CriticalDensity(largest_matching_root_squared(tree))
-        example, total, dc = table.get(shape, (f, 0, spectra[shape]))
-        table[shape] = (example, total + count, dc)
-    return table
 
 
 def star_necessary_condition(

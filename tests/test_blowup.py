@@ -91,16 +91,17 @@ def test_density_is_weight_mass_on_cross_pairs():
     assert B.density(1, 2) + missing_mass == 1
 
 
-def test_prune_zero_weights():
-    B = _blowup(
-        path_graph(2),
-        [[F(1, 2), F(1, 2), F(0)], [F(1)]],
-        [((1, 0), (2, 0)), ((1, 2), (2, 0))],
-    )
-    P = B.prune_zero_weights()
-    assert P.weights == ((F(1, 2), F(1, 2)), (F(1),))
-    assert sorted(P.cross_edges) == [((1, 0), (2, 0))]
-    assert P.density(1, 2) == B.density(1, 2)
+def test_blowup_without_leaves_zero_weights_out():
+    # the kept slots are renumbered in order; missing names slots as given
+    B = blowup_without(path_graph(2), [[F(1, 2), F(1, 2), F(0)], [F(1)]])
+    assert B.weights == ((F(1, 2), F(1, 2)), (F(1),))
+    assert sorted(B.cross_edges) == [((1, 0), (2, 0)), ((1, 1), (2, 0))]
+    assert B.density(1, 2) == 1
+    B = blowup_without(path_graph(2), [[F(0), F(1, 3), F(0), F(2, 3)], [F(1)]],
+                       [((1, 1), (2, 0)), ((1, 2), (2, 0))])
+    assert B.weights == ((F(1, 3), F(2, 3)), (F(1),))
+    assert sorted(B.cross_edges) == [((1, 1), (2, 0))]
+    assert B.density(1, 2) == F(2, 3)
 
 
 def test_blowup_without_drops_only_the_missing_pairs():
@@ -258,6 +259,22 @@ def test_gacs_path4_hits_golden_exactly():
     assert (2 * t + 1) ** 2 < 5 < (2 * t + 1 + F(2, 10**24)) ** 2
     assert B.cluster_sizes() == (1, 3, 2, 1)
     assert B.find_transversal() is None
+
+
+@pytest.mark.parametrize("s, message", [
+    # below lambda^2 = 2 of P3: the middle vertex's pivot 1 - 1/s is 0
+    (F(1), "eigenvector ratios are not all positive"),
+    # above it: the root ratio (1/s)/(1 - 1/s) is 1/2
+    (F(3), "root ratio 1/2 is below 1"),
+])
+def test_gacs_refuses_a_wrong_lambda_squared(monkeypatch, s, message):
+    from critdens import blowup
+    from critdens.polynomials import AlgebraicNumber
+
+    monkeypatch.setattr(blowup, "largest_matching_root_squared",
+                        lambda T, tol: AlgebraicNumber.from_rational(s))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        gacs_tree_construction(path_graph(3))
 
 
 def _merged_weight(B, T, i, j):

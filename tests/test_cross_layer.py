@@ -146,8 +146,12 @@ def _reference_star_decomposition(H, f, gamma):
                 if c in placed or c == u:
                     cross |= {((v, count), (c, b)) for b in range(len(weights[c]))
                               if (c, b) != (u, 0)}
-    B = WeightedBlowupGraph(H, [weights[i] for i in H.vertices()], cross)
-    return B.prune_zero_weights()
+    # slots of weight 0 left out, the others renumbered in order
+    kept = {(v, a): len([w for w in weights[v][:a] if w]) for v in weights
+            for a, w in enumerate(weights[v]) if w}
+    cross = {((i, kept[i, a]), (j, kept[j, b])) for (i, a), (j, b) in cross
+             if (i, a) in kept and (j, b) in kept}
+    return WeightedBlowupGraph(H, [[w for w in weights[v] if w] for v in H.vertices()], cross)
 
 
 @settings(max_examples=300, deadline=None)

@@ -44,6 +44,19 @@ def test_parse_multiline():
     assert parse_graph("4;\n1-2 2-3\n3-4\n") == path_graph(4)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("\n\n4;\n1-2\n1-x", ParseError, "bad edge token '1-x' (line 5)"),
+    ("\n\nx;\n1-2", ParseError, "vertex count 'x' is not a positive integer (line 3)"),
+    ("\n  \n3 1-2", ParseError, "missing ';' after the vertex count (line 3)"),
+    ("4; 1-2\r\n\r\n2-3 3-y", ParseError, "bad edge token '3-y' (line 3)"),
+    ("\n\n3;\n1-2 2-2", ValidationError, "loop '2-2' (line 4)"),
+])
+def test_parse_error_lines_count_from_the_top(text, error, message):
+    with pytest.raises(error) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("", "vertex count"),
     ("x; 1-2", "vertex count"),

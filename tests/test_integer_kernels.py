@@ -1,9 +1,9 @@
 """The integer kernels of the matching-root pipeline against independent
 references: _integer_gcd and square_free_part against sympy's gcd and
-sqf_part, up to a nonzero factor, matching_weight_sums (both DPs)
-against a plain Fraction enumeration of matchings, and the short-rational
-isolation certificate of the float-guided root against the full count it
-stands in for."""
+sqf_part, up to a nonzero factor, matching_weight_sums against a plain
+Fraction enumeration of matchings, the tree DP on node lists against the
+subset DP, and the short-rational isolation certificate of the
+float-guided root against the full count it stands in for."""
 
 import math
 from fractions import Fraction as F
@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from critdens import polynomials
-from critdens.graphs import PatternGraph, path_graph, star_graph
+from critdens.graphs import PatternGraph, canonical_edge, path_graph, rooted_nodes, star_graph
 from critdens.polynomials import (
     RatPoly,
     _integer_coeffs,
@@ -136,10 +136,36 @@ def test_matching_weight_sums_match_enumeration(case):
     got = matching_weight_sums(H, weight.__getitem__)
     assert all(type(c) is F for c in got)
     assert got == want
-    # Both DPs straight on the Fraction weights, the tree DP on trees.
+    # The subset DP straight on the Fraction weights.
     assert polynomials._matching_weight_sums(H, weight.__getitem__) == want
-    if H.is_tree():
-        assert polynomials._tree_matching_weight_sums(H, weight.__getitem__) == want
+
+
+def _vertex_nodes(T, root, weight):
+    """T rooted at root as a node list, one node per vertex, children
+    first, each child with the weight of the edge to it."""
+    order, parent = T.bfs_tree(root)
+    at = {v: i for i, v in enumerate(reversed(order))}
+    return [[(at[u], weight[canonical_edge(v, u)]) for u in T.adjacency[v] if parent[u] == v]
+            for v in reversed(order)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), min_size=n, max_size=n),
+    st.lists(st.one_of(st.just(F(0)), st.fractions(0, 5, max_denominator=30)),
+             min_size=n, max_size=n))))
+@example((4, [1, 1, 2, 3], [F(1, 3), F(5, 4), F(2, 7), F(1)]))
+def test_tree_dp_on_node_lists_matches_the_subset_dp(case):
+    """The forest DP from any root, on one node per vertex, against the
+    subset DP on random weighted trees; at unit weights also on the
+    tree's interned rooted shapes, where isomorphic subtrees share a node."""
+    n, picks, ws = case
+    T = PatternGraph(n, tuple((min(picks[v - 1], v - 1), v) for v in range(2, n + 1)))
+    weight = dict(zip(T.edges, ws))
+    want = polynomials._matching_weight_sums(T, weight.__getitem__)
+    assert polynomials._tree_matching_sums(_vertex_nodes(T, picks[0], weight)) == want
+    ones = polynomials._matching_weight_sums(T, lambda e: 1)
+    assert polynomials._tree_matching_sums(rooted_nodes(T, T.bfs_tree(picks[0])[0])) == ones
 
 
 def _fields(x):

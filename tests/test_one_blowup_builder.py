@@ -1,7 +1,7 @@
 """Every blow-up the package builds comes from one of a few places: the
 builder blowup_without (every emitted construction goes through it), the
-zero-weight pruning and JSON reading that rebuild a given blow-up, and
-the random blow-ups of the transversal-searcher agreement criterion.
+JSON reading that rebuilds a given blow-up, and the random blow-ups of
+the transversal-searcher agreement criterion.
 Nothing else under src/critdens calls WeightedBlowupGraph(...) directly.
 """
 
@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "critdens"
 
 ALLOWED = {
     "blowup.blowup_without",
-    "blowup.WeightedBlowupGraph.prune_zero_weights",
     "blowup.WeightedBlowupGraph.from_json_obj",
     "acceptance.check_searcher_agreement",
 }

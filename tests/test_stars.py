@@ -1,5 +1,6 @@
 """Monotone-path trees, star-decomposition bounds, and the bow-tie case."""
 
+import io
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from critdens.graphs import (
     path_graph,
     proper_labelings,
     rooted_id,
+    rooted_nodes,
     star_graph,
 )
 from critdens.polynomials import (
@@ -29,6 +31,8 @@ from critdens.polynomials import (
     largest_matching_root_squared,
     leaf_up_inertia,
     matching_even_part,
+    matching_root_squared,
+    tree_even_part,
 )
 from critdens.stars import (
     StarBound,
@@ -195,56 +199,64 @@ def test_rooted_ids_name_rooted_path_tree_shapes():
     assert all(c < i for i, key in enumerate(keys) for c in key)
 
 
-def test_star_bound_builds_one_path_tree_per_rooted_id(monkeypatch):
-    built = []
+def _counting_isolations(monkeypatch):
+    """Patch stars' root isolation to record the even part of each call."""
+    isolations = []
 
-    def counting(H, f):
-        built.append(f)
-        return monotone_path_tree(H, f)
+    def counting(even, *args, **kwargs):
+        isolations.append(even)
+        return matching_root_squared(even, *args, **kwargs)
 
-    monkeypatch.setattr(stars, "monotone_path_tree", counting)
+    monkeypatch.setattr(stars, "matching_root_squared", counting)
+    return isolations
+
+
+def test_star_bound_isolates_at_most_one_root_per_shape(monkeypatch):
+    # isolations are memoised per matching even part, which isomorphic
+    # shapes share, so there are never more than one per shape of T_f
+    isolations = _counting_isolations(monkeypatch)
     star_lower_bound(complete_graph(6))
-    assert len(built) == 1
+    assert len(isolations) == 1
     for H in _connected_atlas(3, 6):
-        built.clear()
+        isolations.clear()
         star_lower_bound(H)
-        ids = {}
-        rooted = {rooted_id(H, f, ids) for f in proper_labelings(H)}
-        assert 1 <= len(built) <= len(rooted), H
+        shapes = {tree_shape_key(monotone_path_tree(H, f).tree) for f in proper_labelings(H)}
+        assert 1 <= len(isolations) <= len(shapes), H
+        assert len(set(isolations)) == len(isolations), H
 
 
 def test_star_bound_computes_spectra_only_for_shapes_that_can_win(monkeypatch):
     # an atlas pattern: a triangle 2-3-4 and a triangle 2-3-5 sharing 2-3,
     # and a pendant vertex 1 at 2
     H = PatternGraph(5, ((1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)))
-    spectra, built = [], []
-
-    def counting_spectrum(T, *args):
-        spectra.append(T)
-        return largest_matching_root_squared(T, *args)
+    isolations, built = _counting_isolations(monkeypatch), []
 
     def counting_tree(H, f):
         built.append(f)
         return monotone_path_tree(H, f)
 
-    monkeypatch.setattr(stars, "largest_matching_root_squared", counting_spectrum)
     monkeypatch.setattr(stars, "monotone_path_tree", counting_tree)
     want = _reference_star_bound(H)
     compute_bounds(H)
-    assert 1 <= len(spectra) < len(want.shape_table)
+    assert 1 <= len(isolations) < len(want.shape_table) and not built
 
-    spectra.clear()
+    isolations.clear()
     bound = star_lower_bound(H)
     bound.density.interval()
-    computed = len(spectra)
+    computed = len(isolations)
+    assert not built
     table = bound.shape_table
     assert table == want.shape_table and bound == want
-    # the first read computes the remaining spectra, one per shape in all;
-    # later reads return the same table and build nothing
-    assert computed < len(spectra) == len(table)
-    counts = len(spectra), len(built)
+    # the first read isolates the remaining roots, one per shape in all,
+    # and builds T_f once per rooted id; later reads return the same
+    # table and build nothing
+    ids = {}
+    rooted = {rooted_id(H, f, ids) for f in proper_labelings(H)}
+    assert computed < len(isolations) == len(table)
+    assert len(built) == len(rooted)
+    counts = len(isolations), len(built)
     assert bound.shape_table is table
-    assert (len(spectra), len(built)) == counts
+    assert (len(isolations), len(built)) == counts
     best_shape = tree_shape_key(monotone_path_tree(H, bound.best_labeling).tree)
     assert table[best_shape][2] is bound.density
 
@@ -285,24 +297,33 @@ def test_star_bound_does_not_depend_on_the_certification_order(monkeypatch, orde
 
 
 def test_star_bound_takes_few_spectra(monkeypatch):
-    spectra = []
-
-    def counting(T, *args):
-        spectra.append(T)
-        return largest_matching_root_squared(T, *args)
-
-    monkeypatch.setattr(stars, "largest_matching_root_squared", counting)
+    isolations = _counting_isolations(monkeypatch)
     for n in (5, 6, 7, 8):
-        spectra.clear()
+        isolations.clear()
         star_lower_bound(complete_graph(n))
-        assert len(spectra) == 1, n
-    spectra.clear()
+        assert len(isolations) == 1, n
+    isolations.clear()
     for H in _connected_atlas(3, 6):
         if not H.is_tree():
             star_lower_bound(H)
     # 146 when written, against 431 when rooted ids were certified in
     # the order of their first labelings
-    assert len(spectra) <= 160
+    assert len(isolations) <= 160
+
+
+def test_root_isolation_on_rooted_shapes_matches_the_path_tree_spectrum():
+    # the root isolation on T_f's rooted shapes, field for field, against
+    # the spectrum of the built path tree
+    for H in [*_connected_atlas(3, 5), complete_bipartite(2, 3)]:
+        for f in proper_labelings(H):
+            nodes = rooted_nodes(H, f)
+            tree = monotone_path_tree(H, f).tree
+            even = tree_even_part(nodes)
+            assert even == matching_even_part(tree).coeffs, (H, f)
+            got = matching_root_squared(even, nodes=nodes)
+            want = largest_matching_root_squared(tree)
+            assert (got.lo, got.hi, got.exact, got.poly) == \
+                (want.lo, want.hi, want.exact, want.poly), (H, f)
 
 
 def test_star_bound_matches_plain_search_on_small_trees():
@@ -407,6 +428,26 @@ def test_verify_bt1_matches_path_tree_spectra(n, m):
 def test_verify_bt1_size_cap():
     with pytest.raises(SizeLimit):
         verify_bt1(5, 5)
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["star-bound"], ["star-bound", "--dedupe"]])
+def test_only_dedupe_builds_path_trees(monkeypatch, tmp_path, command):
+    from critdens.cli import run
+
+    built = []
+
+    def counting(H, f):
+        built.append(f)
+        return monotone_path_tree(H, f)
+
+    monkeypatch.setattr(stars, "monotone_path_tree", counting)
+    for k, text in enumerate(["4; 1-2 1-3 1-4 2-3 2-4 3-4", "5; 1-2 1-3 1-4 1-5 2-3 4-5",
+                              "5; 1-2 2-3 3-4 4-5 1-5", "4; 1-2 2-3 2-4"]):
+        path = tmp_path / f"{k}.g"
+        path.write_text(text + "\n")
+        built.clear()
+        assert run([*command, str(path)], out=io.StringIO()) == 0
+        assert bool(built) == ("--dedupe" in command), (command, text)
 
 
 def test_verdicts_build_no_path_tree(monkeypatch):
