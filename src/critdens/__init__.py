@@ -13,7 +13,10 @@ from .blowup import (
     WeightedBlowupGraph,
     assert_construction,
     blowup_without,
+    bow_tie_densities,
+    bow_tie_reconstruction,
     gacs_tree_construction,
+    star_decomposition_cannot_match_bowtie,
     star_decomposition_construct,
 )
 from .bounds import (
@@ -84,10 +87,7 @@ from .polynomials import (
 from .stars import (
     MonotonePathTree,
     StarBound,
-    bow_tie_densities,
-    bow_tie_reconstruction,
     monotone_path_tree,
-    star_decomposition_cannot_match_bowtie,
     star_lower_bound,
     star_necessary_condition,
     tree_shape_key,

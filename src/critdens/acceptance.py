@@ -17,7 +17,12 @@ from typing import Callable, Iterator, Sequence
 
 import networkx as nx
 
-from .blowup import WeightedBlowupGraph, gacs_tree_construction
+from .blowup import (
+    WeightedBlowupGraph,
+    bow_tie_reconstruction,
+    gacs_tree_construction,
+    star_decomposition_cannot_match_bowtie,
+)
 from .bounds import (
     compute_bounds,
     bow_tie_counterexample_check,
@@ -26,12 +31,7 @@ from .bounds import (
 from .errors import ValidationError
 from .graphs import PatternGraph, complete_graph, cycle_graph, path_graph, star_graph
 from .oracle import oracle_dcrit_estimate, oracle_find_transversal
-from .stars import (
-    bow_tie_reconstruction,
-    star_decomposition_cannot_match_bowtie,
-    star_lower_bound,
-    verify_bt1,
-)
+from .stars import star_lower_bound, verify_bt1
 from .tree_decision import dcrit_tree, decide_tree, decide_tree_equivalence
 from .verdict import Verdict
 

@@ -1,4 +1,4 @@
-"""Weighted blow-up graphs, transversal search, and the two explicit
+"""Weighted blow-up graphs, transversal search, and the three explicit
 extremal constructions.
 
 A blow-up replaces each pattern vertex i by a cluster A_i of weighted
@@ -31,6 +31,9 @@ least the target, no transversal.
   recursive construction whose densities meet or exceed gamma with no
   transversal.  Each step k adds one missing pair per earlier neighbour
   of f(k).  Cluster sizes stay within the vertex degrees.
+
+* bow_tie_reconstruction: the bow-tie's extremal blow-up, which no star
+  decomposition reaches (star_decomposition_cannot_match_bowtie).
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAnHEdge, NotATree, SizeLimit, ValidationError
 from .graphs import (
-    Edge, PatternGraph, canonical_edge, edge_assignment, integer, parse_rational,
-    rational, rational_text)
+    Edge, PatternGraph, bow_tie_graph, canonical_edge, dag_nodes, edge_assignment, integer,
+    parse_rational, proper_labelings, rational, rational_text)
 from .polynomials import largest_matching_root_squared, leaf_up_inertia
+from .stars import star_necessary_condition
 from .verdict import Verdict
 
 TRANSVERSAL_GUARD = 10**6
@@ -94,6 +98,7 @@ class WeightedBlowupGraph:
         pairs: set[tuple[Slot, Slot]] = set()
         for a, b in cross_edges:
             (i, ai), (j, bj) = a, b
+            i, j = integer(i, "cluster"), integer(j, "cluster")
             if not pattern.has_edge(i, j):
                 raise ValidationError(
                     f"cross edge between clusters {i}, {j}: not a pattern edge")
@@ -188,7 +193,7 @@ class WeightedBlowupGraph:
             clusters = []
             for cluster in obj["clusters"]:
                 slots = sorted(cluster, key=lambda s: s["id"])
-                if [s["id"] for s in slots] != list(range(len(slots))):
+                if [integer(s["id"], "slot id") for s in slots] != list(range(len(slots))):
                     raise ValidationError("slot ids must be 0..k-1")
                 clusters.append([parse_rational(s["weight"]) for s in slots])
             edges = [((i, a), (j, b)) for i, a, j, b in obj["cross_edges"]]
@@ -280,13 +285,11 @@ def gacs_tree_construction(T: PatternGraph) -> WeightedBlowupGraph:
     k = _ONE / s_lo
     root = min(v for v in T.vertices() if len(T.adjacency[v]) == 1)
     order, parent = T.bfs_tree(root)
-    at = {v: i for i, v in enumerate(reversed(order))}
-    pivots = leaf_up_inertia([[(at[u], 1) for u in T.adjacency[v] if parent[u] == v]
-                              for v in reversed(order)], k)
+    pivots = leaf_up_inertia(dag_nodes(T, order), k)[::-1]   # in BFS order
     c = order[1]
-    if pivots[at[c]][1] or pivots[at[c]][0] is None:
+    if pivots[1][1] or pivots[1][0] is None:
         raise ValidationError("eigenvector ratios are not all positive")
-    r = {v: k * pivots[at[v]][0] for v in order[1:]}
+    r = {v: k * F for v, (F, _) in zip(order[1:], pivots[1:])}
     if r[c] < 1:
         raise ValidationError(f"root ratio {r[c]} is below 1")
     weights = [[r[j] if parent[j] == i else k / r[i] for j in T.adjacency[i]]
@@ -330,8 +333,6 @@ def star_decomposition_construct(
     The pairs (w_k, fresh slot) are the only missing cross pairs;
     blowup_without leaves slots of weight 0 out.
     """
-    from .stars import star_necessary_condition  # local import to avoid a cycle
-
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
     if star_necessary_condition(H, dens, f) is Verdict.PASSES:
         return None
@@ -362,3 +363,54 @@ def star_decomposition_construct(
     B = blowup_without(H, [weights[i] for i in H.vertices()], missing)
     assert_construction(B, dens)
     return B
+
+
+BOW_TIE_CENTER_DENSITY = Fraction(17, 20)
+BOW_TIE_OUTER_DENSITY = Fraction(51, 100)
+
+
+def bow_tie_densities() -> dict[Edge, Fraction]:
+    H = bow_tie_graph()
+    return {
+        e: BOW_TIE_OUTER_DENSITY if e in ((2, 3), (4, 5))
+        else BOW_TIE_CENTER_DENSITY
+        for e in H.edges
+    }
+
+
+def bow_tie_reconstruction() -> WeightedBlowupGraph:
+    """The extremal bow-tie blow-up: center cluster {c1, c2} with weights
+    (1/2, 1/2), outer clusters {a_i, b_i} with weights (3/10, 7/10);
+    missing pairs c1-a2, c1-a3, c2-a4, c2-a5, b2-b3, b4-b5.
+
+    Realized densities are exactly 17/20 on the four center edges and
+    51/100 on the two outer ones, and no transversal exists: choosing c1
+    forces b2 and b3 whose pair is missing, symmetrically for c2.
+    """
+    H = bow_tie_graph()
+    half, small, big = Fraction(1, 2), Fraction(3, 10), Fraction(7, 10)
+    weights = [[half, half], [small, big], [small, big], [small, big], [small, big]]
+    missing = {
+        ((1, 0), (2, 0)), ((1, 0), (3, 0)),
+        ((1, 1), (4, 0)), ((1, 1), (5, 0)),
+        ((2, 1), (3, 1)), ((4, 1), (5, 1)),
+    }
+    want = bow_tie_densities()
+    B = blowup_without(H, weights, missing)
+    assert_construction(B, want)
+    # the certificate checks >=; the extremal densities are exact
+    for e, d in B.densities().items():
+        if d != want[e]:
+            raise ValidationError(f"bow-tie density on {e} is {d}, expected {want[e]}")
+    return B
+
+
+def star_decomposition_cannot_match_bowtie() -> bool:
+    """True iff every proper labeling of the bow-tie passes the star
+    necessary condition at the reconstruction's densities, i.e. no star
+    decomposition reaches them (star_decomposition_construct refuses
+    exactly the labelings that pass)."""
+    H = bow_tie_graph()
+    gamma = bow_tie_densities()
+    return all(star_necessary_condition(H, gamma, f) is Verdict.PASSES
+               for f in proper_labelings(H))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+from .blowup import bow_tie_densities, bow_tie_reconstruction
 from .errors import BadSplit, DegenerateGraph, ValidationError
 from .graphs import (
     Edge,
@@ -28,7 +29,7 @@ from .polynomials import (
     multivariate_matching_eval,
     positive_on_unit_interval,
 )
-from .stars import bow_tie_densities, bow_tie_reconstruction, star_lower_bound
+from .stars import star_lower_bound
 from .tree_decision import CriticalDensity, decide_tree
 from .verdict import Verdict
 

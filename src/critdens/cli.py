@@ -26,10 +26,13 @@ from typing import Sequence, TextIO
 
 from .blowup import (
     WeightedBlowupGraph,
+    bow_tie_reconstruction,
     gacs_tree_construction,
+    star_decomposition_cannot_match_bowtie,
     star_decomposition_construct,
 )
 from .bounds import (
+    bow_tie_counterexample_check,
     certify_triangle,
     compute_bounds,
     default_certifier,
@@ -469,9 +472,6 @@ def cmd_verify_bt1(args, rep: Reporter) -> int:
 
 
 def cmd_verify_bowtie(args, rep: Reporter) -> int:
-    from .bounds import bow_tie_counterexample_check
-    from .stars import bow_tie_reconstruction, star_decomposition_cannot_match_bowtie
-
     if not rep.structured:
         B = bow_tie_reconstruction()
         rep.text("reconstruction densities: " + ", ".join(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -54,6 +54,7 @@ class PatternGraph:
                 i, j = e
             except (TypeError, ValueError):
                 raise ValidationError(f"edge {e!r} is not a pair") from None
+            i, j = integer(i, "vertex"), integer(j, "vertex")
             if i == j:
                 raise ValidationError(f"loop at vertex {i}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -103,8 +104,7 @@ class PatternGraph:
     def bfs_tree(self, root: int = 1) -> tuple[list[int], dict[int, int]]:
         """root's component in breadth-first order, neighbours in label
         order, and each reached vertex's parent: the neighbour that first
-        reached it (0 for the root).  Every tree fold runs over it, from
-        the leaves up in reversed order."""
+        reached it (0 for the root).  Tree folds run on its dag_nodes."""
         root = self._check_vertex(root)
         order, parent = [root], {root: 0}
         for v in order:  # also visits what the loop appends
@@ -202,7 +202,10 @@ def parse_rational(x: object) -> Fraction:
     """Fraction(x), the one reader of rational text.  Text in Fraction's
     decimal form (_DECIMAL_FORM) that spells a numerator or denominator
     past int()'s digit limit, which needs an exponent or as many characters,
-    is refused with ValueError before Fraction builds it; else as Fraction."""
+    is refused with ValueError before Fraction builds it, as is a bool, which
+    Fraction takes as 0 or 1; else as Fraction."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a rational")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10.7+
     m = (isinstance(x, str) and ("e" in x.lower() or len(x) > limit)
          and _DECIMAL_FORM.fullmatch(x))
@@ -243,7 +246,9 @@ def natural(text: str) -> int | None:
 
 
 def integer(x: object, what: str) -> int:
-    """x as a plain int; sympy and numpy integers pass, floats do not."""
+    """x as a plain int; sympy and numpy integers pass, floats and bools do not."""
+    if isinstance(x, bool):   # operator.index takes it as 0 or 1
+        raise ValidationError(f"{what} {x!r} is not an integer")
     try:
         return operator.index(x)
     except TypeError:
@@ -493,12 +498,25 @@ def rooted_id(H: PatternGraph, f: Sequence[int], ids: dict[tuple[int, ...], int]
     return rid[f[0]]
 
 
+def id_nodes(ids: Mapping[tuple[int, ...], int]) -> list[list[tuple[int, int]]]:
+    """rooted_id's interned keys as leaf_up_inertia's nodes, children at weight 1."""
+    return [[(c, 1) for c in key] for key in ids]
+
+
 def rooted_nodes(H: PatternGraph, f: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """T_f(H)'s rooted shapes (rooted_id) as polynomials.leaf_up_inertia's
-    node list: each key's ids as children at weight 1, the root last."""
+    """T_f(H)'s rooted shapes (rooted_id) as id_nodes, the root last."""
     ids: dict[tuple[int, ...], int] = {}
     rooted_id(H, f, ids)
-    return [[(c, 1) for c in key] for key in ids]
+    return id_nodes(ids)
+
+
+def dag_nodes(H: PatternGraph, f: Sequence[int], weight: Callable | None = None) -> list[list]:
+    """H's vertices backwards along the order f as polynomials.leaf_up_inertia's
+    node list, each with its later neighbours as children at weight(edge) (1
+    when None); along a tree's bfs_tree order, the tree's own children."""
+    at = {v: k for k, v in enumerate(reversed(f))}
+    return [[(at[w], 1 if weight is None else weight(canonical_edge(v, w)))
+             for w in H.adjacency[v] if at[w] < at[v]] for v in reversed(f)]
 
 
 # Standard families, used throughout the tests and the CLI self-test.

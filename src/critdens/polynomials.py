@@ -47,7 +47,7 @@ from .errors import (
 from .graphs import (
     Edge,
     PatternGraph,
-    canonical_edge,
+    dag_nodes,
     edge_assignment,
     parse_rational,
     rational,
@@ -775,10 +775,7 @@ def _integer_weight_sums(H: PatternGraph, weight: Callable[[Edge], int]) -> list
     one node per vertex, rooted at 1, with no size cap; other patterns
     the subset recursion, up to MAX_MATCHING_EDGES edges."""
     if H.is_tree():
-        order = H.bfs_tree()[0][::-1]   # a child before its parent
-        at = {v: i for i, v in enumerate(order)}
-        return _tree_matching_sums([[(at[u], weight(canonical_edge(v, u)))
-                                     for u in H.adjacency[v] if at[u] < at[v]] for v in order])
+        return _tree_matching_sums(dag_nodes(H, H.bfs_tree()[0], weight))
     if len(H.edges) > MAX_MATCHING_EDGES:
         raise SizeLimit(
             f"matching polynomial capped at {MAX_MATCHING_EDGES} edges, "

@@ -1,5 +1,5 @@
-"""Monotone-path trees, star-decomposition lower bounds, the K_{n,m}
-spectral check, and the reconstructed bow-tie extremal construction.
+"""Monotone-path trees, the star-decomposition lower bound and necessary
+condition, and the K_{n,m} spectral check.
 
 For a proper labeling f of a connected pattern H, the monotone-path tree
 T_f(H) has one node per path f(i_1) f(i_2) ... f(i_k) with i_1 = 1 and
@@ -13,14 +13,15 @@ densities must ensure T_f(H); the best such condition over all labelings
 is the star lower bound max_f (1 - 1/lambda(T_f)^2) on the critical
 density of H.  The condition, the star bound and the K_{n,m} check run
 on the DAG that orients each H-edge forward along f, which T_f unfolds
-from f(1), by polynomials.leaf_up_inertia: on the DAG itself for the
-condition's per-edge ratios, else on T_f's interned rooted shapes.  The
-star bound walks the labelings once, then certifies the rooted shapes
-best-first by a float hint; one float elimination, on the safe side of
-the best's lambda^2 by more than rounding can reach, sets aside each
-shape that cannot reach it, and the others take their spectra from the
-rooted shapes too (polynomials.matching_root_squared).  monotone_path_tree
-and tree_shape_key build T_f only for the shape table and for export.
+from f(1), by polynomials.leaf_up_inertia: on the DAG's vertices
+(graphs.dag_nodes) at the condition's per-edge ratios, else on T_f's
+interned rooted shapes (graphs.id_nodes).  The star bound walks the
+labelings once, then certifies the rooted shapes best-first by a float
+hint; one float elimination, on the safe side of the best's lambda^2 by
+more than rounding can reach, sets aside each shape that cannot reach
+it, and the others take their spectra from the rooted shapes too
+(polynomials.matching_root_squared).  monotone_path_tree and
+tree_shape_key build T_f only for the shape table and for export.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .blowup import WeightedBlowupGraph, assert_construction, blowup_without
-from .errors import ImproperLabeling, SizeLimit, ValidationError
+from .errors import ImproperLabeling, SizeLimit
 from .graphs import (
     Edge,
     PatternGraph,
-    bow_tie_graph,
-    canonical_edge,
     complete_bipartite,
+    dag_nodes,
     edge_assignment,
+    id_nodes,
     integer,
     is_proper_labeling,
     proper_labelings,
@@ -104,16 +104,11 @@ def monotone_path_tree(H: PatternGraph, f: Sequence[int]) -> MonotonePathTree:
 
 
 def _rooted_shape(T: PatternGraph, root: int) -> str:
-    """The tree rooted at root as nested parentheses, each node's
-    children's strings sorted; built from the leaves up, in reverse
-    breadth-first order."""
-    order, parent = T.bfs_tree(root)
-    subs: dict[int, list[str]] = {v: [] for v in order}
-    for v in reversed(order):
-        shape = "(" + "".join(sorted(subs[v])) + ")"
-        if v == root:
-            return shape
-        subs[parent[v]].append(shape)
+    """The tree rooted at root as nested parentheses, each node's children's strings sorted."""
+    shapes: list[str] = []
+    for node in dag_nodes(T, T.bfs_tree(root)[0]):
+        shapes.append("(" + "".join(sorted([shapes[c] for c, _ in node])) + ")")
+    return shapes[-1]
 
 
 def tree_shape_key(T: PatternGraph) -> str:
@@ -173,17 +168,20 @@ class StarBound:
         return self.density.interval(tol)
 
 
+def _subtree_sizes(nodes: Sequence[Sequence[tuple[int, object]]]) -> list[int]:
+    """Each node's subtree size, for leaf_up_inertia's node list."""
+    size: list[int] = []
+    for node in nodes:
+        size.append(1 + sum([size[c] for c, _ in node]))
+    return size
+
+
 def _tree_labelings(T: PatternGraph) -> int:
-    """The number of proper labelings of the tree T, or a partial sum
-    above LABELING_CAP.  Those with f(1) = r order each vertex after its
-    parent in T rooted at r: n!/prod_v |subtree_r(v)| of them."""
+    """The number of proper labelings of the tree T, or a partial sum above LABELING_CAP:
+    n!/prod_v |subtree_r(v)| with f(1) = r, each vertex after its parent in T rooted at r."""
     total, orders = 0, math.factorial(T.n)
     for r in T.vertices():
-        order, parent = T.bfs_tree(r)
-        size = dict.fromkeys(order, 1)
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        total += orders // math.prod(size.values())
+        total += orders // math.prod(_subtree_sizes(dag_nodes(T, T.bfs_tree(r)[0])))
         if total > LABELING_CAP:
             break
     return total
@@ -216,10 +214,8 @@ def star_lower_bound(
 
     def spectrum(f: tuple[int, ...]) -> CriticalDensity:
         """T_f's, refused past NODE_CAP nodes as monotone_path_tree refuses it."""
-        nodes, size = rooted_nodes(H, f), []
-        for node in nodes:
-            size.append(1 + sum(size[c] for c, _ in node))
-        if size[-1] > NODE_CAP:
+        nodes = rooted_nodes(H, f)
+        if _subtree_sizes(nodes)[-1] > NODE_CAP:
             raise SizeLimit(f"monotone-path tree exceeds {NODE_CAP} nodes")
         even = tree_even_part(nodes)
         if even not in spectra:
@@ -254,7 +250,7 @@ def star_lower_bound(
                 break
             examined += 1
             records.setdefault(rooted_id(H, f, ids), [f, 0])[1] += 1
-        nodes = [[(c, 1) for c in key] for key in ids]
+        nodes = id_nodes(ids)
         # T_f has max degree <= Delta, so lambda(T_f)^2 < 4(Delta - 1)
         hint = leaf_up_inertia(nodes, 1 / (4 * (H.max_degree() - 1)))
         pivots: list[tuple[float | None, int]] | None = None
@@ -289,14 +285,10 @@ def star_necessary_condition(
     transversal-free construction with densities >= gamma exists."""
     dens = edge_assignment(H, gamma, low=_ZERO, high=_ONE, what="density")
     f = _proper(H, f)
-    # T_f's leaf reduction on the DAG, backwards along f, each vertex's
-    # children its later neighbours at ratio 1 - density: removing them
-    # one leaf at a time, the k-th rescaled ratio reaches 1 iff the first
-    # k terms of the sum do, so the leaf order does not matter.
-    node = {v: k for k, v in enumerate(reversed(f))}
-    nodes = [[(node[w], _ONE - dens[canonical_edge(v, w)])
-              for w in H.adjacency[v] if node[w] < node[v]] for v in reversed(f)]
-    F, count = leaf_up_inertia(nodes, _ONE)[-1]
+    # T_f's leaf reduction on the DAG at ratio 1 - density: removing the
+    # children one leaf at a time, the k-th rescaled ratio reaches 1 iff
+    # the first k terms of the sum do, so the leaf order does not matter.
+    F, count = leaf_up_inertia(dag_nodes(H, f, lambda e: _ONE - dens[e]), _ONE)[-1]
     return Verdict.PASSES if count == 0 and F is not None else Verdict.FAILS
 
 
@@ -312,56 +304,6 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bo
     K = complete_bipartite(n, m)
     ids: dict[tuple[int, ...], int] = {}
     roots = {rooted_id(K, f, ids) for f in proper_labelings(K)}
-    pivots = leaf_up_inertia([[(c, 1) for c in key] for key in ids], Fraction(1, n + m - 1))
+    pivots = leaf_up_inertia(id_nodes(ids), Fraction(1, n + m - 1))
     return all(pivots[rid] == (None, 0) for rid in roots)
 
-
-BOW_TIE_CENTER_DENSITY = Fraction(17, 20)
-BOW_TIE_OUTER_DENSITY = Fraction(51, 100)
-
-
-def bow_tie_densities() -> dict[Edge, Fraction]:
-    H = bow_tie_graph()
-    return {
-        e: BOW_TIE_OUTER_DENSITY if e in ((2, 3), (4, 5))
-        else BOW_TIE_CENTER_DENSITY
-        for e in H.edges
-    }
-
-
-def bow_tie_reconstruction() -> WeightedBlowupGraph:
-    """The extremal bow-tie blow-up: center cluster {c1, c2} with weights
-    (1/2, 1/2), outer clusters {a_i, b_i} with weights (3/10, 7/10);
-    missing pairs c1-a2, c1-a3, c2-a4, c2-a5, b2-b3, b4-b5.
-
-    Realized densities are exactly 17/20 on the four center edges and
-    51/100 on the two outer ones, and no transversal exists: choosing c1
-    forces b2 and b3 whose pair is missing, symmetrically for c2.
-    """
-    H = bow_tie_graph()
-    half, small, big = Fraction(1, 2), Fraction(3, 10), Fraction(7, 10)
-    weights = [[half, half], [small, big], [small, big], [small, big], [small, big]]
-    missing = {
-        ((1, 0), (2, 0)), ((1, 0), (3, 0)),
-        ((1, 1), (4, 0)), ((1, 1), (5, 0)),
-        ((2, 1), (3, 1)), ((4, 1), (5, 1)),
-    }
-    want = bow_tie_densities()
-    B = blowup_without(H, weights, missing)
-    assert_construction(B, want)
-    # the certificate checks >=; the extremal densities are exact
-    for e, d in B.densities().items():
-        if d != want[e]:
-            raise ValidationError(f"bow-tie density on {e} is {d}, expected {want[e]}")
-    return B
-
-
-def star_decomposition_cannot_match_bowtie() -> bool:
-    """True iff every proper labeling of the bow-tie passes the star
-    necessary condition at the reconstruction's densities, i.e. no star
-    decomposition reaches them (star_decomposition_construct refuses
-    exactly the labelings that pass)."""
-    H = bow_tie_graph()
-    gamma = bow_tie_densities()
-    return all(star_necessary_condition(H, gamma, f) is Verdict.PASSES
-               for f in proper_labelings(H))

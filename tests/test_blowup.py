@@ -13,6 +13,7 @@ from critdens.blowup import (
     WeightedBlowupGraph,
     assert_construction,
     blowup_without,
+    bow_tie_reconstruction,
     gacs_tree_construction,
     star_decomposition_construct,
 )
@@ -131,7 +132,6 @@ def test_certificate_checks_densities_exactly():
 
 def test_every_emitted_construction_passes_the_certificate(monkeypatch):
     from critdens.oracle import SearchConfig, oracle_search_construction
-    from critdens.stars import bow_tie_reconstruction
 
     emitters = {
         "gacs": lambda: gacs_tree_construction(path_graph(3)),

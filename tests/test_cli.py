@@ -431,16 +431,23 @@ def test_construct_and_check_transversal(path3, tmp_path):
     assert "NoTransversal" in out
 
 
-def test_float_mode_blowup_file_is_refused(path3, tmp_path, capsys):
+@pytest.mark.parametrize("edit, message", [
+    ({"mode": "float"}, "mode 'float' is not supported"),
+    # a pattern vertex 1.5 once passed and broke the transversal search
+    ({"pattern": {"n": 3, "edges": [[1.5, 2]]}, "cross_edges": []},
+     "vertex 1.5 is not an integer"),
+], ids=["float mode", "fractional pattern vertex"])
+def test_malformed_blowup_file_is_refused(path3, tmp_path, monkeypatch, capsys, edit, message):
     out_file = tmp_path / "old.json"
     _run(["construct", path3, "--method", "gacs", "--out", str(out_file)])
-    obj = json.loads(out_file.read_text())
-    obj["mode"] = "float"
-    out_file.write_text(json.dumps(obj))
+    out_file.write_text(json.dumps({**json.loads(out_file.read_text()), **edit}))
     capsys.readouterr()
-    code, _ = _run(["check-transversal", str(out_file)])
-    assert code == 2
-    assert "mode 'float' is not supported" in capsys.readouterr().err
+    monkeypatch.setattr(sys, "argv", ["critdens", "check-transversal", str(out_file)])
+    with pytest.raises(SystemExit) as err:
+        cli.main()
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and message in stderr and "Traceback" not in stderr
 
 
 def test_transversal_search_past_its_guard_exits_3(tmp_path, capsys):

@@ -19,8 +19,10 @@ from critdens.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    integer,
     parse_graph,
     path_graph,
+    rational,
     star_graph,
 )
 from critdens.oracle import SearchConfig, oracle_dcrit_estimate
@@ -46,6 +48,14 @@ P2, P3, K3 = path_graph(2), path_graph(3), complete_graph(3)
 
 def _root_of_two():
     return AlgebraicNumber([-2, 0, 1], F(1), F(2))
+
+
+def _edited_blowup(weights, edit):
+    """WeightedBlowupGraph.from_json_obj of the full blow-up of a path on
+    len(weights) vertices, its JSON object changed by edit first."""
+    obj = blowup_without(path_graph(len(weights)), weights).to_json_obj()
+    edit(obj)
+    return WeightedBlowupGraph.from_json_obj(obj)
 
 
 CALLS = {
@@ -90,6 +100,25 @@ CALLS = {
     "RatPoly inf coefficient": lambda: RatPoly([-INF]),
     "RatPoly text coefficient": lambda: RatPoly([1, "x"]),
     "RatPoly missing coefficient": lambda: RatPoly([None]),
+    # operator.index and Fraction take a bool as 0 or 1, and nothing
+    # converted a pattern's edge ends
+    "fractional edge end": lambda: PatternGraph(3, ((1.5, 2),)),
+    "text edge end": lambda: PatternGraph(3, (("1", 2),)),
+    "float edge end": lambda: PatternGraph(3, ((1.0, 2),)),
+    "bool vertex count": lambda: PatternGraph(True, ()),
+    "bool integer": lambda: integer(False, "size"),
+    "bool rational": lambda: rational(True),
+    "bool weight": lambda: WeightedBlowupGraph(P2, [[True], [1]], []),
+    "blow-up file bool vertex count": lambda: _edited_blowup(
+        [[1]], lambda obj: obj["pattern"].update(n=True)),
+    "blow-up file bool weight": lambda: _edited_blowup(
+        [[1], [1]], lambda obj: obj["clusters"][0][0].update(weight=True)),
+    "blow-up file bool slot id": lambda: _edited_blowup(
+        [[1], [1]], lambda obj: obj["clusters"][0][0].update(id=False)),
+    "blow-up file bool cross-edge slot": lambda: _edited_blowup(
+        [[F(1, 2)] * 2, [1]], lambda obj: obj["cross_edges"][0].__setitem__(1, True)),
+    "blow-up file bool cross-edge cluster": lambda: _edited_blowup(
+        [[1], [1]], lambda obj: obj["cross_edges"][0].__setitem__(0, True)),
 }
 # t^2 + t has its largest root 0 at the first bisection midpoint, and 1 is
 # exact from the start: neither needs refining, so the tolerance is checked

@@ -16,9 +16,11 @@ from critdens.graphs import (
     PatternGraph,
     automorphisms,
     bow_tie_graph,
+    canonical_edge,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    dag_nodes,
     is_proper_labeling,
     parse_graph,
     path_graph,
@@ -310,3 +312,59 @@ def test_bfs_order_matches_a_deque_bfs():
         assert H.bfs_tree(start) == _deque_bfs(H, start)
 
     check()
+
+
+def _parent_layout(T, root, weight):
+    """The tree T from root as a children-first node list, read off
+    bfs_tree's parent dict: node i is the i-th vertex from the end of the
+    breadth-first order, with its children (parent[u] == v) in label order."""
+    order, parent = T.bfs_tree(root)
+    at = {v: i for i, v in enumerate(reversed(order))}
+    return [[(at[u], weight(canonical_edge(v, u))) for u in T.adjacency[v] if parent[u] == v]
+            for v in reversed(order)]
+
+
+def _dag_layout(H, f, weight):
+    """H along f as a children-first node list, built edge by edge: each
+    edge hangs its later end (in f) under its earlier one."""
+    pos = {v: k for k, v in enumerate(f)}
+    children = {v: [] for v in f}
+    for e in H.edges:
+        a, b = sorted(e, key=pos.__getitem__)
+        children[a].append(b)
+    return [[(len(f) - 1 - pos[w], weight(canonical_edge(v, w))) for w in sorted(children[v])]
+            for v in reversed(f)]
+
+
+def _trees(max_vertices):
+    nx = pytest.importorskip("networkx")
+    yield PatternGraph(1, ())
+    for n in range(2, max_vertices + 1):
+        for G in nx.nonisomorphic_trees(n):
+            yield PatternGraph(n, tuple((a + 1, b + 1) for a, b in G.edges()))
+
+
+def _weights(H, rng):
+    """Unit, random integer and random Fraction weights on H's edges."""
+    ints = {e: rng.randint(-5, 9) for e in H.edges}
+    fracs = {e: F(rng.randint(-9, 9), rng.randint(1, 9)) for e in H.edges}
+    return [(None, lambda e: 1), (ints.__getitem__,) * 2, (fracs.__getitem__,) * 2]
+
+
+def test_dag_nodes_on_a_breadth_first_order_lay_out_the_tree():
+    rng = random.Random(33)
+    for T in _trees(9):
+        for root in T.vertices():
+            order = T.bfs_tree(root)[0]
+            for weight, want in _weights(T, rng):
+                assert dag_nodes(T, order, weight) == _parent_layout(T, root, want), (T, root)
+
+
+def test_dag_nodes_hang_later_neighbours_under_each_vertex():
+    from critdens.acceptance import _connected_atlas
+
+    rng = random.Random(34)
+    for H in _connected_atlas(3, 5):
+        for f in proper_labelings(H):
+            for weight, want in _weights(H, rng):
+                assert dag_nodes(H, f, weight) == _dag_layout(H, f, want), (H, f)

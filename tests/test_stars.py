@@ -9,6 +9,7 @@ import pytest
 
 from critdens import stars
 from critdens.acceptance import _connected_atlas
+from critdens.blowup import bow_tie_reconstruction, star_decomposition_cannot_match_bowtie
 from critdens.bounds import compute_bounds
 from critdens.errors import ImproperLabeling, SizeLimit, ValidationError
 from critdens.graphs import (
@@ -36,9 +37,7 @@ from critdens.polynomials import (
 )
 from critdens.stars import (
     StarBound,
-    bow_tie_reconstruction,
     monotone_path_tree,
-    star_decomposition_cannot_match_bowtie,
     star_lower_bound,
     star_necessary_condition,
     tree_shape_key,
@@ -329,9 +328,11 @@ def test_root_isolation_on_rooted_shapes_matches_the_path_tree_spectrum():
 def test_star_bound_matches_plain_search_on_small_trees():
     for n in range(2, 9):
         for G in nx.nonisomorphic_trees(n):
-            _assert_matches_reference(
-                PatternGraph(n, tuple(sorted((min(a, b) + 1, max(a, b) + 1)
-                                             for a, b in G.edges()))))
+            T = PatternGraph(n, tuple(sorted((min(a, b) + 1, max(a, b) + 1)
+                                             for a, b in G.edges())))
+            _assert_matches_reference(T)
+            assert stars._tree_labelings(T) == len(list(proper_labelings(T))), T
+    assert stars._tree_labelings(path_graph(1)) == 1
 
 
 def test_star_bound_on_a_tree_past_the_labeling_cap(monkeypatch):

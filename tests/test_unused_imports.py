@@ -4,11 +4,13 @@ every name it assigns at module level is read there, every private
 in the package outside its own body, no module imports another's private
 name, every public module-level function or class, and every public
 method of such a class, is referenced by the package or by perfbench/,
-and no class defines a dunder method outside ALLOWED_DUNDERS.
+no class defines a dunder method outside ALLOWED_DUNDERS, the modules'
+top-level imports of one another form no cycle, and no import sits in a
+function except the self-test's of acceptance.
 
 No linter ships with the toolchain, so this scan is the guard.  The
-package's __init__ is left out, except from the private-import scan: it
-imports names to re-export them.
+package's __init__ is left out, except from the private-import and
+function-import scans: it imports names to re-export them.
 A name counts as used when it appears as a name anywhere in the module,
 including inside a quoted (forward-reference) annotation; it counts as
 read when it appears that way other than as an assignment target.
@@ -202,6 +204,59 @@ def test_no_private_names_imported(path):
                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+def _imports(tree: ast.AST) -> Iterator[tuple[str, str | None]]:
+    """Per imported module, its name as written (".x" within the package,
+    "." + name for "from . import name") and the function around the
+    import, None at module level."""
+    functions: list[str] = []
+
+    def visit(node: ast.AST) -> Iterator[tuple[str, str | None]]:
+        where = functions[-1] if functions else None
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, where
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield "." * node.level + (node.module or alias.name), where
+        is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if is_function:
+            functions.append(node.name)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child)
+        if is_function:
+            functions.pop()
+
+    return visit(tree)
+
+
+def test_module_imports_form_no_cycle():
+    """The top-level imports between the package's modules are acyclic."""
+    graph = {p.stem: {name.lstrip(".").split(".")[0]
+                      for name, function in _imports(ast.parse(p.read_text()))
+                      if function is None and name.startswith(".")}
+             for p in MODULES}
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> None:
+        assert module not in path, f"import cycle: {' -> '.join(path + [module])}"
+        if module not in done:
+            for imported in sorted(graph.get(module, ())):
+                visit(imported, path + [module])
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+
+
+def test_only_the_self_test_imports_inside_a_function():
+    """Every import sits at module level except cli.cmd_self_test's of
+    acceptance, which keeps networkx out of start-up."""
+    inside = {(p.name, function, name) for p in sorted(SRC.glob("*.py"))
+              for name, function in _imports(ast.parse(p.read_text()))
+              if function is not None}
+    assert inside == {("cli.py", "cmd_self_test", ".acceptance")}
 
 
 def test_scan_sees_every_module():
