@@ -12,6 +12,7 @@ newlines) separates tokens, so multi-line files are fine.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import sys
@@ -19,10 +20,11 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedGraph,
+    ImproperLabeling,
     ParseError,
     ValidationError,
     VertexNotInGraph,
@@ -128,8 +130,10 @@ class PatternGraph:
         return order
 
     def _check_vertex(self, v: int) -> int:
-        """v as a plain int; sympy and numpy integers pass too."""
+        """v as a plain int; sympy and numpy integers pass too, bools do not."""
         try:
+            if isinstance(v, bool):   # operator.index takes it as 0 or 1
+                raise TypeError
             k = operator.index(v)
         except TypeError:
             raise VertexNotInGraph(f"vertex {v!r} is not an integer") from None
@@ -311,34 +315,109 @@ def proper_labelings(H: PatternGraph) -> Iterator[tuple[int, ...]]:
     k >= 2, is adjacent to some earlier f(j).  Only connected graphs have
     one; DisconnectedGraph otherwise.
     """
+    return (f for f, _ in _grow(_connected(H), False))
+
+
+def single_source_orientations(H: PatternGraph) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Yield each acyclic orientation of H with one source as (f, only):
+    f its lexicographically least linear extension, in lexicographic order,
+    and only whether f is its one extension, as it is iff consecutive
+    vertices are all adjacent.  DisconnectedGraph when H is not connected.
+
+    A proper labeling f orients each edge forward along f (D_f, source
+    f(1)), and every such orientation comes from one: a linear extension
+    of it is proper.  f is D_f's least extension iff each f(k) is the least
+    vertex that D_f makes available there, so the walk refuses a vertex u
+    that was next to the prefix when a larger non-neighbour of u was
+    placed, until a neighbour of u has been placed since."""
+    return _grow(_connected(H), True)
+
+
+def _connected(H: PatternGraph) -> list[int]:
+    """H's neighbourhoods as bit masks (bit v for vertex v), if H is connected."""
     if not H.is_connected():
         raise DisconnectedGraph("proper labelings exist only for connected graphs")
+    return [0] + [sum(1 << w for w in H.adjacency[v]) for v in H.vertices()]
 
-    def extend() -> Iterator[tuple[int, ...]]:
-        prefix: list[int] = []
-        used: set[int] = set()
-        # for each position of prefix, the last for the next one: the
-        # candidates left, and the unused neighbours of the prefix before it
-        frontiers = [iter(H.vertices())]
-        reach: list[set[int]] = [set()]
-        while frontiers:
-            v = next(frontiers[-1], None)
-            if v is None:
-                frontiers.pop()
-                reach.pop()
-                if prefix:
-                    used.discard(prefix.pop())
-                continue
-            prefix.append(v)
-            if len(prefix) == H.n:
-                yield tuple(prefix)
-                prefix.pop()
-                continue
-            used.add(v)
-            reach.append(reach[-1].union(H.adjacency[v]) - used)
-            frontiers.append(iter(sorted(reach[-1])))
 
-    return extend()
+def _grow(adj: list[int], least: bool) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Proper labelings (least: only the least of each orientation) in
+    lexicographic order, each with whether its consecutive vertices are
+    all adjacent, by depth-first growth of a proper prefix."""
+    n = len(adj) - 1
+    prefix = [0] * n
+    # per position: the vertices left to try there, and the prefix before
+    # it, its unplaced neighbours, the refused ones among them and whether
+    # its consecutive vertices are all adjacent
+    stack = [((1 << n + 1) - 2, 0, 0, 0, True)]
+    while stack:
+        choices, placed, near, refused, only = stack[-1]
+        if not choices:
+            stack.pop()
+            continue
+        low = choices & -choices
+        stack[-1] = (choices ^ low, placed, near, refused, only)
+        k, v = len(stack) - 1, low.bit_length() - 1
+        prefix[k] = v
+        only = only and (k == 0 or adj[v] >> prefix[k - 1] & 1)
+        if k == n - 1:
+            yield tuple(prefix), bool(only)
+            continue
+        placed |= low
+        if least:
+            refused = (refused | near & (low - 1)) & ~adj[v]
+        near = (near | adj[v]) & ~placed
+        stack.append((near & ~refused, placed, near, refused, only))
+
+
+def proper_labeling_count(H: PatternGraph, cap: float = math.inf) -> int:
+    """The number of proper labelings of H, or, once it passes cap, a
+    number above cap.  Every prefix of a proper labeling covers a connected
+    vertex set, so a DP over those sets, layer by size, counts the prefixes.
+    Each prefix extends by each unplaced neighbour, so a layer's sum is read
+    off the layer before, and sums never fall: the count stops at the first
+    one above cap, and no layer it builds holds more than cap sets."""
+    adj = _connected(H)
+    # vertex set -> [prefixes covering it, its neighbourhood]
+    layer = {1 << v: [1, adj[v]] for v in H.vertices()}
+    total = H.n
+    for _ in range(H.n - 1):
+        total = sum([c * (near & ~s).bit_count() for s, (c, near) in layer.items()])
+        if total > cap:
+            break
+        grown: dict[int, list[int]] = {}
+        for s, (c, near) in layer.items():
+            rest = near & ~s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                grown.setdefault(s | low, [0, near | adj[low.bit_length() - 1]])[0] += c
+        layer = grown
+    return total
+
+
+def linear_extension_count(H: PatternGraph, labelings: Iterable[Sequence[int]]) -> int:
+    """The number of proper labelings g with D_g = D_f (single_source_orientations),
+    summed over f in labelings: D_f's linear extensions, by a DP over its
+    down-sets, layer by size, which visits at most n + 1 sets per extension."""
+    adj, total = _connected(H), 0
+    for f in labelings:
+        if not is_proper_labeling(H, f):
+            raise ImproperLabeling(f"{tuple(f)} is not a proper labeling")
+        before, placed = [], 0   # (bit, in-neighbours) per vertex
+        for v in map(operator.index, f):
+            before.append((1 << v, adj[v] & placed))
+            placed |= 1 << v
+        layer = {0: 1}
+        for _ in f:
+            grown: dict[int, int] = {}
+            for s, c in layer.items():
+                for bit, ins in before:
+                    if not s & bit and ins & ~s == 0:
+                        grown[s | bit] = grown.get(s | bit, 0) + c
+            layer = grown
+        total += layer[placed]
+    return total
 
 
 def colour_ranks(colours: Sequence[object] | None, count: int, what: str
@@ -478,6 +557,10 @@ def automorphisms(H: PatternGraph, colours: Sequence[object] | None = None,
 
 
 def is_proper_labeling(H: PatternGraph, f: Sequence[int]) -> bool:
+    try:
+        f = [H._check_vertex(v) for v in f]
+    except VertexNotInGraph:
+        return False
     if sorted(f) != list(H.vertices()):
         return False
     pos = {v: k for k, v in enumerate(f)}

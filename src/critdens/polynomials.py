@@ -693,7 +693,7 @@ def poly_from_strings(items: Sequence[str]) -> RatPoly:
     for s in items:
         try:
             coeffs.append(parse_rational(s))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient {s!r}: {exc}") from None
     return RatPoly(coeffs)
 

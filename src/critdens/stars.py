@@ -12,23 +12,27 @@ Every proper labeling yields the necessary condition that the lifted
 densities must ensure T_f(H); the best such condition over all labelings
 is the star lower bound max_f (1 - 1/lambda(T_f)^2) on the critical
 density of H.  The condition, the star bound and the K_{n,m} check run
-on the DAG that orients each H-edge forward along f, which T_f unfolds
-from f(1), by polynomials.leaf_up_inertia: on the DAG's vertices
+on D_f, the DAG that orients each H-edge forward along f, which T_f
+unfolds from f(1), by polynomials.leaf_up_inertia: on the DAG's vertices
 (graphs.dag_nodes) at the condition's per-edge ratios, else on T_f's
-interned rooted shapes (graphs.id_nodes).  The star bound walks the
-labelings once, then certifies the rooted shapes best-first by a float
-hint; one float elimination, on the safe side of the best's lambda^2 by
-more than rounding can reach, sets aside each shape that cannot reach
-it, and the others take their spectra from the rooted shapes too
+interned rooted shapes (graphs.id_nodes).  T_f depends on f only through
+D_f, so the star bound and the K_{n,m} check walk H's single-source
+acyclic orientations, one labeling each (graphs.single_source_orientations);
+the star bound counts the labelings (graphs.proper_labeling_count), and
+past LABELING_CAP of them walks their lexicographic prefix instead.  It
+then certifies the rooted shapes best-first by a float hint; one float
+elimination, on the safe side of the best's lambda^2 by more than
+rounding can reach, sets aside each shape that cannot reach it, and the
+others take their spectra from the rooted shapes too
 (polynomials.matching_root_squared).  monotone_path_tree and
 tree_shape_key build T_f only for the shape table and for export.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .errors import ImproperLabeling, SizeLimit
@@ -41,9 +45,12 @@ from .graphs import (
     id_nodes,
     integer,
     is_proper_labeling,
+    linear_extension_count,
+    proper_labeling_count,
     proper_labelings,
     rooted_id,
     rooted_nodes,
+    single_source_orientations,
     tolerance,
 )
 from .polynomials import leaf_up_inertia, matching_root_squared, tree_even_part
@@ -176,35 +183,27 @@ def _subtree_sizes(nodes: Sequence[Sequence[tuple[int, object]]]) -> list[int]:
     return size
 
 
-def _tree_labelings(T: PatternGraph) -> int:
-    """The number of proper labelings of the tree T, or a partial sum above LABELING_CAP:
-    n!/prod_v |subtree_r(v)| with f(1) = r, each vertex after its parent in T rooted at r."""
-    total, orders = 0, math.factorial(T.n)
-    for r in T.vertices():
-        total += orders // math.prod(_subtree_sizes(dag_nodes(T, T.bfs_tree(r)[0])))
-        if total > LABELING_CAP:
-            break
-    return total
-
-
 def star_lower_bound(
     H: PatternGraph,
     tol: Fraction | float = Fraction(1, 10**9),
 ) -> StarBound:
     """Maximize 1 - 1/lambda(T_f(H))^2 over proper labelings.
 
-    Walk the labelings (up to LABELING_CAP; past it the lexicographic
-    prefix is scored and flagged heuristic: a valid lower bound, maybe
-    not the max), grouped by T_f's rooted shape.  Then certify the rooted
-    shapes by descending hint, F of leaf_up_inertia at a ratio below every
-    1/lambda(T_f)^2; _pivots_below, s the lower end of the best's
-    lambda^2, sets aside each with lambda(T_f)^2 < s, which can neither
-    beat nor tie the best; the others get a spectrum from T_f's rooted
-    shapes, compared exactly with the best.  Ties keep the
-    lexicographically first labeling, so the order changes no output.
-    A tree's labelings are counted.  Spectra are memoised per matching
-    even part, which isomorphic shapes share; shape_table builds T_f per
-    rooted id when read.
+    Count the labelings (proper_labeling_count).  Up to LABELING_CAP of
+    them, walk the single-source acyclic orientations, each as its least
+    labeling, so each rooted shape of T_f first meets its least; past the
+    cap, the lexicographic prefix of LABELING_CAP labelings is scored and
+    flagged heuristic: a valid lower bound, maybe not the max.  A tree's
+    T_f is the tree.  Then certify the rooted shapes by descending hint,
+    F of leaf_up_inertia at a ratio below every 1/lambda(T_f)^2;
+    _pivots_below, s the lower end of the best's lambda^2, sets aside each
+    with lambda(T_f)^2 < s, which can neither beat nor tie the best; the
+    others get a spectrum from T_f's rooted shapes, compared exactly with
+    the best.  Ties keep the lexicographically first labeling, so the
+    order changes no output.  Spectra are memoised per matching even part,
+    which isomorphic shapes share; shape_table builds T_f per rooted id
+    when read, and counts its labelings as its orientations' linear
+    extensions (linear_extension_count).
     """
     tol = tolerance(tol)
     if H.n == 1:
@@ -225,7 +224,8 @@ def star_lower_bound(
     def shape_table() -> ShapeTable:
         """By T_f's shape key, in the order of the rooted ids' first labelings."""
         table: ShapeTable = {}
-        for f, count in records.values():
+        for f, count, pending in records.values():
+            count += linear_extension_count(H, pending)
             shape = tree_shape_key(monotone_path_tree(H, f).tree)
             example, total, dc = table[shape] if shape in table else (f, 0, spectrum(f))
             table[shape] = (example, total + count, dc)
@@ -233,23 +233,28 @@ def star_lower_bound(
 
     best: CriticalDensity | None = None
     best_f: tuple[int, ...] | None = None
-    examined, heuristic = 0, False
-    records: dict[int, list] = {}   # rooted id -> [first labeling, count]
+    labelings = proper_labeling_count(H, LABELING_CAP)
+    examined, heuristic = min(labelings, LABELING_CAP), labelings > LABELING_CAP
+    # rooted id -> [first labeling, labelings counted, orientations whose
+    # labelings the shape table counts when read]
+    records: dict[int, list] = {}
     if H.is_tree():
         # T_f is H for every f
         best_f = next(proper_labelings(H))
         best = spectrum(best_f)
-        count = _tree_labelings(H)
-        examined, heuristic = min(count, LABELING_CAP), count > LABELING_CAP
-        records[0] = [best_f, examined]
+        records[0] = [best_f, examined, ()]
     else:
         ids: dict[tuple[int, ...], int] = {}
-        for f in proper_labelings(H):
-            if examined >= LABELING_CAP:
-                heuristic = True
-                break
-            examined += 1
-            records.setdefault(rooted_id(H, f, ids), [f, 0])[1] += 1
+        if heuristic:
+            for f in islice(proper_labelings(H), LABELING_CAP):
+                records.setdefault(rooted_id(H, f, ids), [f, 0, ()])[1] += 1
+        else:
+            for f, only in single_source_orientations(H):
+                record = records.setdefault(rooted_id(H, f, ids), [f, 0, []])
+                if only:
+                    record[1] += 1
+                else:
+                    record[2].append(f)
         nodes = id_nodes(ids)
         # T_f has max degree <= Delta, so lambda(T_f)^2 < 4(Delta - 1)
         hint = leaf_up_inertia(nodes, 1 / (4 * (H.max_degree() - 1)))
@@ -296,14 +301,15 @@ def verify_bt1(n: int, m: int, tol: Fraction | float = Fraction(1, 10**9)) -> bo
     """Check, for every proper labeling f of K_{n,m}, that the
     monotone-path tree's spectral radius squared is exactly n + m - 1:
     at ratio 1/(n + m - 1) each rooted shape's root pivot is exactly 0,
-    and every pivot below it positive.  Exact, so any positive tol holds."""
+    and every pivot below it positive, one labeling per orientation D_f.
+    Exact, so any positive tol holds."""
     tolerance(tol)
     n, m = integer(n, "part size"), integer(m, "part size")
     if n + m > BT1_CAP:
         raise SizeLimit(f"n + m capped at {BT1_CAP}")
     K = complete_bipartite(n, m)
     ids: dict[tuple[int, ...], int] = {}
-    roots = {rooted_id(K, f, ids) for f in proper_labelings(K)}
+    roots = {rooted_id(K, f, ids) for f, _ in single_source_orientations(K)}
     pivots = leaf_up_inertia(id_nodes(ids), Fraction(1, n + m - 1))
     return all(pivots[rid] == (None, 0) for rid in roots)
 

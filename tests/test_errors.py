@@ -13,7 +13,7 @@ import pytest
 from critdens.blowup import WeightedBlowupGraph, blowup_without, gacs_tree_construction
 from critdens.bounds import compute_bounds, glue_sufficiency, triangle_decide
 from critdens.cli import _parse_densities, run
-from critdens.errors import CritdensError, ValidationError
+from critdens.errors import CritdensError, ParseError, ValidationError
 from critdens.graphs import (
     PatternGraph,
     complete_bipartite,
@@ -158,6 +158,14 @@ TOL_GRAPHS = {"P1": path_graph(1), "P3": P3, "S5": star_graph(5), "P4": path_gra
 def test_bad_tolerance_raises_on_exact_and_refined_inputs(call, graph, tol):
     with pytest.raises(ValidationError, match="tolerance"):
         call(graph, tol)
+
+
+@pytest.mark.parametrize("items", [[None], ["x"], ["1/0"], [True]],
+                         ids=["missing", "text", "zero denominator", "bool"])
+def test_poly_from_strings_raises_parse_error(items):
+    # Fraction(None) raises a bare TypeError
+    with pytest.raises(ParseError, match="bad coefficient"):
+        poly_from_strings(items)
 
 
 def test_messages_name_the_value():

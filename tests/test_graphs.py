@@ -129,6 +129,17 @@ def test_integer_like_vertex_labels():
         H.degree("1")
 
 
+def test_bools_are_not_vertices():
+    # operator.index takes True as 1, and True sorts and hashes as 1
+    H = path_graph(3)
+    for call in (lambda: H.has_edge(True, 2), lambda: H.bfs_order(True),
+                 lambda: H.neighbors(False), lambda: H.bfs_tree(True)):
+        with pytest.raises(VertexNotInGraph, match="is not an integer"):
+            call()
+    assert is_proper_labeling(H, (1, 2, 3)) and not is_proper_labeling(H, (True, 2, 3))
+    assert not is_proper_labeling(H, (2, 1.0, 3))
+
+
 def test_tree_and_connectivity_predicates():
     assert path_graph(5).is_tree()
     assert star_graph(6).is_tree()

@@ -2,6 +2,7 @@
 
 import io
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import networkx as nx
@@ -19,10 +20,13 @@ from critdens.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    linear_extension_count,
     path_graph,
+    proper_labeling_count,
     proper_labelings,
     rooted_id,
     rooted_nodes,
+    single_source_orientations,
     star_graph,
 )
 from critdens.polynomials import (
@@ -93,6 +97,12 @@ def test_improper_labelings_rejected():
         monotone_path_tree(path_graph(3), (1, 3, 2))
     with pytest.raises(ImproperLabeling):
         monotone_path_tree(complete_graph(3), (1, 2, 2))
+    # True == 1, and sorts as 1, but is not a vertex
+    for f in ((True, 2, 3), (1.0, 2, 3)):
+        with pytest.raises(ImproperLabeling):
+            star_necessary_condition(path_graph(3), [F(1, 2)] * 2, f)
+        with pytest.raises(ImproperLabeling):
+            linear_extension_count(path_graph(3), [f])
 
 
 def test_path_tree_size_cap():
@@ -133,6 +143,12 @@ def test_star_bound_labeling_cap_marks_heuristic(monkeypatch):
     bound = star_lower_bound(complete_graph(4))
     assert bound.heuristic
     assert bound.labelings_examined == 5
+    # past the cap the lexicographic prefix of the labelings is walked,
+    # and at it the orientations
+    for cap in (5, 20, 40):   # C_5 has 40 labelings
+        monkeypatch.setattr(stars, "LABELING_CAP", cap)
+        for H in (complete_graph(4), cycle_graph(5), bow_tie_graph()):
+            _assert_matches_reference(H)
 
 
 def _reference_star_bound(H, tol=F(1, 10**9)):
@@ -331,8 +347,55 @@ def test_star_bound_matches_plain_search_on_small_trees():
             T = PatternGraph(n, tuple(sorted((min(a, b) + 1, max(a, b) + 1)
                                              for a, b in G.edges())))
             _assert_matches_reference(T)
-            assert stars._tree_labelings(T) == len(list(proper_labelings(T))), T
-    assert stars._tree_labelings(path_graph(1)) == 1
+            assert proper_labeling_count(T) == len(list(proper_labelings(T))), T
+    assert proper_labeling_count(path_graph(1)) == 1
+
+
+def _orientation(H, f):
+    """D_f: each edge of H as (earlier end, later end) along f."""
+    pos = {v: k for k, v in enumerate(f)}
+    return frozenset(e if pos[e[0]] < pos[e[1]] else e[::-1] for e in H.edges)
+
+
+def test_orientation_walk_matches_the_labelings():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def connected_graphs(draw):
+        """A random spanning tree on 1..7 vertices, and any other edges."""
+        n = draw(st.integers(1, 7))
+        tree = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+        others = [(i, j) for j in range(2, n + 1) for i in range(1, j) if (i, j) not in tree]
+        return PatternGraph(n, tuple(tree) + tuple(e for e in others if draw(st.booleans())))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(connected_graphs(), st.integers(0, 60))
+    @hypothesis.example(cycle_graph(6), 40)
+    @hypothesis.example(complete_graph(5), 119)
+    def check(H, cap):
+        labelings = list(proper_labelings(H))
+        first, extensions = {}, Counter()
+        for f in labelings:
+            D = _orientation(H, f)
+            first.setdefault(D, f)
+            extensions[D] += 1
+        walked = list(single_source_orientations(H))
+        # the least labeling of each orientation, in lexicographic order
+        assert [f for f, _ in walked] == sorted(first.values()), H
+        assert proper_labeling_count(H) == len(labelings), H
+        count = proper_labeling_count(H, cap)
+        assert count > cap if len(labelings) > cap else count == len(labelings), (H, cap)
+        ids, plain, summed = {}, Counter(), Counter()
+        for f in labelings:
+            plain[rooted_id(H, f, ids)] += 1
+        for f, only in walked:
+            count = linear_extension_count(H, [f])
+            assert count == extensions[_orientation(H, f)] and only == (count == 1), (H, f)
+            summed[rooted_id(H, f, ids)] += count
+        assert summed == plain, H
+
+    check()
 
 
 def test_star_bound_on_a_tree_past_the_labeling_cap(monkeypatch):
