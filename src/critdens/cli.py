@@ -378,6 +378,16 @@ def _write_construction(B: WeightedBlowupGraph, path: str, rep: Reporter) -> Non
     rep.text(f"construction written to {path}")
 
 
+def _report_construction(B: WeightedBlowupGraph, rep: Reporter) -> None:
+    """The construction record and density lines of construct and oracle-search."""
+    dens = B.densities()
+    rep.record("construction", blowup=B.to_json_obj(),
+               densities={f"{i}-{j}": rational_text(d) for (i, j), d in dens.items()})
+    if not rep.structured:
+        for (i, j), d in sorted(dens.items()):
+            rep.text(f"density {i}-{j}: {_both(d)}")
+
+
 def cmd_construct(args, rep: Reporter) -> int:
     H = _load_graph(args.graph)
     if args.method == "gacs":
@@ -396,12 +406,7 @@ def cmd_construct(args, rep: Reporter) -> int:
         _write_construction(B, args.out, rep)
     elif not rep.structured:
         rep.text(B.to_json())
-    dens = B.densities()
-    rep.record("construction", blowup=B.to_json_obj(),
-               densities={f"{i}-{j}": _both(d) for (i, j), d in dens.items()})
-    if not rep.structured:
-        for (i, j), d in sorted(dens.items()):
-            rep.text(f"density {i}-{j}: {_both(d)}")
+    _report_construction(B, rep)
     return EXIT_YES
 
 
@@ -439,13 +444,8 @@ def cmd_oracle_search(args, rep: Reporter) -> int:
         return rep.verdict(Verdict.NONE_FOUND)
     if args.out is not None:
         _write_construction(B, args.out, rep)
-    dens = B.densities()
-    rep.record("construction", blowup=B.to_json_obj(),
-               densities={f"{i}-{j}": rational_text(d) for (i, j), d in dens.items()})
-    if not rep.structured:
-        rep.text(f"found: cluster sizes {list(B.cluster_sizes())}")
-        for (i, j), d in sorted(dens.items()):
-            rep.text(f"density {i}-{j}: {_both(d)}")
+    rep.text(f"found: cluster sizes {list(B.cluster_sizes())}")
+    _report_construction(B, rep)
     return rep.verdict(Verdict.FOUND)
 
 
@@ -459,7 +459,8 @@ def cmd_oracle_dcrit(args, rep: Reporter) -> int:
     rep.record("interval", name="dcrit_estimate", lo=rational_text(lo), hi=rational_text(hi),
                lo_decimal=float(lo), hi_decimal=float(hi))
     if not rep.structured:
-        rep.text(f"critical density bracket: [{_both(lo)}, {_both(hi)}]")
+        rep.text(f"grid optimum bracket: [{_both(lo)}, {_both(hi)}]; "
+                 f"critical density >= {_both(lo)}")
     return EXIT_YES
 
 

@@ -400,16 +400,20 @@ def linear_extension_count(H: PatternGraph, labelings: Iterable[Sequence[int]]) 
     """The number of proper labelings g with D_g = D_f (single_source_orientations),
     summed over f in labelings: D_f's linear extensions, by a DP over its
     down-sets, layer by size, which visits at most n + 1 sets per extension."""
-    adj, total = _connected(H), 0
+    adj, total, every = _connected(H), 0, (1 << H.n + 1) - 2
     for f in labelings:
-        if not is_proper_labeling(H, f):
-            raise ImproperLabeling(f"{tuple(f)} is not a proper labeling")
         before, placed = [], 0   # (bit, in-neighbours) per vertex
-        for v in map(operator.index, f):
-            before.append((1 << v, adj[v] & placed))
-            placed |= 1 << v
+        try:
+            for v in map(H._check_vertex, f):
+                before.append((1 << v, adj[v] & placed))
+                placed |= 1 << v
+        except VertexNotInGraph:
+            placed = 0
+        # proper: each vertex once, each after the first next to an earlier one
+        if placed != every or len(before) != H.n or not all([ins for _, ins in before[1:]]):
+            raise ImproperLabeling(f"{tuple(f)} is not a proper labeling")
         layer = {0: 1}
-        for _ in f:
+        for _ in before:
             grown: dict[int, int] = {}
             for s, c in layer.items():
                 for bit, ins in before:

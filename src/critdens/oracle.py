@@ -76,19 +76,18 @@ tested by walking its images down the chain, and a vector ruled out by
 its first k sizes skips every vector with that prefix.  Configuration
 indices count the configurations searched.
 
-The size vectors a search has walked, per (pattern, bounds, ceiling
-colouring), and each finished cover listing, per (pattern, sizes,
-ceiling colouring), are kept for the process: at most 50,000 units in
-all, one per size vector and per cover searched, least recently used
-out first; a listing stopped by the budget is not kept.  A reused
-listing charges the units it spent, so a search spends the same, and
-stops at the same point, whether or not its covers were listed before.
-Weight searches are built afresh for each configuration; kept with
-their listings, they saved no time beyond the benchmark's run-to-run
-spread.  Picking the least cover of each orbit, outside the budget, is
-one walk over the raw covers reached, one orbit at a time, each cover
-mapped under the generators of Aut(H)_s and two per cluster (a swap of
-two slots and the cycle of all): linear in those covers.
+One search space per (pattern, bounds, ceiling colouring) is kept for
+the process: its group, the size vectors walked and each one's finished
+cover listing.  Spaces hold at most 50,000 units in all, one per space,
+size vector and cover searched, least recently used out first; a listing
+stopped by the budget is not kept.  A reused listing charges the units
+it spent, so a search spends the same, and stops at the same point,
+whether or not its covers were listed before.  Weight searches are built
+afresh for each configuration.  Picking the least cover of each orbit,
+outside the budget, is one walk over the raw covers reached, one orbit
+at a time, each cover mapped under the generators of Aut(H)_s and two
+per cluster (a swap of two slots and the cycle of all): linear in those
+covers.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ import math
 import operator
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -231,89 +230,57 @@ class _Budget:
         self.config, self.phase = config, "searching weights"
 
 
-@dataclass(slots=True)
-class _Listing:
-    """A size vector's finished cover listing under one edge colouring:
-    the covers searched, the least of each orbit under Aut(H)_s (the
-    automorphisms that keep the sizes and the colouring) with the slot
-    permutations, sorted; and the units listing them spent."""
+@dataclass
+class _SearchSpace:
+    """What the searches of one key (pattern, size bounds, edge colouring)
+    keep: the automorphisms of H that keep the bounds and the colouring;
+    the size vectors within the bounds least in their orbits under them,
+    in product order, as far as a search has walked them; and per walked
+    vector its finished cover listing (_list_minimal_covers) with the
+    units listing it spent.  held counts one unit for the space, one per
+    size vector and one per cover."""
 
-    covers: tuple[Cover, ...]
-    spent: int
-
-    def held(self) -> int:
-        return len(self.covers)
-
-
-class _SizeVectors:
-    """The automorphisms of H that keep the bounds and the edge colouring,
-    and the size vectors within the bounds least in their orbits under
-    them, in product order, as far as a search has walked them; an
-    interrupted walk leaves those intact."""
-
-    def __init__(self, H: PatternGraph, bounds: tuple[int, ...],
-                 colouring: tuple[int, ...]) -> None:
-        self.group = automorphisms(H, bounds, colouring)
-        self.vectors: list[tuple[int, ...]] = []
-
-    def held(self) -> int:
-        return 1 + len(self.vectors)
+    key: tuple
+    group: AutomorphismGroup
+    vectors: list[tuple[int, ...]] = field(default_factory=list)
+    listings: dict[tuple[int, ...], tuple] = field(default_factory=dict)   # (covers, spent)
+    held: int = 0
 
 
-_Entry = _Listing | _SizeVectors
-
-
-class _KeptListings:
-    """Finished cover listings, and the size vectors searches walk, kept
-    for the process, least recently used first: at most max_held in all,
-    as their held() counts them."""
+class _KeptSpaces:
+    """The search spaces kept for the process, least recently used first:
+    at most max_held units in all, as their held counts them."""
 
     def __init__(self, max_held: int) -> None:
         self.max_held = max_held
-        self.entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self.spaces: OrderedDict[tuple, _SearchSpace] = OrderedDict()
         self.held = 0
 
-    def get(self, key: tuple) -> _Entry | None:
-        kept = self.entries.get(key)
-        if kept is not None:
-            self.entries.move_to_end(key)
-        return kept
+    def space(self, H: PatternGraph, bounds: tuple[int, ...],
+              colouring: tuple[int, ...]) -> _SearchSpace:
+        """The kept space of (H, bounds, colouring), a new one if none is."""
+        key = (H.n, H.edges, bounds, colouring)
+        space = self.spaces.get(key)
+        if space is None:
+            space = self.spaces[key] = _SearchSpace(key, automorphisms(H, bounds, colouring))
+            self.grow(space, 1)
+        else:
+            self.spaces.move_to_end(key)
+        return space
 
-    def keep(self, key: tuple, entry: _Entry) -> _Entry:
-        """Keep entry under key, which holds none yet; return it."""
-        if entry.held() <= self.max_held:
-            self.entries[key] = entry
-            self.grow(key, entry, entry.held())
-        return entry
-
-    def grow(self, key: tuple, entry: _Entry, amount: int) -> None:
-        """Count amount more held by entry, while it is the one kept."""
-        if self.entries.get(key) is entry:
-            self.held += amount
-            while self.held > self.max_held:
-                self.held -= self.entries.popitem(last=False)[1].held()
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.held = 0
-
-
-_LISTINGS = _KeptListings(max_held=50_000)
+    def grow(self, space: _SearchSpace, amount: int) -> bool:
+        """Count amount more held by space, dropping the least recently
+        used spaces past max_held; whether space is still kept."""
+        space.held += amount
+        if self.spaces.get(space.key) is not space:
+            return False
+        self.held += amount
+        while self.held > self.max_held:
+            self.held -= self.spaces.popitem(last=False)[1].held
+        return self.spaces.get(space.key) is space
 
 
-def _minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
-                    colouring: tuple[int, ...]) -> _Listing:
-    """_list_minimal_covers, kept once a listing finishes: a repeated
-    call returns the kept listing and charges the budget what the listing
-    spent, failing where the listing itself would."""
-    key = ("covers", H.n, H.edges, tuple(sizes), colouring)
-    kept = _LISTINGS.get(key)
-    if kept is not None:
-        budget.charge(kept.spent)
-        return kept
-    left = budget.left
-    covers = _list_minimal_covers(H, sizes, budget, colouring)
-    return _LISTINGS.keep(key, _Listing(covers, left - budget.left))
+_SPACES = _KeptSpaces(max_held=50_000)
 
 
 def _list_minimal_covers(H: PatternGraph, sizes: Sequence[int], budget: _Budget,
@@ -710,23 +677,29 @@ def _configurations(H: PatternGraph, bounds: tuple[int, ...], q: int, budget: _B
     counts), each with its weight search, in (size vector, cover) order:
     the least size vector of each orbit under the automorphisms of H that
     keep the bounds and the edge colouring (colouring[k] for H.edges[k]),
-    each with the covers of its listing (see _Listing).  The
-    budget keeps the position for an exhausted-budget message.  The size
-    vectors walked so far and the listings are kept (_LISTINGS)."""
-    key = ("sizes", H.n, H.edges, bounds, colouring)
-    walk = _LISTINGS.get(key) or _LISTINGS.keep(key, _SizeVectors(H, bounds, colouring))
+    each with the covers least in their orbits (_list_minimal_covers),
+    walked and listed through the kept search space.  The budget keeps
+    the position for an exhausted-budget message."""
+    space = _SPACES.space(H, bounds, colouring)
     config_index = -1
     for at in itertools.count():
-        if at == len(walk.vectors):
-            sizes = next(_least_size_vectors(bounds, walk.group, *walk.vectors[-1:]), None)
+        if at == len(space.vectors):
+            sizes = next(_least_size_vectors(bounds, space.group, *space.vectors[-1:]), None)
             if sizes is None:
                 return
-            walk.vectors.append(sizes)
-            _LISTINGS.grow(key, walk, 1)
-        sizes = walk.vectors[at]
+            space.vectors.append(sizes)
+            _SPACES.grow(space, 1)
+        sizes = space.vectors[at]
         budget.listing(sizes, config_index + 1)
-        listing = _minimal_covers(H, sizes, budget, colouring)
-        for cover in listing.covers:
+        # a kept listing charges what it spent, failing where listing would
+        covers, spent = space.listings.get(sizes, (None, 0))
+        budget.charge(spent)
+        if covers is None:
+            left = budget.left
+            covers = _list_minimal_covers(H, sizes, budget, colouring)
+            if _SPACES.grow(space, len(covers)):
+                space.listings[sizes] = covers, left - budget.left
+        for cover in covers:
             config_index += 1
             if config_index <= done:
                 continue

@@ -8,11 +8,14 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critdens import oracle
 from critdens.blowup import WeightedBlowupGraph, gacs_tree_construction
 from critdens.errors import BudgetExhausted, ValidationError
 from critdens.graphs import (
+    PatternGraph,
     bow_tie_graph,
     complete_graph,
     cycle_graph,
@@ -25,7 +28,6 @@ from critdens.oracle import (
     _best_grid_density,
     _least_size_vectors,
     _list_minimal_covers,
-    _minimal_covers,
     oracle_dcrit_estimate,
     oracle_find_transversal,
     oracle_search_construction,
@@ -266,31 +268,55 @@ def test_budget_exhaustion_names_its_position(tmp_path):
 
 
 def _floor_search(H, floor, q=10, bounds=None):
+    """The floor search of H at budget b, with floor on every edge or, for
+    a list, floor[k] on edge k."""
     def search(budget):
         cfg = SearchConfig(cluster_size_bounds=bounds, weight_grid_denominator=q,
-                           density_floor=[floor] * len(H.edges), budget=budget)
+                           density_floor=floor if isinstance(floor, list)
+                           else [floor] * len(H.edges), budget=budget)
         B = oracle_search_construction(H, cfg)
         return None if B is None else B.to_json()
     return search
 
 
-def _outcomes(monkeypatch, search, budgets, cold):
-    """For each budget, what search returns or the message it raises,
-    and the units its budget has left; with cold, every listing kept
-    from earlier searches is dropped first."""
+def _fresh_spaces(monkeypatch, max_held=50_000):
+    """An empty store of search spaces in place of the process's one."""
+    kept = oracle._KeptSpaces(max_held)
+    monkeypatch.setattr(oracle, "_SPACES", kept)
+    return kept
+
+
+def _space(kept, H, bounds, colouring):
+    return kept.spaces[H.n, H.edges, tuple(bounds), colouring]
+
+
+def _held(space):
+    """The units a space holds: itself, its size vectors and its covers."""
+    return 1 + len(space.vectors) + sum(len(c) for c, _ in space.listings.values())
+
+
+def _outcome(search, budget):
+    """What search(budget) returns or the message it raises, and the units
+    its budget has left."""
     made = []
-    monkeypatch.setattr(oracle, "_Budget",
-                        lambda amount: made.append(_Budget(amount)) or made[-1])
-    out = []
-    for budget in budgets:
-        if cold:
-            oracle._LISTINGS.clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_Budget",
+                  lambda amount: made.append(_Budget(amount)) or made[-1])
         try:
             result = search(budget)
         except BudgetExhausted as exc:
             result = str(exc)
-        out.append((result, made[-1].left))
-    monkeypatch.undo()
+    return result, made[-1].left
+
+
+def _outcomes(monkeypatch, search, budgets, cold):
+    """_outcome for each budget; with cold, every search space kept from
+    earlier searches is dropped first."""
+    out = []
+    for budget in budgets:
+        if cold:
+            _fresh_spaces(monkeypatch)
+        out.append(_outcome(search, budget))
     return out
 
 
@@ -302,8 +328,8 @@ def _outcomes(monkeypatch, search, budgets, cold):
 ], ids=["floor-k3", "floor-c4", "maxmin-k3"])
 def test_kept_listings_spend_as_fresh_ones(monkeypatch, search, budgets):
     """The budget sweeps of the exit-3 tests give the same results,
-    messages and budget left whether every listing is made afresh or
-    every one is reused: a reuse charges what the listing spent."""
+    messages and budget left whether every search space is made afresh or
+    every listing is reused: a reuse charges what the listing spent."""
     cold = _outcomes(monkeypatch, search, budgets, cold=True)
     assert any(isinstance(r, str) and "listing" in r for r, _ in cold)
     assert any(isinstance(r, str) and "searching" in r for r, _ in cold)
@@ -330,53 +356,58 @@ def test_large_symmetry_stays_within_the_budget(bounds):
         oracle_dcrit_estimate(H, q=10, cluster_size_bounds=bounds, budget=100)
 
 
-def test_exhausted_listing_is_not_kept():
-    """A search stopped inside a listing keeps no part of it: the rerun
-    lists those covers in full, as a cold listing does, at the same
-    spend."""
+def test_exhausted_listing_is_not_kept(monkeypatch):
+    """A search stopped inside a listing keeps no part of it, only the size
+    vectors walked: the rerun lists those covers in full, as a cold
+    listing does, at the same spend."""
     H, sizes = complete_graph(4), (1, 2, 3, 3)
     search = _floor_search(H, F(3, 4), q=6, bounds=sizes)
-    oracle._LISTINGS.clear()
+    kept = _fresh_spaces(monkeypatch)
     with pytest.raises(BudgetExhausted, match=r"cluster sizes \[1, 2, 3, 3\], "
                        r"listing minimal covers"):
         search(10_000)
-    assert ("covers", H.n, H.edges, sizes, _all_alike(H)) not in oracle._LISTINGS.entries
+    space = _space(kept, H, sizes, _all_alike(H))
+    assert sizes in space.vectors and sizes not in space.listings
     assert search(30_000) is None
-    warm, cold = _Budget(10**6), _Budget(10**6)
-    listing = _minimal_covers(H, sizes, warm, _all_alike(H))
-    assert listing.covers == _list_minimal_covers(H, sizes, cold, _all_alike(H))
-    assert warm.left == cold.left == 10**6 - 11_988
+    assert _space(kept, H, sizes, _all_alike(H)) is space
+    covers, spent = space.listings[sizes]
+    cold = _Budget(10**6)
+    assert covers == _list_minimal_covers(H, sizes, cold, _all_alike(H))
+    assert spent == 10**6 - cold.left == 11_988
 
 
-def test_kept_listings_are_bounded(monkeypatch):
-    """Listings are kept least recently used first, up to a fixed count
-    of covers searched; one larger than that is not kept at all."""
-    kept = oracle._KeptListings(max_held=20)
-    monkeypatch.setattr(oracle, "_LISTINGS", kept)
-    H = complete_graph(4)
-    # 7, 11, 7 again, 3 and 89 covers, one per orbit
-    for sizes in [(1, 1, 2, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2), (1, 2, 3, 3)]:
-        _minimal_covers(H, sizes, _Budget(10**6), _all_alike(H))
-        assert kept.held == sum(len(l.covers) for l in kept.entries.values()) <= 20
-    assert [k[3] for k in kept.entries] == [(1, 1, 2, 2), (1, 1, 1, 2)]
+def test_kept_spaces_are_bounded(monkeypatch):
+    """Spaces are kept least recently used first, up to a fixed count of
+    units, one per space, size vector and cover searched; past it whole
+    spaces go, so one larger than the bound keeps nothing."""
+    kept = _fresh_spaces(monkeypatch, max_held=30)
+    H, alike = complete_graph(4), _all_alike(complete_graph(4))
+    # spaces of 15, 27, 15 again, 7 and 226 units
+    order = []
+    for bounds in [(1, 1, 2, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 1, 2), (1, 2, 3, 3)]:
+        for _ in oracle._configurations(H, bounds, 4, _Budget(10**6), alike):
+            pass
+        assert kept.held == sum(_held(space) for space in kept.spaces.values()) <= 30
+        assert all(space.held == _held(space) for space in kept.spaces.values())
+        order.append([key[2] for key in kept.spaces])
+    assert order == [[(1, 1, 2, 2)], [(1, 2, 2, 2)], [(1, 1, 2, 2)],
+                     [(1, 1, 2, 2), (1, 1, 1, 2)], []]
+    assert kept.held == 0
 
 
 def test_kept_size_vectors_share_the_bound(monkeypatch):
-    """The size vectors a search walks are kept with the walk that goes on
-    from them: a search that stops early keeps the ones it reached, a
-    later one goes on from there, two walks in step see the same vectors,
-    each vector counts one unit against the bound, and the least recently
-    used entries go first."""
-    kept = oracle._KeptListings(max_held=10**6)
-    monkeypatch.setattr(oracle, "_LISTINGS", kept)
+    """The size vectors a search walks are kept in its space: a search that
+    stops early keeps the ones it reached, a later one goes on from there,
+    two walks in step see the same vectors, and each vector counts one
+    unit against the bound."""
+    kept = _fresh_spaces(monkeypatch)
     H, bounds = cycle_graph(4), (2, 2, 2, 2)
     alike = _all_alike(H)
     want = list(_least_size_vectors(bounds, oracle.automorphisms(H, bounds)))
-    key = ("sizes", H.n, H.edges, bounds, alike)
     early = _floor_search(H, F(1, 5), bounds=bounds)(10**6)
     assert early is not None
-    walk = kept.entries[key]
-    assert 0 < len(walk.vectors) < len(want) == 6
+    space = _space(kept, H, bounds, alike)
+    assert 0 < len(space.vectors) < len(want) == 6
     first, second = (oracle._configurations(H, bounds, 10, _Budget(10**6), alike)
                      for _ in range(2))
     seen = [[], []]
@@ -384,27 +415,20 @@ def test_kept_size_vectors_share_the_bound(monkeypatch):
         seen[0].append(a[1].sizes)
         seen[1].append(b[1].sizes)
     assert seen[0] == seen[1]
-    assert list(dict.fromkeys(seen[0])) == want == walk.vectors
-    assert kept.entries[key] is walk
-    assert kept.held == sum(entry.held() for entry in kept.entries.values())
-    assert kept.entries[key].held() == 1 + len(want)
-    kept.max_held = kept.held - 1
-    kept.keep(("new",), oracle._Listing((), 0))
-    assert kept.held == sum(entry.held() for entry in kept.entries.values()) <= kept.max_held
-    kept.clear()
-    assert (kept.entries, kept.held) == ({}, 0)
+    assert list(dict.fromkeys(seen[0])) == want == space.vectors
+    assert list(kept.spaces.values()) == [space]
+    assert kept.held == space.held == _held(space) == 1 + len(want) + len(seen[0])
 
 
 def test_interrupted_size_vector_walk_goes_on(monkeypatch):
     """An exception inside the size-vector walk, such as an interrupt,
     leaves the vectors kept so far intact: the next search walks on from
     them and spends what a cold one does."""
-    kept = oracle._KeptListings(max_held=10**6)
-    monkeypatch.setattr(oracle, "_LISTINGS", kept)
     H, bounds = cycle_graph(4), (2,) * 4
+    _fresh_spaces(monkeypatch)
     cold = _Budget(10**6)
     want = _best_grid_density(H, bounds, 10, cold)
-    kept.clear()
+    kept = _fresh_spaces(monkeypatch)
     beaten, calls = oracle._beaten, []
 
     def interrupted(*args):
@@ -416,21 +440,23 @@ def test_interrupted_size_vector_walk_goes_on(monkeypatch):
     monkeypatch.setattr(oracle, "_beaten", interrupted)
     with pytest.raises(KeyboardInterrupt):
         _best_grid_density(H, bounds, 10, _Budget(10**6))
+    reached = list(_space(kept, H, bounds, _all_alike(H)).vectors)
+    assert reached
     warm = _Budget(10**6)
     assert _best_grid_density(H, bounds, 10, warm) == want
     assert warm.left == cold.left
+    assert _space(kept, H, bounds, _all_alike(H)).vectors[:len(reached)] == reached
 
 
 def test_dcrit_reuses_the_listings_of_a_floor_search(monkeypatch):
-    """oracle-search and oracle-dcrit walk one enumeration: after a floor
+    """oracle-search and oracle-dcrit walk one search space: after a floor
     search with the same floor on every edge, oracle-dcrit lists no size
     vector again and spends what a cold run does."""
-    kept = oracle._KeptListings(max_held=10**6)
-    monkeypatch.setattr(oracle, "_LISTINGS", kept)
     H, bounds = cycle_graph(4), (2,) * 4
+    _fresh_spaces(monkeypatch)
     cold = _Budget(10**6)
     want = _best_grid_density(H, bounds, 10, cold)
-    kept.clear()
+    kept = _fresh_spaces(monkeypatch)
     cfg = SearchConfig(cluster_size_bounds=bounds, density_floor=[F(99, 100)] * 4)
     assert oracle_search_construction(H, cfg) is None
     listings = []
@@ -440,7 +466,59 @@ def test_dcrit_reuses_the_listings_of_a_floor_search(monkeypatch):
     assert _best_grid_density(H, bounds, 10, warm) == want
     assert listings == []
     assert warm.left == cold.left
-    assert kept.held == sum(entry.held() for entry in kept.entries.values())
+    assert len(kept.spaces) == 1
+    assert kept.held == sum(_held(space) for space in kept.spaces.values())
+
+
+def _small_patterns():
+    """Graphs on 2-4 vertices with at least one edge, isolated vertices allowed."""
+    return st.integers(2, 4).flatmap(lambda n: st.lists(
+        st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+        min_size=1, unique=True).map(lambda edges: PatternGraph(n, tuple(edges))))
+
+
+@st.composite
+def _search_calls(draw):
+    """Calls (H, bounds, q, floor, budget): a floor search, whose per-edge
+    floors give the edge colouring, or with floor None a grid optimum
+    search, on two size bounds for each of one or two patterns, so that
+    calls share search spaces."""
+    spaces = []
+    for H in draw(st.lists(_small_patterns(), min_size=1, max_size=2)):
+        size = st.integers(1, 3 if H.n <= 3 else 2)
+        spaces += [(H, tuple(draw(st.lists(size, min_size=H.n, max_size=H.n))))
+                   for _ in range(2)]
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        H, bounds = draw(st.sampled_from(spaces))
+        floor = draw(st.none() | st.lists(st.sampled_from([F(1, 2), F(3, 5), F(7, 10)]),
+                                          min_size=len(H.edges), max_size=len(H.edges)))
+        calls.append((H, bounds, draw(st.integers(2, 6)), floor, draw(st.integers(1, 3000))))
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(_search_calls(), st.sampled_from([1, 6, 20, 50_000]))
+def test_kept_spaces_answer_as_cleared_ones(calls, max_held):
+    """Floor searches and grid optimum searches, interleaved, give the same
+    results, messages and budget left with the spaces kept, at any bound
+    on them, as with every space dropped before each call."""
+    searches = [(_floor_search(H, floor, q, bounds) if floor is not None else
+                 lambda b, H=H, bounds=bounds, q=q:
+                 _best_grid_density(H, bounds, q, oracle._Budget(b)), budget)
+                for H, bounds, q, floor, budget in calls]
+    with pytest.MonkeyPatch.context() as m:
+        kept = oracle._KeptSpaces(max_held)
+        m.setattr(oracle, "_SPACES", kept)
+        warm = []
+        for search, budget in searches:
+            warm.append(_outcome(search, budget))
+            assert kept.held == sum(_held(s) for s in kept.spaces.values()) <= max_held
+        cold = []
+        for search, budget in searches:
+            m.setattr(oracle, "_SPACES", oracle._KeptSpaces(max_held))
+            cold.append(_outcome(search, budget))
+    assert warm == cold
 
 
 def test_progress_and_checkpoint(tmp_path):

@@ -2,8 +2,10 @@
 
 import io
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -20,6 +22,7 @@ from critdens.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_proper_labeling,
     linear_extension_count,
     path_graph,
     proper_labeling_count,
@@ -103,6 +106,24 @@ def test_improper_labelings_rejected():
             star_necessary_condition(path_graph(3), [F(1, 2)] * 2, f)
         with pytest.raises(ImproperLabeling):
             linear_extension_count(path_graph(3), [f])
+
+
+def test_linear_extension_count_rejects_what_is_proper_labeling_does():
+    """The count tells improper labelings from its own in-neighbour masks:
+    every tuple over 0..n+1 of length n-1 to n+1 is refused, with the
+    same message, exactly when is_proper_labeling refuses it.  That takes
+    in non-vertices, repeated vertices, wrong lengths and a vertex after
+    the first with no earlier neighbour."""
+    for H in [path_graph(3), complete_graph(3), star_graph(4), cycle_graph(4),
+              PatternGraph(4, ((1, 2), (2, 3), (2, 4), (3, 4)))]:
+        for k in range(H.n - 1, H.n + 2):
+            for f in product(range(H.n + 2), repeat=k):
+                if is_proper_labeling(H, f):
+                    assert linear_extension_count(H, [f]) >= 1
+                else:
+                    with pytest.raises(ImproperLabeling,
+                                       match=rf"^{re.escape(str(f))} is not a proper labeling$"):
+                        linear_extension_count(H, [f])
 
 
 def test_path_tree_size_cap():
