@@ -12,21 +12,21 @@ sequence (gcds, square_free_part, Sturm chains) and one exact division
 Descartes counts and refinement.  Real roots of a general polynomial are
 located with Sturm chains on the square-free part, so root counts are
 counts of distinct real roots.
-Matching polynomials have only real roots, so for them Descartes' rule
-counts the roots above a point exactly from one integer Taylor shift;
-matching_root_squared lets float estimates (for a tree, counts by
-leaf_up_inertia, the one leaf-up elimination) choose the isolating
-cell and certifies it with such counts, returning exactly what the Sturm
-bisection would, and runs that bisection only when a certificate fails.
-No answer ever depends on floating point.
+Matching polynomials have only real roots, and every spectral value is
+the largest root of a matching even part.  matching_root_squared
+brackets it between two short rationals near a float estimate and
+certifies the bracket exactly: for a tree by float eliminations with a
+rounding margin (leaf_up_inertia, margin_inertia), else by Descartes'
+rule, exact for real-rooted polynomials.  Sturm bisection runs only when
+a certificate fails.  No answer ever depends on floating point.
 
-An AlgebraicNumber is a real root pinned down by a square-free integer
-defining polynomial and an open isolating interval with rational
-endpoints; when the root happens to be rational the exact value is carried
-instead.  This is the common currency for spectral radii and critical
-densities: the root in the interval is simple, so a comparison against a
-rational costs two sign evaluations, never a float, and two such numbers
-are equal exactly when the gcd of their polynomials changes sign across
+An AlgebraicNumber is a real root pinned down by an integer defining
+polynomial and an open interval with rational endpoints in which that
+root is simple and the only root; when the root happens to be rational
+the exact value is carried instead.  This is the common currency for
+spectral radii and critical densities: a comparison against a rational
+costs two sign evaluations, never a float, and two such numbers are
+equal exactly when the gcd of their polynomials changes sign across
 their intervals' overlap.
 """
 
@@ -243,11 +243,11 @@ def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 @dataclass
 class AlgebraicNumber:
-    """A real algebraic number: a square-free defining polynomial, as
-    integer coefficients lowest power first (any nonzero multiple), plus
-    an open isolating interval (lo, hi) containing exactly one root, with
-    poly nonzero at both endpoints.  exact is set when the value is
-    rational (and then the interval is ignored)."""
+    """A real algebraic number: a defining polynomial, as integer
+    coefficients lowest power first (any nonzero multiple), plus an open
+    interval (lo, hi) in which the number is a simple root and the only
+    root, with poly nonzero at both endpoints.  exact is set when the
+    value is rational (and then the interval is ignored)."""
 
     poly: list[int]
     lo: Fraction
@@ -322,9 +322,10 @@ class AlgebraicNumber:
         # a root of g = gcd(p1, p2) lying strictly inside the intervals'
         # overlap; conversely, a root of g in the overlap is a root of both
         # polynomials there, and each interval holds exactly one root of
-        # its own polynomial, so all three coincide.  g is square-free with
-        # at most one root in the overlap and none at its ends (ends of
-        # isolating intervals), so it has one iff it changes sign there.
+        # its own polynomial, so all three coincide.  That root is simple
+        # in p1, so in g, and g, a factor of p1, has no other root in the
+        # overlap and none at its ends (ends of isolating intervals), so
+        # it has one iff it changes sign there.
         g = _integer_gcd(self.poly, other.poly)
         if len(g) > 1:
             olo, ohi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -382,18 +383,19 @@ def _sturm_largest_root(sf: list[int], tol: Fraction) -> AlgebraicNumber:
 # -- real-rooted polynomials ----------------------------------------------
 #
 # Matching polynomials and their even parts have only real roots
-# (Heilmann-Lieb 1972).  For such a polynomial Descartes' rule of signs is
-# exact: the sign variations of p(a + y) count the roots above a
-# (Collins-Akritas 1976).  So the cell that _sturm_largest_root reaches is
-# located with floats and certified with a few integer Taylor shifts.
-
-# Float estimates locate a root only to within 2^-40 of its size; finer
-# cells are reached by exact sign bisection.
-_FLOAT_REACH = 40
-# Halvings of [0, max degree] that place a tree eigenvalue to float
-# precision, and a cap on Newton steps, which start far above the root.
-_BISECTION_STEPS = 52
-_NEWTON_STEPS = 500
+# (Heilmann-Lieb 1972), and every spectral value is the largest root of
+# a matching even part.  matching_root_squared takes short rationals
+# a < b around a float estimate of that root and certifies, exactly,
+# that (a, b) holds it, simple, and no other root: on a tree by float
+# eliminations whose rounding a margin covers (margin_inertia), else by
+# Descartes' rule, which is exact for a real-rooted polynomial: the sign
+# variations of p(a + y) count the roots above a (Collins-Akritas 1976).
+# The even part is monic, so its roots are algebraic integers and a
+# rational one is an integer: one exact evaluation, at the integer in
+# (a, b) if there is one, tells whether the root is rational.  A few
+# more, on a fixed grid, make the printed bracket a function of the root
+# alone.  Sturm bisection on the square-free part runs only when a
+# certificate fails.
 
 
 def _scaled_value(c: Sequence[int], x: Fraction) -> int:
@@ -441,161 +443,10 @@ def _is_root(c: Sequence[int], x: Fraction) -> bool:
     return _scaled_value(c, x) == 0
 
 
-def _one_root_above(c: Sequence[int], up: bool, x: Fraction, s2: float | None) -> bool:
-    """Certifies that the real-rooted c, of sign `up` above its largest
-    root r, has one root above x: if r is the one root above a short
-    rational x' in (s2, x] and c(x) has the sign c takes just below r,
-    then x' <= x < r."""
-    return (s2 is not None and Fraction(s2) < x
-            and (v := _scaled_value(c, x)) != 0 and (v > 0) != up
-            and _roots_above(c, simplest_fraction_between((Fraction(s2) + x) / 2, x)) == 1)
-
-
-def _two_roots_above(c: Sequence[int], x: Fraction, s2: float | None) -> bool:
-    """Certifies two or more roots of the real-rooted c above x: as many above x'' in (x, s2)."""
-    return (s2 is not None and x < Fraction(s2)
-            and _roots_above(c, simplest_fraction_between(x, (x + Fraction(s2)) / 2)) >= 2)
-
-
-def _float_guided_root(
-    c: list[int], tol: Fraction, s1: float, s2: float | None
-) -> AlgebraicNumber | None:
-    """What _sturm_largest_root(c, tol) returns, for a real-rooted
-    square-free integer polynomial c given float estimates s1 > s2 of its
-    two largest roots (s2 None when c has one root); None when a
-    certificate fails.
-
-    That function bisects (-B, B) to level K, the first whose cell around
-    the largest root r holds no other root, deflating any midpoint that is
-    a root, then refines to level L, the first at least K whose cells are
-    no wider than tol, stopping early when a simplest-fraction probe is r.
-    Here the floats give K and the level-L cell, and exact arithmetic
-    certifies them: one root above the level-K cell's left end, at least
-    two above its parent's, a sign change across the level-L cell, and
-    one probe on the last cell the refinement would probe.  Counts are
-    taken at short rationals near the grid points where a certificate holds."""
-    if not (math.isfinite(s1) and (s2 is None or math.isfinite(s2))):
-        return None
-    up = c[-1] > 0  # the sign of c above r
-    bound = cauchy_root_bound(c)
-    width = 2 * bound
-
-    def grid(level: int, index: int) -> Fraction:
-        """Left end of cell `index` at `level`: -B + index * 2B / 2^level."""
-        return Fraction(bound.numerator * (2 * index - (1 << level)),
-                        bound.denominator << level)
-
-    ratio = width / tol
-    last = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-    reach = width * (1 << _FLOAT_REACH) / max(_ONE, abs(Fraction(s1)))
-    fine = max(0, (reach.numerator // reach.denominator).bit_length() - 1)
-
-    def index(x: float) -> int:
-        u = (Fraction(x) + bound) * (1 << fine) / width
-        return min(max(u.numerator // u.denominator, 0), (1 << fine) - 1)
-
-    top = index(s1)
-    iso = 0
-    if s2 is not None:
-        diff = top ^ index(s2)
-        if not diff:
-            return None
-        iso = fine - diff.bit_length() + 1
-    # Isolation: exactly one root above the level-K cell's left end, at
-    # least two above its parent's.  A root on a cell end can mislead the
-    # floats by a level.
-    for _ in range(3):
-        cell = top >> (fine - iso)
-        klo = grid(iso, cell)
-        above = 1 if _one_root_above(c, up, klo, s2) else _roots_above(c, klo)
-        if above != 1:
-            if iso == (0 if above == 0 else fine):
-                return None
-            iso += 1 if above else -1
-            continue
-        if iso:
-            x = grid(iso - 1, cell >> 1)
-            v = _scaled_value(c, x)
-            # c(x) has the sign of c above r iff an even number of
-            # roots lies above x, and r is one of them.
-            if ((v == 0 or (v > 0) != up) and not _two_roots_above(c, x, s2)
-                    and _roots_above(c, x) < 2):
-                iso -= 1
-                continue
-        break
-    else:
-        return None
-    final = max(iso, last)
-    khi = grid(iso, cell + 1)
-
-    # Midpoints that became left ends on the way down to level K: each
-    # root among them is deflated, as the bisection does.  Above klo,
-    # cp has the roots and the sign of c, and no root at klo.
-    cp = c
-    left = -bound
-    for level in range(1, iso + 1):
-        x = grid(level, top >> (fine - level))
-        if x != left and _is_root(c, x):
-            cp = _exact_quotient(cp, [-x.numerator, x.denominator])
-        left = x
-
-    def exact_root(r: Fraction) -> AlgebraicNumber | None:
-        """Refinement from the level-K cell, given that its root is r."""
-        if not klo < r < khi:
-            return None
-        root = AlgebraicNumber(cp, klo, khi)
-        root.refine(tol)
-        return root
-
-    # Jump to the level-L cell, or to the finest cell the floats can
-    # place; above the level-K cell's left end, cp has the sign `up`
-    # exactly above r, and vanishes only at r.
-    level = min(final, fine)
-    first = cell << (level - iso)
-    i = top >> (fine - level)
-    for _ in range(3):
-        if not first <= i < first + (1 << (level - iso)):
-            return None
-        lo, hi = grid(level, i), grid(level, i + 1)
-        vlo, vhi = _scaled_value(cp, lo), _scaled_value(cp, hi)
-        if vlo == 0:
-            return exact_root(lo)
-        if vhi == 0:
-            return exact_root(hi)
-        if (vlo > 0) == up:
-            i -= 1
-        elif (vhi > 0) != up:
-            i += 1
-        else:
-            break
-    else:
-        return None
-    for _ in range(level, final):
-        mid = (lo + hi) / 2
-        v = _scaled_value(cp, mid)
-        if v == 0:
-            return exact_root(mid)
-        if (v > 0) == up:
-            hi, i = mid, 2 * i
-        else:
-            lo, i = mid, 2 * i + 1
-
-    # A probe that hits r stays the simplest fraction of every smaller
-    # cell around r, so the last probe refine would make tells whether any
-    # probe hits.
-    if final > iso:
-        parent = i >> 1
-        probe = simplest_fraction_between(grid(final - 1, parent),
-                                          grid(final - 1, parent + 1))
-        if _is_root(cp, probe):
-            return exact_root(probe)
-    return AlgebraicNumber(cp, lo, hi)
-
-
 def _newton_from_right(f: Sequence[float], x: float) -> float:
     """Newton's method from x above every root of the real-rooted f:
     the iterates fall monotonically to the largest root."""
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(500):   # a cap: x starts far above the root
         v = dv = 0.0
         for a in reversed(f):
             dv = dv * x + v
@@ -607,22 +458,6 @@ def _newton_from_right(f: Sequence[float], x: float) -> float:
             break
         x = nxt
     return x
-
-
-def _newton_top_roots(c: list[int]) -> tuple[float, float | None]:
-    """Float estimates of the two largest roots of the real-rooted integer
-    polynomial c: Newton from the Cauchy bound, then from the first root
-    on c divided by (t - first root)."""
-    f = [a / c[-1] for a in c]
-    s1 = _newton_from_right(f, float(cauchy_root_bound(c)))
-    if len(f) <= 2:
-        return s1, None
-    g = [0.0] * (len(f) - 1)
-    acc = 0.0
-    for k in range(len(f) - 1, 0, -1):
-        acc = acc * s1 + f[k]
-        g[k - 1] = acc
-    return s1, _newton_from_right(g, s1)
 
 
 def leaf_up_inertia(nodes: Sequence[Sequence[tuple[int, Fraction | float]]],
@@ -657,28 +492,53 @@ def leaf_up_inertia(nodes: Sequence[Sequence[tuple[int, Fraction | float]]],
     return out
 
 
-def _tree_top_roots_squared(nodes: Sequence[Sequence[tuple[int, int]]]) -> tuple[float, float]:
-    """Float estimates of lambda_1^2 > lambda_2^2, the top two roots of the
-    matching even part of the tree given as leaf_up_inertia's node list,
-    root last: the elimination at ratio 1/x^2 counts the eigenvalues above
-    x at the root, and bisection from the largest degree finds the top
-    two.  Unlike Newton on the coefficients, this stays accurate on large
+def margin_inertia(nodes: Sequence[Sequence[tuple[int, int]]], s: Fraction,
+                   side: int) -> list[tuple[float | None, int]]:
+    """leaf_up_inertia in floats at ratio (1/s)(1 + side m), side +1 or
+    -1.  With k the most children of a node and u = 2^-53, its roundings
+    make it the exact elimination at per-edge ratios within 1 +- (k + 2)u
+    of its ratio, each pivot scaled by a positive factor (the rounding of
+    1 - t keeps the pivot's sign); m = (k + 8) 2^-50 = 8(k + 8)u also
+    covers 1/s's rounding.  So every ratio is at least 1/s at side +1,
+    at most 1/s at side -1.  The pivots are those of I - B, B the tree's
+    adjacency with entries sqrt(r_e), whose spectral radius grows with
+    its nonnegative entries (Perron-Frobenius) and is lambda / sqrt(s) at
+    uniform ratio 1/s.  So in any subtree, all pivots positive at side +1
+    give rho(B) < 1, lambda^2 < s; a negative pivot at side -1 gives
+    rho(B) > 1 (Sylvester), lambda^2 > s."""
+    m = (max(map(len, nodes)) + 8) * 2.0**-50
+    return leaf_up_inertia(nodes, float(1 / s) * (1 + side * m))
+
+
+def _tree_root_estimate(nodes: Sequence[Sequence[tuple[int, int]]]) -> float:
+    """lambda^2 of the tree given as leaf_up_inertia's node list, root
+    last, to float precision: bisection of [0, 4(k + 1)], k the most
+    children of a node (lambda^2 < 4(Delta - 1) for a finite tree), on
+    whether the root counts an eigenvalue above sqrt(x) at ratio 1/x.
+    Unlike Newton on the coefficients, this stays accurate on large
     trees, where the power basis cancels."""
-    degree = max([len(nodes[-1]), *(len(node) + 1 for node in nodes[:-1])])
+    lo, hi = 0.0, 4.0 * (max(map(len, nodes)) + 1)
+    for _ in range(50):    # to float precision
+        mid = (lo + hi) / 2
+        if leaf_up_inertia(nodes, 1 / mid)[-1][1]:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
-    def sup(k: int, lo: float, hi: float) -> float:
-        """The k-th largest eigenvalue, in [lo, hi]."""
-        for _ in range(_BISECTION_STEPS):
-            mid = (lo + hi) / 2
-            if leaf_up_inertia(nodes, 1 / (mid * mid))[-1][1] >= k:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
 
-    lam1 = sup(1, 0.0, float(degree))
-    lam2 = sup(2, 0.0, lam1)
-    return lam1 * lam1, lam2 * lam2
+def _tree_isolates(nodes: Sequence[Sequence[tuple[int, int]]], a: Fraction, b: Fraction) -> bool:
+    """Certifies that (a, b) holds lambda_1^2 of the tree given as
+    leaf_up_inertia's node list, root last, as a simple root of its even
+    part and the only one, by margin_inertia: lambda_1^2 > a by a
+    negative pivot just below ratio 1/a, lambda_1^2 < b by all pivots
+    positive just above 1/b, and lambda_2^2 < a by all pivots positive
+    just above 1/a in each root child's subtree: by Cauchy interlacing,
+    lambda_2(T) is at most the top eigenvalue of T minus its root."""
+    below_a, above_a = margin_inertia(nodes, a, -1), margin_inertia(nodes, a, 1)
+    F, count = margin_inertia(nodes, b, 1)[-1]
+    return (below_a[-1][1] > 0 and count == 0 and F is not None
+            and not any(above_a[c][1] or above_a[c][0] is None for c, _ in nodes[-1]))
 
 
 # -- polynomial (de)serialization -----------------------------------------
@@ -707,9 +567,10 @@ def _matching_weight_sums(
     in the weights' number type.
 
     Memoized recursion on the set of available vertices: the lowest
-    available vertex is either unmatched or matched to a neighbor.
+    available vertex is either unmatched or matched to a neighbor.  It
+    starts from the vertices with a neighbor, as isolated ones never
+    match, so it recurses at most twice the edge count deep.
     """
-    n = H.n
     adj = H.adjacency
     memo: dict[int, list] = {0: [1]}
 
@@ -734,7 +595,7 @@ def _matching_weight_sums(
         memo[mask] = out
         return out
 
-    return solve((1 << n) - 1)
+    return solve(sum(1 << (v - 1) for v in H.vertices() if adj[v]))
 
 
 def _tree_matching_sums(nodes: Sequence[Sequence[tuple[int, int | Fraction]]]) -> list:
@@ -837,20 +698,65 @@ def tree_even_part(nodes: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, ...
     return tuple(_even_coeffs(sums, (sums + [0])[1] + 1))   # m_1 = n - 1 edges
 
 
+def _pinned_root(c: list[int], a: Fraction, b: Fraction, tol: Fraction) -> AlgebraicNumber:
+    """The simple root r of c that (a, b) isolates, c monic up to sign,
+    so a rational r is an integer, pinned by r alone whichever (a, b)
+    found it (the star bound meets one even part in many trees): exact
+    if the integer in (a, b) is r, else bracketed by a short rational in
+    each neighbour of r's cell in the grid of step h = 2^(bits of
+    floor(r) - 43), about 2^-43 r, found by sign bisection; refined to tol."""
+    up = _scaled_value(c, b) > 0          # c's sign on (r, b]
+    n = a.numerator // a.denominator + 1  # the least integer above a
+    if n < b and (v := _scaled_value(c, Fraction(n))) == 0:
+        return AlgebraicNumber.from_rational(n)
+    if n >= b or (v > 0) == up:
+        n -= 1                            # now floor(r)
+    h = Fraction(2) ** (n.bit_length() - 43)
+    lo, hi = math.floor(a / h), math.ceil(b / h)   # lo h <= a < r < b <= hi h
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (_scaled_value(c, mid * h) > 0) == up:
+            hi = mid
+        else:
+            lo = mid
+    if a <= (lo - 1) * h and (hi + 1) * h <= b:
+        a = simplest_fraction_between((lo - 1) * h, lo * h)
+        b = simplest_fraction_between(hi * h, (hi + 1) * h)
+    root = AlgebraicNumber(c, a, b)
+    root.refine(tol)
+    return root
+
+
 def matching_root_squared(even: Sequence[int], tol: Fraction | float = Fraction(1, 10**9),
                           nodes: Sequence[Sequence[tuple[int, int]]] | None = None
                           ) -> AlgebraicNumber:
     """largest_real_root of a matching even part, integer coefficients
-    lowest power first (0 for a constant).  Float estimates of its top two
-    roots, by counts on the tree's nodes (tree_even_part's) when given,
-    else by Newton, choose the cell; Sturm runs if a certificate fails."""
+    lowest power first (0 for a constant), given the tree's nodes
+    (tree_even_part's) when it is a tree's.  Short rationals a < b,
+    within about 2^-40 (widened by a tree's margin) of a float estimate
+    (bisection on the tree's eigenvalue counts, else Newton on the even
+    part without its zero roots), are certified to hold the root, simple
+    and alone: by _tree_isolates, else by one Descartes count above a
+    and none above b, neither a root.  _pinned_root pins the root from
+    them; Sturm bisection runs when a certificate fails."""
     tol = tolerance(tol)
-    if len(even) < 2:
+    c = list(even)
+    if nodes is None:
+        c = c[next((i for i, x in enumerate(c) if x), 0):]   # strip zero roots
+    if len(c) < 2:
         return AlgebraicNumber.from_rational(0)
-    sf = square_free_part(list(even))
-    s1, s2 = _newton_top_roots(sf) if nodes is None else _tree_top_roots_squared(nodes)
-    root = _float_guided_root(sf, tol, s1, s2 if len(sf) > 2 else None)
-    return root if root is not None else _sturm_largest_root(sf, tol)
+    if nodes is None:
+        e, w = _newton_from_right([x / c[-1] for x in c], float(cauchy_root_bound(c))), 2.0**-40
+    else:   # a window of 2^-40 plus twice margin_inertia's
+        e, w = _tree_root_estimate(nodes), 2.0**-40 + (max(map(len, nodes)) + 8) * 2.0**-49
+    if math.isfinite(e) and e > 0:
+        a = simplest_fraction_between(Fraction(e * (1 - 2 * w)), Fraction(e * (1 - w)))
+        b = simplest_fraction_between(Fraction(e * (1 + w)), Fraction(e * (1 + 2 * w)))
+        if (_tree_isolates(nodes, a, b) if nodes is not None else
+                _scaled_value(c, a) and _scaled_value(c, b)
+                and _roots_above(c, a) == 1 and _roots_above(c, b) == 0):
+            return _pinned_root(c, a, b, tol)
+    return _sturm_largest_root(square_free_part(c), tol)
 
 
 def largest_matching_root_squared(

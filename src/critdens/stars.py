@@ -22,10 +22,12 @@ the star bound counts the labelings (graphs.proper_labeling_count), and
 past LABELING_CAP of them walks their lexicographic prefix instead.  It
 then certifies the rooted shapes best-first by a float hint; one float
 elimination, on the safe side of the best's lambda^2 by more than
-rounding can reach, sets aside each shape that cannot reach it, and the
-others take their spectra from the rooted shapes too
-(polynomials.matching_root_squared).  monotone_path_tree and
-tree_shape_key build T_f only for the shape table and for export.
+rounding can reach (polynomials.margin_inertia), sets aside each shape
+that cannot reach it, and the others take their spectra from the rooted
+shapes too: polynomials.matching_root_squared brackets each lambda^2
+between two short rationals, certified by the same margin pass.
+monotone_path_tree and tree_shape_key build T_f only for the shape
+table and for export.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .graphs import (
     single_source_orientations,
     tolerance,
 )
-from .polynomials import leaf_up_inertia, matching_root_squared, tree_even_part
+from .polynomials import leaf_up_inertia, margin_inertia, matching_root_squared, tree_even_part
 from .tree_decision import CriticalDensity
 from .verdict import Verdict
 
@@ -132,18 +134,6 @@ def tree_shape_key(T: PatternGraph) -> str:
     return min(_rooted_shape(T, c) for c in centers)
 
 
-def _pivots_below(nodes: Sequence[Sequence[tuple[int, int]]],
-                  s: Fraction) -> list[tuple[float | None, int]]:
-    """leaf_up_inertia in floats just above ratio 1/s: where an id's
-    pivots are all positive, so are its exact ones at 1/s: lambda^2 < s.
-    With k the most children of a node and u = 2^-53, its roundings make
-    it the exact elimination at per-edge ratios within 1 +- (k + 2)u of
-    its ratio (that of 1 - t keeps the pivot's sign), and positive pivots
-    only grow as ratios fall; 1 + 8(k + 8)u also covers 1/s's rounding."""
-    k = max(map(len, nodes))
-    return leaf_up_inertia(nodes, float(1 / s) * (1 + (k + 8) * 2.0**-50))
-
-
 ShapeTable = dict[str, tuple[tuple[int, ...], int, CriticalDensity]]
 
 
@@ -196,14 +186,15 @@ def star_lower_bound(
     flagged heuristic: a valid lower bound, maybe not the max.  A tree's
     T_f is the tree.  Then certify the rooted shapes by descending hint,
     F of leaf_up_inertia at a ratio below every 1/lambda(T_f)^2;
-    _pivots_below, s the lower end of the best's lambda^2, sets aside each
-    with lambda(T_f)^2 < s, which can neither beat nor tie the best; the
-    others get a spectrum from T_f's rooted shapes, compared exactly with
-    the best.  Ties keep the lexicographically first labeling, so the
-    order changes no output.  Spectra are memoised per matching even part,
-    which isomorphic shapes share; shape_table builds T_f per rooted id
-    when read, and counts its labelings as its orientations' linear
-    extensions (linear_extension_count).
+    polynomials.margin_inertia just above 1/s, s the lower end of the
+    best's lambda^2, sets aside each with lambda(T_f)^2 < s, which can
+    neither beat nor tie the best; the others get a spectrum from T_f's
+    rooted shapes, compared exactly with the best.  Ties keep the
+    lexicographically first labeling, so the order changes no output.
+    Spectra are memoised per matching even part, which isomorphic shapes
+    share; shape_table builds T_f per rooted id when read, and counts its
+    labelings as its orientations' linear extensions
+    (linear_extension_count).
     """
     tol = tolerance(tol)
     if H.n == 1:
@@ -266,7 +257,7 @@ def star_lower_bound(
                 # interval's lower end (> 1: a non-tree's path tree has
                 # lambda^2 >= 2)
                 if pivots is None:
-                    pivots = _pivots_below(nodes, best.s_star.interval()[0])
+                    pivots = margin_inertia(nodes, best.s_star.interval()[0], 1)
                 F, count = pivots[rid]
                 if count == 0 and F is not None:
                     continue

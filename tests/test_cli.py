@@ -416,6 +416,17 @@ def test_matchpoly_reports_coefficients(k3):
     assert poly["coefficients"] == ["0", "-3", "0", "1"]
 
 
+def test_matchpoly_on_many_isolated_vertices(tmp_path):
+    # one edge among 1,200 vertices: deeper than the recursion limit if
+    # the matching DP walked every vertex
+    p = tmp_path / "sparse.g"
+    p.write_text("1200; 1-2\n")
+    code, out = _run(["matchpoly", str(p), "--format", "structured"])
+    assert code == 0
+    poly = next(r for r in _records(out) if r["record"] == "polynomial")
+    assert poly["coefficients"][-3:] == ["-1", "0", "1"]
+
+
 # -- construction round trips ------------------------------------------------------
 
 

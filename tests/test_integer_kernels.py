@@ -1,9 +1,10 @@
 """The integer kernels of the matching-root pipeline against independent
 references: _integer_gcd and square_free_part against sympy's gcd and
 sqf_part, up to a nonzero factor, matching_weight_sums against a plain
-Fraction enumeration of matchings, the tree DP on node lists against the
-subset DP, and the short-rational isolation certificate of the
-float-guided root against the full count it stands in for."""
+Fraction enumeration of matchings (also past the recursion limit in
+isolated vertices), the tree DP on node lists against the subset DP, and
+the tree bracket's certificates on paths and random trees, which must
+hold there without the Sturm fallback."""
 
 import math
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ from critdens.polynomials import (
     _integer_coeffs,
     _integer_gcd,
     largest_matching_root_squared,
+    matching_polynomial,
     matching_weight_sums,
     square_free_part,
 )
@@ -168,8 +170,14 @@ def test_tree_dp_on_node_lists_matches_the_subset_dp(case):
     assert polynomials._tree_matching_sums(rooted_nodes(T, T.bfs_tree(picks[0])[0])) == ones
 
 
-def _fields(x):
-    return x.lo, x.hi, x.exact, x.poly
+def test_isolated_vertices_cost_the_subset_dp_nothing():
+    """K_4 plus 1,996 isolated vertices: the subset DP starts from the
+    vertices with a neighbour, so it recurses as deep as for K_4 alone."""
+    K4 = PatternGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+    padded = PatternGraph(2000, K4.edges)
+    assert matching_weight_sums(padded) == matching_weight_sums(K4) == [1, 6, 3]
+    assert matching_polynomial(padded).coeffs[-5:] == (3, 0, -6, 0, 1)
+    assert largest_matching_root_squared(padded).compare(largest_matching_root_squared(K4)) == 0
 
 
 @st.composite
@@ -179,55 +187,23 @@ def trees(draw, max_n=60):
 
 
 @settings(max_examples=60, deadline=None)
-@given(trees(), st.sampled_from([1.0, 0.9, 1.3]), st.sampled_from([1.0, 0.5, 3.0]))
-@example(path_graph(60), 1.0, 1.0)
-@example(star_graph(9), 1.0, 1.0)
-@example(path_graph(7), 1.3, 0.5)
-def test_isolation_certificates_never_change_the_root(T, factor1, factor2):
-    """Each certificate holds only where the full count at its grid point
-    agrees, also from float estimates s1 and s2 that are wrong (s1 scaled
-    by factor1, s2 moved to s1 + factor2 (s2 - s1)), and with both
-    patched to fail the root is the same."""
-    one, two = polynomials._one_root_above, polynomials._two_roots_above
-    real = polynomials._tree_top_roots_squared
-
-    def skewed(T):
-        s1, s2 = real(T)
-        return s1 * factor1, s1 * factor1 + factor2 * (s2 - s1)
-
-    def checked_one(c, up, x, s2):
-        ok = one(c, up, x, s2)
-        assert not ok or polynomials._roots_above(c, x) == 1
-        return ok
-
-    def checked_two(c, x, s2):
-        ok = two(c, x, s2)
-        assert not ok or polynomials._roots_above(c, x) >= 2
-        return ok
-
-    with mock.patch.object(polynomials, "_tree_top_roots_squared", skewed):
-        with mock.patch.object(polynomials, "_one_root_above", checked_one), \
-                mock.patch.object(polynomials, "_two_roots_above", checked_two):
-            got = largest_matching_root_squared(T)
-        with mock.patch.object(polynomials, "_one_root_above", lambda *args: False), \
-                mock.patch.object(polynomials, "_two_roots_above", lambda *args: False):
-            assert _fields(largest_matching_root_squared(T)) == _fields(got)
-
-
-def test_isolation_certificates_hold_on_paths():
-    # On paths the grid points have long digits (217 at n = 1000), so
-    # these certificates are what keeps dcrit_tree fast there.
+@given(trees())
+@example(path_graph(60))
+@example(path_graph(1000))
+@example(star_graph(9))
+def test_tree_certificates_hold_without_sturm(T):
+    """The float estimate lands the bracket, and the three margin passes
+    certify it, on random trees and on paths up to 1,000 vertices, where
+    the Sturm path's grid points have long digits."""
     calls = []
+    real = polynomials._sturm_largest_root
 
-    def counted(real):
-        def wrapper(*args):
-            calls.append((real.__name__, real(*args)))
-            return calls[-1][1]
-        return wrapper
+    def counted(sf, tol):
+        calls.append(sf)
+        return real(sf, tol)
 
-    with mock.patch.object(polynomials, "_one_root_above", counted(polynomials._one_root_above)), \
-            mock.patch.object(polynomials, "_two_roots_above", counted(polynomials._two_roots_above)):
-        for n in (10, 50, 200):
-            largest_matching_root_squared(path_graph(n))
-    assert {name for name, _ in calls} == {"_one_root_above", "_two_roots_above"}
-    assert all(ok for _, ok in calls)
+    with mock.patch.object(polynomials, "_sturm_largest_root", counted):
+        x = largest_matching_root_squared(T)
+        if x.exact is None:
+            assert 0 < x.width() <= x.lo * 2.0**-36
+    assert calls == []

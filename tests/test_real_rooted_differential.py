@@ -1,8 +1,9 @@
-"""The float-guided root kernel behind largest_matching_root_squared,
-checked against sympy's exact real-root isolation and against the Sturm
-path it replaces: same interval, same exact value, same defining
-polynomial, also when the float estimates are wrong and the Sturm path has
-to run.  Also AlgebraicNumber.compare_fraction, which decides the side of
+"""The certified bracket behind largest_matching_root_squared, checked
+against sympy's exact real-root isolation: the bracket holds the largest
+root of the matching even part, simple and alone, integer roots come out
+exact, and where a certificate must fail (a repeated top root, a second
+root within the bracket's width, a wrong float estimate) the Sturm path
+answers.  Also AlgebraicNumber.compare_fraction, which decides the side of
 a rational by signs alone, against sympy on every real root;
 AlgebraicNumber.compare on pairs of real roots whose intervals overlap,
 against sympy; the integer Sturm count and the deflating Sturm bisection
@@ -20,7 +21,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from critdens import polynomials
-from critdens.graphs import PatternGraph, path_graph, rooted_id, star_graph
+from critdens.graphs import (
+    PatternGraph,
+    complete_bipartite,
+    cycle_graph,
+    path_graph,
+    proper_labelings,
+    rooted_id,
+    star_graph,
+)
 from critdens.polynomials import (
     AlgebraicNumber,
     RatPoly,
@@ -31,11 +40,13 @@ from critdens.polynomials import (
     largest_real_root,
     leaf_up_inertia,
     matching_even_part,
+    matching_root_squared,
     simplest_fraction_between,
     square_free_part,
     sturm_chain,
     sturm_count_open,
 )
+from critdens.stars import monotone_path_tree
 from critdens.tree_decision import dcrit_tree
 
 _S = sympy.Symbol("s")
@@ -64,42 +75,55 @@ def connected_graphs(draw):
     return PatternGraph(T.n, tuple(sorted(T.edges + tuple(extra))))
 
 
-def _sympy_largest_root(H: PatternGraph):
+def _sympy_even(H: PatternGraph):
+    """H's matching even part as a sympy polynomial."""
     q = matching_even_part(H)
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(q.coeffs)], _S)
-    return poly.real_roots()[-1]
 
 
-def _fields(x):
-    return x.lo, x.hi, x.exact, x.poly
+def _sympy_largest_root(H: PatternGraph):
+    return _sympy_even(H).real_roots()[-1]
 
 
-def _assert_brackets(root, x):
+def _top_root_within(Q, lo, hi):
+    """Q's largest real root lies in [lo, hi], by sympy's exact counts of
+    the roots in closed intervals."""
+    lo, hi = _sympy(lo), _sympy(hi)
+    return (Q.count_roots(lo, None) >= 1
+            and Q.count_roots(hi, None) == (1 if Q.eval(hi) == 0 else 0))
+
+
+def _assert_brackets(Q, x):
+    """x is the largest real root of Q, exactly or as a bracket in which
+    it is a simple root of x.poly and the only one; counted by sympy, so
+    even nearly equal top roots cost no root isolation."""
     if x.exact is not None:
-        assert root == sympy.Rational(x.exact.numerator, x.exact.denominator)
+        assert Q.eval(_sympy(x.exact)) == 0 and _top_root_within(Q, x.exact, x.exact)
     else:
-        lo = sympy.Rational(x.lo.numerator, x.lo.denominator)
-        hi = sympy.Rational(x.hi.numerator, x.hi.denominator)
-        assert bool(lo < root) and bool(root < hi)
+        assert x.lo < x.hi and _top_root_within(Q, x.lo, x.hi)
+        lo, hi = _sympy(x.lo), _sympy(x.hi)
+        P = sympy.Poly(x.poly[::-1], _S)
+        assert P.eval(lo) != 0 and P.eval(hi) != 0 and P.count_roots(lo, hi) == 1
+        assert P.gcd(P.diff(_S)).count_roots(lo, hi) == 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(trees(), connected_graphs()))
+@given(st.one_of(trees(max_n=64), connected_graphs()))
 def test_root_brackets_sympy_largest_root(H):
     x = largest_matching_root_squared(H)
-    _assert_brackets(_sympy_largest_root(H), x)
+    _assert_brackets(_sympy_even(H), x)
     assert x.width() <= F(1, 10**9)
 
 
 @settings(max_examples=40, deadline=None)
-@given(trees())
-def test_dcrit_tree_brackets_sympy_critical_density(T):
-    tol = F(1, 10**9)
+@given(trees(), st.sampled_from([F(1, 10**9), F(1, 10**30)]))
+@example(path_graph(4), F(1, 10**30))
+def test_dcrit_tree_brackets_sympy_critical_density(T, tol):
+    """Also far below the bracket's own width, where refine takes over."""
     lo, hi = dcrit_tree(T, tol).interval(tol)
     d = 1 - 1 / _sympy_largest_root(T)
-    assert bool(sympy.Rational(lo.numerator, lo.denominator) <= d)
-    assert bool(d <= sympy.Rational(hi.numerator, hi.denominator))
+    assert bool(_sympy(lo) <= d) and bool(d <= _sympy(hi))
     assert hi - lo <= tol
 
 
@@ -149,30 +173,6 @@ def test_exact_count_matches_sympy_eigenvalues(case):
     assert pivots[root][1] == _eigenvalues_above(T, s)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(trees(max_n=25), connected_graphs()), st.sampled_from(TOLERANCES))
-def test_kernel_matches_sturm_path(H, tol):
-    sturm = largest_real_root(matching_even_part(H), tol)
-    assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
-
-
-def _wrong_estimates(H, factor1, factor2):
-    """Patch the float estimates s1 > s2 for H: s1 scaled by factor1, s2
-    moved to s1 + factor2 * (s2 - s1), so a small factor2 puts the two
-    close together (the isolation level guessed too deep) and a large one
-    apart (too shallow)."""
-    if H.is_tree():
-        name, real = "_tree_top_roots_squared", polynomials._tree_top_roots_squared
-    else:
-        name, real = "_newton_top_roots", polynomials._newton_top_roots
-
-    def skewed(arg):
-        s1, s2 = real(arg)
-        return s1 * factor1, None if s2 is None else s1 + factor2 * (s2 - s1)
-
-    return mock.patch.object(polynomials, name, skewed)
-
-
 def _counting_sturm_path():
     calls = []
     real = polynomials._sturm_largest_root
@@ -184,45 +184,97 @@ def _counting_sturm_path():
     return calls, mock.patch.object(polynomials, "_sturm_largest_root", counted)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(trees(max_n=25), connected_graphs()),
-       st.sampled_from(TOLERANCES),
-       st.floats(0.5, 1.5), st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e-3)))
-@example(path_graph(5), F(3), 1.0, 1e-6)       # isolation level guessed too deep
-@example(path_graph(5), F(1, 64), 1.0, 1e-6)   # ... and a rational root missed
-@example(path_graph(9), F(1, 10**9), 1.0, 2.5)  # guessed too shallow
-@example(star_graph(7), F(1, 10**24), 1.001, 1.0)  # wrong cell, exact descent
-def test_wrong_estimates_never_change_the_result(H, tol, factor1, factor2):
-    sturm = largest_real_root(matching_even_part(H), tol)
-    with _wrong_estimates(H, factor1, factor2):
-        assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
+def _path_trees(n, m):
+    """The monotone-path trees of K_{n,m}, one per rooted shape."""
+    K = complete_bipartite(n, m)
+    ids, first = {}, {}
+    for f in proper_labelings(K):
+        first.setdefault(rooted_id(K, f, ids), f)
+    return [monotone_path_tree(K, f).tree for f in first.values()]
+
+
+def test_integer_roots_come_out_exact_without_sturm():
+    """lambda^2 is an algebraic integer, so one evaluation at the integer
+    in the bracket makes a rational root exact: stars K_{1,m} give m,
+    P_2, P_3 and P_5 give 1, 2 and 3, and every monotone-path tree of
+    K_{n,m} gives n + m - 1."""
+    cases = [(star_graph(m + 1), m) for m in range(1, 41)]
+    cases += [(path_graph(n), k) for n, k in ((2, 1), (3, 2), (5, 3))]
+    cases += [(T, n + m - 1) for n in range(1, 5) for m in range(n, 9 - n)
+              for T in _path_trees(n, m)]
+    calls, patch = _counting_sturm_path()
+    with patch:
+        for H, want in cases:
+            assert largest_matching_root_squared(H).exact == want, H
+    assert calls == []
+
+
+def _wrong_estimate(H, factor):
+    """Patch the float estimate of lambda^2 for H to factor times it."""
+    name = "_tree_root_estimate" if H.is_tree() else "_newton_from_right"
+    real = getattr(polynomials, name)
+    return mock.patch.object(polynomials, name, lambda *args: factor * real(*args))
 
 
 @pytest.mark.parametrize("H", [path_graph(12), star_graph(6),
                                PatternGraph(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))])
-def test_failed_certificate_falls_back_to_sturm(H):
+@pytest.mark.parametrize("factor", [1.3, 0.9, 1 + 2.0**-30])
+def test_failed_certificate_falls_back_to_sturm(H, factor):
+    """A bracket around a wrong estimate fails its certificate, and the
+    Sturm path gives the root; the right estimate needs no Sturm."""
     tol = F(1, 10**9)
-    sturm = largest_real_root(matching_even_part(H), tol)
+    Q = _sympy_even(H)
     calls, patch = _counting_sturm_path()
     with patch:
-        assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
+        _assert_brackets(Q, largest_matching_root_squared(H, tol))
     assert calls == []
-    with patch, _wrong_estimates(H, 1.3, 1.0):
-        assert _fields(largest_matching_root_squared(H, tol)) == _fields(sturm)
+    with patch, _wrong_estimate(H, factor):
+        _assert_brackets(Q, largest_matching_root_squared(H, tol))
     assert len(calls) == 1
 
 
-def test_rational_roots_and_deflated_midpoints_stay_on_the_fast_path():
-    # S_4: s^2 - 3s, whose root 0 is the first bisection midpoint and is
-    # deflated; S_5: exact 4; a single edge: exact 1, a dyadic grid point.
+@pytest.mark.parametrize("H, exact", [
+    (PatternGraph(6, ((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6))), 3),  # 2 K_3
+    (PatternGraph(8, cycle_graph(4).edges + tuple((i + 4, j + 4) for i, j in cycle_graph(4).edges)),
+     None),                                                                # 2 C_4: 2 + sqrt 2
+])
+def test_repeated_top_root_falls_back_to_sturm(H, exact):
+    """Two copies of one component repeat its top root, which no bracket
+    can certify as simple; Sturm answers on the square-free part."""
     calls, patch = _counting_sturm_path()
     with patch:
-        for H, exact in [(star_graph(4), 3), (star_graph(5), 4),
-                         (path_graph(2), 1)]:
-            x = largest_matching_root_squared(H)
-            assert _fields(x) == _fields(largest_real_root(matching_even_part(H)))
-            assert x.exact == exact
-    assert len(calls) == 3  # the three direct Sturm calls only
+        x = largest_matching_root_squared(H)
+    assert len(calls) == 1
+    assert x.exact == exact
+    _assert_brackets(_sympy_even(H), x)
+
+
+def _dumbbell(k, length):
+    """Two K_{1,k} whose centres a path of `length` edges joins, from one
+    centre: its top two eigenvalues agree to far below the bracket's
+    width."""
+    edges = [(1, j) for j in range(2, k + 2)]
+    path = [1, *range(k + 2, k + 2 + length)]
+    edges += list(zip(path, path[1:]))
+    n = path[-1]
+    edges += [(path[-1], j) for j in range(n + 1, n + k + 1)]
+    return PatternGraph(n + k, tuple(edges))
+
+
+@pytest.mark.parametrize("length", [30, 45, 60])
+def test_dumbbell_refuses_the_interlacing_test(length):
+    """lambda_2 nearly equals lambda_1, so no root child's subtree is
+    below the bracket and the tree certificate refuses: Sturm answers,
+    with one simple root in the bracket."""
+    T = _dumbbell(9, length)
+    calls, patch = _counting_sturm_path()
+    with patch:
+        x = largest_matching_root_squared(T)
+    assert len(calls) == 1
+    Q = _sympy_even(T)
+    _assert_brackets(Q, x)
+    lo, hi = dcrit_tree(T, F(1, 10**30)).interval(F(1, 10**30))
+    assert hi - lo <= F(1, 10**30) and _top_root_within(Q, 1 / (1 - lo), 1 / (1 - hi))
 
 
 @st.composite
@@ -443,12 +495,7 @@ def test_kernels_agree_on_every_nonzero_multiple(case, k, tol, lo, width, Q):
     assert _same_root(polynomials._sturm_largest_root(c, tol),
                       polynomials._sturm_largest_root(kc, tol), k)
     if real_rooted:
-        s1, s2 = polynomials._newton_top_roots(c)
-        assert polynomials._newton_top_roots(kc) == (s1, s2)
-        s2 = s2 if len(c) > 2 else None
-        x = polynomials._float_guided_root(c, tol, s1, s2)
-        y = polynomials._float_guided_root(kc, tol, s1, s2)
-        assert x is y is None or _same_root(x, y, k)
+        assert _same_root(matching_root_squared(c, tol), matching_root_squared(kc, tol), k)
     # An AlgebraicNumber on k p: its refinement and its comparisons with
     # rationals, with itself on p, and with another root.
     x = polynomials._sturm_largest_root(c, F(1, 2))

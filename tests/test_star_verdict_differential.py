@@ -1,8 +1,9 @@
 """The star necessary condition, decided on the labeling's DAG, against
 the leaf reduction on the built monotone-path tree with each tree edge's
 density lifted through the legend; the exact sign test, the reduction at
-ratio 1/s once per interned rooted id, and the star bound's float test
-just above 1/s, against the path tree's spectrum compared with s; and
+ratio 1/s once per interned rooted id, and the shared float margin
+pass (polynomials.margin_inertia) just above and just below 1/s, against
+the path tree's spectrum compared with s; and
 leaf_up_inertia's pivots against a reference, in Fractions and in
 floats.  Patterns are connected with at most seven vertices; densities
 are 0, 1 and multiples of 1/40.  The examples sit at homogeneous
@@ -26,8 +27,7 @@ from critdens.graphs import (
     rooted_id,
     star_graph,
 )
-from critdens import stars
-from critdens.polynomials import largest_matching_root_squared, leaf_up_inertia
+from critdens.polynomials import largest_matching_root_squared, leaf_up_inertia, margin_inertia
 from critdens.stars import monotone_path_tree, star_necessary_condition
 from critdens.tree_decision import _decide_from_ratios
 from critdens.verdict import Verdict
@@ -102,11 +102,20 @@ def _below(H, f, s):
 
 
 def _screened(H, f, s):
-    """The star bound's float test: every pivot positive just above 1/s."""
+    """The star bound's float test: every pivot positive just above 1/s,
+    which proves lambda(T_f)^2 < s."""
     ids = {}
     rid = rooted_id(H, f, ids)
-    top, count = stars._pivots_below(_nodes(ids), s)[rid]
+    top, count = margin_inertia(_nodes(ids), s, 1)[rid]
     return count == 0 and top is not None
+
+
+def _exceeds(H, f, s):
+    """The tree bracket's lower test: a negative pivot just below 1/s,
+    which proves lambda(T_f)^2 > s."""
+    ids = {}
+    rid = rooted_id(H, f, ids)
+    return margin_inertia(_nodes(ids), s, -1)[rid][1] > 0
 
 
 def _pattern_keys(H):
@@ -132,8 +141,9 @@ def test_sign_test_matches_the_path_tree_spectrum(case, data):
     below = _below(H, f, s)
     event(f"below {below}")
     assert below == (lam2.compare_fraction(s) < 0)
-    # the float test never sets aside what the exact one keeps
+    # the float tests claim only what the exact comparison says
     assert below or not _screened(H, f, s)
+    assert lam2.compare_fraction(s) > 0 or not _exceeds(H, f, s)
 
 
 def _subtrees(H, f):
@@ -174,10 +184,24 @@ def test_sign_test_on_complete_bipartite_at_n_plus_m_minus_1(n, m):
         assert not _below(K, f, F(n + m - 1)) and not _screened(K, f, F(n + m - 1))
         assert _below(K, f, F(n + m - 1) + F(1, 1000))
         assert _screened(K, f, F(n + m - 1) + F(1, 1000))
+        assert not _exceeds(K, f, F(n + m - 1))
+        assert _exceeds(K, f, F(n + m - 1) - F(1, 1000))
     # every root pivot is exactly 0 there, and every pivot below positive
     keys, roots = _pattern_keys(K)
     pivots = leaf_up_inertia(_nodes(keys), F(1, n + m - 1))
     assert all(pivots[rid] == (None, 0) for rid in roots)
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_margin_pass_at_a_star_spectrum_claims_neither_side(m):
+    """K_{1,m} has lambda^2 = m, and at 1/m rounding alone puts the root
+    pivot of the tree rooted at a leaf on either side of 0 (for m = 3 and
+    5 among others): the margin keeps both float tests from a claim."""
+    S = star_graph(m + 1)
+    for f in ((1, *range(2, m + 2)), (2, 1, *range(3, m + 2))):
+        assert not _screened(S, f, F(m)) and not _exceeds(S, f, F(m))
+        assert _screened(S, f, F(m) * (1 + F(1, 10**6)))
+        assert _exceeds(S, f, F(m) * (1 - F(1, 10**6)))
 
 
 # -- the elimination's pivots ------------------------------------------------
